@@ -53,8 +53,6 @@ from .table import DensityTable, format_rational
 from .transfer import (
     CharFnSeries,
     ConvergenceReport,
-    SpectralDecomposition,
-    TransferMatrix,
     asymptotic_sweep,
     bond_overlap_residual,
     charfn_asymptotic,
@@ -63,11 +61,9 @@ from .transfer import (
     charfn_series,
     column_sum_residual,
     convergence_report,
-    eigen_decompose,
     eigenvalues,
     eigenvector_matrix,
     top_eigenvalue_from_phase,
-    transfer_matrix,
 )
 
 __all__ = [
@@ -87,9 +83,7 @@ __all__ = [
     "OracleReport",
     "SiteLayout",
     "SpacingHistogram",
-    "SpectralDecomposition",
     "SpectrumStats",
-    "TransferMatrix",
     "UnfoldedSpectrum",
     "ValidationError",
     "asymptotic_sweep",
@@ -108,7 +102,6 @@ __all__ = [
     "delta",
     "density_dp",
     "dispersion",
-    "eigen_decompose",
     "eigenvalues",
     "eigenvector_matrix",
     "empirical_moments",
@@ -127,7 +120,6 @@ __all__ = [
     "spacing_distribution",
     "spin_degeneracy",
     "top_eigenvalue_from_phase",
-    "transfer_matrix",
     "unfold",
     "variance_identity_residual",
 ]

@@ -34,24 +34,41 @@ FERRO = 1
 ANTIFERRO = -1
 
 
+def _is_int(value) -> bool:
+    """True for ints; bool is an int subclass but not a count or a sign."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integral(value) -> int:
+    """A spec field parsed as an int.  Ints, integral floats and integer
+    strings pass; bools and non-integral numbers raise ValueError instead
+    of being truncated."""
+    number = int(value)
+    if isinstance(value, bool) or (not isinstance(value, str) and number != value):
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
 def _as_alpha(value) -> Fraction:
     """Coerce an FI parameter to an exact positive Fraction.
 
-    Accepts int, Fraction, "p/q" strings and (num, den) pairs.  Floats are
-    rejected: an inexact alpha would break exact degeneracy counting.
+    Accepts int, Fraction, "p/q" strings and (num, den) pairs of integers.
+    Floats are rejected: an inexact alpha would break exact degeneracy
+    counting.  So are bools, and pair entries that are not integers.
     """
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise ValidationError(
             "alpha must be an exact rational (int, Fraction, 'p/q' or (p, q)); "
-            f"got float {value!r}"
+            f"got {type(value).__name__} {value!r}"
         )
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ValidationError(f"alpha pair must have two entries, got {value!r}")
-        value = Fraction(int(value[0]), int(value[1]))
+    if isinstance(value, (tuple, list)) and len(value) != 2:
+        raise ValidationError(f"alpha pair must have two entries, got {value!r}")
     try:
-        alpha = Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        if isinstance(value, (tuple, list)):
+            alpha = Fraction(_integral(value[0]), _integral(value[1]))
+        else:
+            alpha = Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"cannot parse alpha {value!r}") from exc
     if alpha <= 0:
         raise ValidationError(f"alpha must be positive, got {alpha}")
@@ -87,11 +104,11 @@ class ChainSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if not isinstance(self.n_spins, int) or self.n_spins < 2:
+        if not _is_int(self.n_spins) or self.n_spins < 2:
             raise ValidationError(f"n_spins must be an integer >= 2, got {self.n_spins!r}")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValidationError(f"m must be a positive integer, got {self.m!r}")
-        if self.epsilon not in (FERRO, ANTIFERRO):
+        if not _is_int(self.epsilon) or self.epsilon not in (FERRO, ANTIFERRO):
             raise ValidationError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
         if self.family == "FI":
             if self.alpha is None:
@@ -123,10 +140,10 @@ class ChainSpec:
     def from_json_dict(cls, data: dict) -> "ChainSpec":
         try:
             family = str(data["family"]).upper()
-            n_spins = int(data["N"])
-            m = int(data["m"])
-            epsilon = int(data.get("epsilon", FERRO))
-        except (KeyError, TypeError, ValueError) as exc:
+            n_spins = _integral(data["N"])
+            m = _integral(data["m"])
+            epsilon = _integral(data.get("epsilon", FERRO))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"malformed chain spec {data!r}") from exc
         alpha = data.get("alpha")
         if alpha is not None:

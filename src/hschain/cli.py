@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,27 +23,19 @@ import numpy as np
 
 from .chains import ANTIFERRO, FERRO, ChainSpec
 from .crosscheck import DEFAULT_BRUTE_CAP, run_crosscheck
-from .density import (
-    DEFAULT_COMPOSITION_CAP,
-    composition_density,
-    density_dp,
-)
+from .density import DEFAULT_COMPOSITION_CAP, composition_density, density_dp
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import DEFAULT_DENSE_CAP, oracle_compare
 from .levelstats import default_spacing_bins, ks_distance, spacing_distribution, unfold
 from .moments import closed_form_moments
 from .motifs import DEFAULT_ENUMERATION_CAP, brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import format_rational
+from .table import csv_text, format_cell, format_rational
 from .transfer import charfn_series, convergence_report
 from . import __version__
 
 _FAMILY_BY_FLAG = {"hs": "HS", "pf": "PF", "fi": "FI"}
-_FORMATS = {"csv", "json", "svg"}
-
-
-def _float_repr(x: float) -> str:
-    return f"{float(x):.17g}"
+_FORMATS = ("csv", "json", "svg")
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -52,18 +45,6 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
-
-
-def _parse_formats(text: str, allowed: set) -> list:
-    formats = [part.strip() for part in text.split(",") if part.strip()]
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ValidationError(f"unknown format {fmt!r}; choose from {sorted(_FORMATS)}")
-        if fmt not in allowed:
-            raise ValidationError(f"format {fmt!r} is not available for this subcommand")
-    if not formats:
-        raise ValidationError("at least one output format is required")
-    return formats
 
 
 def _parse_sweep(text: str) -> list:
@@ -96,67 +77,94 @@ def _parse_sweep(text: str) -> list:
     return values
 
 
-def _resolve_spec(args) -> ChainSpec:
+def _resolve_spec(args, n=None) -> ChainSpec:
+    """The chain named by --spec or by the chain options; the sweep
+    subcommands pass each swept N as `n` in place of --N."""
     if getattr(args, "spec", None):
         text = args.spec
         if os.path.exists(text):
             with open(text, "r", encoding="utf-8") as handle:
                 text = handle.read()
         return ChainSpec.from_json(text)
+    n = args.n_spins if n is None else n
     missing = [flag for flag, value in (
-        ("--family", args.family), ("--N", args.n_spins), ("--m", args.m)
+        ("--family", args.family), ("--N", n), ("--m", args.m)
     ) if value is None]
     if missing:
         raise ValidationError(f"missing required options: {', '.join(missing)} (or pass --spec)")
-    return ChainSpec(
-        family=_FAMILY_BY_FLAG[args.family],
-        n_spins=args.n_spins,
-        m=args.m,
-        epsilon=args.epsilon,
-        alpha=args.alpha,
-    )
+    return ChainSpec(_FAMILY_BY_FLAG[args.family], n, args.m, args.epsilon, args.alpha)
 
 
-def _spec_config(spec: ChainSpec) -> dict:
-    config = {
-        "family": spec.family,
-        "N": spec.n_spins,
-        "m": spec.m,
-        "epsilon": f"{spec.epsilon:+d}",
-    }
+def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
+    """The resolved configuration recorded in every artifact: the chain,
+    its N or the swept N values, and the subcommand's own settings."""
+    config = {"family": spec.family, "m": spec.m, "epsilon": f"{spec.epsilon:+d}", **extra}
+    if sweep is None:
+        config["N"] = spec.n_spins
+    else:
+        config["n_sweep"] = ",".join(str(n) for n in sweep)
     if spec.alpha is not None:
         config["alpha"] = format_rational(spec.alpha)
     return config
 
 
-def _header_lines(command: str, config: dict) -> list:
-    lines = [f"# hschain {__version__} {command}"]
-    lines.extend(f"# {key} = {config[key]}" for key in sorted(config))
-    return lines
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(header + rows) + "\n")
-    print(f"wrote {path}")
+def _emit(args, command: str, config: dict, **artifacts) -> None:
+    """Write the artifacts that --format asks for as <out>/<command>.<format>.
 
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path}")
-
-
-def _write_svg(path: str, command: str, config: dict, svg: str) -> None:
-    comment_body = "\n".join(line[2:] for line in _header_lines(command, config))
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"<!--\n{comment_body}\n-->\n" + svg)
-    print(f"wrote {path}")
-
-
-def _out_path(args, name: str) -> str:
+    Each keyword is a format the subcommand offers: ``csv`` is (column
+    line, rows of cells) or a function of the header lines returning the
+    file; ``json`` and ``svg`` return the payload (the config is added to
+    it) and the plot, and are called only when requested.
+    """
+    formats = [part.strip() for part in args.format.split(",") if part.strip()]
+    for fmt in formats:
+        if fmt not in _FORMATS:
+            raise ValidationError(f"unknown format {fmt!r}; choose from {sorted(_FORMATS)}")
+        if fmt not in artifacts:
+            raise ValidationError(f"format {fmt!r} is not available for this subcommand")
+    if not formats:
+        raise ValidationError("at least one output format is required")
+    header = [f"hschain {__version__} {command}"]
+    header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    for fmt in [fmt for fmt in _FORMATS if fmt in formats]:
+        artifact = artifacts[fmt]
+        if fmt == "csv" and callable(artifact):
+            text = artifact(header)
+        elif fmt == "csv":
+            columns, rows = artifact
+            text = csv_text(header, columns, (",".join(map(format_cell, row)) for row in rows))
+        elif fmt == "json":
+            text = _json_text({"config": config, **artifact()}) + "\n"
+        else:
+            text = "<!--\n" + "\n".join(header) + "\n-->\n" + artifact()
+        path = os.path.join(args.out, f"{command}.{fmt}")
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+        del text  # a density artifact is megabytes; free it before rendering the next
+        print(f"wrote {path}")
+
+
+def _t_grid_from(args) -> np.ndarray:
+    if args.t_points < 2:
+        raise ValidationError("--t-points must be at least 2")
+    if not args.t_max > 0:
+        raise ValidationError("--t-max must be positive")
+    if math.isinf(args.t_max):
+        raise ValidationError("--t-max must be finite")
+    return np.linspace(-args.t_max, args.t_max, args.t_points)
+
+
+def _spacing_bins_from(args) -> np.ndarray:
+    if args.bins < 1:
+        raise ValidationError("--bins must be at least 1")
+    if not 0 < args.s_max < math.inf:
+        raise ValidationError("--s-max must be positive and finite")
+    return default_spacing_bins(args.s_max, args.bins)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +180,8 @@ def _cmd_density(args) -> int:
         density = composition_density(spec, cap=args.composition_cap)
     else:
         density = density_dp(spec)
-    config = _spec_config(spec)
-    config["backend"] = args.backend
-    header = _header_lines("density", config)
-    formats = _parse_formats(args.format, {"csv", "json"})
-    if "csv" in formats:
-        path = _out_path(args, "density.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            # to_csv adds the comment markers itself
-            handle.write(density.to_csv(line[2:] for line in header))
-        print(f"wrote {path}")
-    if "json" in formats:
-        payload = {"config": config, "density": density.to_json_dict()}
-        _write_json(_out_path(args, "density.json"), payload)
+    _emit(args, "density", _config(spec, backend=args.backend),
+          csv=density.to_csv, json=lambda: {"density": density.to_json_dict()})
     print(f"levels = {len(density.levels())}, states = {density.total}")
     return 0
 
@@ -192,36 +189,15 @@ def _cmd_density(args) -> int:
 def _cmd_moments(args) -> int:
     spec = _resolve_spec(args)
     stats = closed_form_moments(spec)
-    config = _spec_config(spec)
-    formats = _parse_formats(args.format, {"csv", "json"})
     mu_text = format_rational(stats.mu)
     sigma2_text = format_rational(stats.sigma2)
-    if "csv" in formats:
-        rows = [
-            "quantity,value",
-            f"mu,{mu_text}",
-            f"sigma2,{sigma2_text}",
-            f"sigma,{_float_repr(stats.sigma)}",
-        ]
-        _write_csv(_out_path(args, "moments.csv"), _header_lines("moments", config), rows)
-    if "json" in formats:
-        payload = {
-            "config": config,
-            "mu": mu_text,
-            "sigma2": sigma2_text,
-            "sigma": stats.sigma,
-        }
-        _write_json(_out_path(args, "moments.json"), payload)
+    _emit(
+        args, "moments", _config(spec),
+        csv=("quantity,value", [("mu", mu_text), ("sigma2", sigma2_text), ("sigma", stats.sigma)]),
+        json=lambda: {"mu": mu_text, "sigma2": sigma2_text, "sigma": stats.sigma},
+    )
     print(f"mu = {mu_text}, sigma2 = {sigma2_text}")
     return 0
-
-
-def _t_grid_from(args) -> np.ndarray:
-    if args.t_points < 2:
-        raise ValidationError("--t-points must be at least 2")
-    if not args.t_max > 0:
-        raise ValidationError("--t-max must be positive")
-    return np.linspace(-args.t_max, args.t_max, args.t_points)
 
 
 def _cmd_charfn(args) -> int:
@@ -229,112 +205,73 @@ def _cmd_charfn(args) -> int:
     stats = closed_form_moments(spec)
     grid = _t_grid_from(args)
     series = charfn_series(spec, stats, grid)
-    config = _spec_config(spec)
-    config["t_max"] = _float_repr(args.t_max)
-    config["t_points"] = args.t_points
-    formats = _parse_formats(args.format, {"csv", "svg"})
-    if "csv" in formats:
-        rows = ["t,re_exact,im_exact,re_asym,im_asym,gauss_ref"]
-        for k, t in enumerate(series.t_grid):
-            rows.append(",".join([
-                _float_repr(t),
-                _float_repr(series.exact_values[k].real),
-                _float_repr(series.exact_values[k].imag),
-                _float_repr(series.asymptotic_values[k].real),
-                _float_repr(series.asymptotic_values[k].imag),
-                _float_repr(series.gaussian_ref[k]),
-            ]))
-        _write_csv(_out_path(args, "charfn.csv"), _header_lines("charfn", config), rows)
-    if "svg" in formats:
-        svg = line_plot(
+    exact, asym = series.exact_values, series.asymptotic_values
+    _emit(
+        args, "charfn", _config(spec, t_max=args.t_max, t_points=args.t_points),
+        csv=("t,re_exact,im_exact,re_asym,im_asym,gauss_ref",
+             zip(series.t_grid, exact.real, exact.imag, asym.real, asym.imag, series.gaussian_ref)),
+        svg=lambda: line_plot(
             [
-                ("|charfn exact|", series.t_grid, np.abs(series.exact_values)),
-                ("|charfn asymptotic|", series.t_grid, np.abs(series.asymptotic_values)),
+                ("|charfn exact|", series.t_grid, np.abs(exact)),
+                ("|charfn asymptotic|", series.t_grid, np.abs(asym)),
                 ("gaussian", series.t_grid, series.gaussian_ref),
             ],
             title=f"characteristic function, {spec.family} N={spec.n_spins} m={spec.m}",
             x_label="t",
             y_label="modulus",
-        )
-        _write_svg(_out_path(args, "charfn.svg"), "charfn", config, svg)
-    gap = float(np.abs(series.exact_values - series.gaussian_ref).max())
-    print(f"max |charfn - gaussian| = {_float_repr(gap)}")
+        ),
+    )
+    gap = float(np.abs(exact - series.gaussian_ref).max())
+    print(f"max |charfn - gaussian| = {format_cell(gap)}")
     return 0
 
 
 def _cmd_convergence(args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
     sweep = _parse_sweep(args.n_sweep)
+    if len(sweep) < 2:
+        raise ValidationError(f"sweep {args.n_sweep!r} has one N; fitting a slope needs two")
     grid = _t_grid_from(args)
+    spec = _resolve_spec(args, sweep[0])
     report = convergence_report(
-        family, args.m, args.epsilon, n_values=sweep, t_grid=grid, alpha=args.alpha
+        spec.family, spec.m, spec.epsilon, n_values=sweep, t_grid=grid, alpha=spec.alpha
     )
-    config = {
-        "family": family,
-        "m": args.m,
-        "epsilon": f"{args.epsilon:+d}",
-        "n_sweep": ",".join(str(n) for n in report.n_values),
-        "t_max": _float_repr(args.t_max),
-        "t_points": args.t_points,
-        "gauss_slope": _float_repr(report.gauss_slope),
-        "asym_slope": _float_repr(report.asym_slope),
-    }
-    if args.alpha is not None:
-        spec = ChainSpec(family, sweep[0], args.m, args.epsilon, args.alpha)
-        config["alpha"] = format_rational(spec.alpha)
-    formats = _parse_formats(args.format, {"csv", "svg"})
-    if "csv" in formats:
-        rows = ["N,gauss_deviation,asym_deviation"]
-        for k, n in enumerate(report.n_values):
-            rows.append(
-                f"{n},{_float_repr(report.gauss_deviation[k])},"
-                f"{_float_repr(report.asym_deviation[k])}"
-            )
-        _write_csv(_out_path(args, "convergence.csv"), _header_lines("convergence", config), rows)
-    if "svg" in formats:
-        svg = line_plot(
+    config = _config(spec, sweep, t_max=args.t_max, t_points=args.t_points,
+                     gauss_slope=report.gauss_slope, asym_slope=report.asym_slope)
+    _emit(
+        args, "convergence", config,
+        csv=("N,gauss_deviation,asym_deviation",
+             zip(report.n_values, report.gauss_deviation, report.asym_deviation)),
+        svg=lambda: line_plot(
             [
                 ("sup distance to gaussian", report.n_values, report.gauss_deviation),
                 ("sup distance to asymptotic", report.n_values, report.asym_deviation),
             ],
-            title=f"convergence, {family} m={args.m}",
+            title=f"convergence, {spec.family} m={spec.m}",
             x_label="N",
             y_label="sup distance",
             log_x=True,
             log_y=True,
-        )
-        _write_svg(_out_path(args, "convergence.svg"), "convergence", config, svg)
+        ),
+    )
     print(
-        f"gauss_slope = {_float_repr(report.gauss_slope)}, "
-        f"asym_slope = {_float_repr(report.asym_slope)}"
+        f"gauss_slope = {format_cell(report.gauss_slope)}, "
+        f"asym_slope = {format_cell(report.asym_slope)}"
     )
     return 0
 
 
 def _cmd_spacings(args) -> int:
     spec = _resolve_spec(args)
+    bins = _spacing_bins_from(args)
     stats = closed_form_moments(spec)
     density = density_dp(spec)
-    histogram = spacing_distribution(
-        unfold(density, stats), bins=default_spacing_bins(args.s_max, args.bins)
-    )
-    config = _spec_config(spec)
-    config["bins"] = args.bins
-    config["s_max"] = _float_repr(args.s_max)
-    formats = _parse_formats(args.format, {"csv", "svg"})
-    if "csv" in formats:
-        rows = ["bin_center,density,poisson_ref,wigner_ref"]
-        for k, center in enumerate(histogram.bin_centers):
-            rows.append(",".join([
-                _float_repr(center),
-                _float_repr(histogram.density[k]),
-                _float_repr(histogram.poisson_ref[k]),
-                _float_repr(histogram.wigner_ref[k]),
-            ]))
-        _write_csv(_out_path(args, "spacings.csv"), _header_lines("spacings", config), rows)
-    if "svg" in formats:
-        centers = histogram.bin_centers
-        svg = histogram_plot(
+    histogram = spacing_distribution(unfold(density, stats), bins=bins)
+    centers = histogram.bin_centers
+    _emit(
+        args, "spacings", _config(spec, bins=args.bins, s_max=args.s_max),
+        csv=("bin_center,density,poisson_ref,wigner_ref",
+             zip(centers, histogram.density, histogram.poisson_ref, histogram.wigner_ref)),
+        svg=lambda: histogram_plot(
             histogram.bin_edges,
             histogram.density,
             [
@@ -344,90 +281,59 @@ def _cmd_spacings(args) -> int:
             title=f"spacing distribution, {spec.family} N={spec.n_spins} m={spec.m}",
             x_label="s",
             y_label="p(s)",
-        )
-        _write_svg(_out_path(args, "spacings.svg"), "spacings", config, svg)
+        ),
+    )
     mean = float(histogram.spacings.mean())
-    print(f"spacings = {histogram.spacings.size}, mean = {_float_repr(mean)}")
+    print(f"spacings = {histogram.spacings.size}, mean = {format_cell(mean)}")
     return 0
 
 
 def _cmd_kscan(args) -> int:
-    family = _FAMILY_BY_FLAG[args.family]
     sweep = _parse_sweep(args.n_sweep)
-    rows = ["N,ks_distance"]
     distances = []
     for n in sweep:
-        spec = ChainSpec(family, n, args.m, args.epsilon, args.alpha)
-        value = ks_distance(density_dp(spec), closed_form_moments(spec))
-        distances.append(value)
-        rows.append(f"{n},{_float_repr(value)}")
-    config = {
-        "family": family,
-        "m": args.m,
-        "epsilon": f"{args.epsilon:+d}",
-        "n_sweep": ",".join(str(n) for n in sweep),
-    }
-    if args.alpha is not None:
-        config["alpha"] = format_rational(ChainSpec(family, sweep[0], args.m, args.epsilon, args.alpha).alpha)
-    formats = _parse_formats(args.format, {"csv", "svg"})
-    if "csv" in formats:
-        _write_csv(_out_path(args, "kscan.csv"), _header_lines("kscan", config), rows)
-    if "svg" in formats:
-        svg = line_plot(
+        spec = _resolve_spec(args, n)
+        distances.append(ks_distance(density_dp(spec), closed_form_moments(spec)))
+    _emit(
+        args, "kscan", _config(spec, sweep),
+        csv=("N,ks_distance", zip(sweep, distances)),
+        svg=lambda: line_plot(
             [("ks distance", sweep, distances)],
-            title=f"gaussian fit distance, {family} m={args.m}",
+            title=f"gaussian fit distance, {spec.family} m={spec.m}",
             x_label="N",
             y_label="ks distance",
             log_x=True,
             log_y=True,
-        )
-        _write_svg(_out_path(args, "kscan.svg"), "kscan", config, svg)
-    print(f"ks distance: first = {_float_repr(distances[0])}, last = {_float_repr(distances[-1])}")
+        ),
+    )
+    print(f"ks distance: first = {format_cell(distances[0])}, last = {format_cell(distances[-1])}")
     return 0
 
 
 def _cmd_oracle(args) -> int:
     spec = _resolve_spec(args)
     report = oracle_compare(spec, dense_cap=args.dense_cap)
-    config = _spec_config(spec)
-    config["dense_cap"] = args.dense_cap
-    payload = {"config": config, "report": report.to_json_dict()}
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    formats = _parse_formats(args.format, {"json"})
-    if "json" in formats and args.out is not None:
-        _write_json(_out_path(args, "oracle.json"), payload)
+    config = _config(spec, dense_cap=args.dense_cap)
+    payload = {"report": report.to_json_dict()}
+    print(_json_text({"config": config, **payload}))
+    _emit(args, "oracle", config, json=lambda: payload)
     return 0
 
 
 def _cmd_crosscheck(args) -> int:
     report = run_crosscheck(max_n=args.max_n, brute_cap=args.brute_cap)
-    config = {"max_N": args.max_n, "brute_cap": args.brute_cap}
-    formats = _parse_formats(args.format, {"csv"})
-    if "csv" in formats:
-        rows = ["check,family,N,m,epsilon,alpha,deviation,passed"]
-        for result in report.results:
-            spec = result.spec
-            alpha = format_rational(spec.alpha) if spec.alpha is not None else ""
-            rows.append(",".join([
-                result.name,
-                spec.family,
-                str(spec.n_spins),
-                str(spec.m),
-                f"{spec.epsilon:+d}",
-                alpha,
-                _float_repr(result.deviation),
-                "1" if result.passed else "0",
-            ]))
-        _write_csv(_out_path(args, "crosscheck.csv"), _header_lines("crosscheck", config), rows)
-    total = len(report.results)
-    failed = len(report.failures)
-    print(f"checks = {total}, failed = {failed}")
-    if failed:
-        for result in report.failures[:10]:
-            print(f"FAIL {result.name} {result.spec}", file=sys.stderr)
-        return 2
-    return 0
+    rows = [
+        (result.name, result.spec.family, result.spec.n_spins, result.spec.m,
+         f"{result.spec.epsilon:+d}", "" if result.spec.alpha is None else result.spec.alpha,
+         result.deviation, int(result.passed))
+        for result in report.results
+    ]
+    _emit(args, "crosscheck", {"max_N": args.max_n, "brute_cap": args.brute_cap},
+          csv=("check,family,N,m,epsilon,alpha,deviation,passed", rows))
+    print(f"checks = {len(report.results)}, failed = {len(report.failures)}")
+    for result in report.failures[:10]:
+        print(f"FAIL {result.name} {result.spec}", file=sys.stderr)
+    return 2 if report.failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -435,11 +341,16 @@ def _cmd_crosscheck(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_spec_options(parser, with_backend: bool = False) -> None:
+def _add_chain_options(parser, sweep=None) -> None:
+    """Options naming the chain.  Given a default `sweep`, the subcommand
+    runs over an N sweep: --n-sweep replaces --N and --spec, and --family
+    and --m become required."""
     parser.add_argument("--family", choices=sorted(_FAMILY_BY_FLAG), type=str.lower,
-                        help="chain family")
-    parser.add_argument("--N", dest="n_spins", type=int, help="number of spins")
-    parser.add_argument("--m", type=int, help="internal states per spin")
+                        required=sweep is not None, help="chain family")
+    if sweep is None:
+        parser.add_argument("--N", dest="n_spins", type=int, help="number of spins")
+    parser.add_argument("--m", type=int, required=sweep is not None,
+                        help="internal states per spin")
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--ferro", dest="epsilon", action="store_const", const=FERRO,
                        help="ferromagnetic sign (default)")
@@ -448,35 +359,17 @@ def _add_spec_options(parser, with_backend: bool = False) -> None:
     parser.set_defaults(epsilon=FERRO)
     parser.add_argument("--alpha", default=None,
                         help="hyperbolic-chain parameter, integer or p/q")
-    parser.add_argument("--spec", default=None,
-                        help="chain spec as inline JSON or a path to a JSON file")
-    if with_backend:
-        parser.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
-                            help="density backend")
-
-
-def _add_sweep_options(parser, default_sweep: str) -> None:
-    parser.add_argument("--family", choices=sorted(_FAMILY_BY_FLAG), type=str.lower,
-                        required=True)
-    parser.add_argument("--m", type=int, required=True)
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--ferro", dest="epsilon", action="store_const", const=FERRO)
-    group.add_argument("--antiferro", dest="epsilon", action="store_const", const=ANTIFERRO)
-    parser.set_defaults(epsilon=FERRO)
-    parser.add_argument("--alpha", default=None)
-    parser.add_argument("--n-sweep", default=default_sweep,
-                        help="N sweep as a:b:geometric (doubling) or a:b:step")
+    if sweep is None:
+        parser.add_argument("--spec", default=None,
+                            help="chain spec as inline JSON or a path to a JSON file")
+    else:
+        parser.add_argument("--n-sweep", default=sweep,
+                            help="N sweep as a:b:geometric (doubling) or a:b:step")
 
 
 def _add_grid_options(parser) -> None:
     parser.add_argument("--t-max", type=float, default=6.0)
     parser.add_argument("--t-points", type=int, default=241)
-
-
-def _add_output_options(parser, default_format: str) -> None:
-    parser.add_argument("--out", default="hschain-out", help="output directory")
-    parser.add_argument("--format", default=default_format,
-                        help="comma-separated output formats (csv, json, svg)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,53 +380,48 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hschain {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    sub = commands.add_parser("density", help="exact level density")
-    _add_spec_options(sub, with_backend=True)
+    def command(name, help_text, handler, default_format):
+        sub = commands.add_parser(name, help=help_text)
+        sub.set_defaults(handler=handler)
+        sub.add_argument("--out", default="hschain-out", help="output directory")
+        sub.add_argument("--format", default=default_format,
+                         help="comma-separated output formats (csv, json, svg)")
+        return sub
+
+    sub = command("density", "exact level density", _cmd_density, "csv")
+    _add_chain_options(sub)
+    sub.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
+                     help="density backend")
     sub.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     sub.add_argument("--composition-cap", type=int, default=DEFAULT_COMPOSITION_CAP)
-    _add_output_options(sub, "csv")
-    sub.set_defaults(handler=_cmd_density)
 
-    sub = commands.add_parser("moments", help="closed-form mean and variance")
-    _add_spec_options(sub)
-    _add_output_options(sub, "csv")
-    sub.set_defaults(handler=_cmd_moments)
+    sub = command("moments", "closed-form mean and variance", _cmd_moments, "csv")
+    _add_chain_options(sub)
 
-    sub = commands.add_parser("charfn", help="characteristic function on a t grid")
-    _add_spec_options(sub)
+    sub = command("charfn", "characteristic function on a t grid", _cmd_charfn, "csv")
+    _add_chain_options(sub)
     _add_grid_options(sub)
-    _add_output_options(sub, "csv")
-    sub.set_defaults(handler=_cmd_charfn)
 
-    sub = commands.add_parser("convergence", help="sup-norm distance to the gaussian over N")
-    _add_sweep_options(sub, "16:1024:geometric")
+    sub = command("convergence", "sup-norm distance to the gaussian over N", _cmd_convergence,
+                  "csv,svg")
+    _add_chain_options(sub, "16:1024:geometric")
     _add_grid_options(sub)
-    _add_output_options(sub, "csv,svg")
-    sub.set_defaults(handler=_cmd_convergence)
 
-    sub = commands.add_parser("spacings", help="unfolded spacing histogram")
-    _add_spec_options(sub)
+    sub = command("spacings", "unfolded spacing histogram", _cmd_spacings, "csv,svg")
+    _add_chain_options(sub)
     sub.add_argument("--bins", type=int, default=40)
     sub.add_argument("--s-max", type=float, default=4.0)
-    _add_output_options(sub, "csv,svg")
-    sub.set_defaults(handler=_cmd_spacings)
 
-    sub = commands.add_parser("kscan", help="gaussian fit distance over an N sweep")
-    _add_sweep_options(sub, "16:128:geometric")
-    _add_output_options(sub, "csv")
-    sub.set_defaults(handler=_cmd_kscan)
+    sub = command("kscan", "gaussian fit distance over an N sweep", _cmd_kscan, "csv")
+    _add_chain_options(sub, "16:128:geometric")
 
-    sub = commands.add_parser("oracle", help="dense-Hamiltonian check of the motif spectrum")
-    _add_spec_options(sub)
+    sub = command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle, "json")
+    _add_chain_options(sub)
     sub.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
-    _add_output_options(sub, "json")
-    sub.set_defaults(handler=_cmd_oracle)
 
-    sub = commands.add_parser("crosscheck", help="full internal consistency suite")
+    sub = command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv")
     sub.add_argument("--max-N", dest="max_n", type=int, default=12)
     sub.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
-    _add_output_options(sub, "csv")
-    sub.set_defaults(handler=_cmd_crosscheck)
 
     return parser
 

@@ -1,4 +1,5 @@
-"""Exact level-density tables and their CSV/JSON serialisation."""
+"""Exact level-density tables and the cell and CSV text format of every
+artifact."""
 
 from __future__ import annotations
 
@@ -14,6 +15,23 @@ def format_rational(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_cell(value) -> str:
+    """Render one artifact cell: floats with 17 significant digits,
+    rationals as "p/q", anything else (ints, strings) as str does."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, Fraction):
+        return format_rational(value)
+    return str(value)
+
+
+def csv_text(header_lines, columns: str, lines) -> str:
+    """CSV artifact text from header lines, the column line and
+    already formatted row lines.  The trailing "" ends the text with a
+    newline without copying it once more."""
+    return "\n".join([*(f"# {h}" for h in header_lines), columns, *lines, ""])
 
 
 @dataclass
@@ -71,11 +89,8 @@ class DensityTable:
         return self.entries.get(scaled, 0)
 
     def to_csv(self, header_lines=()) -> str:
-        lines = [f"# {h}" for h in header_lines]
-        lines.append("energy,degeneracy")
-        for e, d in self.items():
-            lines.append(f"{format_rational(self.energy(e))},{d}")
-        return "\n".join(lines) + "\n"
+        return csv_text(header_lines, "energy,degeneracy",
+                        (f"{format_rational(self.energy(e))},{d}" for e, d in self.items()))
 
     def to_json_dict(self) -> dict:
         return {

@@ -79,6 +79,9 @@ def test_spec_validation():
         ChainSpec("FI", 4, 2, alpha=0)
     with pytest.raises(ValidationError):
         ChainSpec("FI", 4, 2, alpha=Fraction(-1, 2))
+    for bad in (("HS", True, 2), ("HS", 4, True), ("HS", 4, 2, True), ("HS", 4, 2, 1.0)):
+        with pytest.raises(ValidationError):
+            ChainSpec(*bad)  # bools and floats are not counts or signs
 
 
 def test_alpha_accepts_exact_forms_only():
@@ -87,8 +90,9 @@ def test_alpha_accepts_exact_forms_only():
     assert ChainSpec("FI", 4, 2, alpha=(3, 2)).alpha == expected
     assert ChainSpec("FI", 4, 2, alpha=Fraction(3, 2)).alpha == expected
     assert ChainSpec("FI", 4, 2, alpha=2).alpha == Fraction(2)
-    with pytest.raises(ValidationError):
-        ChainSpec("FI", 4, 2, alpha=1.5)
+    for bad in (1.5, True, (3.7, 2), (True, 2), (3, 0), ("a", 2)):
+        with pytest.raises(ValidationError):
+            ChainSpec("FI", 4, 2, alpha=bad)
 
 
 def test_n_states():
@@ -115,6 +119,15 @@ def test_json_round_trip():
 def test_json_accepts_lowercase_family():
     spec = ChainSpec.from_json_dict({"family": "pf", "N": 4, "m": 2, "epsilon": 1})
     assert spec.family == "PF"
+
+
+def test_json_integers_are_not_truncated():
+    assert ChainSpec.from_json('{"family": "HS", "N": "4", "m": 2.0}') == ChainSpec("HS", 4, 2)
+    for field, value in (("N", 4.9), ("m", 2.7), ("epsilon", -1.5), ("N", True),
+                         ("m", "2.5"), ("N", 1e400)):
+        data = {"family": "HS", "N": 4, "m": 2, field: value}
+        with pytest.raises(ValidationError):
+            ChainSpec.from_json_dict(data)
 
 
 def test_normalized_weights_match_their_exact_squares():

@@ -147,6 +147,20 @@ def test_capacity_violation_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["spacings", "--family", "hs", "--N", "8", "--m", "2", "--s-max", "-1"], "--s-max"),
+    (["spacings", "--family", "hs", "--N", "8", "--m", "2", "--s-max", "inf"], "--s-max"),
+    (["spacings", "--family", "hs", "--N", "8", "--m", "2", "--bins", "0"], "--bins"),
+    (["charfn", "--family", "hs", "--N", "8", "--m", "2", "--t-max", "inf"], "--t-max"),
+    (["charfn", "--family", "hs", "--N", "8", "--m", "2", "--t-max", "nan"], "--t-max"),
+    (["convergence", "--family", "hs", "--m", "2", "--n-sweep", "16:16:geometric"], "one N"),
+])
+def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
+    assert run(tmp_path, *args) == 1
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_rejected_format_exits_one(tmp_path, capsys):
     rc = run(tmp_path, "moments", "--family", "pf", "--N", "4", "--m", "2",
              "--format", "svg")

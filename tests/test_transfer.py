@@ -17,14 +17,18 @@ from hschain import (
     closed_form_moments,
     column_sum_residual,
     convergence_report,
-    eigen_decompose,
     eigenvalues,
     eigenvector_matrix,
     top_eigenvalue_from_phase,
-    transfer_matrix,
 )
 from hschain.density import density_dp
-from hschain.transfer import asymptotic_sweep, bond_overlap_residual, default_t_grid
+from hschain.transfer import (
+    asymptotic_sweep,
+    bond_overlap_residual,
+    default_t_grid,
+    eigen_decompose,
+    transfer_matrix,
+)
 
 
 def test_matrix_entries_two_states():
