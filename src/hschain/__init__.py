@@ -22,7 +22,14 @@ from .chains import (
     normalized_dispersion,
 )
 from .crosscheck import CrosscheckReport, run_crosscheck
-from .density import composition_density, density_dp, partition_function_at, spin_degeneracy
+from .density import (
+    LevelSupport,
+    composition_density,
+    density_dp,
+    level_support,
+    partition_function_at,
+    spin_degeneracy,
+)
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import (
     DenseOperator,
@@ -80,6 +87,7 @@ __all__ = [
     "DenseOperator",
     "DensityTable",
     "DispersionTable",
+    "LevelSupport",
     "OracleReport",
     "SiteLayout",
     "SpacingHistogram",
@@ -109,6 +117,7 @@ __all__ = [
     "gaussian_cdf",
     "jacobi_eigenvalues",
     "ks_distance",
+    "level_support",
     "motif_energy",
     "motif_of",
     "normalized_dispersion",

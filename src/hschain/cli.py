@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import ANTIFERRO, FERRO, ChainSpec
 from .crosscheck import DEFAULT_BRUTE_CAP, run_crosscheck
-from .density import DEFAULT_COMPOSITION_CAP, composition_density, density_dp
+from .density import DEFAULT_COMPOSITION_CAP, composition_density, density_dp, level_support
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import DEFAULT_DENSE_CAP, oracle_compare
 from .levelstats import default_spacing_bins, ks_distance, spacing_distribution, unfold
@@ -182,7 +182,7 @@ def _cmd_density(args) -> int:
         density = density_dp(spec)
     _emit(args, "density", _config(spec, backend=args.backend),
           csv=density.to_csv, json=lambda: {"density": density.to_json_dict()})
-    print(f"levels = {len(density.levels())}, states = {density.total}")
+    print(f"levels = {len(density)}, states = {density.total}")
     return 0
 
 
@@ -264,8 +264,7 @@ def _cmd_spacings(args) -> int:
     spec = _resolve_spec(args)
     bins = _spacing_bins_from(args)
     stats = closed_form_moments(spec)
-    density = density_dp(spec)
-    histogram = spacing_distribution(unfold(density, stats), bins=bins)
+    histogram = spacing_distribution(unfold(level_support(spec), stats), bins=bins)
     centers = histogram.bin_centers
     _emit(
         args, "spacings", _config(spec, bins=args.bins, s_max=args.s_max),

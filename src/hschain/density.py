@@ -3,8 +3,11 @@
 Two independent routes to the same density:
 
 * :func:`density_dp` runs a transfer-style dynamic program over the bonds,
-  carrying one coefficient vector per spin value.  Cost is
-  O(N * m**2 * support), so it reaches chain sizes far beyond enumeration.
+  carrying one coefficient vector per spin value.  It works on a dense
+  grid of ``scaled_total + 1`` energy cells per spin value, each cell a
+  slot of about log2(m**N) / 8 bytes, and does O(N * m**2) big-integer
+  shifts and adds of that grid, so it reaches chain sizes far beyond
+  enumeration.
 * :func:`composition_density` expands the closed partition-function sum
   over the 2**(N-1) ordered compositions of N.  It never touches motifs or
   pairing rules, which makes it a genuinely independent cross-check of the
@@ -14,10 +17,18 @@ Degeneracies are exact integers everywhere.  The DP packs its coefficient
 vectors into single big integers, one fixed-width slot per energy cell, so
 big-number adds and shifts do the per-bond work in C; silent overflow is
 impossible because slots are sized from m**N.
+
+:func:`level_support` runs the same recursion with one bit per cell and
+``|`` in place of ``+``: it finds which levels occur, not how often, on
+a grid at most a sixty-fourth the size, for consumers that collapse
+degeneracies anyway.
 """
 
 from __future__ import annotations
 
+import operator
+from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 import numpy as np
@@ -31,6 +42,55 @@ DEFAULT_MEMORY_BUDGET = 1 << 30
 DEFAULT_COMPOSITION_CAP = 24
 
 
+def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
+    """The per-bond recursion shared by :func:`density_dp` and
+    :func:`level_support`.
+
+    The state after bond j is, for each spin value v, a polynomial whose
+    E-th cell describes the prefixes (n_1..n_{j+1}) ending in v with
+    accumulated scaled energy E.  Each polynomial is one big integer with
+    `slot_bits` bits per energy cell, so a shift by F(j) energy units is a
+    single left shift, and `combine` merges the polynomials that feed a
+    destination (``+`` counts prefixes, ``|`` only records that one
+    exists).  Returns the combined polynomial over all final spin values
+    and the chain's dispersion.
+
+    Raises
+    ------
+    CapacityError
+        If the m polynomials would exceed `memory_budget` bytes.
+    """
+    if rule is None:
+        rule = rule_for(spec)
+    m = spec.m
+    disp = dispersion(spec)
+    cells = disp.scaled_total + 1
+    predicted = (cells * slot_bits + 7) // 8 * m
+    if predicted > memory_budget:
+        raise CapacityError(
+            f"density grid needs {cells} cells x {slot_bits / 8:g} bytes x {m} spin values "
+            f"= {predicted} bytes, over the budget of {memory_budget}"
+        )
+    # Which sources feed each destination with a shift, fixed for all bonds.
+    shifted_sources = [
+        [src - 1 for src in range(1, m + 1) if delta(rule, src, dest, m)]
+        for dest in range(1, m + 1)
+    ]
+    plain_sources = [
+        [src - 1 for src in range(1, m + 1) if not delta(rule, src, dest, m)]
+        for dest in range(1, m + 1)
+    ]
+    state = [1] * m  # energy zero reached once for every starting value
+    for w in disp.scaled:
+        shift = w * slot_bits
+        state = [
+            combine(reduce(combine, (state[src] for src in plain), 0),
+                    reduce(combine, (state[src] for src in shifted), 0) << shift)
+            for plain, shifted in zip(plain_sources, shifted_sources)
+        ]
+    return reduce(combine, state), disp
+
+
 def density_dp(
     spec: ChainSpec,
     rule: DeltaRule | None = None,
@@ -38,53 +98,17 @@ def density_dp(
 ) -> DensityTable:
     """Exact level density via a per-bond dynamic program.
 
-    The state after bond j is, for each spin value v, the polynomial whose
-    E-th coefficient counts the prefixes (n_1..n_{j+1}) ending in v with
-    accumulated scaled energy E.  Each bond update shifts and adds these
-    polynomials according to the pairing rule.
-
-    Polynomials are stored as one big integer per spin value with a
-    fixed-width slot per energy cell (wide enough for m**N), so a shift by
-    F(j) energy units is a single left shift.
+    Each energy cell holds the number of prefixes reaching it, in a slot
+    wide enough for m**N, and bonds add the shifted polynomials.
 
     Raises
     ------
     CapacityError
         If the dense energy grid would exceed `memory_budget` bytes.
     """
-    if rule is None:
-        rule = rule_for(spec)
-    m = spec.m
-    disp = dispersion(spec)
-    weights = disp.scaled
-    top = disp.scaled_total
     slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    predicted = (top + 1) * slot * m
-    if predicted > memory_budget:
-        raise CapacityError(
-            f"density grid needs {top + 1} cells x {slot} bytes x {m} spin values "
-            f"= {predicted} bytes, over the budget of {memory_budget}"
-        )
-    slot_bits = 8 * slot
-    # Which sources feed each destination with a shift, fixed for all bonds.
-    shifted_sources = [
-        [src for src in range(1, m + 1) if delta(rule, src, dest, m)]
-        for dest in range(1, m + 1)
-    ]
-    plain_sources = [
-        [src for src in range(1, m + 1) if not delta(rule, src, dest, m)]
-        for dest in range(1, m + 1)
-    ]
-    state = [1] * m  # coefficient 1 at energy zero for every starting value
-    for w in weights:
-        shift = w * slot_bits
-        new = []
-        for dest in range(m):
-            plain = sum(state[src - 1] for src in plain_sources[dest])
-            moved = sum(state[src - 1] for src in shifted_sources[dest])
-            new.append(plain + (moved << shift))
-        state = new
-    packed = sum(state)
+    packed, disp = _bond_dp(spec, rule, 8 * slot, operator.add, memory_budget)
+    top = disp.scaled_total
     buf = packed.to_bytes((top + 1) * slot, "little")
     blank = bytes(slot)
     entries = {}
@@ -93,6 +117,51 @@ def density_dp(
         if chunk != blank:
             entries[e] = int.from_bytes(chunk, "little")
     return DensityTable(entries=entries, energy_scale=disp.energy_scale, total=spec.n_states)
+
+
+@dataclass(frozen=True)
+class LevelSupport:
+    """The distinct levels of a chain, without their degeneracies.
+
+    ``scaled`` holds the energies times ``energy_scale`` as ascending
+    int64, on the same integer grid as :class:`DensityTable`.
+    """
+
+    scaled: np.ndarray
+    energy_scale: int
+
+    def __len__(self) -> int:
+        return self.scaled.size
+
+    def levels(self) -> np.ndarray:
+        """Scaled integer energies in ascending order."""
+        return self.scaled
+
+
+def level_support(
+    spec: ChainSpec,
+    rule: DeltaRule | None = None,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+) -> LevelSupport:
+    """The set of distinct levels, from the recursion of :func:`density_dp`
+    with one bit per energy cell and ``|`` in place of ``+``.
+
+    Costs a fraction of the exact density (HS N=192 m=2: 1.2 M one-bit
+    cells per polynomial instead of 1.2 M 26-byte slots) and serves every
+    consumer that collapses degeneracies, such as unfolding and spacings.
+
+    Raises
+    ------
+    CapacityError
+        If the bit grid would exceed `memory_budget` bytes.
+    """
+    packed, disp = _bond_dp(spec, rule, 1, operator.or_, memory_budget)
+    cells = disp.scaled_total + 1
+    bits = np.unpackbits(
+        np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8), bitorder="little"
+    )
+    scaled = np.flatnonzero(bits).astype(np.int64, copy=False)
+    return LevelSupport(scaled=scaled, energy_scale=disp.energy_scale)
 
 
 def spin_degeneracy(k: int, m: int, epsilon: int) -> int:

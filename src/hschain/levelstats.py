@@ -8,7 +8,11 @@ the Wigner surmise (pi s / 2) exp(-pi s**2 / 4) of chaotic ones.  These
 chains famously follow neither.
 
 Spacings are taken over distinct levels, degeneracies collapsed, and are
-normalized to unit mean by construction.
+normalized to unit mean by construction.  :func:`unfold` therefore takes
+either a :class:`DensityTable` or the cheaper
+:class:`~hschain.density.LevelSupport`, and maps the whole level array at
+once, with the same float operations, in the same order, as
+:func:`gaussian_cdf` applies to one level.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .density import LevelSupport
 from .errors import ValidationError
 from .moments import SpectrumStats
 from .table import DensityTable
@@ -30,10 +35,14 @@ def gaussian_cdf(energy: float, mu, sigma: float) -> float:
     library routine, which sits far below the 1e-12 absolute accuracy this
     module needs.
     """
+    return 0.5 * (1.0 + math.erf(_standard_score(float(energy), mu, sigma)))
+
+
+def _standard_score(energy, mu, sigma):
+    """(E - mu) / (sqrt(2) sigma) for a float or a float array."""
     if not sigma > 0:
         raise ValidationError("sigma must be positive")
-    z = (float(energy) - float(mu)) / (math.sqrt(2.0) * float(sigma))
-    return 0.5 * (1.0 + math.erf(z))
+    return (energy - float(mu)) / (math.sqrt(2.0) * float(sigma))
 
 
 def poisson_reference(s) -> np.ndarray:
@@ -56,14 +65,21 @@ class UnfoldedSpectrum:
         return self.eta.size
 
 
-def unfold(density: DensityTable, stats: SpectrumStats) -> UnfoldedSpectrum:
-    levels = density.levels()
-    if len(levels) < 3:
-        raise ValidationError(f"unfolding needs at least 3 distinct levels, got {len(levels)}")
-    eta = np.array(
-        [gaussian_cdf(float(density.energy(e)), stats.mu, stats.sigma) for e in levels]
-    )
-    return UnfoldedSpectrum(eta=eta)
+def unfold(density: DensityTable | LevelSupport, stats: SpectrumStats) -> UnfoldedSpectrum:
+    """Push the distinct levels of a :class:`DensityTable` or a
+    :class:`~hschain.density.LevelSupport` through the Gaussian CDF.
+
+    Each value equals ``gaussian_cdf(float(density.energy(e)), mu, sigma)``
+    bit for bit: scaled energies are integers below 2**53, so the int64 to
+    float64 conversion is exact and the division by ``energy_scale`` rounds
+    as ``float(Fraction(e, energy_scale))`` does.
+    """
+    levels = np.asarray(density.levels(), dtype=np.int64)
+    if levels.size < 3:
+        raise ValidationError(f"unfolding needs at least 3 distinct levels, got {levels.size}")
+    z = _standard_score(levels / density.energy_scale, stats.mu, stats.sigma)
+    erf = np.fromiter(map(math.erf, z.tolist()), dtype=float, count=z.size)
+    return UnfoldedSpectrum(eta=0.5 * (1.0 + erf))
 
 
 def normalized_spacings(unfolded: UnfoldedSpectrum) -> np.ndarray:

@@ -298,7 +298,17 @@ def convergence_report(
 ) -> ConvergenceReport:
     """Distance to the Gaussian and to the top-eigenvalue approximation,
     for a sweep of chain sizes, with fitted log-log decay slopes.
+
+    Raises
+    ------
+    ValidationError
+        If the sweep has fewer than two distinct N, through which no slope
+        can be fitted.
     """
+    if len({int(n) for n in n_values}) < 2:
+        raise ValidationError(
+            f"convergence sweep {tuple(n_values)} needs at least two distinct N to fit a slope"
+        )
     t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
     gauss = np.exp(-t * t / 2.0)
     d_gauss, d_asym = [], []

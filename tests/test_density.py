@@ -4,12 +4,14 @@ import cmath
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hschain import CapacityError, ChainSpec, DeltaRule
 from hschain.density import (
     composition_density,
     density_dp,
+    level_support,
     partition_function_at,
     spin_degeneracy,
 )
@@ -119,3 +121,37 @@ def test_composition_cap():
 def test_dp_memory_budget():
     with pytest.raises(CapacityError):
         density_dp(ChainSpec("HS", 64, 4), memory_budget=1000)
+
+
+def test_support_matches_dp_levels():
+    for (family, alpha), m, n, eps in itertools.product(
+        FAMILY_GRID, (2, 3, 4), range(2, 19), (1, -1)
+    ):
+        spec = ChainSpec(family, n, m, eps, alpha)
+        support, table = level_support(spec), density_dp(spec)
+        assert support.levels().dtype == np.int64
+        assert support.levels().tolist() == table.levels(), spec
+        assert support.energy_scale == table.energy_scale, spec
+
+
+def test_support_handles_graded_rules():
+    for rule in (DeltaRule.susy(2, 1), DeltaRule.susy(1, 2)):
+        for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3)):
+            assert level_support(spec, rule).levels().tolist() == (
+                density_dp(spec, rule).levels()
+            ), (spec, rule)
+
+
+def test_support_count_at_a_size_the_exact_density_is_slow_for():
+    # recorded from density_dp at HS N=192 m=2, ferro sign
+    assert len(level_support(ChainSpec("HS", 192, 2))) == 583984
+
+
+def test_support_memory_budget():
+    spec = ChainSpec("HS", 64, 4)
+    with pytest.raises(CapacityError):
+        level_support(spec, memory_budget=1000)
+    # the bit grid fits where the exact grid does not
+    with pytest.raises(CapacityError):
+        density_dp(spec, memory_budget=1 << 20)
+    assert len(level_support(spec, memory_budget=1 << 20)) == len(density_dp(spec))

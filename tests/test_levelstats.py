@@ -1,5 +1,7 @@
 """Unfolding, spacing statistics, and the Gaussian goodness-of-fit."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from hschain import (
     spacing_distribution,
     unfold,
 )
-from hschain.density import density_dp
+from hschain.density import density_dp, level_support
 from hschain.levelstats import (
     UnfoldedSpectrum,
     default_spacing_bins,
@@ -65,6 +67,22 @@ def test_unfolded_signs_mirror_each_other():
     flipped = spec.with_epsilon(-1)
     anti = unfold(density_dp(flipped), closed_form_moments(flipped)).eta
     assert np.allclose(anti, 1.0 - ferro[::-1], atol=1e-13)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 40, 3),
+    ChainSpec("PF", 60, 2, -1),
+    ChainSpec("FI", 30, 3, alpha=Fraction(3, 2)),
+    ChainSpec("FI", 30, 2, alpha=Fraction(5, 3)),  # a scale whose reciprocal is inexact
+])
+def test_unfold_equals_the_levelwise_cdf_bit_for_bit(spec):
+    stats = closed_form_moments(spec)
+    density = density_dp(spec)
+    reference = np.array(
+        [gaussian_cdf(float(density.energy(e)), stats.mu, stats.sigma) for e in density.levels()]
+    )
+    assert np.array_equal(unfold(density, stats).eta, reference)
+    assert np.array_equal(unfold(level_support(spec), stats).eta, reference)
 
 
 def test_unfold_needs_three_distinct_levels():

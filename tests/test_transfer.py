@@ -172,6 +172,12 @@ def test_deviations_shrink_with_chain_length():
     assert report.asym_slope < -0.4
 
 
+def test_convergence_needs_two_distinct_sizes():
+    for n_values in ((16,), (16, 16)):
+        with pytest.raises(ValidationError):
+            convergence_report("HS", 2, n_values=n_values)
+
+
 def test_bond_overlap_residual_decays():
     small = bond_overlap_residual(ChainSpec("PF", 16, 2), t=3.0)
     large = bond_overlap_residual(ChainSpec("PF", 128, 2), t=3.0)
