@@ -2,7 +2,8 @@
 
 Every quantity in this package is computable at least two ways: level
 densities by digit-string enumeration, by the bond dynamic program, and by
-the composition sum; moments in closed form and from the density;
+the composition sum; the set of levels also by the one-bit run of the
+bond recursion; moments in closed form and from the density;
 the characteristic function by transfer-matrix products and by direct
 phase sums over the density.  Running all pairings over a grid of small
 chains is the package's self-test, wired to the `crosscheck` subcommand.
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .chains import ANTIFERRO, FAMILIES, FERRO, ChainSpec
-from .density import composition_density, density_dp
+from .density import composition_density, density_dp, level_support
 from .moments import closed_form_moments, empirical_moments
 from .motifs import brute_force_density
 from .transfer import charfn_exact, charfn_from_density, default_t_grid
@@ -84,6 +85,15 @@ def run_crosscheck(
             spec=spec,
             deviation=0.0 if dense == composed else 1.0,
             passed=dense == composed,
+        ))
+        support = level_support(spec)
+        support_ok = (support.energy_scale == dense.energy_scale
+                      and np.array_equal(support.levels(), dense.levels()))
+        results.append(CheckResult(
+            name="level_support_vs_density_dp",
+            spec=spec,
+            deviation=0.0 if support_ok else 1.0,
+            passed=support_ok,
         ))
         if spec.n_states <= brute_cap:
             brute = brute_force_density(spec)

@@ -5,9 +5,13 @@ Two independent routes to the same density:
 * :func:`density_dp` runs a transfer-style dynamic program over the bonds,
   carrying one coefficient vector per spin value.  It works on a dense
   grid of ``scaled_total + 1`` energy cells per spin value, each cell a
-  slot of about log2(m**N) / 8 bytes, and does O(N * m**2) big-integer
-  shifts and adds of that grid, so it reaches chain sizes far beyond
-  enumeration.
+  slot of about log2(m**N) / 8 bytes.  Per bond it does at most 4m - 3
+  big-integer shifts and adds of that grid (the sources of each spin
+  value are a prefix and a suffix of 1..m, whose partial sums it shares),
+  where adding every destination's sources afresh takes m(m + 2); so it
+  reaches chain sizes far beyond enumeration.  The result becomes a
+  :class:`~hschain.table.DensityTable` of two aligned arrays: ascending
+  int64 levels and their exact degeneracies.
 * :func:`composition_density` expands the closed partition-function sum
   over the 2**(N-1) ordered compositions of N.  It never touches motifs or
   pairing rules, which makes it a genuinely independent cross-check of the
@@ -29,6 +33,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -40,6 +45,34 @@ from .table import DensityTable
 
 DEFAULT_MEMORY_BUDGET = 1 << 30
 DEFAULT_COMPOSITION_CAP = 24
+
+
+def _bond_plan(rule: DeltaRule, m: int) -> list:
+    """How each destination spin value draws on the m sources.
+
+    For every pairing rule the sources that feed a destination with a
+    shift form a prefix 1..k or a suffix k+1..m of the spin values, and
+    the sources that feed it plainly are the rest.  Returns, per
+    destination, ``(k, low_shifted)``: sources 1..k (never empty) are the
+    shifted side when `low_shifted` is true and the plain side otherwise;
+    sources k+1..m (empty when k = m) are the other side.
+
+    Raises
+    ------
+    ValidationError
+        If some rule feeds a destination from neither a prefix nor a suffix.
+    """
+    plan = []
+    for dest in range(1, m + 1):
+        bits = [delta(rule, src, dest, m) for src in range(1, m + 1)]
+        k = next((i for i in range(1, m) if bits[i] != bits[0]), m)
+        if bits[k:] != [1 - bits[0]] * (m - k):
+            raise ValidationError(
+                f"{rule.kind} rule shifts sources {bits} into spin value {dest}, "
+                "not a prefix or a suffix of the spin values"
+            )
+        plan.append((k, bits[0] == 1))
+    return plan
 
 
 def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
@@ -55,39 +88,62 @@ def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     exists).  Returns the combined polynomial over all final spin values
     and the chain's dispersion.
 
+    Each bond first forms the partial combines of the sources over the
+    prefixes 1..k and the suffixes k+1..m that :func:`_bond_plan` asks
+    for, at most 2m - 3 combines, and then gives each destination at most
+    one shift and one combine of a prefix with a suffix: at most 4m - 3
+    big-integer operations per bond instead of the m(m + 2) of combining
+    every destination's sources afresh.
+
+    The memory prediction covers the m polynomials and unpacking the
+    result: a copy of its bytes, one byte per cell (the unpacked bit, or
+    the occupied-row mask) and, since any cell may be a level, per cell an
+    int64 index and, with exact counts, a copy of the cell's slot and a
+    Python int of the slot's width (24 bytes and 4 per 30 bits) held in a
+    tuple.
+
     Raises
     ------
     CapacityError
-        If the m polynomials would exceed `memory_budget` bytes.
+        If that prediction exceeds `memory_budget` bytes.
     """
     if rule is None:
         rule = rule_for(spec)
     m = spec.m
     disp = dispersion(spec)
     cells = disp.scaled_total + 1
-    predicted = (cells * slot_bits + 7) // 8 * m
-    if predicted > memory_budget:
+    polynomial = (cells * slot_bits + 7) // 8
+    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
+    unpack = polynomial + cells * (1 + level)
+    if polynomial * m + unpack > memory_budget:
         raise CapacityError(
             f"density grid needs {cells} cells x {slot_bits / 8:g} bytes x {m} spin values "
-            f"= {predicted} bytes, over the budget of {memory_budget}"
+            f"= {polynomial * m} bytes and {unpack} bytes to unpack, "
+            f"over the budget of {memory_budget}"
         )
-    # Which sources feed each destination with a shift, fixed for all bonds.
-    shifted_sources = [
-        [src - 1 for src in range(1, m + 1) if delta(rule, src, dest, m)]
-        for dest in range(1, m + 1)
-    ]
-    plain_sources = [
-        [src - 1 for src in range(1, m + 1) if not delta(rule, src, dest, m)]
-        for dest in range(1, m + 1)
-    ]
+    plan = _bond_plan(rule, m)
+    low_top = max(k for k, _ in plan)
+    high_bottom = min(k for k, _ in plan)
+    last_use = {k: dest for dest, (k, _) in enumerate(plan)}
     state = [1] * m  # energy zero reached once for every starting value
     for w in disp.scaled:
         shift = w * slot_bits
-        state = [
-            combine(reduce(combine, (state[src] for src in plain), 0),
-                    reduce(combine, (state[src] for src in shifted), 0) << shift)
-            for plain, shifted in zip(plain_sources, shifted_sources)
-        ]
+        # low[k] combines sources 1..k and high[k] sources k+1..m; None is empty.
+        low = [None, *accumulate(state[:low_top], combine)]
+        high = [*accumulate(reversed(state[high_bottom:]), combine)]
+        high = [None] * high_bottom + high[::-1] + [None]
+        state = []
+        for dest, (k, low_shifted) in enumerate(plan):
+            plain, shifted = (high[k], low[k]) if low_shifted else (low[k], high[k])
+            if last_use[k] == dest:
+                low[k] = high[k] = None  # grid-sized; free each partial once used
+            if shifted is None:
+                state.append(plain)
+            elif plain is None:
+                state.append(shifted << shift)
+            else:
+                state.append(combine(plain, shifted << shift))
+            del plain, shifted
     return reduce(combine, state), disp
 
 
@@ -99,24 +155,27 @@ def density_dp(
     """Exact level density via a per-bond dynamic program.
 
     Each energy cell holds the number of prefixes reaching it, in a slot
-    wide enough for m**N, and bonds add the shifted polynomials.
+    wide enough for m**N, and bonds add the shifted polynomials.  The
+    result is unpacked as a (cells, slot) byte array; only the occupied
+    rows become Python ints.
 
     Raises
     ------
     CapacityError
-        If the dense energy grid would exceed `memory_budget` bytes.
+        If the dense energy grid and its unpacking would exceed
+        `memory_budget` bytes.
     """
     slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
     packed, disp = _bond_dp(spec, rule, 8 * slot, operator.add, memory_budget)
-    top = disp.scaled_total
-    buf = packed.to_bytes((top + 1) * slot, "little")
-    blank = bytes(slot)
-    entries = {}
-    for e in range(top + 1):
-        chunk = buf[e * slot : (e + 1) * slot]
-        if chunk != blank:
-            entries[e] = int.from_bytes(chunk, "little")
-    return DensityTable(entries=entries, energy_scale=disp.energy_scale, total=spec.n_states)
+    cells = disp.scaled_total + 1
+    rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
+    del packed
+    occupied = np.flatnonzero(rows.any(axis=1))
+    counts = rows[occupied].tobytes()
+    del rows
+    degeneracies = tuple(int.from_bytes(counts[i : i + slot], "little")
+                         for i in range(0, len(counts), slot))
+    return DensityTable(occupied, degeneracies, disp.energy_scale, spec.n_states)
 
 
 @dataclass(frozen=True)
@@ -153,7 +212,8 @@ def level_support(
     Raises
     ------
     CapacityError
-        If the bit grid would exceed `memory_budget` bytes.
+        If the bit grid and its unpacking (a byte and an int64 per cell)
+        would exceed `memory_budget` bytes.
     """
     packed, disp = _bond_dp(spec, rule, 1, operator.or_, memory_budget)
     cells = disp.scaled_total + 1
@@ -264,24 +324,28 @@ def composition_density(
             extended = running.copy()
             extended[w:] -= running[: size - w]
             running = extended
-    entries = {int(e): int(c) for e, c in enumerate(acc) if c}
-    return DensityTable(entries=entries, energy_scale=disp.energy_scale, total=spec.n_states)
+    return DensityTable.from_grid(acc, disp.energy_scale, spec.n_states)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:
     """Evaluate Z(q) = sum of degeneracy * q**energy in floating point.
 
-    Horner evaluation over the dense scaled-integer grid; for tables with
-    energy_scale D > 1 the principal branch of q**(1/D) is used.
-    Degeneracies above 2**53 lose precision in the float conversion.
+    Horner evaluation over the dense scaled-integer grid, from the top
+    level down to energy zero; for tables with energy_scale D > 1 the
+    principal branch of q**(1/D) is used.  Degeneracies above 2**53 lose
+    precision in the float conversion.
     """
     q = complex(q)
     if density.energy_scale != 1 and q != 0:
         w = q ** (1.0 / density.energy_scale)
     else:
         w = q
-    top = max(density.entries) if density.entries else 0
+    levels = density.levels().tolist()
+    grid = [0] * (levels[-1] + 1 if levels else 1)
+    for e, d in zip(levels, density.degeneracies):
+        if e >= 0:
+            grid[e] = d
     result = 0j
-    for e in range(top, -1, -1):
-        result = result * w + density.degeneracy(e)
+    for d in reversed(grid):
+        result = result * w + d
     return result

@@ -264,13 +264,9 @@ class OracleReport:
 
 
 def _expand_density(density: DensityTable) -> tuple[np.ndarray, tuple]:
-    values = []
-    sizes = []
-    for level in density.levels():
-        count = density.entries[level]
-        values.extend([float(density.energy(level))] * count)
-        sizes.append(count)
-    return np.array(values), tuple(sizes)
+    """Every level's energy repeated by its degeneracy, and the degeneracies."""
+    energies = density.levels() / density.energy_scale
+    return np.repeat(energies, density.degeneracies), density.degeneracies
 
 
 def oracle_compare(

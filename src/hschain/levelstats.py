@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -74,12 +75,16 @@ def unfold(density: DensityTable | LevelSupport, stats: SpectrumStats) -> Unfold
     float64 conversion is exact and the division by ``energy_scale`` rounds
     as ``float(Fraction(e, energy_scale))`` does.
     """
-    levels = np.asarray(density.levels(), dtype=np.int64)
-    if levels.size < 3:
-        raise ValidationError(f"unfolding needs at least 3 distinct levels, got {levels.size}")
-    z = _standard_score(levels / density.energy_scale, stats.mu, stats.sigma)
+    if len(density) < 3:
+        raise ValidationError(f"unfolding needs at least 3 distinct levels, got {len(density)}")
+    return UnfoldedSpectrum(eta=_gaussian_cdf_of_levels(density, stats))
+
+
+def _gaussian_cdf_of_levels(density: DensityTable | LevelSupport, stats: SpectrumStats):
+    """:func:`gaussian_cdf` of every level, as one float array."""
+    z = _standard_score(density.levels() / density.energy_scale, stats.mu, stats.sigma)
     erf = np.fromiter(map(math.erf, z.tolist()), dtype=float, count=z.size)
-    return UnfoldedSpectrum(eta=0.5 * (1.0 + erf))
+    return 0.5 * (1.0 + erf)
 
 
 def normalized_spacings(unfolded: UnfoldedSpectrum) -> np.ndarray:
@@ -149,17 +154,18 @@ def ks_distance(density: DensityTable, stats: SpectrumStats) -> float:
 
     The empirical CDF is right-continuous; the supremum over a step
     function is reached at a level from one side or the other, so both
-    one-sided values are taken at every distinct level.
+    one-sided values are taken at every distinct level.  The Gaussian CDF
+    is the one :func:`unfold` computes, and each empirical value is the
+    exact running count divided by the total in one correctly rounded
+    true division, so the result equals, bit for bit, a per-level loop
+    over :func:`gaussian_cdf`.
     """
     total = density.total
     if total <= 0:
         raise ValidationError("density is empty")
-    best = 0.0
-    cumulative = 0
-    for level in density.levels():
-        gauss = gaussian_cdf(float(density.energy(level)), stats.mu, stats.sigma)
-        below = cumulative / total
-        cumulative += density.entries[level]
-        above = cumulative / total
-        best = max(best, abs(below - gauss), abs(above - gauss))
-    return best
+    gauss = _gaussian_cdf_of_levels(density, stats)
+    steps = np.fromiter((c / total for c in accumulate(density.degeneracies, initial=0)),
+                        dtype=float, count=len(density) + 1)
+    below = np.abs(steps[:-1] - gauss).max(initial=0.0)
+    above = np.abs(steps[1:] - gauss).max(initial=0.0)
+    return float(max(below, above))

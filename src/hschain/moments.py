@@ -56,11 +56,12 @@ def empirical_moments(density: DensityTable) -> SpectrumStats:
     All sums run over exact integers on the scaled energy grid; the division
     by the grid scale and the state count happens once, at the end.
     """
-    if not density.entries:
+    if not len(density):
         raise ValidationError("empty density table")
     scale, total = density.energy_scale, density.total
-    first = sum(e * d for e, d in density.entries.items())
-    second = sum(e * e * d for e, d in density.entries.items())
+    pairs = density.items()
+    first = sum(e * d for e, d in pairs)
+    second = sum(e * e * d for e, d in pairs)
     mu = Fraction(first, scale * total)
     sigma2 = Fraction(second, scale * scale * total) - mu * mu
     return SpectrumStats.from_exact(mu, sigma2)

@@ -177,5 +177,4 @@ def brute_force_density(
             bits = delta_bits(rule, digits[:, i], digits[:, i + 1], m)
             energies += bits * weights[i]
         counts += np.bincount(energies, minlength=top + 1)
-    entries = {int(e): int(c) for e, c in enumerate(counts) if c}
-    return DensityTable(entries=entries, energy_scale=disp.energy_scale, total=total)
+    return DensityTable.from_grid(counts, disp.energy_scale, total)

@@ -3,8 +3,11 @@ artifact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -36,70 +39,96 @@ def csv_text(header_lines, columns: str, lines) -> str:
 
 @dataclass
 class DensityTable:
-    """Map from energy level to exact integer degeneracy.
+    """Exact level density as two aligned arrays.
 
-    Energies are stored on an integer grid: the key of a level is its true
-    energy multiplied by ``energy_scale`` (1 for HS and PF chains, the
-    denominator of alpha for FI chains).  ``total`` is the full state count
-    m**N; the degeneracies always sum to it exactly.
+    ``scaled`` holds the distinct levels in ascending order as int64, on an
+    integer grid: a level's entry is its true energy multiplied by
+    ``energy_scale`` (1 for HS and PF chains, the denominator of alpha for
+    FI chains).  ``degeneracies`` holds the matching exact Python ints, all
+    positive.  ``total`` is the full state count m**N; the degeneracies
+    always sum to it exactly.
     """
 
-    entries: dict = field(default_factory=dict)
+    scaled: np.ndarray
+    degeneracies: tuple
     energy_scale: int = 1
     total: int = 0
 
     def __post_init__(self):
         if self.energy_scale < 1:
             raise ValidationError(f"energy_scale must be >= 1, got {self.energy_scale}")
-        if any(d < 1 for d in self.entries.values()):
+        self.scaled = np.array(self.scaled, dtype=np.int64)
+        self.scaled.setflags(write=False)
+        self.degeneracies = tuple(self.degeneracies)
+        if self.scaled.shape != (len(self.degeneracies),):
+            raise ValidationError(
+                f"levels of shape {self.scaled.shape} for {len(self.degeneracies)} degeneracies"
+            )
+        if np.any(self.scaled[1:] <= self.scaled[:-1]):
+            raise ValidationError("levels must be distinct and ascending")
+        if self.degeneracies and min(self.degeneracies) < 1:
             raise ValidationError("degeneracies must be positive integers")
-        mass = sum(self.entries.values())
+        mass = sum(self.degeneracies)
         if mass != self.total:
             raise ValidationError(
                 f"degeneracies sum to {mass}, expected total {self.total}"
             )
 
     def __len__(self):
-        return len(self.entries)
+        return len(self.degeneracies)
 
     def __eq__(self, other):
         if not isinstance(other, DensityTable):
             return NotImplemented
-        # Tables with different scales can still describe the same density.
-        return self.total == other.total and sorted(
-            (Fraction(e, self.energy_scale), d) for e, d in self.entries.items()
-        ) == sorted((Fraction(e, other.energy_scale), d) for e, d in other.entries.items())
+        # Tables with different scales can still describe the same density:
+        # compare the levels on the common grid of both scales.
+        grid = math.lcm(self.energy_scale, other.energy_scale)
+        return (self.total == other.total
+                and self.degeneracies == other.degeneracies
+                and np.array_equal(self.scaled * (grid // self.energy_scale),
+                                   other.scaled * (grid // other.energy_scale)))
 
-    def levels(self) -> list:
-        """Scaled integer energies in ascending order."""
-        return sorted(self.entries)
+    def levels(self) -> np.ndarray:
+        """Scaled integer energies in ascending order, a read-only int64 array."""
+        return self.scaled
 
     def energy(self, scaled: int) -> Fraction:
-        return Fraction(scaled, self.energy_scale)
-
-    def energies(self) -> list:
-        """True energies as Fractions, ascending."""
-        return [self.energy(e) for e in self.levels()]
+        return Fraction(int(scaled), self.energy_scale)
 
     def items(self):
         """(scaled energy, degeneracy) pairs in ascending energy order."""
-        return [(e, self.entries[e]) for e in self.levels()]
+        return list(zip(self.scaled.tolist(), self.degeneracies))
 
-    def degeneracy(self, scaled: int) -> int:
-        return self.entries.get(scaled, 0)
+    def _energy_texts(self) -> list:
+        """Every level as :func:`format_rational` writes its energy, reduced
+        over the whole array at once."""
+        common = np.gcd(self.scaled, self.energy_scale)
+        numerators = (self.scaled // common).tolist()
+        denominators = (self.energy_scale // common).tolist()
+        return [f"{p}/{q}" if q != 1 else str(p) for p, q in zip(numerators, denominators)]
 
     def to_csv(self, header_lines=()) -> str:
         return csv_text(header_lines, "energy,degeneracy",
-                        (f"{format_rational(self.energy(e))},{d}" for e, d in self.items()))
+                        map("{},{}".format, self._energy_texts(), self.degeneracies))
 
     def to_json_dict(self) -> dict:
         return {
             "energy_scale": self.energy_scale,
             "total": self.total,
-            "levels": {format_rational(self.energy(e)): d for e, d in self.items()},
+            "levels": dict(zip(self._energy_texts(), self.degeneracies)),
         }
 
     @classmethod
     def from_counts(cls, counts: dict, energy_scale: int = 1) -> "DensityTable":
-        entries = {int(e): int(d) for e, d in counts.items() if d}
-        return cls(entries=entries, energy_scale=energy_scale, total=sum(entries.values()))
+        """Table from a {scaled energy: degeneracy} map; zero counts drop out."""
+        pairs = sorted((int(e), int(d)) for e, d in counts.items() if d)
+        degeneracies = tuple(d for _, d in pairs)
+        return cls(np.array([e for e, _ in pairs], dtype=np.int64), degeneracies,
+                   energy_scale, sum(degeneracies))
+
+    @classmethod
+    def from_grid(cls, counts: np.ndarray, energy_scale: int, total: int) -> "DensityTable":
+        """Table from a dense count array indexed by scaled energy."""
+        occupied = np.flatnonzero(counts)
+        return cls(occupied, tuple(int(c) for c in counts[occupied].tolist()),
+                   energy_scale, total)

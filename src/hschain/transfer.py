@@ -227,9 +227,8 @@ def charfn_from_density(density: DensityTable, stats: SpectrumStats, t_grid) -> 
     float conversion, so keep cross-checks below that.
     """
     t = np.asarray(t_grid, dtype=float)
-    levels = density.levels()
-    energies = np.array([float(density.energy(e)) for e in levels])
-    weights = np.array([float(density.entries[e]) for e in levels])
+    energies = density.levels() / density.energy_scale
+    weights = np.fromiter(map(float, density.degeneracies), dtype=float, count=len(density))
     phases = np.exp(1j * np.outer(t / stats.sigma, energies))
     center = np.exp(-1j * (float(stats.mu) / stats.sigma) * t)
     return center * (phases @ weights) / float(density.total)

@@ -12,6 +12,7 @@ def test_small_sweep_is_consistent():
     names = {result.name for result in report.results}
     assert names == {
         "density_dp_vs_composition",
+        "level_support_vs_density_dp",
         "density_dp_vs_brute_force",
         "moments_closed_form_vs_density",
         "charfn_transfer_vs_density",

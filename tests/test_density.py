@@ -2,13 +2,17 @@
 
 import cmath
 import itertools
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from hschain import CapacityError, ChainSpec, DeltaRule
+from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, delta, dispersion
 from hschain.density import (
+    DEFAULT_MEMORY_BUDGET,
+    _bond_dp,
     composition_density,
     density_dp,
     level_support,
@@ -27,18 +31,18 @@ FAMILY_GRID = [
 
 
 def test_dp_spot_values():
-    assert density_dp(ChainSpec("PF", 3, 2)).entries == {0: 4, 1: 2, 2: 2}
-    assert density_dp(ChainSpec("HS", 4, 2)).entries == {0: 5, 3: 6, 4: 4, 6: 1}
+    assert dict(density_dp(ChainSpec("PF", 3, 2)).items()) == {0: 4, 1: 2, 2: 2}
+    assert dict(density_dp(ChainSpec("HS", 4, 2)).items()) == {0: 5, 3: 6, 4: 4, 6: 1}
 
 
 def test_dp_single_valued_spins():
-    assert density_dp(ChainSpec("HS", 9, 1)).entries == {0: 1}
+    assert dict(density_dp(ChainSpec("HS", 9, 1)).items()) == {0: 1}
 
 
 def test_composition_two_spin_cases():
     # N = 2 has exactly two compositions, small enough to expand by hand
-    assert composition_density(ChainSpec("PF", 2, 2)).entries == {0: 3, 1: 1}
-    assert composition_density(ChainSpec("PF", 2, 2, epsilon=-1)).entries == {0: 1, 1: 3}
+    assert dict(composition_density(ChainSpec("PF", 2, 2)).items()) == {0: 3, 1: 1}
+    assert dict(composition_density(ChainSpec("PF", 2, 2, epsilon=-1)).items()) == {0: 1, 1: 3}
 
 
 def test_dp_matches_brute_force():
@@ -64,21 +68,19 @@ def test_dp_handles_graded_rule():
 
 
 def test_sign_flip_mirrors_dp_table():
-    from hschain import dispersion
-
     spec = ChainSpec("HS", 9, 3)
     ferro = density_dp(spec)
     anti = density_dp(spec.with_epsilon(-1))
     top = dispersion(spec).scaled_total
-    assert anti.entries == {top - e: d for e, d in ferro.entries.items()}
+    assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
 
 
 def test_large_chain_stays_exact():
     # far past the enumeration range; peak degeneracy exceeds 2**63
     table = density_dp(ChainSpec("PF", 80, 2))
     assert table.total == 2 ** 80
-    assert sum(table.entries.values()) == 2 ** 80
-    assert max(table.entries.values()) > 2 ** 63
+    assert sum(table.degeneracies) == 2 ** 80
+    assert max(table.degeneracies) > 2 ** 63
 
 
 def test_z_at_one_counts_states():
@@ -99,7 +101,7 @@ def test_z_on_the_unit_circle_matches_direct_sum():
         q = cmath.exp(1j * theta)
         direct = sum(
             d * cmath.exp(1j * theta * float(table.energy(e)))
-            for e, d in table.entries.items()
+            for e, d in table.items()
         )
         assert partition_function_at(table, q) == pytest.approx(direct, abs=1e-12)
 
@@ -130,16 +132,15 @@ def test_support_matches_dp_levels():
         spec = ChainSpec(family, n, m, eps, alpha)
         support, table = level_support(spec), density_dp(spec)
         assert support.levels().dtype == np.int64
-        assert support.levels().tolist() == table.levels(), spec
+        assert np.array_equal(support.levels(), table.levels()), spec
         assert support.energy_scale == table.energy_scale, spec
 
 
 def test_support_handles_graded_rules():
     for rule in (DeltaRule.susy(2, 1), DeltaRule.susy(1, 2)):
         for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3)):
-            assert level_support(spec, rule).levels().tolist() == (
-                density_dp(spec, rule).levels()
-            ), (spec, rule)
+            assert np.array_equal(level_support(spec, rule).levels(),
+                                  density_dp(spec, rule).levels()), (spec, rule)
 
 
 def test_support_count_at_a_size_the_exact_density_is_slow_for():
@@ -155,3 +156,47 @@ def test_support_memory_budget():
     with pytest.raises(CapacityError):
         density_dp(spec, memory_budget=1 << 20)
     assert len(level_support(spec, memory_budget=1 << 20)) == len(density_dp(spec))
+
+
+def test_support_budget_covers_the_unpack():
+    # HS N=64 m=4: the four bit grids take 21,844 bytes, unpacking them
+    # (a byte and an int64 per energy cell) about 0.4 MB more
+    spec = ChainSpec("HS", 64, 4)
+    with pytest.raises(CapacityError, match="to unpack"):
+        level_support(spec, memory_budget=100_000)
+    assert len(level_support(spec, memory_budget=500_000)) == len(density_dp(spec))
+
+
+def _combine_every_source(spec, rule, slot_bits, combine):
+    """The bond recursion combining each destination's sources afresh."""
+    m = spec.m
+    state = [1] * m
+    for w in dispersion(spec).scaled:
+        state = [
+            combine(reduce(combine, [state[s - 1] for s in range(1, m + 1)
+                                     if not delta(rule, s, d, m)], 0),
+                    reduce(combine, [state[s - 1] for s in range(1, m + 1)
+                                     if delta(rule, s, d, m)], 0) << (w * slot_bits))
+            for d in range(1, m + 1)
+        ]
+    return reduce(combine, state)
+
+
+@pytest.mark.parametrize("rule, spec", [
+    *((rule, spec) for rule in (DeltaRule.ferro(), DeltaRule.antiferro())
+      for spec in (ChainSpec("HS", 11, 2), ChainSpec("PF", 9, 4), ChainSpec("HS", 10, 5))),
+    *((DeltaRule.susy(*graded), spec) for graded in ((2, 1), (1, 2), (0, 3), (3, 0))
+      for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3))),
+])
+def test_bond_partials_equal_combining_every_source(rule, spec):
+    slot_bits = 8 * max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
+    for bits, combine in ((slot_bits, operator.add), (1, operator.or_)):
+        packed, _ = _bond_dp(spec, rule, bits, combine, DEFAULT_MEMORY_BUDGET)
+        assert packed == _combine_every_source(spec, rule, bits, combine), (rule, spec, bits)
+
+
+def test_bond_plan_rejects_a_rule_that_shifts_neither_a_prefix_nor_a_suffix(monkeypatch):
+    # a rule shifting sources 1 and 3 but not 2 into every destination
+    monkeypatch.setattr("hschain.density.delta", lambda rule, j, k, m: int(j != 2))
+    with pytest.raises(ValidationError, match="not a prefix or a suffix"):
+        density_dp(ChainSpec("HS", 4, 3))

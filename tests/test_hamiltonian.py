@@ -152,3 +152,14 @@ def test_oracle_report_serializes():
     assert payload["spec"]["family"] == "PF"
     assert len(payload["eigenvalues"]) == 8
     assert sum(payload["motif_multiplicities"]) == 8
+
+
+def test_expanded_density_repeats_every_level_by_its_degeneracy():
+    from hschain.density import density_dp
+    from hschain.hamiltonian import _expand_density
+
+    density = density_dp(ChainSpec("FI", 6, 3, alpha=Fraction(5, 3)))
+    values, sizes = _expand_density(density)
+    reference = [float(density.energy(e)) for e, d in density.items() for _ in range(d)]
+    assert values.tolist() == reference
+    assert sizes == density.degeneracies

@@ -144,7 +144,7 @@ def test_ks_distance_of_a_single_atom_at_the_mean():
     from hschain.moments import SpectrumStats
     from fractions import Fraction
 
-    table = DensityTable(entries={0: 1}, total=1)
+    table = DensityTable.from_counts({0: 1})
     stats = SpectrumStats.from_exact(Fraction(0), Fraction(1))
     assert ks_distance(table, stats) == pytest.approx(0.5)
 
@@ -155,3 +155,28 @@ def test_ks_distance_shrinks_with_chain_length():
         spec = ChainSpec("PF", n, 2)
         values[n] = ks_distance(density_dp(spec), closed_form_moments(spec))
     assert 0 < values[64] < values[16] < 1
+
+
+def _levelwise_ks_distance(density, stats):
+    """The per-level loop over gaussian_cdf that ks_distance replaces."""
+    best, cumulative = 0.0, 0
+    for level, count in density.items():
+        gauss = gaussian_cdf(float(density.energy(level)), stats.mu, stats.sigma)
+        below = cumulative / density.total
+        cumulative += count
+        above = cumulative / density.total
+        best = max(best, abs(below - gauss), abs(above - gauss))
+    return best
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("PF", 80, 2),  # degeneracies above 2**63
+    ChainSpec("HS", 40, 3, -1),
+    ChainSpec("FI", 30, 2, alpha=Fraction(5, 3)),
+])
+def test_ks_distance_equals_the_levelwise_loop_bit_for_bit(spec):
+    stats = closed_form_moments(spec)
+    density = density_dp(spec)
+    if spec.family == "PF":
+        assert max(density.degeneracies) > 2 ** 63
+    assert ks_distance(density, stats) == _levelwise_ks_distance(density, stats)

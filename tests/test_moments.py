@@ -38,25 +38,25 @@ def test_closed_form_spot_values():
 
 
 def test_empirical_spot_values():
-    table = DensityTable(entries={0: 4, 1: 2, 2: 2}, total=8)
+    table = DensityTable.from_counts({0: 4, 1: 2, 2: 2})
     stats = empirical_moments(table)
     assert (stats.mu, stats.sigma2) == (Fraction(3, 4), Fraction(11, 16))
 
-    table = DensityTable(entries={0: 5, 3: 6, 4: 4, 6: 1}, total=16)
+    table = DensityTable.from_counts({0: 5, 3: 6, 4: 4, 6: 1})
     stats = empirical_moments(table)
     assert (stats.mu, stats.sigma2) == (Fraction(5, 2), Fraction(27, 8))
 
 
 def test_empirical_moments_respect_the_energy_scale():
     # same physical density on two grids
-    coarse = DensityTable(entries={0: 1, 1: 2, 2: 1}, total=4)
-    fine = DensityTable(entries={0: 1, 2: 2, 4: 1}, energy_scale=2, total=4)
+    coarse = DensityTable.from_counts({0: 1, 1: 2, 2: 1})
+    fine = DensityTable.from_counts({0: 1, 2: 2, 4: 1}, energy_scale=2)
     assert empirical_moments(coarse).mu == empirical_moments(fine).mu
     assert empirical_moments(coarse).sigma2 == empirical_moments(fine).sigma2
 
 
 def test_single_atom_has_zero_width():
-    stats = empirical_moments(DensityTable(entries={0: 1}, total=1))
+    stats = empirical_moments(DensityTable.from_counts({0: 1}))
     assert (stats.mu, stats.sigma2, stats.sigma) == (0, 0, 0.0)
 
 

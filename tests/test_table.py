@@ -1,0 +1,58 @@
+"""The array-backed density table: its layout, its artifact text and its
+equality."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from hschain import ChainSpec, DensityTable, ValidationError, format_rational
+from hschain.density import density_dp
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 24, 3),
+    ChainSpec("FI", 20, 3, -1, Fraction(3, 2)),
+    ChainSpec("FI", 20, 3, alpha=Fraction(5, 3)),  # scale 3: unreduced p/q would show
+])
+def test_artifact_text_equals_the_levelwise_rationals(spec):
+    table = density_dp(spec)
+    texts = [format_rational(Fraction(e, table.energy_scale)) for e, _ in table.items()]
+    assert table.to_csv(["head"]) == "\n".join(
+        ["# head", "energy,degeneracy", *(f"{t},{d}" for t, (_, d) in zip(texts, table.items())),
+         ""])
+    payload = table.to_json_dict()
+    assert list(payload["levels"].items()) == [(t, d) for t, (_, d) in zip(texts, table.items())]
+    assert (payload["energy_scale"], payload["total"]) == (table.energy_scale, table.total)
+
+
+def test_layout_is_two_aligned_arrays():
+    table = DensityTable.from_counts({6: 1, 0: 5, 4: 4, 3: 6, 5: 0})
+    assert table.levels().dtype == np.int64
+    assert table.levels().tolist() == [0, 3, 4, 6]
+    assert table.degeneracies == (5, 6, 4, 1)
+    assert (len(table), table.total) == (4, 16)
+    with pytest.raises(ValueError):
+        table.levels()[0] = 1  # the level array is read-only
+
+
+def test_constructor_rejects_broken_layouts():
+    with pytest.raises(ValidationError):
+        DensityTable(np.array([0, 1]), (1,), 1, 1)  # lengths differ
+    with pytest.raises(ValidationError):
+        DensityTable(np.array([1, 0]), (1, 1), 1, 2)  # not ascending
+    with pytest.raises(ValidationError):
+        DensityTable(np.array([0, 0]), (1, 1), 1, 2)  # repeated level
+    with pytest.raises(ValidationError):
+        DensityTable(np.array([0, 1]), (2, 0), 1, 2)  # zero degeneracy
+    with pytest.raises(ValidationError):
+        DensityTable(np.array([0, 1]), (1, 1), 1, 3)  # wrong total
+
+
+def test_equality_compares_true_energies_across_scales():
+    coarse = DensityTable.from_counts({0: 1, 1: 2, 2: 1})
+    fine = DensityTable.from_counts({0: 1, 2: 2, 4: 1}, energy_scale=2)
+    thirds = DensityTable.from_counts({0: 1, 3: 2, 6: 1}, energy_scale=3)
+    assert coarse == fine == thirds
+    assert coarse != DensityTable.from_counts({0: 1, 3: 2, 4: 1}, energy_scale=2)
+    assert coarse != DensityTable.from_counts({0: 2, 1: 1, 2: 1})

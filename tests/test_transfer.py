@@ -190,3 +190,16 @@ def test_sweep_diagnostics_come_back_scaled():
         assert out[key].shape == (3,)
         assert np.all(out[key] > 0)
     assert list(out["n"]) == [8, 16, 32]
+
+
+def test_charfn_from_density_equals_the_levelwise_sum_bit_for_bit():
+    spec = ChainSpec("FI", 12, 3, alpha=Fraction(5, 3))  # 1/3 is inexact
+    stats = closed_form_moments(spec)
+    density = density_dp(spec)
+    t = np.linspace(-4.0, 4.0, 9)
+    energies = np.array([float(density.energy(e)) for e, _ in density.items()])
+    weights = np.array([float(d) for _, d in density.items()])
+    phases = np.exp(1j * np.outer(t / stats.sigma, energies))
+    center = np.exp(-1j * (float(stats.mu) / stats.sigma) * t)
+    reference = center * (phases @ weights) / float(density.total)
+    assert np.array_equal(charfn_from_density(density, stats, t), reference)
