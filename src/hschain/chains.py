@@ -11,7 +11,8 @@ its weight in the motif energy sum.  All downstream computations (exact
 densities, moments, characteristic functions) consume a :class:`ChainSpec`
 plus the :class:`DispersionTable` built here.
 
-Dispersion values are kept as exact rationals.  The FI parameter alpha is
+Dispersion values are kept exact: as integers on a scaled grid, and as
+rationals for the consumers that ask for them.  The FI parameter alpha is
 restricted to positive rationals so that, after scaling by its denominator,
 every energy lives on an exact integer grid; floats are only produced at
 the characteristic-function boundary.
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
 
 import numpy as np
 
@@ -161,54 +162,63 @@ class ChainSpec:
 
 @dataclass(frozen=True)
 class DispersionTable:
-    """Bond weights F(1..N-1) of a chain, as exact rationals.
+    """Bond weights F(1..N-1) of a chain, integers first.
 
     ``energy_scale`` is the common denominator D for which D*F(i) is an
-    integer for every bond; ``scaled`` holds those integers.  HS and PF
-    dispersions are integral (D = 1); the FI dispersion has
-    D = denominator(alpha).
+    integer for every bond; ``scaled`` holds those integers as Python
+    ints, and everything else is derived from them.  HS and PF dispersions
+    are integral (D = 1); the FI dispersion has D = denominator(alpha).
+    The exact rationals F(i) = scaled[i] / D are built only when
+    ``values`` is read.  ``as_floats`` takes each scaled[i] / D by Python's
+    integer true division, which is correctly rounded for integers of any
+    size and so equals ``float`` of the exact rational.  (Dividing the
+    scaled integers as floats would equal it only while they stay below
+    2**53; FI weights with a large alpha denominator pass that.)
     """
 
-    values: tuple
-    energy_scale: int
     scaled: tuple
+    energy_scale: int
 
     def __len__(self):
-        return len(self.values)
+        return len(self.scaled)
+
+    @cached_property
+    def values(self) -> tuple:
+        """The bond weights F(i) as exact Fractions."""
+        return tuple(Fraction(s, self.energy_scale) for s in self.scaled)
 
     @property
     def total(self) -> Fraction:
         """Sum of all bond weights, the width of the energy support."""
-        return sum(self.values, Fraction(0))
+        return Fraction(self.scaled_total, self.energy_scale)
 
     @property
     def scaled_total(self) -> int:
         return sum(self.scaled)
 
     def as_floats(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values])
+        return np.array([s / self.energy_scale for s in self.scaled])
 
 
 def dispersion(spec: ChainSpec) -> DispersionTable:
     """Dispersion relation of a chain.
 
     Returns the table of bond weights F(i) for i = 1..N-1:
-    i*(N-i) for HS, i for PF and i*(alpha+i-1) for FI.
+    i*(N-i) for HS, i for PF and i*(alpha+i-1) for FI.  With alpha = p/q
+    in lowest terms the FI weights are i*(p + q*(i-1)) / q, and bond 1
+    has denominator exactly q, so the common scale is q.
     """
     n = spec.n_spins
     if spec.family == "HS":
-        values = tuple(Fraction(i * (n - i)) for i in range(1, n))
+        scale, scaled = 1, tuple(i * (n - i) for i in range(1, n))
     elif spec.family == "PF":
-        values = tuple(Fraction(i) for i in range(1, n))
+        scale, scaled = 1, tuple(range(1, n))
     else:
-        values = tuple(i * (spec.alpha + i - 1) for i in range(1, n))
-    scale = 1
-    for v in values:
-        scale = scale * v.denominator // gcd(scale, v.denominator)
-    scaled = tuple(int(v * scale) for v in values)
+        p, scale = spec.alpha.numerator, spec.alpha.denominator
+        scaled = tuple(i * (p + scale * (i - 1)) for i in range(1, n))
     if any(s <= 0 for s in scaled):
         raise ValidationError("dispersion values must be strictly positive")
-    return DispersionTable(values=values, energy_scale=scale, scaled=scaled)
+    return DispersionTable(scaled=scaled, energy_scale=scale)
 
 
 def normalized_dispersion(spec: ChainSpec, sigma: float) -> np.ndarray:

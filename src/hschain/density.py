@@ -75,6 +75,35 @@ def _bond_plan(rule: DeltaRule, m: int) -> list:
     return plan
 
 
+def _predicted_peak(m: int, plan: list, cells: int, slot_bits: int):
+    """Predicted peak bytes of :func:`_bond_dp` and of unpacking its result,
+    with the arithmetic behind it as text.
+
+    A polynomial is a Python int of ``cells * slot_bits`` bits, 4 bytes per
+    30-bit digit.  During a bond the loop holds at most the m old states,
+    the new partial combines :func:`_bond_plan` asks for, the m new states
+    and one shifted temporary.  After the loop the result is unpacked next
+    to it: a copy of its bytes, one byte per cell (the unpacked bit, or the
+    occupied-row mask) and, since any cell may be a level, per cell an
+    int64 index and, with exact counts, a copy of the cell's slot and a
+    Python int of the slot's width (24 bytes and 4 per 30 bits) held in a
+    tuple.  The prediction is the larger of the two phases.
+    """
+    polynomial = 4 * -(-cells * slot_bits // 30)
+    low_top = max(k for k, _ in plan)
+    high_bottom = min(k for k, _ in plan)
+    partials = low_top - 1 + max(0, m - high_bottom - 1)
+    live = 2 * m + partials + 1
+    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
+    unpack = polynomial + (cells * slot_bits + 7) // 8 + cells * (1 + level)
+    detail = (
+        f"density grid needs {cells} cells x {slot_bits / 8:g} bytes = {polynomial} bytes "
+        f"per polynomial; the bond loop holds {live} of them = {live * polynomial} bytes "
+        f"and the result needs {unpack} bytes to unpack"
+    )
+    return max(live * polynomial, unpack), detail
+
+
 def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     """The per-bond recursion shared by :func:`density_dp` and
     :func:`level_support`.
@@ -95,33 +124,20 @@ def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     big-integer operations per bond instead of the m(m + 2) of combining
     every destination's sources afresh.
 
-    The memory prediction covers the m polynomials and unpacking the
-    result: a copy of its bytes, one byte per cell (the unpacked bit, or
-    the occupied-row mask) and, since any cell may be a level, per cell an
-    int64 index and, with exact counts, a copy of the cell's slot and a
-    Python int of the slot's width (24 bytes and 4 per 30 bits) held in a
-    tuple.
-
     Raises
     ------
     CapacityError
-        If that prediction exceeds `memory_budget` bytes.
+        If the memory prediction of :func:`_predicted_peak` exceeds
+        `memory_budget` bytes.
     """
     if rule is None:
         rule = rule_for(spec)
     m = spec.m
     disp = dispersion(spec)
-    cells = disp.scaled_total + 1
-    polynomial = (cells * slot_bits + 7) // 8
-    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
-    unpack = polynomial + cells * (1 + level)
-    if polynomial * m + unpack > memory_budget:
-        raise CapacityError(
-            f"density grid needs {cells} cells x {slot_bits / 8:g} bytes x {m} spin values "
-            f"= {polynomial * m} bytes and {unpack} bytes to unpack, "
-            f"over the budget of {memory_budget}"
-        )
     plan = _bond_plan(rule, m)
+    peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, slot_bits)
+    if peak > memory_budget:
+        raise CapacityError(f"{detail}, over the budget of {memory_budget}")
     low_top = max(k for k, _ in plan)
     high_bottom = min(k for k, _ in plan)
     last_use = {k: dest for dest, (k, _) in enumerate(plan)}

@@ -16,6 +16,7 @@ density table, and the two must agree as rationals, not approximately.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,15 +39,22 @@ class SpectrumStats:
 
 
 def closed_form_moments(spec: ChainSpec) -> SpectrumStats:
-    """Mean and variance of the chain spectrum from the dispersion alone."""
+    """Mean and variance of the chain spectrum from the dispersion alone.
+
+    The three bond sums run over the scaled integers s = D*F, so only the
+    two results are Fractions: with S1 = sum s, S2 = sum s**2 and
+    C = sum s(i-1) s(i),
+
+        mu     = (m - eps) S1 / (2 m D)
+        sigma2 = (m**2 - 1) (3 S2 - 2 C) / (12 m**2 D**2).
+    """
     disp = dispersion(spec)
-    values = disp.values
-    m = spec.m
-    total = sum(values, Fraction(0))
-    mu = Fraction(1, 2) * (1 - Fraction(spec.epsilon, m)) * total
-    sq = sum((v * v for v in values), Fraction(0))
-    cross = sum((values[i - 1] * values[i] for i in range(1, len(values))), Fraction(0))
-    sigma2 = (1 - Fraction(1, m * m)) * (Fraction(sq, 4) - Fraction(cross, 6))
+    s, scale, m = disp.scaled, disp.energy_scale, spec.m
+    first = sum(s)
+    square = sum(map(operator.mul, s, s))
+    cross = sum(map(operator.mul, s, s[1:]))
+    mu = Fraction((m - spec.epsilon) * first, 2 * m * scale)
+    sigma2 = Fraction((m * m - 1) * (3 * square - 2 * cross), 12 * m * m * scale * scale)
     return SpectrumStats.from_exact(mu, sigma2)
 
 

@@ -32,13 +32,18 @@ from .table import DensityTable
 UNIT_CIRCLE_TOL = 1e-12
 QUOTIENT_FORM_TOL = 1e-8
 
+# Bytes of one complex work array of the characteristic-function products:
+# the bond factors of one block of bonds in charfn_exact, the phases of one
+# chunk of t rows in charfn_asymptotic.
+_CHUNK_BYTES = 1 << 19
+
 
 def _delta_mask(m: int, epsilon: int) -> np.ndarray:
-    """0/1 matrix of the pairing rule over value pairs (row, column)."""
+    """Boolean matrix of the pairing rule over value pairs (row, column)."""
     k = np.arange(1, m + 1)
     if epsilon == FERRO:
-        return (k[:, None] < k[None, :]).astype(float)
-    return (k[:, None] >= k[None, :]).astype(float)
+        return k[:, None] < k[None, :]
+    return k[:, None] >= k[None, :]
 
 
 @dataclass(frozen=True)
@@ -144,18 +149,22 @@ def top_eigenvalue_from_phase(x, m: int) -> np.ndarray:
     """Principal eigenvalue lambda_m(e^(i x)) for real phase x.
 
     Uses the closed quotient (e^(i m x) - 1) / (m (e^(i x) - 1)) away from
-    the removable singularities at x in 2 pi Z and the (everywhere valid)
-    geometric sum near them.
+    the removable singularities at x in 2 pi Z, and the (everywhere valid)
+    geometric sum of m terms near them; the sum is evaluated only on the
+    phases within QUOTIENT_FORM_TOL of 2 pi Z, which a grid rarely hits.
     """
     x = np.asarray(x, dtype=float)
     z = np.exp(1j * x)
     gap = z - 1.0
     safe = np.abs(gap) > QUOTIENT_FORM_TOL
-    quotient = (np.exp(1j * m * x) - 1.0) / (m * np.where(safe, gap, 1.0))
-    ssum = np.zeros(x.shape, dtype=complex)
+    lam = np.asarray((np.exp(1j * m * x) - 1.0) / (m * np.where(safe, gap, 1.0)))
+    near = ~safe
+    xs = x[near]
+    ssum = np.zeros(xs.shape, dtype=complex)
     for l in range(m):
-        ssum += np.exp(1j * l * x)
-    return np.where(safe, quotient, ssum / m)
+        ssum += np.exp(1j * l * xs)
+    lam[near] = ssum / m
+    return lam
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +185,13 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     transfer matrices, then sums the entries.  Cost O(N m**2) per t value;
     every factor has spectral radius <= 1 on the unit circle, so rounding
     stays benign even for thousands of bonds.
+
+    Each bond costs one vector-matrix product per t value (an einsum over
+    the grid).  The factors themselves are built a block of bonds at a
+    time, with one exp over the block's (bond, t) phases and one select
+    between 1/m and omega**m / m by the pairing mask.  A block holds about
+    ``_CHUNK_BYTES`` (512 KiB) of factors, or one bond's where those are
+    larger, so the memory does not grow with N.
     """
     if stats is None:
         stats = closed_form_moments(spec)
@@ -185,12 +201,14 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     m = spec.m
     gam = normalized_dispersion(spec, stats.sigma)
     mask = _delta_mask(m, spec.epsilon)
-    ones = np.ones((m, m))
+    block = max(1, _CHUNK_BYTES // (16 * m * m * max(1, t.size)))
     row = np.ones(t.shape + (m,), dtype=complex)
-    for g in gam:
+    for lo in range(0, gam.size, block):
+        g = gam[lo : lo + block].reshape((-1,) + (1,) * t.ndim)
         w = np.exp(1j * (m * g) * t)
-        factor = (ones + (w[..., None, None] - 1.0) * mask) / m
-        row = np.einsum("...k,...kl->...l", row, factor)
+        v = ((w - 1.0) + 1.0) / m
+        for factor in np.where(mask, v[..., None, None], complex(1 / m)):
+            row = np.einsum("...k,...kl->...l", row, factor)
     center = np.exp(-1j * (float(stats.mu) / stats.sigma) * t)
     return center * row.sum(axis=-1) / m
 
@@ -202,6 +220,11 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     the centering phase.  For the antiferromagnetic sign the spectrum is
     the mirror image of the ferromagnetic one, so the value is the complex
     conjugate of the ferromagnetic approximation.
+
+    The (t, bond) phases are taken a chunk of t values at a time, each
+    chunk about ``_CHUNK_BYTES`` (512 KiB) of complex values, or one t
+    value's where those are larger, and reduced to its products before the
+    next, so the memory does not grow with the number of t values times N.
     """
     if stats is None:
         stats = closed_form_moments(spec)
@@ -213,9 +236,16 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     else:
         mu_ferro = stats.mu
     gam = normalized_dispersion(spec, stats.sigma)
-    phases = t[..., None] * gam
-    lam = top_eigenvalue_from_phase(phases, spec.m)
-    value = np.exp(-1j * (float(mu_ferro) / stats.sigma) * t) * lam.prod(axis=-1)
+    flat = t.reshape(-1)
+    rows = max(1, _CHUNK_BYTES // (16 * gam.size))
+    product = np.empty(flat.shape, dtype=complex)
+    for lo in range(0, flat.size, rows):
+        phases = flat[lo : lo + rows, None] * gam
+        product[lo : lo + rows] = top_eigenvalue_from_phase(phases, spec.m).prod(axis=-1)
+    # [()] makes a scalar t's product a scalar, multiplied as one, like the
+    # product over its whole phase array; numpy's scalar and array complex
+    # multiplies round differently
+    value = np.exp(-1j * (float(mu_ferro) / stats.sigma) * t) * product.reshape(t.shape)[()]
     return value if spec.epsilon == FERRO else np.conj(value)
 
 

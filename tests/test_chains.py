@@ -142,3 +142,40 @@ def test_normalized_weights_scale_inversely_with_sigma():
     spec = ChainSpec("HS", 8, 2)
     base = normalized_dispersion(spec, 1.0)
     assert np.allclose(normalized_dispersion(spec, 4.0), base / 4.0, rtol=1e-15)
+
+
+def _rational_dispersion(spec):
+    """The dispersion as exact rationals, with the common scale found as
+    the lcm of their denominators: the table's integers must equal this."""
+    n = spec.n_spins
+    if spec.family == "HS":
+        values = tuple(Fraction(i * (n - i)) for i in range(1, n))
+    elif spec.family == "PF":
+        values = tuple(Fraction(i) for i in range(1, n))
+    else:
+        values = tuple(i * (spec.alpha + i - 1) for i in range(1, n))
+    scale = 1
+    for v in values:
+        scale = scale * v.denominator // math.gcd(scale, v.denominator)
+    return values, scale, tuple(int(v * scale) for v in values)
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("HS", None), ("PF", None), ("FI", Fraction(1)), ("FI", Fraction(3, 2)),
+    ("FI", Fraction(5, 3)), ("FI", Fraction(7, 3)), ("FI", Fraction(1, 2)), ("FI", Fraction(22, 7)),
+    # scaled weights past 2**53: at N = 130, 21 of them differ from the
+    # exact float when divided as floats
+    ("FI", Fraction(1, 10**15 + 37)),
+])
+def test_dispersion_integers_equal_the_rational_weights(family, alpha):
+    for n in (2, 3, 4, 7, 25, 130):
+        spec = ChainSpec(family, n, 2, alpha=alpha)
+        table = dispersion(spec)
+        values, scale, scaled = _rational_dispersion(spec)
+        assert table.values == values, spec
+        assert table.energy_scale == scale, spec
+        assert table.scaled == scaled and all(type(s) is int for s in table.scaled), spec
+        assert table.total == sum(values, Fraction(0)), spec
+        assert len(table) == n - 1
+        # one correctly rounded division is float() of the exact rational
+        assert np.array_equal(table.as_floats(), np.array([float(v) for v in values])), spec

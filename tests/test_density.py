@@ -3,6 +3,7 @@
 import cmath
 import itertools
 import operator
+import tracemalloc
 from fractions import Fraction
 from functools import reduce
 
@@ -13,13 +14,15 @@ from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, delta,
 from hschain.density import (
     DEFAULT_MEMORY_BUDGET,
     _bond_dp,
+    _bond_plan,
+    _predicted_peak,
     composition_density,
     density_dp,
     level_support,
     partition_function_at,
     spin_degeneracy,
 )
-from hschain.motifs import brute_force_density
+from hschain.motifs import brute_force_density, rule_for
 
 FAMILY_GRID = [
     ("HS", None),
@@ -159,8 +162,9 @@ def test_support_memory_budget():
 
 
 def test_support_budget_covers_the_unpack():
-    # HS N=64 m=4: the four bit grids take 21,844 bytes, unpacking them
-    # (a byte and an int64 per energy cell) about 0.4 MB more
+    # HS N=64 m=4: the bond loop holds 14 bit grids, 81,592 bytes; the
+    # result and its unpacking (a byte and an int64 per energy cell) take
+    # 404,418 bytes
     spec = ChainSpec("HS", 64, 4)
     with pytest.raises(CapacityError, match="to unpack"):
         level_support(spec, memory_budget=100_000)
@@ -200,3 +204,25 @@ def test_bond_plan_rejects_a_rule_that_shifts_neither_a_prefix_nor_a_suffix(monk
     monkeypatch.setattr("hschain.density.delta", lambda rule, j, k, m: int(j != 2))
     with pytest.raises(ValidationError, match="not a prefix or a suffix"):
         density_dp(ChainSpec("HS", 4, 3))
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("FI", 64, 4, -1, Fraction(3, 2)),
+    ChainSpec("HS", 96, 3),
+    ChainSpec("HS", 64, 5, -1),
+])
+def test_measured_peaks_stay_within_the_prediction(spec):
+    # the bond loop alone peaks at 9.3, 5.0 and 12.8 polynomials here,
+    # the unpack of the bit grid at 50 to 60
+    cells = dispersion(spec).scaled_total + 1
+    plan = _bond_plan(rule_for(spec), spec.m)
+    slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
+    for backend, slot_bits in ((density_dp, 8 * slot), (level_support, 1)):
+        predicted, _ = _predicted_peak(spec.m, plan, cells, slot_bits)
+        tracemalloc.start()
+        try:
+            backend(spec, memory_budget=predicted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= predicted, (spec, backend.__name__, peak, predicted)

@@ -123,3 +123,27 @@ def test_weight_square_sum_residual_decays_at_least_like_one_over_n():
     ]
     assert all(value <= 2.0 * series[0] for value in series)
     assert series[-1] <= series[0]
+
+
+def _fraction_moments(spec):
+    """The closed forms summed term by term over the Fraction bond weights."""
+    values = dispersion(spec).values
+    m = spec.m
+    total = sum(values, Fraction(0))
+    mu = Fraction(1, 2) * (1 - Fraction(spec.epsilon, m)) * total
+    sq = sum((v * v for v in values), Fraction(0))
+    cross = sum((values[i - 1] * values[i] for i in range(1, len(values))), Fraction(0))
+    sigma2 = (1 - Fraction(1, m * m)) * (Fraction(sq, 4) - Fraction(cross, 6))
+    return mu, sigma2
+
+
+def test_closed_form_equals_the_fraction_sums():
+    for (family, alpha), m, n, eps in itertools.product(
+        FAMILY_GRID + [("FI", Fraction(5, 3)), ("FI", Fraction(1, 2))],
+        (1, 2, 3, 5), (2, 3, 8, 61, 300), (1, -1),
+    ):
+        spec = ChainSpec(family, n, m, eps, alpha)
+        stats = closed_form_moments(spec)
+        mu, sigma2 = _fraction_moments(spec)
+        assert (stats.mu, stats.sigma2) == (mu, sigma2), spec
+        assert stats.sigma == math.sqrt(sigma2), spec

@@ -1,7 +1,9 @@
 """Bond transfer matrices, their closed-form eigensystem, and the
 characteristic function built from them."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +23,10 @@ from hschain import (
     eigenvector_matrix,
     top_eigenvalue_from_phase,
 )
+from hschain.chains import dispersion, normalized_dispersion
 from hschain.density import density_dp
 from hschain.transfer import (
+    QUOTIENT_FORM_TOL,
     asymptotic_sweep,
     bond_overlap_residual,
     default_t_grid,
@@ -203,3 +207,103 @@ def test_charfn_from_density_equals_the_levelwise_sum_bit_for_bit():
     center = np.exp(-1j * (float(stats.mu) / stats.sigma) * t)
     reference = center * (phases @ weights) / float(density.total)
     assert np.array_equal(charfn_from_density(density, stats, t), reference)
+
+
+# The characteristic-function products as they were first written: one
+# factor built per bond, and the top eigenvalue over the whole (t, bond)
+# phase array.  The blocked and chunked code must reproduce them bit for bit.
+
+
+def _charfn_exact_per_bond(spec, stats, t):
+    m = spec.m
+    k = np.arange(1, m + 1)
+    if spec.epsilon == 1:
+        mask = (k[:, None] < k[None, :]).astype(float)
+    else:
+        mask = (k[:, None] >= k[None, :]).astype(float)
+    ones = np.ones((m, m))
+    row = np.ones(t.shape + (m,), dtype=complex)
+    for g in normalized_dispersion(spec, stats.sigma):
+        w = np.exp(1j * (m * g) * t)
+        factor = (ones + (w[..., None, None] - 1.0) * mask) / m
+        row = np.einsum("...k,...kl->...l", row, factor)
+    center = np.exp(-1j * (float(stats.mu) / stats.sigma) * t)
+    return center * row.sum(axis=-1) / m
+
+
+def _top_eigenvalue_everywhere(x, m):
+    x = np.asarray(x, dtype=float)
+    z = np.exp(1j * x)
+    gap = z - 1.0
+    safe = np.abs(gap) > QUOTIENT_FORM_TOL
+    quotient = (np.exp(1j * m * x) - 1.0) / (m * np.where(safe, gap, 1.0))
+    ssum = np.zeros(x.shape, dtype=complex)
+    for l in range(m):
+        ssum += np.exp(1j * l * x)
+    return np.where(safe, quotient, ssum / m)
+
+
+def _charfn_asymptotic_whole_array(spec, stats, t):
+    mu_ferro = stats.mu if spec.epsilon == 1 else dispersion(spec).total - stats.mu
+    phases = t[..., None] * normalized_dispersion(spec, stats.sigma)
+    lam = _top_eigenvalue_everywhere(phases, spec.m)
+    value = np.exp(-1j * (float(mu_ferro) / stats.sigma) * t) * lam.prod(axis=-1)
+    return value if spec.epsilon == 1 else np.conj(value)
+
+
+FAMILIES = [("HS", None), ("PF", None), ("FI", Fraction(3, 2)), ("FI", Fraction(5, 3))]
+
+
+def _assert_charfns_equal_the_references(spec, t):
+    stats = closed_form_moments(spec)
+    assert np.array_equal(charfn_exact(spec, stats, t), _charfn_exact_per_bond(spec, stats, t)), spec
+    assert np.array_equal(charfn_asymptotic(spec, stats, t),
+                          _charfn_asymptotic_whole_array(spec, stats, t)), spec
+
+
+def test_charfns_equal_the_per_bond_products_bit_for_bit():
+    # N = 300 spans many bond blocks and several t chunks at every m
+    t = default_t_grid()
+    for (family, alpha), m, n, eps in itertools.product(
+        FAMILIES, (2, 3, 4, 5), (2, 3, 17, 300), (1, -1)
+    ):
+        _assert_charfns_equal_the_references(ChainSpec(family, n, m, eps, alpha), t)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 4096, 3, 1),
+    ChainSpec("PF", 4096, 2, -1),
+    ChainSpec("FI", 4096, 4, 1, Fraction(3, 2)),
+    ChainSpec("FI", 4096, 5, -1, Fraction(5, 3)),
+])
+def test_charfns_equal_the_per_bond_products_at_large_n(spec):
+    _assert_charfns_equal_the_references(spec, default_t_grid())
+
+
+def test_charfns_keep_the_grid_shape_bit_for_bit():
+    spec = ChainSpec("FI", 40, 3, -1, Fraction(5, 3))
+    for t in (np.array(0.7), np.array([]), np.linspace(-5.0, 5.0, 12).reshape(3, 4)):
+        _assert_charfns_equal_the_references(spec, t)
+
+
+def test_top_eigenvalue_near_the_removable_points_bit_for_bit():
+    turns = 2.0 * math.pi * np.arange(-6, 7)
+    x = np.concatenate([turns, turns + 1e-9, turns - 1e-9, turns + 1e-8, [-0.0, 5e-324],
+                        np.linspace(-20.0, 20.0, 401)]).reshape(-1, 7)
+    for m in (1, 2, 3, 4, 5, 8):
+        assert np.array_equal(top_eigenvalue_from_phase(x, m), _top_eigenvalue_everywhere(x, m))
+        for scalar in (0.0, 2.0 * math.pi, 1e-9, 1.5):
+            assert top_eigenvalue_from_phase(scalar, m) == _top_eigenvalue_everywhere(scalar, m)
+
+
+def test_asymptotic_charfn_memory_stays_bounded():
+    # the whole (t, bond) phase array and its temporaries took 415 MB here
+    spec = ChainSpec("HS", 16384, 3)
+    stats = closed_form_moments(spec)
+    tracemalloc.start()
+    try:
+        charfn_asymptotic(spec, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
