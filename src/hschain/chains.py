@@ -233,15 +233,3 @@ def normalized_dispersion(spec: ChainSpec, sigma: float) -> np.ndarray:
     disp = dispersion(spec)
     return disp.as_floats() / (spec.m * float(sigma))
 
-
-def exact_normalized_dispersion(spec: ChainSpec, sigma2: Fraction) -> list:
-    """Squares of the normalized bond weights as exact rationals.
-
-    Avoids the float square root: gamma_j**2 = F(j)**2 / (m**2 * sigma2).
-    Used by the exact variance-identity check.
-    """
-    if not sigma2 > 0:
-        raise ValidationError(f"sigma2 must be positive, got {sigma2}")
-    disp = dispersion(spec)
-    denom = spec.m * spec.m * sigma2
-    return [v * v / denom for v in disp.values]

@@ -83,8 +83,11 @@ def _resolve_spec(args, n=None) -> ChainSpec:
     if getattr(args, "spec", None):
         text = args.spec
         if os.path.exists(text):
-            with open(text, "r", encoding="utf-8") as handle:
-                text = handle.read()
+            try:
+                with open(text, "r", encoding="utf-8") as handle:
+                    text = handle.read()
+            except OSError as exc:
+                raise ValidationError(f"cannot read chain spec {text!r}: {exc}") from exc
         return ChainSpec.from_json(text)
     n = args.n_spins if n is None else n
     missing = [flag for flag, value in (
@@ -112,26 +115,33 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _requested_formats(args) -> list:
+    """The formats --format names, in artifact order, checked against
+    those the subcommand offers before it computes anything."""
+    formats = [part.strip() for part in args.format.split(",") if part.strip()]
+    for fmt in formats:
+        if fmt not in args.offered:
+            raise ValidationError(
+                f"format {fmt!r} is not available for this subcommand; choose from {args.offered}"
+            )
+    if not formats:
+        raise ValidationError("at least one output format is required")
+    return [fmt for fmt in _FORMATS if fmt in formats]
+
+
 def _emit(args, command: str, config: dict, **artifacts) -> None:
     """Write the artifacts that --format asks for as <out>/<command>.<format>.
 
-    Each keyword is a format the subcommand offers: ``csv`` is (column
-    line, rows of cells) or a function of the header lines returning the
-    file; ``json`` and ``svg`` return the payload (the config is added to
-    it) and the plot, and are called only when requested.
+    Each keyword is a format the subcommand offers (``args.offered``, as
+    declared in :func:`build_parser`): ``csv`` is (column line, rows of
+    cells) or a function of the header lines returning the file; ``json``
+    and ``svg`` return the payload (the config is added to it) and the
+    plot, and are called only when requested.
     """
-    formats = [part.strip() for part in args.format.split(",") if part.strip()]
-    for fmt in formats:
-        if fmt not in _FORMATS:
-            raise ValidationError(f"unknown format {fmt!r}; choose from {sorted(_FORMATS)}")
-        if fmt not in artifacts:
-            raise ValidationError(f"format {fmt!r} is not available for this subcommand")
-    if not formats:
-        raise ValidationError("at least one output format is required")
     header = [f"hschain {__version__} {command}"]
     header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
     os.makedirs(args.out, exist_ok=True)
-    for fmt in [fmt for fmt in _FORMATS if fmt in formats]:
+    for fmt in args.formats:
         artifact = artifacts[fmt]
         if fmt == "csv" and callable(artifact):
             text = artifact(header)
@@ -228,8 +238,6 @@ def _cmd_charfn(args) -> int:
 
 def _cmd_convergence(args) -> int:
     sweep = _parse_sweep(args.n_sweep)
-    if len(sweep) < 2:
-        raise ValidationError(f"sweep {args.n_sweep!r} has one N; fitting a slope needs two")
     grid = _t_grid_from(args)
     spec = _resolve_spec(args, sweep[0])
     report = convergence_report(
@@ -379,46 +387,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hschain {__version__}")
     commands = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def command(name, help_text, handler, default_format):
+    def command(name, help_text, handler, offered, default_format):
         sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
+        sub.set_defaults(handler=handler, offered=offered.split(","))
         sub.add_argument("--out", default="hschain-out", help="output directory")
         sub.add_argument("--format", default=default_format,
-                         help="comma-separated output formats (csv, json, svg)")
+                         help=f"comma-separated output formats, out of {offered}")
         return sub
 
-    sub = command("density", "exact level density", _cmd_density, "csv")
+    sub = command("density", "exact level density", _cmd_density, "csv,json", "csv")
     _add_chain_options(sub)
     sub.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
                      help="density backend")
     sub.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     sub.add_argument("--composition-cap", type=int, default=DEFAULT_COMPOSITION_CAP)
 
-    sub = command("moments", "closed-form mean and variance", _cmd_moments, "csv")
+    sub = command("moments", "closed-form mean and variance", _cmd_moments, "csv,json", "csv")
     _add_chain_options(sub)
 
-    sub = command("charfn", "characteristic function on a t grid", _cmd_charfn, "csv")
+    sub = command("charfn", "characteristic function on a t grid", _cmd_charfn, "csv,svg", "csv")
     _add_chain_options(sub)
     _add_grid_options(sub)
 
     sub = command("convergence", "sup-norm distance to the gaussian over N", _cmd_convergence,
-                  "csv,svg")
+                  "csv,svg", "csv,svg")
     _add_chain_options(sub, "16:1024:geometric")
     _add_grid_options(sub)
 
-    sub = command("spacings", "unfolded spacing histogram", _cmd_spacings, "csv,svg")
+    sub = command("spacings", "unfolded spacing histogram", _cmd_spacings, "csv,svg", "csv,svg")
     _add_chain_options(sub)
     sub.add_argument("--bins", type=int, default=40)
     sub.add_argument("--s-max", type=float, default=4.0)
 
-    sub = command("kscan", "gaussian fit distance over an N sweep", _cmd_kscan, "csv")
+    sub = command("kscan", "gaussian fit distance over an N sweep", _cmd_kscan, "csv,svg", "csv")
     _add_chain_options(sub, "16:128:geometric")
 
-    sub = command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle, "json")
+    sub = command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle,
+                  "json", "json")
     _add_chain_options(sub)
     sub.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
 
-    sub = command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv")
+    sub = command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv", "csv")
     sub.add_argument("--max-N", dest="max_n", type=int, default=12)
     sub.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
 
@@ -429,6 +438,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        args.formats = _requested_formats(args)
         return args.handler(args)
     except (ValidationError, CapacityError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -63,55 +63,39 @@ def _grid(max_n: int, m_values, alphas):
                         yield ChainSpec(family, n, m, epsilon, alpha)
 
 
+def _exact(name: str, spec: ChainSpec, agree: bool) -> CheckResult:
+    return CheckResult(name=name, spec=spec, deviation=0.0 if agree else 1.0, passed=agree)
+
+
 def run_crosscheck(
     max_n: int = 12,
     m_values=(2, 3),
     alphas=(1, Fraction(3, 2)),
     brute_cap: int = DEFAULT_BRUTE_CAP,
-    t_grid=None,
 ) -> CrosscheckReport:
     """Compare all redundant routes over a grid of chains.
 
     The brute-force route joins in only while m**N stays below `brute_cap`;
-    the other comparisons run on the full grid.
+    the other comparisons run on the full grid.  The characteristic
+    functions are compared on :func:`~hschain.transfer.default_t_grid`.
     """
-    t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+    t = default_t_grid()
     results = []
     for spec in _grid(max_n, m_values, alphas):
         dense = density_dp(spec)
-        composed = composition_density(spec)
-        results.append(CheckResult(
-            name="density_dp_vs_composition",
-            spec=spec,
-            deviation=0.0 if dense == composed else 1.0,
-            passed=dense == composed,
-        ))
+        results.append(_exact("density_dp_vs_composition", spec,
+                              dense == composition_density(spec)))
         support = level_support(spec)
-        support_ok = (support.energy_scale == dense.energy_scale
-                      and np.array_equal(support.levels(), dense.levels()))
-        results.append(CheckResult(
-            name="level_support_vs_density_dp",
-            spec=spec,
-            deviation=0.0 if support_ok else 1.0,
-            passed=support_ok,
-        ))
+        results.append(_exact("level_support_vs_density_dp", spec,
+                              support.energy_scale == dense.energy_scale
+                              and np.array_equal(support.levels(), dense.levels())))
         if spec.n_states <= brute_cap:
-            brute = brute_force_density(spec)
-            results.append(CheckResult(
-                name="density_dp_vs_brute_force",
-                spec=spec,
-                deviation=0.0 if dense == brute else 1.0,
-                passed=dense == brute,
-            ))
+            results.append(_exact("density_dp_vs_brute_force", spec,
+                                  dense == brute_force_density(spec)))
         stats = closed_form_moments(spec)
         sampled = empirical_moments(dense)
-        moments_ok = stats.mu == sampled.mu and stats.sigma2 == sampled.sigma2
-        results.append(CheckResult(
-            name="moments_closed_form_vs_density",
-            spec=spec,
-            deviation=0.0 if moments_ok else 1.0,
-            passed=moments_ok,
-        ))
+        results.append(_exact("moments_closed_form_vs_density", spec,
+                              stats.mu == sampled.mu and stats.sigma2 == sampled.sigma2))
         if stats.sigma > 0:
             gap = np.abs(charfn_exact(spec, stats, t) - charfn_from_density(dense, stats, t))
             deviation = float(gap.max())

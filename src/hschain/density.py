@@ -41,9 +41,8 @@ import numpy as np
 from .chains import ChainSpec, dispersion
 from .errors import CapacityError, ValidationError
 from .motifs import DeltaRule, delta, rule_for
-from .table import DensityTable
+from .table import DEFAULT_MEMORY_BUDGET, DensityTable, check_grid_budget
 
-DEFAULT_MEMORY_BUDGET = 1 << 30
 DEFAULT_COMPOSITION_CAP = 24
 
 
@@ -269,11 +268,7 @@ def _coefficient_bound(n: int, dfac: list, longest_part: int) -> int:
     return max(total, max(bound))
 
 
-def composition_density(
-    spec: ChainSpec,
-    epsilon: int | None = None,
-    cap: int = DEFAULT_COMPOSITION_CAP,
-) -> DensityTable:
+def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> DensityTable:
     """Exact level density from the partition-function sum over compositions.
 
     Every ordered composition (k_1, ..., k_r) of N contributes
@@ -293,12 +288,9 @@ def composition_density(
     Raises
     ------
     CapacityError
-        If N exceeds `cap`.
+        If N exceeds `cap`, or if its N + 4 grids (one merged polynomial
+        per cut position and four working grids) exceed the memory budget.
     """
-    if epsilon is None:
-        epsilon = spec.epsilon
-    if epsilon not in (1, -1):
-        raise ValidationError(f"epsilon must be +1 or -1, got {epsilon!r}")
     n, m = spec.n_spins, spec.m
     if n > cap:
         raise CapacityError(
@@ -307,7 +299,8 @@ def composition_density(
     disp = dispersion(spec)
     weights = disp.scaled
     top = disp.scaled_total
-    dfac = [0] + [spin_degeneracy(k, m, epsilon) for k in range(1, n + 1)]
+    check_grid_budget("composition sum", top + 1, n + 4)
+    dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
     longest_part = max((k for k in range(1, n + 1) if dfac[k]), default=0)
     if longest_part == 0:
         raise ValidationError("all spin degeneracy factors vanish")

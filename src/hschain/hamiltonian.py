@@ -9,8 +9,9 @@ the motif spectrum exercises a completely different code path from the
 counting backends: floating point instead of exact integers, site
 geometry instead of the dispersion sequence.
 
-Only small chains are in scope (the dense dimension is m**N); everything
-here favours transparency over speed.
+Only small chains are in scope: ``DEFAULT_DENSE_CAP`` caps the dimension
+m**N, while the site layout has no cap; everything here favours
+transparency over speed.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from .density import density_dp
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .table import DensityTable
 
-DEFAULT_SITE_CAP = 8
 DEFAULT_DENSE_CAP = 4096
 ZERO_RESIDUAL_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-10
+JACOBI_MAX_SWEEPS = 60
+CLUSTER_TOL = 1e-6
 
 
 def _orthopoly_zeros(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, float]:
@@ -77,7 +79,7 @@ class SiteLayout:
     residual: float
 
 
-def chain_sites(spec: ChainSpec, cap: int = DEFAULT_SITE_CAP) -> SiteLayout:
+def chain_sites(spec: ChainSpec) -> SiteLayout:
     """Site coordinates for the chain geometry of `spec`.
 
     Uniform angles k*pi/N for the trigonometric chain; Hermite zeros for
@@ -87,8 +89,6 @@ def chain_sites(spec: ChainSpec, cap: int = DEFAULT_SITE_CAP) -> SiteLayout:
     error rather than a warning.
     """
     n = spec.n_spins
-    if n > cap:
-        raise CapacityError(f"chain_sites supports N <= {cap}, got N = {n}")
     if spec.family == "HS":
         xi = np.arange(1, n + 1) * (math.pi / n)
         return SiteLayout(xi=xi, residual=0.0)
@@ -123,11 +123,9 @@ class DenseOperator:
         return self.matrix.shape[0]
 
 
-def exchange_coefficients(spec: ChainSpec, layout: SiteLayout | None = None) -> np.ndarray:
+def exchange_coefficients(spec: ChainSpec) -> np.ndarray:
     """Strictly-upper-triangular matrix of pair strengths h_ij."""
-    if layout is None:
-        layout = chain_sites(spec, cap=spec.n_spins)
-    xi = layout.xi
+    xi = chain_sites(spec).xi
     gap = xi[:, None] - xi[None, :]
     coef = np.zeros_like(gap)
     upper = np.triu_indices(spec.n_spins, 1)
@@ -164,14 +162,13 @@ def build_hamiltonian(spec: ChainSpec, cap: int = DEFAULT_DENSE_CAP) -> DenseOpe
     return DenseOperator(matrix=h)
 
 
-def jacobi_eigenvalues(
-    matrix: np.ndarray, off_tol: float = JACOBI_OFF_TOL, max_sweeps: int = 60
-) -> np.ndarray:
+def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
 
     Deliberately not a LAPACK call: the point of this module is an
     independent route.  Sweeps rotate every strict upper pair in turn until
-    the off-diagonal Frobenius norm falls below `off_tol`.  Ascending.
+    the off-diagonal Frobenius norm falls below ``JACOBI_OFF_TOL``, for at
+    most ``JACOBI_MAX_SWEEPS`` sweeps.  Ascending.
     """
     a = np.array(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -188,8 +185,8 @@ def jacobi_eigenvalues(
         gap = a - np.diag(a.diagonal())
         return math.sqrt(float((gap * gap).sum()))
 
-    for _ in range(max_sweeps):
-        if off_norm() < off_tol:
+    for _ in range(JACOBI_MAX_SWEEPS):
+        if off_norm() < JACOBI_OFF_TOL:
             break
         for p in range(dim - 1):
             for q in range(p + 1, dim):
@@ -212,7 +209,7 @@ def jacobi_eigenvalues(
                 a[p, :] = c * row_p - s * row_q
                 a[q, :] = s * row_p + c * row_q
     else:
-        if off_norm() >= off_tol:
+        if off_norm() >= JACOBI_OFF_TOL:
             raise ConvergenceError(
                 f"Jacobi sweeps exhausted with off-diagonal norm {off_norm():.3e}"
             )
@@ -269,11 +266,7 @@ def _expand_density(density: DensityTable) -> tuple[np.ndarray, tuple]:
     return np.repeat(energies, density.degeneracies), density.degeneracies
 
 
-def oracle_compare(
-    spec: ChainSpec,
-    dense_cap: int = DEFAULT_DENSE_CAP,
-    cluster_tol: float = 1e-6,
-) -> OracleReport:
+def oracle_compare(spec: ChainSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> OracleReport:
     """Diagonalize the dense Hamiltonian and line its spectrum up against
     the motif energies.
 
@@ -282,7 +275,7 @@ def oracle_compare(
     robust contract (an overall scale or shift between the two routes
     would not invalidate the counting); the direct number documents the
     normalization actually observed.  Multiplicity patterns must agree
-    exactly, clustered at `cluster_tol` times the spectral spread.
+    exactly, clustered at ``CLUSTER_TOL`` times the spectral spread.
     """
     operator = build_hamiltonian(spec, cap=dense_cap)
     eig = jacobi_eigenvalues(operator.matrix)
@@ -295,7 +288,7 @@ def oracle_compare(
     scale = motif_std / eig_std if eig_std > 0 else 1.0
     offset = float(motif_values.mean()) - scale * float(eig.mean())
     affine = float(np.abs(scale * eig + offset - motif_values).max())
-    gap_tol = cluster_tol * max(1.0, spread)
+    gap_tol = CLUSTER_TOL * max(1.0, spread)
     return OracleReport(
         spec=spec,
         eigenvalues=eig,

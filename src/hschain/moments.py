@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .chains import ChainSpec, dispersion, exact_normalized_dispersion
+from .chains import ChainSpec, dispersion
 from .errors import ValidationError
 from .table import DensityTable
 
@@ -38,21 +38,27 @@ class SpectrumStats:
         return cls(mu=mu, sigma2=sigma2, sigma=math.sqrt(sigma2))
 
 
+def _bond_sums(spec: ChainSpec) -> tuple:
+    """S1 = sum s, S2 = sum s**2, C = sum s(i-1) s(i) over the scaled
+    integers s = D*F of the dispersion, and the scale D."""
+    disp = dispersion(spec)
+    s = disp.scaled
+    square = sum(map(operator.mul, s, s))
+    cross = sum(map(operator.mul, s, s[1:]))
+    return sum(s), square, cross, disp.energy_scale
+
+
 def closed_form_moments(spec: ChainSpec) -> SpectrumStats:
     """Mean and variance of the chain spectrum from the dispersion alone.
 
-    The three bond sums run over the scaled integers s = D*F, so only the
-    two results are Fractions: with S1 = sum s, S2 = sum s**2 and
-    C = sum s(i-1) s(i),
+    The three bond sums of :func:`_bond_sums` are integers, so only the
+    two results are Fractions:
 
         mu     = (m - eps) S1 / (2 m D)
         sigma2 = (m**2 - 1) (3 S2 - 2 C) / (12 m**2 D**2).
     """
-    disp = dispersion(spec)
-    s, scale, m = disp.scaled, disp.energy_scale, spec.m
-    first = sum(s)
-    square = sum(map(operator.mul, s, s))
-    cross = sum(map(operator.mul, s, s[1:]))
+    first, square, cross, scale = _bond_sums(spec)
+    m = spec.m
     mu = Fraction((m - spec.epsilon) * first, 2 * m * scale)
     sigma2 = Fraction((m * m - 1) * (3 * square - 2 * cross), 12 * m * m * scale * scale)
     return SpectrumStats.from_exact(mu, sigma2)
@@ -79,12 +85,12 @@ def variance_identity_residual(spec: ChainSpec) -> float:
     """Deviation of the normalized squared bond weights from their limit.
 
     The quantity (1/12) (m**2 - 1) * sum_j gamma_j**2 equals 1 up to a
-    correction that decays like 1/N; the absolute deviation from 1 is
-    returned, computed in exact rational arithmetic before the final float
-    conversion.
+    correction that decays like 1/N.  In the bond sums of :func:`_bond_sums`
+    it is exactly S2 / (3 S2 - 2 C), so the absolute deviation from 1 is the
+    ratio of integers 2 |S2 - C| / (3 S2 - 2 C), converted to float once.
+    Raises ValidationError for m = 1, whose spectrum has zero width.
     """
-    stats = closed_form_moments(spec)
-    gammasq = exact_normalized_dispersion(spec, stats.sigma2)
-    m = spec.m
-    value = Fraction(m * m - 1, 12) * sum(gammasq, Fraction(0))
-    return abs(float(value - 1))
+    if spec.m == 1:
+        raise ValidationError("the variance identity needs m >= 2; at m = 1 sigma2 is 0")
+    _, square, cross, _ = _bond_sums(spec)
+    return 2 * abs(square - cross) / (3 * square - 2 * cross)

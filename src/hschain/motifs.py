@@ -18,7 +18,7 @@ import numpy as np
 
 from .chains import FERRO, ChainSpec, DispersionTable, dispersion
 from .errors import CapacityError, ValidationError
-from .table import DensityTable
+from .table import DensityTable, check_grid_budget
 
 # Degeneracies are exact Python integers throughout; numpy counts are only
 # used below the 2**63 overflow line and converted on the way out.
@@ -69,10 +69,6 @@ class DeltaRule:
     def susy(cls, boundary: int, fermionic: int) -> "DeltaRule":
         return cls("susy", boundary, fermionic)
 
-    @classmethod
-    def for_epsilon(cls, epsilon: int) -> "DeltaRule":
-        return cls.ferro() if epsilon == FERRO else cls.antiferro()
-
     def implied_m(self) -> int | None:
         """Internal dimension fixed by the rule, if any (susy only)."""
         if self.kind == "susy":
@@ -82,7 +78,7 @@ class DeltaRule:
 
 def rule_for(spec: ChainSpec) -> DeltaRule:
     """Default pairing rule of a spec: ferro for epsilon=+1, else antiferro."""
-    return DeltaRule.for_epsilon(spec.epsilon)
+    return DeltaRule.ferro() if spec.epsilon == FERRO else DeltaRule.antiferro()
 
 
 def _check_rule_m(rule: DeltaRule, m: int):
@@ -95,20 +91,14 @@ def _check_rule_m(rule: DeltaRule, m: int):
 
 def delta(rule: DeltaRule, j: int, k: int, m: int) -> int:
     """Motif bit for the ordered pair of spin values (j, k), 1 <= j, k <= m."""
-    _check_rule_m(rule, m)
     if not (1 <= j <= m and 1 <= k <= m):
         raise ValidationError(f"spin values ({j}, {k}) out of range 1..{m}")
-    if rule.kind == "ferro":
-        return 1 if j < k else 0
-    if rule.kind == "antiferro":
-        return 1 if j >= k else 0
-    if j > k or (j == k and j > rule.boundary):
-        return 1
-    return 0
+    return int(delta_bits(rule, j, k, m))
 
 
 def delta_bits(rule: DeltaRule, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Vectorised delta over arrays of left and right spin values."""
+    """The pairing rule over left and right spin values: scalars or
+    arrays, which broadcast.  The one definition of every rule."""
     _check_rule_m(rule, m)
     if rule.kind == "ferro":
         return a < b
@@ -152,7 +142,8 @@ def brute_force_density(
     ------
     CapacityError
         If m**N exceeds `cap` (default 1e8); use density_dp instead,
-        which handles large N in polynomial time.
+        which handles large N in polynomial time.  Also if the count grid
+        and one block's counts, two int64 grids, exceed the memory budget.
     """
     if rule is None:
         rule = rule_for(spec)
@@ -167,6 +158,7 @@ def brute_force_density(
     disp = dispersion(spec)
     weights = np.array(disp.scaled, dtype=np.int64)
     top = disp.scaled_total
+    check_grid_budget("enumeration", top + 1, 2)
     counts = np.zeros(top + 1, dtype=np.int64)
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, _BLOCK):

@@ -9,7 +9,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
+
+# Bytes a density backend may hold at once: the predicted peak of the bond
+# recursion in hschain.density, or the dense grids of the other backends.
+DEFAULT_MEMORY_BUDGET = 1 << 30
 
 
 def format_rational(value: Fraction) -> str:
@@ -28,6 +32,14 @@ def format_cell(value) -> str:
     if isinstance(value, Fraction):
         return format_rational(value)
     return str(value)
+
+
+def check_grid_budget(backend: str, cells: int, grids: int) -> None:
+    """Raise CapacityError, before any is allocated, if `grids` arrays of
+    `cells` energy cells at 8 bytes a cell exceed ``DEFAULT_MEMORY_BUDGET``."""
+    if 8 * cells * grids > DEFAULT_MEMORY_BUDGET:
+        raise CapacityError(f"{backend} needs {grids} grids of {cells} cells x 8 bytes, "
+                            f"over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
 def csv_text(header_lines, columns: str, lines) -> str:

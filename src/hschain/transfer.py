@@ -14,6 +14,10 @@ be evaluated for thousands of spins in double precision.  The asymptotic
 approximation keeps only the top eigenvalue of each factor; the gap between
 the two shrinks like N**-0.5 and both approach the Gaussian exp(-t**2/2).
 
+T(omega) is 1/m where the pairing rule (:func:`hschain.motifs.delta_bits`)
+gives 0 and omega**m / m where it gives 1; only :func:`charfn_exact` builds
+it.  Its eigensystem is :func:`eigenvalues` plus :func:`eigenvector_matrix`.
+
 Everything here assumes the ungraded pairing rules.  The graded (susy) rule
 produces a non-Toeplitz transfer matrix and is deliberately not handled.
 """
@@ -26,44 +30,16 @@ import numpy as np
 
 from .chains import ANTIFERRO, FERRO, ChainSpec, dispersion, normalized_dispersion
 from .errors import ValidationError
-from .moments import SpectrumStats, closed_form_moments
+from .moments import SpectrumStats, closed_form_moments, variance_identity_residual
+from .motifs import delta_bits, rule_for
 from .table import DensityTable
 
-UNIT_CIRCLE_TOL = 1e-12
 QUOTIENT_FORM_TOL = 1e-8
 
 # Bytes of one complex work array of the characteristic-function products:
 # the bond factors of one block of bonds in charfn_exact, the phases of one
 # chunk of t rows in charfn_asymptotic.
 _CHUNK_BYTES = 1 << 19
-
-
-def _delta_mask(m: int, epsilon: int) -> np.ndarray:
-    """Boolean matrix of the pairing rule over value pairs (row, column)."""
-    k = np.arange(1, m + 1)
-    if epsilon == FERRO:
-        return k[:, None] < k[None, :]
-    return k[:, None] >= k[None, :]
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One bond factor T(omega) under the ferro rule.
-
-    Entries are 1/m on and below the diagonal and omega**m / m above it;
-    at omega = 1 every entry is 1/m.
-    """
-
-    omega: complex
-    matrix: np.ndarray
-
-
-def transfer_matrix(omega: complex, m: int) -> TransferMatrix:
-    if m < 1:
-        raise ValidationError(f"m must be >= 1, got {m}")
-    omega = complex(omega)
-    mat = (np.ones((m, m), dtype=complex) + (omega ** m - 1.0) * _delta_mask(m, FERRO)) / m
-    return TransferMatrix(omega=omega, matrix=mat)
 
 
 def eigenvalues(omega, m: int) -> np.ndarray:
@@ -95,40 +71,6 @@ def eigenvector_matrix(omega, m: int) -> np.ndarray:
     z = omega[..., None] * roots
     powers = np.arange(m - 1, -1, -1.0)
     return z[..., None, :] ** powers[:, None] / np.sqrt(m)
-
-
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Closed-form eigensystem of T(omega) for unimodular omega."""
-
-    omega: complex
-    eigenvalues: np.ndarray
-    u: np.ndarray
-
-    @property
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        """U D U[dagger]; equals T(omega) up to rounding."""
-        return (self.u * self.eigenvalues[None, :]) @ self.u.conj().T
-
-
-def eigen_decompose(omega: complex, m: int, tol: float = UNIT_CIRCLE_TOL) -> SpectralDecomposition:
-    """Analytic eigensystem of the transfer matrix; no iterative solver.
-
-    Raises
-    ------
-    ValidationError
-        If omega is not on the unit circle to within `tol`; the closed-form
-        U is only unitary there.
-    """
-    omega = complex(omega)
-    if abs(abs(omega) - 1.0) > tol:
-        raise ValidationError(f"omega must be unimodular, got |omega| = {abs(omega)!r}")
-    return SpectralDecomposition(
-        omega=omega, eigenvalues=eigenvalues(omega, m), u=eigenvector_matrix(omega, m)
-    )
 
 
 def column_sum_residual(omega, m: int) -> np.ndarray:
@@ -178,6 +120,16 @@ def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
     return np.linspace(-t_max, t_max, points)
 
 
+def _stats_and_grid(spec: ChainSpec, stats: SpectrumStats | None, t_grid):
+    """The moments (closed form unless given), checked for a positive width,
+    and the t values (:func:`default_t_grid` unless given) as floats."""
+    if stats is None:
+        stats = closed_form_moments(spec)
+    if not stats.sigma > 0:
+        raise ValidationError("characteristic function needs a positive spectral width")
+    return stats, np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+
+
 def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=None) -> np.ndarray:
     """Exact normalized characteristic function on a grid of t values.
 
@@ -193,14 +145,11 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     ``_CHUNK_BYTES`` (512 KiB) of factors, or one bond's where those are
     larger, so the memory does not grow with N.
     """
-    if stats is None:
-        stats = closed_form_moments(spec)
-    if not stats.sigma > 0:
-        raise ValidationError("characteristic function needs a positive spectral width")
-    t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+    stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
     gam = normalized_dispersion(spec, stats.sigma)
-    mask = _delta_mask(m, spec.epsilon)
+    k = np.arange(1, m + 1)
+    mask = delta_bits(rule_for(spec), k[:, None], k[None, :], m)
     block = max(1, _CHUNK_BYTES // (16 * m * m * max(1, t.size)))
     row = np.ones(t.shape + (m,), dtype=complex)
     for lo in range(0, gam.size, block):
@@ -226,11 +175,7 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     value's where those are larger, and reduced to its products before the
     next, so the memory does not grow with the number of t values times N.
     """
-    if stats is None:
-        stats = closed_form_moments(spec)
-    if not stats.sigma > 0:
-        raise ValidationError("characteristic function needs a positive spectral width")
-    t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+    stats, t = _stats_and_grid(spec, stats, t_grid)
     if spec.epsilon == ANTIFERRO:
         mu_ferro = dispersion(spec).total - stats.mu
     else:
@@ -275,9 +220,7 @@ class CharFnSeries:
 
 
 def charfn_series(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=None) -> CharFnSeries:
-    if stats is None:
-        stats = closed_form_moments(spec)
-    t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+    stats, t = _stats_and_grid(spec, stats, t_grid)
     return CharFnSeries(
         t_grid=t,
         exact_values=charfn_exact(spec, stats, t),
@@ -336,7 +279,7 @@ def convergence_report(
     """
     if len({int(n) for n in n_values}) < 2:
         raise ValidationError(
-            f"convergence sweep {tuple(n_values)} needs at least two distinct N to fit a slope"
+            f"convergence sweep {tuple(n_values)} has one N; fitting a slope needs two distinct N"
         )
     t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
     gauss = np.exp(-t * t / 2.0)
@@ -379,8 +322,6 @@ def asymptotic_sweep(
     - "variance_residual": deviation of the weight-square sum from its
       limit, times N
     """
-    from .moments import variance_identity_residual
-
     out = {"n": np.asarray(n_values, dtype=float), "weight_peak": [], "weight_step": [],
            "bond_overlap": [], "variance_residual": []}
     for n in n_values:

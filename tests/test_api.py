@@ -1,5 +1,9 @@
 """Package surface: everything advertised at the top level resolves."""
 
+import contextlib
+import io
+from pathlib import Path
+
 import hschain
 
 
@@ -11,3 +15,26 @@ def test_all_exports_resolve():
 def test_version_string():
     parts = hschain.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)
+
+
+def _readme_quick_start():
+    """The README's Python quick start, and the output written under its
+    prints: the ``# ...`` comment lines right after each print call."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    code = text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    expected, after_print = [], False
+    for line in code.splitlines():
+        if after_print and line.startswith("# "):
+            expected.append(line[2:])
+            continue
+        after_print = line.startswith("print(")
+    return code, expected
+
+
+def test_readme_quick_start_prints_what_it_shows():
+    code, expected = _readme_quick_start()
+    assert len(expected) == 3
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(code, "README.md", "exec"), {})
+    assert printed.getvalue().splitlines() == expected

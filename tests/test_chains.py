@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hschain import ChainSpec, ValidationError, dispersion, normalized_dispersion
-from hschain.chains import exact_normalized_dispersion
 
 
 def test_dispersion_circle_chain():
@@ -128,6 +127,14 @@ def test_json_integers_are_not_truncated():
         data = {"family": "HS", "N": 4, "m": 2, field: value}
         with pytest.raises(ValidationError):
             ChainSpec.from_json_dict(data)
+
+
+def exact_normalized_dispersion(spec, sigma2):
+    """Reference: the squares of the normalized bond weights as exact
+    rationals, gamma_j**2 = F(j)**2 / (m**2 * sigma2), without the float
+    square root."""
+    denom = spec.m * spec.m * sigma2
+    return [v * v / denom for v in dispersion(spec).values]
 
 
 def test_normalized_weights_match_their_exact_squares():

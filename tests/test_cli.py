@@ -172,3 +172,27 @@ def test_version_flag():
     with pytest.raises(SystemExit) as info:
         main(["--version"])
     assert info.value.code == 0
+
+
+@pytest.mark.parametrize("backend", ["brute", "composition"])
+def test_over_budget_grid_exits_one(tmp_path, capsys, backend):
+    rc = run(tmp_path, "density", "--family", "fi", "--alpha", str(10 ** 15), "--N", "3",
+             "--m", "2", "--backend", backend)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_unavailable_format_is_rejected_before_any_work(tmp_path, capsys):
+    rc = run(tmp_path, "oracle", "--family", "hs", "--N", "3", "--m", "2", "--format", "csv")
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not available" in captured.err
+    assert not any(tmp_path.iterdir())
+
+
+def test_unreadable_spec_path_exits_one(tmp_path, capsys):
+    folder = tmp_path / "spec-dir"
+    folder.mkdir()
+    assert run(tmp_path, "density", "--spec", str(folder)) == 1
+    assert capsys.readouterr().err.startswith("error:")

@@ -226,3 +226,12 @@ def test_measured_peaks_stay_within_the_prediction(spec):
         finally:
             tracemalloc.stop()
         assert peak <= predicted, (spec, backend.__name__, peak, predicted)
+
+
+@pytest.mark.parametrize("backend", [brute_force_density, composition_density])
+def test_dense_grid_backends_check_the_memory_budget(backend):
+    # FI alpha = 10**15 at N = 3 needs a grid of 3 * 10**15 cells (21 PiB
+    # of int64), which must be refused before any allocation
+    spec = ChainSpec("FI", 3, 2, alpha=10 ** 15)
+    with pytest.raises(CapacityError, match="over the budget"):
+        backend(spec)

@@ -9,6 +9,7 @@ import pytest
 from hschain import (
     ChainSpec,
     DensityTable,
+    ValidationError,
     closed_form_moments,
     dispersion,
     empirical_moments,
@@ -113,6 +114,25 @@ def test_weight_square_sum_residual():
     value = variance_identity_residual(ChainSpec("PF", 3, 2))
     assert value == pytest.approx(6 / 11, rel=1e-15)
     assert variance_identity_residual(ChainSpec("HS", 16, 3)) >= 0
+
+
+def test_weight_square_sum_residual_equals_the_rational_weight_sum():
+    # reference: (1/12) (m**2 - 1) sum F**2 / (m**2 sigma2) over the Fraction
+    # weights, minus 1, converted to float once
+    for (family, alpha), m, eps, n in itertools.product(
+        FAMILY_GRID + [("FI", Fraction(5, 3)), ("FI", Fraction(1, 7))],
+        (2, 3, 5), (1, -1), (2, 3, 10, 57, 128),
+    ):
+        spec = ChainSpec(family, n, m, eps, alpha)
+        sigma2 = closed_form_moments(spec).sigma2
+        total = sum((v * v / (m * m * sigma2) for v in dispersion(spec).values), Fraction(0))
+        expected = abs(float(Fraction(m * m - 1, 12) * total - 1))
+        assert variance_identity_residual(spec) == expected, spec
+
+
+def test_weight_square_sum_residual_needs_a_width():
+    with pytest.raises(ValidationError):
+        variance_identity_residual(ChainSpec("HS", 6, 1))
 
 
 def test_weight_square_sum_residual_decays_at_least_like_one_over_n():

@@ -30,18 +30,7 @@ from hschain.transfer import (
     asymptotic_sweep,
     bond_overlap_residual,
     default_t_grid,
-    eigen_decompose,
-    transfer_matrix,
 )
-
-
-def test_matrix_entries_two_states():
-    assert np.allclose(transfer_matrix(1.0, 2).matrix, [[0.5, 0.5], [0.5, 0.5]])
-    assert np.allclose(transfer_matrix(1j, 2).matrix, [[0.5, -0.5], [0.5, 0.5]])
-
-
-def test_matrix_entries_three_states_at_unit():
-    assert np.allclose(transfer_matrix(1.0, 3).matrix, np.full((3, 3), 1 / 3))
 
 
 def test_unit_point_eigenvalues_pick_out_the_last():
@@ -72,20 +61,17 @@ def test_unit_point_eigenvector_matrix_two_states():
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_decomposition_reconstructs_the_matrix(m):
+    # reference T(omega) under the ferro rule: 1/m on and below the
+    # diagonal, omega**m / m above it
+    upper = np.triu(np.ones((m, m), dtype=bool), 1)
     rng = np.random.default_rng(7)
     for theta in rng.uniform(-math.pi, math.pi, size=20):
         omega = complex(np.exp(1j * theta))
-        dec = eigen_decompose(omega, m)
-        assert np.abs(dec.eigenvalues).max() <= 1.0 + 1e-14
-        assert np.abs(dec.u @ dec.u.conj().T - np.eye(m)).max() < 1e-13
-        assert np.abs(dec.reconstruct() - transfer_matrix(omega, m).matrix).max() < 1e-13
-
-
-def test_decomposition_rejects_off_circle_points():
-    with pytest.raises(ValidationError):
-        eigen_decompose(1.1, 3)
-    with pytest.raises(ValidationError):
-        eigen_decompose(0.0, 3)
+        lam, u = eigenvalues(omega, m), eigenvector_matrix(omega, m)
+        direct = np.where(upper, omega ** m, 1.0) / m
+        assert np.abs(lam).max() <= 1.0 + 1e-14
+        assert np.abs(u @ u.conj().T - np.eye(m)).max() < 1e-13
+        assert np.abs((u * lam[None, :]) @ u.conj().T - direct).max() < 1e-13
 
 
 def test_column_sums_collapse_at_the_unit_point():
