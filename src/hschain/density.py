@@ -31,6 +31,7 @@ degeneracies anyway.
 from __future__ import annotations
 
 import operator
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -290,6 +291,8 @@ def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> 
     CapacityError
         If N exceeds `cap`, or if its N + 4 grids (one merged polynomial
         per cut position and four working grids) exceed the memory budget.
+        A cell counts 8 bytes, or for object grids a pointer plus an int
+        as wide as the coefficient bound.
     """
     n, m = spec.n_spins, spec.m
     if n > cap:
@@ -299,13 +302,18 @@ def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> 
     disp = dispersion(spec)
     weights = disp.scaled
     top = disp.scaled_total
-    check_grid_budget("composition sum", top + 1, n + 4)
     dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
     longest_part = max((k for k in range(1, n + 1) if dfac[k]), default=0)
     if longest_part == 0:
         raise ValidationError("all spin degeneracy factors vanish")
-    # int64 unless a rigorous worst-case coefficient bound says otherwise.
-    dtype = np.int64 if _coefficient_bound(n, dfac, longest_part) < 2 ** 62 else object
+    # int64 unless a rigorous worst-case coefficient bound says otherwise;
+    # an object cell holds a pointer and an int no wider than the bound.
+    bound = _coefficient_bound(n, dfac, longest_part)
+    if bound < 2 ** 62:
+        dtype, cell_bytes = np.int64, 8
+    else:
+        dtype, cell_bytes = object, 8 + sys.getsizeof(bound)
+    check_grid_budget("composition sum", top + 1, n + 4, cell_bytes)
     size = top + 1
     merged = [None] * n  # merged[p]: expansion of all prefixes with last cut at bond p
     start = np.zeros(size, dtype=dtype)

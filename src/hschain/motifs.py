@@ -158,7 +158,7 @@ def brute_force_density(
     disp = dispersion(spec)
     weights = np.array(disp.scaled, dtype=np.int64)
     top = disp.scaled_total
-    check_grid_budget("enumeration", top + 1, 2)
+    check_grid_budget("enumeration", top + 1, 2, 8)
     counts = np.zeros(top + 1, dtype=np.int64)
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, _BLOCK):

@@ -34,12 +34,12 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def check_grid_budget(backend: str, cells: int, grids: int) -> None:
+def check_grid_budget(backend: str, cells: int, grids: int, cell_bytes: int) -> None:
     """Raise CapacityError, before any is allocated, if `grids` arrays of
-    `cells` energy cells at 8 bytes a cell exceed ``DEFAULT_MEMORY_BUDGET``."""
-    if 8 * cells * grids > DEFAULT_MEMORY_BUDGET:
-        raise CapacityError(f"{backend} needs {grids} grids of {cells} cells x 8 bytes, "
-                            f"over the budget of {DEFAULT_MEMORY_BUDGET}")
+    `cells` energy cells at `cell_bytes` a cell exceed ``DEFAULT_MEMORY_BUDGET``."""
+    if cell_bytes * cells * grids > DEFAULT_MEMORY_BUDGET:
+        raise CapacityError(f"{backend} needs {grids} grids of {cells} cells x {cell_bytes} "
+                            f"bytes, over the budget of {DEFAULT_MEMORY_BUDGET}")
 
 
 def csv_text(header_lines, columns: str, lines) -> str:

@@ -1,21 +1,24 @@
 """Dense Hamiltonians, the Jacobi eigensolver, and the spectrum oracle."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hschain.hamiltonian
 from hschain import (
     CapacityError,
     ChainSpec,
+    ConvergenceError,
     ValidationError,
     build_hamiltonian,
     chain_sites,
     jacobi_eigenvalues,
     oracle_compare,
 )
-from hschain.hamiltonian import exchange_coefficients
+from hschain.hamiltonian import _sector_eigenvalues, _weight_sectors, exchange_coefficients
 
 
 def test_circle_sites_are_uniform_angles():
@@ -128,6 +131,108 @@ def test_jacobi_rejects_bad_input():
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 12])
+def test_jacobi_matches_eigvalsh(dim):
+    # odd dims run padded with one decoupled zero row
+    a = np.random.default_rng(dim).normal(size=(dim, dim))
+    sym = a + a.T
+    assert np.abs(jacobi_eigenvalues(sym) - np.linalg.eigvalsh(sym)).max() < 1e-12
+
+
+def test_jacobi_with_exact_zero_pivots():
+    # two decoupled blocks and a repeated diagonal: most pairs start at a_pq = 0,
+    # and the coupled pairs have a_qq - a_pp = 0
+    block = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    sym = np.zeros((7, 7))
+    sym[:3, :3] = block
+    sym[3:6, 3:6] = -block
+    sym[6, 6] = 1.0
+    assert np.abs(jacobi_eigenvalues(sym) - np.linalg.eigvalsh(sym)).max() < 1e-14
+
+
+@pytest.mark.parametrize("pivot", [1e-300, 1e-10])
+def test_jacobi_takes_a_tiny_pivot_against_a_huge_gap_without_warning(pivot):
+    # at 1e-10 the off-norm is above JACOBI_OFF_TOL, so the pivot must be
+    # rotated away although (a_qq - a_pp) / (2 a_pq) overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = jacobi_eigenvalues(np.array([[1e300, pivot], [pivot, -1e300]]))
+    assert values.tolist() == [-1e300, 1e300]
+
+
+@pytest.mark.parametrize("entries", [
+    [[math.nan]],
+    [[math.inf, 0.0], [0.0, 1.0]],
+    [[1.0, math.inf], [math.inf, 1.0]],
+])
+def test_jacobi_rejects_non_finite_entries(entries):
+    with pytest.raises(ValidationError, match="finite"):
+        jacobi_eigenvalues(np.array(entries))
+
+
+def test_jacobi_counts_an_undecidable_convergence_test_as_not_converged(monkeypatch):
+    # every comparison with NaN is False, so only "not off < tol" fails closed
+    monkeypatch.setattr(hschain.hamiltonian, "JACOBI_OFF_TOL", math.nan)
+    with pytest.raises(ConvergenceError, match="exhausted"):
+        jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+
+
+@pytest.mark.parametrize("spec, solved", [
+    (ChainSpec("HS", 7, 2), {(7, 0): 1, (6, 1): 7, (5, 2): 21, (4, 3): 35}),
+    (ChainSpec("FI", 5, 3, alpha=2),
+     {(5, 0, 0): 1, (4, 1, 0): 5, (3, 2, 0): 10, (3, 1, 1): 20, (2, 2, 1): 30}),
+])
+def test_weight_sectors_partition_the_basis_by_colour_counts(spec, solved):
+    sectors = _weight_sectors(spec)
+    assert sorted(np.concatenate(list(sectors.values())).tolist()) == list(range(spec.n_states))
+    for counts, states in sectors.items():
+        assert sum(counts) == spec.n_spins
+        assert states.size == math.factorial(spec.n_spins) // math.prod(
+            math.factorial(c) for c in counts)
+    assert {c: s.size for c, s in sectors.items() if list(c) == sorted(c, reverse=True)} == solved
+
+
+@pytest.mark.parametrize("spec, unsorted", [
+    (ChainSpec("HS", 7, 2), (2, 5)),
+    (ChainSpec("FI", 5, 3, -1, alpha=2), (1, 1, 3)),
+])
+def test_unsorted_sector_has_the_spectrum_of_its_sorted_twin(spec, unsorted):
+    h = build_hamiltonian(spec).matrix
+    sectors = _weight_sectors(spec)
+    twin = tuple(sorted(unsorted, reverse=True))
+    own, other = (jacobi_eigenvalues(h[np.ix_(sectors[c], sectors[c])]) for c in (unsorted, twin))
+    assert own.size == other.size > 1
+    assert np.abs(own - other).max() < 1e-12
+
+
+def test_entry_outside_its_weight_sector_trips_the_check():
+    spec = ChainSpec("HS", 4, 2)
+    h = build_hamiltonian(spec).matrix
+    # states 0 (all colour 0) and 1 (one spin of colour 1) lie in different sectors
+    h[0, 1] = h[1, 0] = 0.25
+    with pytest.raises(ValidationError, match="2 entries lie outside the weight sectors"):
+        _sector_eigenvalues(h, _weight_sectors(spec))
+
+
+def test_solved_sectors_share_the_whole_matrix_off_norm_bound(monkeypatch):
+    # each solved block reaches JACOBI_OFF_TOL / k with k**2 >= the number of
+    # sectors, so the assembled block-diagonal matrix stays below JACOBI_OFF_TOL
+    spec = ChainSpec("FI", 5, 3, alpha=2)
+    sectors = _weight_sectors(spec)
+    h = build_hamiltonian(spec).matrix
+    seen = []
+    solve = hschain.hamiltonian.jacobi_eigenvalues
+    monkeypatch.setattr(hschain.hamiltonian, "jacobi_eigenvalues",
+                        lambda a: seen.append(a) or solve(a))
+    _sector_eigenvalues(h, sectors)
+    solved = [s for c, s in sectors.items() if list(c) == sorted(c, reverse=True)]
+    assert len(seen) == len(solved) == 5
+    scales = {float(np.abs(a).max() / np.abs(h[np.ix_(s, s)]).max())
+              for a, s in zip(seen, solved) if a.any()}
+    assert len(scales) == 1
+    assert scales.pop() ** 2 >= len(sectors) == 21
+
+
 def test_oracle_two_spin_direct_match():
     for eps, sizes in ((1, (3, 1)), (-1, (1, 3))):
         report = oracle_compare(ChainSpec("HS", 2, 2, epsilon=eps))
@@ -146,6 +251,19 @@ def test_oracle_agreement_small_chains(spec):
     assert report.affine_deviation < 1e-8
     assert report.multiplicities_match
     assert report.to_json_dict()["multiplicities_match"] is True
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("FI", 5, 3, alpha=2),
+    ChainSpec("HS", 8, 2, epsilon=-1),
+    ChainSpec("HS", 4, 4),
+])
+def test_oracle_agreement_beyond_two_colours_and_six_spins(spec):
+    report = oracle_compare(spec)
+    assert report.affine_deviation < 1e-8
+    assert report.multiplicities_match
+    reference = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)
+    assert np.abs(report.eigenvalues - reference).max() < 1e-10
 
 
 def test_oracle_report_serializes():
