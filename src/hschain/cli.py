@@ -22,13 +22,13 @@ import sys
 import numpy as np
 
 from .chains import ANTIFERRO, FERRO, ChainSpec
-from .crosscheck import DEFAULT_BRUTE_CAP, run_crosscheck
-from .density import DEFAULT_COMPOSITION_CAP, composition_density, density_dp, level_support
+from .crosscheck import run_crosscheck
+from .density import composition_density, density_dp, level_support
 from .errors import CapacityError, ConvergenceError, ValidationError
-from .hamiltonian import DEFAULT_DENSE_CAP, oracle_compare
+from .hamiltonian import oracle_compare
 from .levelstats import default_spacing_bins, ks_distance, spacing_distribution, unfold
 from .moments import closed_form_moments
-from .motifs import DEFAULT_ENUMERATION_CAP, brute_force_density
+from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
 from .table import csv_text, format_cell, format_rational
 from .transfer import charfn_series, convergence_report
@@ -184,12 +184,8 @@ def _spacing_bins_from(args) -> np.ndarray:
 
 def _cmd_density(args) -> int:
     spec = _resolve_spec(args)
-    if args.backend == "brute":
-        density = brute_force_density(spec, cap=args.enumeration_cap)
-    elif args.backend == "composition":
-        density = composition_density(spec, cap=args.composition_cap)
-    else:
-        density = density_dp(spec)
+    backends = {"dp": density_dp, "composition": composition_density, "brute": brute_force_density}
+    density = backends[args.backend](spec)
     _emit(args, "density", _config(spec, backend=args.backend),
           csv=density.to_csv, json=lambda: {"density": density.to_json_dict()})
     print(f"levels = {len(density)}, states = {density.total}")
@@ -319,8 +315,8 @@ def _cmd_kscan(args) -> int:
 
 def _cmd_oracle(args) -> int:
     spec = _resolve_spec(args)
-    report = oracle_compare(spec, dense_cap=args.dense_cap)
-    config = _config(spec, dense_cap=args.dense_cap)
+    report = oracle_compare(spec)
+    config = _config(spec)
     payload = {"report": report.to_json_dict()}
     print(_json_text({"config": config, **payload}))
     _emit(args, "oracle", config, json=lambda: payload)
@@ -328,14 +324,14 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_crosscheck(args) -> int:
-    report = run_crosscheck(max_n=args.max_n, brute_cap=args.brute_cap)
+    report = run_crosscheck(max_n=args.max_n)
     rows = [
         (result.name, result.spec.family, result.spec.n_spins, result.spec.m,
          f"{result.spec.epsilon:+d}", "" if result.spec.alpha is None else result.spec.alpha,
          result.deviation, int(result.passed))
         for result in report.results
     ]
-    _emit(args, "crosscheck", {"max_N": args.max_n, "brute_cap": args.brute_cap},
+    _emit(args, "crosscheck", {"max_N": args.max_n},
           csv=("check,family,N,m,epsilon,alpha,deviation,passed", rows))
     print(f"checks = {len(report.results)}, failed = {len(report.failures)}")
     for result in report.failures[:10]:
@@ -399,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_options(sub)
     sub.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
                      help="density backend")
-    sub.add_argument("--enumeration-cap", type=int, default=DEFAULT_ENUMERATION_CAP)
-    sub.add_argument("--composition-cap", type=int, default=DEFAULT_COMPOSITION_CAP)
 
     sub = command("moments", "closed-form mean and variance", _cmd_moments, "csv,json", "csv")
     _add_chain_options(sub)
@@ -425,11 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle,
                   "json", "json")
     _add_chain_options(sub)
-    sub.add_argument("--dense-cap", type=int, default=DEFAULT_DENSE_CAP)
 
     sub = command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv", "csv")
     sub.add_argument("--max-N", dest="max_n", type=int, default=12)
-    sub.add_argument("--brute-cap", type=int, default=DEFAULT_BRUTE_CAP)
 
     return parser
 

@@ -21,12 +21,13 @@ import numpy as np
 
 from .chains import ANTIFERRO, FAMILIES, FERRO, ChainSpec
 from .density import composition_density, density_dp, level_support
+from .errors import ValidationError
 from .moments import closed_form_moments, empirical_moments
 from .motifs import brute_force_density
 from .transfer import charfn_exact, charfn_from_density, default_t_grid
 
 CHARFN_TOL = 1e-10
-DEFAULT_BRUTE_CAP = 300_000
+_BRUTE_STATES = 300_000
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,15 @@ def run_crosscheck(
     max_n: int = 12,
     m_values=(2, 3),
     alphas=(1, Fraction(3, 2)),
-    brute_cap: int = DEFAULT_BRUTE_CAP,
 ) -> CrosscheckReport:
-    """Compare all redundant routes over a grid of chains.
+    """Compare all redundant routes over a grid of chains, N = 2..`max_n`.
 
-    The brute-force route joins in only while m**N stays below `brute_cap`;
+    The brute-force route joins in only while m**N stays within 300,000;
     the other comparisons run on the full grid.  The characteristic
     functions are compared on :func:`~hschain.transfer.default_t_grid`.
     """
+    if max_n < 2:
+        raise ValidationError(f"max_n must be at least 2, got {max_n}")
     t = default_t_grid()
     results = []
     for spec in _grid(max_n, m_values, alphas):
@@ -89,7 +91,7 @@ def run_crosscheck(
         results.append(_exact("level_support_vs_density_dp", spec,
                               support.energy_scale == dense.energy_scale
                               and np.array_equal(support.levels(), dense.levels())))
-        if spec.n_states <= brute_cap:
+        if spec.n_states <= _BRUTE_STATES:
             results.append(_exact("density_dp_vs_brute_force", spec,
                                   dense == brute_force_density(spec)))
         stats = closed_form_moments(spec)

@@ -13,9 +13,9 @@ Two independent routes to the same density:
   :class:`~hschain.table.DensityTable` of two aligned arrays: ascending
   int64 levels and their exact degeneracies.
 * :func:`composition_density` expands the closed partition-function sum
-  over the 2**(N-1) ordered compositions of N.  It never touches motifs or
-  pairing rules, which makes it a genuinely independent cross-check of the
-  dynamic program (and of brute-force enumeration).
+  over the ordered compositions of N, merged per cut position.  It never
+  touches motifs or pairing rules, which makes it a genuinely independent
+  cross-check of the dynamic program (and of brute-force enumeration).
 
 Degeneracies are exact integers everywhere.  The DP packs its coefficient
 vectors into single big integers, one fixed-width slot per energy cell, so
@@ -40,11 +40,10 @@ from math import comb
 import numpy as np
 
 from .chains import ChainSpec, dispersion
-from .errors import CapacityError, ValidationError
+from .errors import ValidationError
 from .motifs import DeltaRule, delta, rule_for
-from .table import DEFAULT_MEMORY_BUDGET, DensityTable, check_grid_budget
-
-DEFAULT_COMPOSITION_CAP = 24
+from .table import COMPOSITION_CEILING, OBJECT_UPDATE, DensityTable, check_grid_budget
+from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
 
 def _bond_plan(rule: DeltaRule, m: int) -> list:
@@ -104,7 +103,7 @@ def _predicted_peak(m: int, plan: list, cells: int, slot_bits: int):
     return max(live * polynomial, unpack), detail
 
 
-def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
+def _bond_dp(spec, rule, slot_bits, combine):
     """The per-bond recursion shared by :func:`density_dp` and
     :func:`level_support`.
 
@@ -127,8 +126,7 @@ def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     Raises
     ------
     CapacityError
-        If the memory prediction of :func:`_predicted_peak` exceeds
-        `memory_budget` bytes.
+        If the prediction of :func:`_predicted_peak` exceeds the memory budget.
     """
     if rule is None:
         rule = rule_for(spec)
@@ -136,8 +134,7 @@ def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     disp = dispersion(spec)
     plan = _bond_plan(rule, m)
     peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, slot_bits)
-    if peak > memory_budget:
-        raise CapacityError(f"{detail}, over the budget of {memory_budget}")
+    check_grid_budget(detail, peak)
     low_top = max(k for k, _ in plan)
     high_bottom = min(k for k, _ in plan)
     last_use = {k: dest for dest, (k, _) in enumerate(plan)}
@@ -163,11 +160,7 @@ def _bond_dp(spec, rule, slot_bits, combine, memory_budget):
     return reduce(combine, state), disp
 
 
-def density_dp(
-    spec: ChainSpec,
-    rule: DeltaRule | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> DensityTable:
+def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     """Exact level density via a per-bond dynamic program.
 
     Each energy cell holds the number of prefixes reaching it, in a slot
@@ -178,11 +171,10 @@ def density_dp(
     Raises
     ------
     CapacityError
-        If the dense energy grid and its unpacking would exceed
-        `memory_budget` bytes.
+        If the energy grid and its unpacking would exceed the memory budget.
     """
     slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    packed, disp = _bond_dp(spec, rule, 8 * slot, operator.add, memory_budget)
+    packed, disp = _bond_dp(spec, rule, 8 * slot, operator.add)
     cells = disp.scaled_total + 1
     rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
     del packed
@@ -213,11 +205,7 @@ class LevelSupport:
         return self.scaled
 
 
-def level_support(
-    spec: ChainSpec,
-    rule: DeltaRule | None = None,
-    memory_budget: int = DEFAULT_MEMORY_BUDGET,
-) -> LevelSupport:
+def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSupport:
     """The set of distinct levels, from the recursion of :func:`density_dp`
     with one bit per energy cell and ``|`` in place of ``+``.
 
@@ -229,9 +217,9 @@ def level_support(
     ------
     CapacityError
         If the bit grid and its unpacking (a byte and an int64 per cell)
-        would exceed `memory_budget` bytes.
+        would exceed the memory budget.
     """
-    packed, disp = _bond_dp(spec, rule, 1, operator.or_, memory_budget)
+    packed, disp = _bond_dp(spec, rule, 1, operator.or_)
     cells = disp.scaled_total + 1
     bits = np.unpackbits(
         np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8), bitorder="little"
@@ -269,7 +257,7 @@ def _coefficient_bound(n: int, dfac: list, longest_part: int) -> int:
     return max(total, max(bound))
 
 
-def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> DensityTable:
+def composition_density(spec: ChainSpec) -> DensityTable:
     """Exact level density from the partition-function sum over compositions.
 
     Every ordered composition (k_1, ..., k_r) of N contributes
@@ -277,10 +265,11 @@ def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> 
         prod_i d(k_i) * q**(sum of F at its cut points)
                       * prod over non-cut bonds of (1 - q**F(bond))
 
-    with d the spin degeneracy factor.  The 2**(N-1) terms are expanded by
-    walking the cut positions left to right; composition prefixes whose
-    last cut sits at the same bond share their entire remaining expansion,
-    so they are merged into one polynomial per cut position.  The term
+    with d the spin degeneracy factor.  The terms are expanded by walking
+    the cut positions left to right; composition prefixes whose last cut
+    sits at the same bond share their entire remaining expansion, so they
+    are merged into one polynomial per cut position, and each cut position
+    costs at most (longest nonvanishing part) grid updates.  The term
     multiset is exactly the composition sum (the spec of which ordered
     composition contributed what never changes, only the association of
     the additions), and parts with vanishing degeneracy factor
@@ -289,16 +278,12 @@ def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> 
     Raises
     ------
     CapacityError
-        If N exceeds `cap`, or if its N + 4 grids (one merged polynomial
-        per cut position and four working grids) exceed the memory budget.
-        A cell counts 8 bytes, or for object grids a pointer plus an int
-        as wide as the coefficient bound.
+        If its weighted grid-cell updates exceed ``COMPOSITION_CEILING``, or
+        its N + 3 grids (the merged polynomials, the accumulator, the running
+        product and one temporary) and the output, five 8-byte entries and
+        an int a cell, exceed the memory budget.
     """
     n, m = spec.n_spins, spec.m
-    if n > cap:
-        raise CapacityError(
-            f"composition sum over 2**{n - 1} terms exceeds the cap N <= {cap}"
-        )
     disp = dispersion(spec)
     weights = disp.scaled
     top = disp.scaled_total
@@ -306,20 +291,26 @@ def composition_density(spec: ChainSpec, cap: int = DEFAULT_COMPOSITION_CAP) -> 
     longest_part = max((k for k in range(1, n + 1) if dfac[k]), default=0)
     if longest_part == 0:
         raise ValidationError("all spin degeneracy factors vanish")
+    size = top + 1
+    updates = size * sum(min(n - cut, longest_part) for cut in range(n))
+    text = f"composition sum makes {updates} updates of {n + 3} grids of {size} cells"
+    # int64 figures first, as lower bounds: the coefficient bound takes N x longest_part steps
+    check_grid_budget(f"{text} of >= 8 bytes", 8 * (n + 3) * size, updates, COMPOSITION_CEILING)
     # int64 unless a rigorous worst-case coefficient bound says otherwise;
     # an object cell holds a pointer and an int no wider than the bound.
     bound = _coefficient_bound(n, dfac, longest_part)
+    int_bytes = sys.getsizeof(bound)
     if bound < 2 ** 62:
-        dtype, cell_bytes = np.int64, 8
+        dtype, cell_bytes, weight = np.int64, 8, 1
     else:
-        dtype, cell_bytes = object, 8 + sys.getsizeof(bound)
-    check_grid_budget("composition sum", top + 1, n + 4, cell_bytes)
-    size = top + 1
-    merged = [None] * n  # merged[p]: expansion of all prefixes with last cut at bond p
-    start = np.zeros(size, dtype=dtype)
-    start[0] = 1
-    merged[0] = start
+        dtype, cell_bytes, weight = object, 8 + int_bytes, OBJECT_UPDATE
+    nbytes = size * ((n + 3) * cell_bytes + 40 + int_bytes)
+    check_grid_budget(f"{text}, {np.dtype(dtype)} cells of {cell_bytes} bytes and updates of "
+                      f"weight {weight}; with the output {nbytes} bytes", nbytes, weight * updates,
+                      COMPOSITION_CEILING)
     acc = np.zeros(size, dtype=dtype)
+    merged = [acc.copy()] + [None] * (n - 1)  # merged[p]: all prefixes with last cut at bond p
+    merged[0][0] = 1
     for last_cut in range(n):
         poly = merged[last_cut]
         if poly is None:

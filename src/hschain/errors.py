@@ -6,10 +6,10 @@ class ValidationError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Raised when a computation would exceed a configured size cap.
-
-    The message states the offending size and, where one exists, the
-    backend that can handle the request instead.
+    """Raised by :func:`hschain.table.check_grid_budget`, before anything is
+    allocated, when a backend's predicted bytes pass the memory budget or its
+    predicted work passes its ceiling.  The message states the prediction
+    and, where one exists, the backend that can handle the request instead.
     """
 
 

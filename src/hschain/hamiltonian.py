@@ -14,8 +14,8 @@ solves one weight sector at a time; of the sectors that a permutation of
 the colours maps onto one another, it solves only one.  The Jacobi sweeps
 rotate disjoint pairs of indices together, one numpy update per round.
 
-Only small chains are in scope: ``DEFAULT_DENSE_CAP`` caps the dimension
-m**N, while the site layout has no cap.
+Only small chains are in scope: ``ORACLE_CEILING`` caps the Jacobi work
+of the solved sectors, while the site layout has no cap.
 """
 
 from __future__ import annotations
@@ -23,17 +23,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .chains import ChainSpec
 from .density import density_dp
-from .errors import CapacityError, ConvergenceError, ValidationError
-from .table import DensityTable
+from .errors import ConvergenceError, ValidationError
+from .table import ORACLE_CEILING, DensityTable, check_grid_budget
 
-# The slowest chain this admits by default, HS N=12 m=2, takes about
-# 6 min and 216 MB on a 2-vCPU Xeon (its largest weight sector has dim 924).
-DEFAULT_DENSE_CAP = 4096
 ZERO_RESIDUAL_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-10
 JACOBI_MAX_SWEEPS = 60
@@ -145,16 +143,30 @@ def exchange_coefficients(spec: ChainSpec) -> np.ndarray:
     return coef
 
 
-def build_hamiltonian(spec: ChainSpec, cap: int = DEFAULT_DENSE_CAP) -> DenseOperator:
+def _check_oracle_cost(spec: ChainSpec) -> None:
+    """Refuse a chain whose H and a copy of it (peaks of 1.03 to 1.51 H are
+    measured) pass the memory budget; only then list the solved sectors, one
+    per partition of N into at most m parts, and refuse a chain whose sum of
+    their dim**3 passes ``ORACLE_CEILING``."""
+    n, dim = spec.n_spins, spec.n_states
+    text = f"dense Hamiltonian of dim m**N = {dim} needs 2 x 8 x {dim}**2 bytes"
+    check_grid_budget(text, 16 * dim * dim)
+    work = sum((math.factorial(n) // math.prod(map(math.factorial, counts))) ** 3
+               for counts in combinations_with_replacement(range(n + 1), spec.m)
+               if sum(counts) == n)
+    check_grid_budget(f"{text} and {work} units of Jacobi work, the sum of dim**3 over the "
+                      "solved sectors", 16 * dim * dim, work, ORACLE_CEILING)
+
+
+def build_hamiltonian(spec: ChainSpec) -> DenseOperator:
     """Dense Hamiltonian sum of h_ij (1 - epsilon * exchange of spins i, j).
 
     The exchange acts by permuting base-m digits of the basis index, so
     each pair contributes one diagonal shift and one permutation matrix.
     Exactly symmetric by construction.
     """
+    _check_oracle_cost(spec)
     dim = spec.n_states
-    if dim > cap:
-        raise CapacityError(f"dense Hamiltonian supports m**N <= {cap}, got {dim}")
     n, m = spec.n_spins, spec.m
     coef = exchange_coefficients(spec)
     weight = m ** np.arange(n - 1, -1, -1)
@@ -347,7 +359,7 @@ def _expand_density(density: DensityTable) -> tuple[np.ndarray, tuple]:
     return np.repeat(energies, density.degeneracies), density.degeneracies
 
 
-def oracle_compare(spec: ChainSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> OracleReport:
+def oracle_compare(spec: ChainSpec) -> OracleReport:
     """Diagonalize the dense Hamiltonian, one weight sector at a time, and
     line its spectrum up against the motif energies.
 
@@ -358,7 +370,7 @@ def oracle_compare(spec: ChainSpec, dense_cap: int = DEFAULT_DENSE_CAP) -> Oracl
     normalization actually observed.  Multiplicity patterns must agree
     exactly, clustered at ``CLUSTER_TOL`` times the spectral spread.
     """
-    operator = build_hamiltonian(spec, cap=dense_cap)
+    operator = build_hamiltonian(spec)
     eig = _sector_eigenvalues(operator.matrix, _weight_sectors(spec))
     motif_values, motif_sizes = _expand_density(density_dp(spec))
 

@@ -17,13 +17,12 @@ from fractions import Fraction
 import numpy as np
 
 from .chains import FERRO, ChainSpec, DispersionTable, dispersion
-from .errors import CapacityError, ValidationError
-from .table import DensityTable, check_grid_budget
+from .errors import ValidationError
+from .table import ENUMERATION_CEILING, DensityTable, check_grid_budget
 
 # Degeneracies are exact Python integers throughout; numpy counts are only
 # used below the 2**63 overflow line and converted on the way out.
 
-DEFAULT_ENUMERATION_CAP = 10 ** 8
 _BLOCK = 1 << 18
 
 
@@ -127,11 +126,7 @@ def motif_energy(motif, disp: DispersionTable) -> Fraction:
     return sum((v for b, v in zip(motif, disp.values) if b), Fraction(0))
 
 
-def brute_force_density(
-    spec: ChainSpec,
-    rule: DeltaRule | None = None,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> DensityTable:
+def brute_force_density(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     """Exact level density by enumerating all m**N spin configurations.
 
     Configurations are generated in blocks as base-m digit expansions and
@@ -141,24 +136,21 @@ def brute_force_density(
     Raises
     ------
     CapacityError
-        If m**N exceeds `cap` (default 1e8); use density_dp instead,
-        which handles large N in polynomial time.  Also if the count grid
-        and one block's counts, two int64 grids, exceed the memory budget.
+        If m**N exceeds ``ENUMERATION_CEILING``; density_dp handles large N
+        in polynomial time.  Also if the count grid and one block's counts,
+        two int64 grids, exceed the memory budget.
     """
     if rule is None:
         rule = rule_for(spec)
     _check_rule_m(rule, spec.m)
     n, m = spec.n_spins, spec.m
     total = spec.n_states
-    if total > cap:
-        raise CapacityError(
-            f"m**N = {total} exceeds the enumeration cap {cap}; "
-            "use density_dp for chains of this size"
-        )
     disp = dispersion(spec)
-    weights = np.array(disp.scaled, dtype=np.int64)
     top = disp.scaled_total
-    check_grid_budget("enumeration", top + 1, 2, 8)
+    check_grid_budget(f"enumeration needs 2 grids of {top + 1} cells x 8 bytes and visits "
+                      f"m**N = {total} states (density_dp takes larger chains)",
+                      16 * (top + 1), total, ENUMERATION_CEILING)
+    weights = np.array(disp.scaled, dtype=np.int64)
     counts = np.zeros(top + 1, dtype=np.int64)
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, _BLOCK):

@@ -11,9 +11,18 @@ import numpy as np
 
 from .errors import CapacityError, ValidationError
 
-# Bytes a density backend may hold at once: the predicted peak of the bond
-# recursion in hschain.density, or the dense grids of the other backends.
+# The limits of check_grid_budget, the gate of every backend: the bytes any
+# backend may hold at once, then each backend's work in the unit its time
+# follows (single runs on a 2-vCPU Xeon).
 DEFAULT_MEMORY_BUDGET = 1 << 30
+# Brute force: m**N states, about 30 ns per state and bond (80 s at N = 26).
+ENUMERATION_CEILING = 10 ** 8
+# Composition sum: grid-cell updates, about 4 ns on int64 grids; one on object
+# grids (50 to 100 ns) counts OBJECT_UPDATE.  About 10 s (HS N=64 m=2: 7.1 s).
+COMPOSITION_CEILING = 25 * 10 ** 8
+OBJECT_UPDATE = 20
+# Dense oracle: dim**3 summed over its solved sectors, about 0.25 us each.
+ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
 
 
 def format_rational(value: Fraction) -> str:
@@ -34,12 +43,14 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def check_grid_budget(backend: str, cells: int, grids: int, cell_bytes: int) -> None:
-    """Raise CapacityError, before any is allocated, if `grids` arrays of
-    `cells` energy cells at `cell_bytes` a cell exceed ``DEFAULT_MEMORY_BUDGET``."""
-    if cell_bytes * cells * grids > DEFAULT_MEMORY_BUDGET:
-        raise CapacityError(f"{backend} needs {grids} grids of {cells} cells x {cell_bytes} "
-                            f"bytes, over the budget of {DEFAULT_MEMORY_BUDGET}")
+def check_grid_budget(prediction: str, nbytes: int, work: int = 0, ceiling: int = 0) -> None:
+    """Raise CapacityError, before anything is allocated, if the predicted
+    `nbytes` exceed ``DEFAULT_MEMORY_BUDGET`` or the predicted `work`
+    exceeds its `ceiling`; `prediction` states the arithmetic behind both."""
+    if nbytes > DEFAULT_MEMORY_BUDGET or work > ceiling:
+        over = nbytes > DEFAULT_MEMORY_BUDGET
+        limit = f"budget of {DEFAULT_MEMORY_BUDGET}" if over else f"ceiling of {ceiling}"
+        raise CapacityError(f"{prediction}, over the {limit}")
 
 
 def csv_text(header_lines, columns: str, lines) -> str:

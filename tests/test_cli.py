@@ -140,9 +140,21 @@ def test_bad_flag_exits_one(tmp_path):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["density", "--family", "hs", "--N", "3", "--m", "2", "--enumeration-cap", "10"],
+    ["density", "--family", "hs", "--N", "3", "--m", "2", "--composition-cap", "30"],
+    ["oracle", "--family", "hs", "--N", "3", "--m", "2", "--dense-cap", "8"],
+    ["crosscheck", "--brute-cap", "10"],
+])
+def test_removed_cap_flags_exit_one(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+
+
 def test_capacity_violation_exits_one(tmp_path, capsys):
     rc = run(tmp_path, "density", "--family", "pf", "--N", "30", "--m", "2",
-             "--backend", "brute", "--enumeration-cap", "1000")
+             "--backend", "brute")
     assert rc == 1
     assert "error:" in capsys.readouterr().err
 
@@ -154,6 +166,7 @@ def test_capacity_violation_exits_one(tmp_path, capsys):
     (["charfn", "--family", "hs", "--N", "8", "--m", "2", "--t-max", "inf"], "--t-max"),
     (["charfn", "--family", "hs", "--N", "8", "--m", "2", "--t-max", "nan"], "--t-max"),
     (["convergence", "--family", "hs", "--m", "2", "--n-sweep", "16:16:geometric"], "one N"),
+    (["crosscheck", "--max-N", "1"], "max_n"),
 ])
 def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 1

@@ -1,6 +1,7 @@
 """Dense Hamiltonians, the Jacobi eigensolver, and the spectrum oracle."""
 
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -18,7 +19,12 @@ from hschain import (
     jacobi_eigenvalues,
     oracle_compare,
 )
-from hschain.hamiltonian import _sector_eigenvalues, _weight_sectors, exchange_coefficients
+from hschain.hamiltonian import (
+    _check_oracle_cost,
+    _sector_eigenvalues,
+    _weight_sectors,
+    exchange_coefficients,
+)
 
 
 def test_circle_sites_are_uniform_angles():
@@ -112,6 +118,51 @@ def test_trace_counts_misaligned_pairs():
 def test_dense_cap():
     with pytest.raises(CapacityError):
         build_hamiltonian(ChainSpec("HS", 13, 2))
+
+
+@pytest.mark.parametrize("spec, refusal", [
+    (ChainSpec("HS", 12, 2), None),  # 1.42e9 units of Jacobi work
+    (ChainSpec("FI", 7, 3, alpha=2), None),
+    (ChainSpec("HS", 13, 2), "over the ceiling"),  # 7.57e9 units, H fits the budget exactly
+    (ChainSpec("HS", 7, 4), "over the budget"),  # 2 x 8 x 16384**2 bytes
+])
+def test_oracle_cost_prediction(spec, refusal):
+    if refusal is None:
+        _check_oracle_cost(spec)
+    else:
+        with pytest.raises(CapacityError, match=refusal):
+            _check_oracle_cost(spec)
+
+
+def _spy_on_the_gate(monkeypatch):
+    calls = []
+    check = hschain.hamiltonian.check_grid_budget
+    monkeypatch.setattr(hschain.hamiltonian, "check_grid_budget",
+                        lambda *args: calls.append(args) or check(*args))
+    return calls
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 7, 2), ChainSpec("FI", 5, 3, alpha=2), ChainSpec("HS", 4, 4),
+])
+def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
+    calls = _spy_on_the_gate(monkeypatch)
+    _check_oracle_cost(spec)
+    solved = [s for c, s in _weight_sectors(spec).items() if list(c) == sorted(c, reverse=True)]
+    assert calls[-1][2] == sum(s.size ** 3 for s in solved)
+
+
+def test_oracle_peak_stays_within_its_prediction(monkeypatch):
+    # HS N=9 m=2: H takes 2 MiB and the oracle peaks near 1.5 H, against 2 H predicted
+    calls = _spy_on_the_gate(monkeypatch)
+    tracemalloc.start()
+    try:
+        report = oracle_compare(ChainSpec("HS", 9, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.multiplicities_match
+    assert peak <= calls[-1][1], (peak, calls[-1][1])
 
 
 def test_jacobi_solves_known_matrices():

@@ -1,6 +1,7 @@
 """Pairing rules, motif vectors, and the brute-force spectrum."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -139,5 +140,12 @@ def test_single_valued_spins_collapse_to_one_level():
 
 
 def test_enumeration_cap_is_enforced():
-    with pytest.raises(CapacityError, match="density_dp"):
-        brute_force_density(ChainSpec("HS", 12, 2), cap=1000)
+    # 2**27 states, over the ceiling of 10**8, refused before any block is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="density_dp"):
+            brute_force_density(ChainSpec("HS", 27, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
