@@ -28,6 +28,8 @@ from .transfer import charfn_exact, charfn_from_density, default_t_grid
 
 CHARFN_TOL = 1e-10
 _BRUTE_STATES = 300_000
+_M_VALUES = (2, 3)
+_ALPHAS = (1, Fraction(3, 2))
 
 
 @dataclass(frozen=True)
@@ -54,11 +56,10 @@ class CrosscheckReport:
         return tuple(r for r in self.results if not r.passed)
 
 
-def _grid(max_n: int, m_values, alphas):
+def _grid(max_n: int):
     for family in FAMILIES:
-        family_alphas = alphas if family == "FI" else (None,)
-        for alpha in family_alphas:
-            for m in m_values:
+        for alpha in _ALPHAS if family == "FI" else (None,):
+            for m in _M_VALUES:
                 for epsilon in (FERRO, ANTIFERRO):
                     for n in range(2, max_n + 1):
                         yield ChainSpec(family, n, m, epsilon, alpha)
@@ -68,12 +69,9 @@ def _exact(name: str, spec: ChainSpec, agree: bool) -> CheckResult:
     return CheckResult(name=name, spec=spec, deviation=0.0 if agree else 1.0, passed=agree)
 
 
-def run_crosscheck(
-    max_n: int = 12,
-    m_values=(2, 3),
-    alphas=(1, Fraction(3, 2)),
-) -> CrosscheckReport:
-    """Compare all redundant routes over a grid of chains, N = 2..`max_n`.
+def run_crosscheck(max_n: int = 12) -> CrosscheckReport:
+    """Compare all redundant routes over a grid of chains, N = 2..`max_n`,
+    m = 2 and 3, and for FI alpha = 1 and 3/2.
 
     The brute-force route joins in only while m**N stays within 300,000;
     the other comparisons run on the full grid.  The characteristic
@@ -83,7 +81,7 @@ def run_crosscheck(
         raise ValidationError(f"max_n must be at least 2, got {max_n}")
     t = default_t_grid()
     results = []
-    for spec in _grid(max_n, m_values, alphas):
+    for spec in _grid(max_n):
         dense = density_dp(spec)
         results.append(_exact("density_dp_vs_composition", spec,
                               dense == composition_density(spec)))

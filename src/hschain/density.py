@@ -268,29 +268,30 @@ def composition_density(spec: ChainSpec) -> DensityTable:
     with d the spin degeneracy factor.  The terms are expanded by walking
     the cut positions left to right; composition prefixes whose last cut
     sits at the same bond share their entire remaining expansion, so they
-    are merged into one polynomial per cut position, and each cut position
+    are merged into one polynomial per cut position, row p of one
+    (N + 1) x cells grid.  Its last row collects the finished terms: the
+    last part ends at site N and adds there at shift 0.  Each cut position
     costs at most (longest nonvanishing part) grid updates.  The term
     multiset is exactly the composition sum (the spec of which ordered
     composition contributed what never changes, only the association of
-    the additions), and parts with vanishing degeneracy factor
-    (epsilon=-1, parts longer than m) are skipped outright.
+    the additions).  Parts with vanishing degeneracy factor (epsilon=-1,
+    parts longer than m) are never formed: d(k) is nonzero for every k up
+    to the longest such part, since d(1) = m.
 
     Raises
     ------
     CapacityError
         If its weighted grid-cell updates exceed ``COMPOSITION_CEILING``, or
-        its N + 3 grids (the merged polynomials, the accumulator, the running
-        product and one temporary) and the output, five 8-byte entries and
-        an int a cell, exceed the memory budget.
+        its N + 3 grids (the N + 1 rows of merged polynomials and finished
+        terms, the running product and one temporary) and the output, five
+        8-byte entries and an int a cell, exceed the memory budget.
     """
     n, m = spec.n_spins, spec.m
     disp = dispersion(spec)
-    weights = disp.scaled
+    shifts = [*disp.scaled, 0]  # F at each cut; the last part closes at shift 0
     top = disp.scaled_total
     dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
-    longest_part = max((k for k in range(1, n + 1) if dfac[k]), default=0)
-    if longest_part == 0:
-        raise ValidationError("all spin degeneracy factors vanish")
+    longest_part = max(k for k in range(1, n + 1) if dfac[k])
     size = top + 1
     updates = size * sum(min(n - cut, longest_part) for cut in range(n))
     text = f"composition sum makes {updates} updates of {n + 3} grids of {size} cells"
@@ -308,31 +309,19 @@ def composition_density(spec: ChainSpec) -> DensityTable:
     check_grid_budget(f"{text}, {np.dtype(dtype)} cells of {cell_bytes} bytes and updates of "
                       f"weight {weight}; with the output {nbytes} bytes", nbytes, weight * updates,
                       COMPOSITION_CEILING)
-    acc = np.zeros(size, dtype=dtype)
-    merged = [acc.copy()] + [None] * (n - 1)  # merged[p]: all prefixes with last cut at bond p
-    merged[0][0] = 1
+    merged = np.zeros((n + 1, size), dtype=dtype)  # row p: all prefixes with last cut at bond p
+    merged[0, 0] = 1
     for last_cut in range(n):
-        poly = merged[last_cut]
-        if poly is None:
-            continue
-        running = poly  # gains one (1 - q**F(bond)) factor per passed bond
-        for p in range(last_cut + 1, n + 1):
-            d = dfac[p - last_cut]
-            if p == n:
-                if d:
-                    acc += d * running
-                break
-            w = weights[p - 1]
-            if d:
-                if merged[p] is None:
-                    merged[p] = np.zeros(size, dtype=dtype)
-                merged[p][w:] += d * running[: size - w]
-            if p - last_cut >= longest_part:
-                break  # longer parts all have d = 0
-            extended = running.copy()
-            extended[w:] -= running[: size - w]
-            running = extended
-    return DensityTable.from_grid(acc, disp.energy_scale, spec.n_states)
+        running = merged[last_cut]  # gains one (1 - q**F(bond)) factor per passed bond
+        stop = min(n, last_cut + longest_part)  # longer parts all have d = 0
+        for p in range(last_cut + 1, stop + 1):
+            w = shifts[p - 1]
+            merged[p, w:] += dfac[p - last_cut] * running[: size - w]
+            if p < stop:
+                extended = running.copy()
+                extended[w:] -= running[: size - w]
+                running = extended
+    return DensityTable.from_grid(merged[n], disp.energy_scale, spec.n_states)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:

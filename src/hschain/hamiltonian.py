@@ -370,9 +370,11 @@ def oracle_compare(spec: ChainSpec) -> OracleReport:
     normalization actually observed.  Multiplicity patterns must agree
     exactly, clustered at ``CLUSTER_TOL`` times the spectral spread.
     """
+    # the motif side first: its gate refuses chains (m = 1 at large N, say)
+    # that the oracle's own gate admits but whose exchange pairs cost N**2
+    motif_values, motif_sizes = _expand_density(density_dp(spec))
     operator = build_hamiltonian(spec)
     eig = _sector_eigenvalues(operator.matrix, _weight_sectors(spec))
-    motif_values, motif_sizes = _expand_density(density_dp(spec))
 
     direct = float(np.abs(eig - motif_values).max())
     spread = float(motif_values.max() - motif_values.min())

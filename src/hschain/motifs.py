@@ -129,16 +129,20 @@ def motif_energy(motif, disp: DispersionTable) -> Fraction:
 def brute_force_density(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     """Exact level density by enumerating all m**N spin configurations.
 
-    Configurations are generated in blocks as base-m digit expansions and
-    their motif energies accumulated on the scaled integer energy grid.
+    Configurations are the base-m digit expansions of the codes 0..m**N - 1,
+    taken in blocks of ``_BLOCK`` codes.  A block peels the digits off its
+    codes from the last spin to the first, carrying each spin's right-hand
+    neighbour, adds the dispersion value of every set motif bit to the
+    codes' energies and counts them on the scaled integer energy grid.
     The result is independent of the block size.
 
     Raises
     ------
     CapacityError
         If m**N exceeds ``ENUMERATION_CEILING``; density_dp handles large N
-        in polynomial time.  Also if the count grid and one block's counts,
-        two int64 grids, exceed the memory budget.
+        in polynomial time.  Also if the count grid, one block's counts (two
+        int64 grids) and a block's five int64 arrays and its motif bits (41
+        bytes a code, whatever N is) exceed the memory budget.
     """
     if rule is None:
         rule = rule_for(spec)
@@ -147,18 +151,20 @@ def brute_force_density(spec: ChainSpec, rule: DeltaRule | None = None) -> Densi
     total = spec.n_states
     disp = dispersion(spec)
     top = disp.scaled_total
-    check_grid_budget(f"enumeration needs 2 grids of {top + 1} cells x 8 bytes and visits "
-                      f"m**N = {total} states (density_dp takes larger chains)",
-                      16 * (top + 1), total, ENUMERATION_CEILING)
+    check_grid_budget(f"enumeration needs 2 grids of {top + 1} cells x 8 bytes and 41 bytes "
+                      f"for each of a block's {_BLOCK} codes, and visits m**N = {total} "
+                      "states (density_dp takes larger chains)",
+                      16 * (top + 1) + 41 * _BLOCK, total, ENUMERATION_CEILING)
     weights = np.array(disp.scaled, dtype=np.int64)
     counts = np.zeros(top + 1, dtype=np.int64)
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, _BLOCK):
         codes = np.arange(start, min(start + _BLOCK, total), dtype=np.int64)
-        digits = (codes[:, None] // place[None, :]) % m + 1
+        right = codes % m + 1  # the last spin's value
         energies = np.zeros(len(codes), dtype=np.int64)
-        for i in range(n - 1):
-            bits = delta_bits(rule, digits[:, i], digits[:, i + 1], m)
-            energies += bits * weights[i]
+        for i in range(n - 2, -1, -1):
+            codes //= m
+            left = codes % m + 1
+            np.add(energies, weights[i], out=energies, where=delta_bits(rule, left, right, m))
+            right = left
         counts += np.bincount(energies, minlength=top + 1)
     return DensityTable.from_grid(counts, disp.energy_scale, total)

@@ -281,16 +281,11 @@ def convergence_report(
         raise ValidationError(
             f"convergence sweep {tuple(n_values)} has one N; fitting a slope needs two distinct N"
         )
-    t = np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
-    gauss = np.exp(-t * t / 2.0)
     d_gauss, d_asym = [], []
     for n in n_values:
-        spec = ChainSpec(family, int(n), m, epsilon, alpha)
-        stats = closed_form_moments(spec)
-        exact = charfn_exact(spec, stats, t)
-        asym = charfn_asymptotic(spec, stats, t)
-        d_gauss.append(float(np.abs(exact - gauss).max()))
-        d_asym.append(float(np.abs(exact - asym).max()))
+        series = charfn_series(ChainSpec(family, int(n), m, epsilon, alpha), t_grid=t_grid)
+        d_gauss.append(float(np.abs(series.exact_values - series.gaussian_ref).max()))
+        d_asym.append(float(np.abs(series.exact_values - series.asymptotic_values).max()))
     logn = np.log(np.asarray(n_values, dtype=float))
     gauss_slope = float(np.polyfit(logn, np.log(d_gauss), 1)[0])
     asym_slope = float(np.polyfit(logn, np.log(d_asym), 1)[0])

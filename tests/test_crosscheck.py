@@ -1,12 +1,10 @@
 """The internal consistency suite that backs the crosscheck subcommand."""
 
-from fractions import Fraction
-
 from hschain import run_crosscheck
 
 
 def test_small_sweep_is_consistent():
-    report = run_crosscheck(max_n=6, m_values=(2,), alphas=(Fraction(3, 2),))
+    report = run_crosscheck(max_n=6)
     assert report.passed
     assert not report.failures
     names = {result.name for result in report.results}
@@ -20,7 +18,7 @@ def test_small_sweep_is_consistent():
 
 
 def test_every_result_carries_its_spec():
-    report = run_crosscheck(max_n=4, m_values=(2,), alphas=(1,))
+    report = run_crosscheck(max_n=4)
     families = {result.spec.family for result in report.results}
     assert families == {"HS", "PF", "FI"}
     for result in report.results:

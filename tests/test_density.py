@@ -56,6 +56,16 @@ def test_dp_matches_brute_force():
         assert density_dp(spec) == brute_force_density(spec), spec
 
 
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 22, 2, -1),
+    ChainSpec("PF", 13, 3),
+    ChainSpec("FI", 11, 4, -1, Fraction(3, 2)),
+])
+def test_dp_matches_brute_force_beyond_a_million_states(spec):
+    # 4.2 M, 1.6 M and 4.2 M states: past the 10**6 of acceptance 03
+    assert density_dp(spec) == brute_force_density(spec), spec
+
+
 def test_composition_matches_dp():
     for (family, alpha), m, n, eps in itertools.product(
         FAMILY_GRID, (2, 3, 4), range(2, 11), (1, -1)

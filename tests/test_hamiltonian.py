@@ -165,6 +165,19 @@ def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     assert peak <= calls[-1][1], (peak, calls[-1][1])
 
 
+def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
+    # m = 1 passes the oracle's gate (dim 1) at any N, but its N(N - 1)/2
+    # exchange pairs would take minutes at N = 3000: the motif side refuses first
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            oracle_compare(ChainSpec("HS", 3000, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_jacobi_solves_known_matrices():
     assert np.allclose(jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]])), [1, 3])
     assert np.allclose(jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]])), [-1, 1])

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hschain.motifs
 from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, dispersion
 from hschain.motifs import brute_force_density, delta, motif_energy, motif_of, rule_for
 
@@ -149,3 +150,20 @@ def test_enumeration_cap_is_enforced():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("spec", [ChainSpec("HS", 16, 2), ChainSpec("HS", 20, 2), ChainSpec("PF", 10, 4)])
+def test_brute_force_peak_stays_within_the_counted_bytes(spec, monkeypatch):
+    # a block holds a fixed handful of arrays whatever N is: the peak is
+    # about 10.5 MB from HS N=20 m=2 on, within the 10.7 MB counted for them
+    checks = []
+    check = hschain.motifs.check_grid_budget
+    monkeypatch.setattr(hschain.motifs, "check_grid_budget",
+                        lambda *args: checks.append(args) or check(*args))
+    tracemalloc.start()
+    try:
+        brute_force_density(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= checks[-1][1], (spec, peak, checks[-1][1])
