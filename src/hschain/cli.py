@@ -316,10 +316,9 @@ def _cmd_kscan(args) -> int:
 def _cmd_oracle(args) -> int:
     spec = _resolve_spec(args)
     report = oracle_compare(spec)
-    config = _config(spec)
-    payload = {"report": report.to_json_dict()}
-    print(_json_text({"config": config, **payload}))
-    _emit(args, "oracle", config, json=lambda: payload)
+    _emit(args, "oracle", _config(spec), json=lambda: {"report": report.to_json_dict()})
+    print(f"states = {spec.n_states}, affine deviation = {format_cell(report.affine_deviation)}, "
+          f"multiplicities match = {report.multiplicities_match}")
     return 0
 
 

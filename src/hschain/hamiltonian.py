@@ -10,20 +10,19 @@ path from the counting backends: floating point instead of exact
 integers, site geometry instead of the dispersion sequence.
 
 Every exchange keeps the number of spins of each colour, so the oracle
-solves one weight sector at a time; of the sectors that a permutation of
-the colours maps onto one another, it solves only one.  The Jacobi sweeps
-rotate disjoint pairs of indices together, one numpy update per round.
+builds one weight sector's block at a time, and only one of the sectors
+that a permutation of the colours maps onto one another.  The Jacobi
+sweeps rotate disjoint pairs of indices together, one numpy update per round.
 
-Only small chains are in scope: ``ORACLE_CEILING`` caps the Jacobi work
-of the solved sectors, while the site layout has no cap.
+Only small chains are in scope: the gate holds the largest block and the
+m**N spectra to the memory budget and the Jacobi work of the solved
+sectors to ``ORACLE_CEILING``, while the site layout has no cap.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -143,42 +142,70 @@ def exchange_coefficients(spec: ChainSpec) -> np.ndarray:
     return coef
 
 
-def _check_oracle_cost(spec: ChainSpec) -> None:
-    """Refuse a chain whose H and a copy of it (peaks of 1.03 to 1.51 H are
-    measured) pass the memory budget; only then list the solved sectors, one
-    per partition of N into at most m parts, and refuse a chain whose sum of
-    their dim**3 passes ``ORACLE_CEILING``."""
-    n, dim = spec.n_spins, spec.n_states
-    text = f"dense Hamiltonian of dim m**N = {dim} needs 2 x 8 x {dim}**2 bytes"
-    check_grid_budget(text, 16 * dim * dim)
-    work = sum((math.factorial(n) // math.prod(map(math.factorial, counts))) ** 3
-               for counts in combinations_with_replacement(range(n + 1), spec.m)
-               if sum(counts) == n)
-    check_grid_budget(f"{text} and {work} units of Jacobi work, the sum of dim**3 over the "
-                      "solved sectors", 16 * dim * dim, work, ORACLE_CEILING)
+def _solved_sectors(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
+    """(counts, copies, dim) of each solved weight sector, the states with
+    counts[c] spins of colour c for non-increasing counts, one per partition
+    of N into at most m parts; a colour permutation commutes with every
+    exchange, so the `copies` sectors that permute onto it share its spectrum."""
+
+    def partitions(rest: int, largest: int, room: int):
+        if rest == 0:
+            yield ()
+        for first in range(min(rest, largest) if room else 0, 0, -1):
+            yield from ((first, *tail) for tail in partitions(rest - first, first, room - 1))
+
+    return [(p + (0,) * (spec.m - len(p)),
+             math.perm(spec.m, len(p)) // math.prod(math.factorial(p.count(v)) for v in set(p)),
+             math.factorial(spec.n_spins) // math.prod(map(math.factorial, p)))
+            for p in partitions(spec.n_spins, spec.n_spins, spec.m)]
+
+
+def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
+    """Refuse a chain whose m**N eigenvalues, motif values and temporaries
+    pass the memory budget; only then list (and return) the solved sectors,
+    and refuse a chain whose largest block with Jacobi's working copies of
+    it (peaks of 5.5 blocks are measured) joins them over the budget, or
+    whose sum of dim**3 passes ``ORACLE_CEILING``."""
+    states = spec.n_states
+    text = f"dense oracle of m**N = {states} states needs 5 x 8 x {states} bytes of spectra"
+    check_grid_budget(text, 40 * states)
+    sectors = _solved_sectors(spec)
+    size = max(dim for _, _, dim in sectors) + 1  # an odd block runs padded
+    work = sum(dim ** 3 for _, _, dim in sectors)
+    check_grid_budget(f"{text} plus 6 x 8 x {size}**2 for its largest block, and {work} units of "
+                      "Jacobi work, the sum of dim**3 over the solved sectors",
+                      40 * states + 48 * size * size, work, ORACLE_CEILING)
+    return sectors
+
+
+def _block(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Sum of h_ij (1 - epsilon * exchange of spins i, j) over ascending
+    basis indices `states` that no exchange leaves: each pair adds one
+    diagonal shift and one permutation of base-m digits, placed by the
+    positions of the exchanged states.  Exactly symmetric by construction."""
+    n, m = spec.n_spins, spec.m
+    weight = m ** np.arange(n - 1, -1, -1)
+    digits = (states[:, None] // weight[None, :]) % m
+    rows = np.arange(states.size)
+    h = np.zeros((states.size, states.size))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            swapped = states + (digits[:, j] - digits[:, i]) * (weight[i] - weight[j])
+            cols = np.searchsorted(states, swapped)
+            if not np.array_equal(states.take(cols, mode="clip"), swapped):
+                raise ValidationError(f"exchanging spins {i} and {j} leaves the given states")
+            h[rows, rows] += coef[i, j]
+            h[rows, cols] -= spec.epsilon * coef[i, j]
+    return h
 
 
 def build_hamiltonian(spec: ChainSpec) -> DenseOperator:
-    """Dense Hamiltonian sum of h_ij (1 - epsilon * exchange of spins i, j).
-
-    The exchange acts by permuting base-m digits of the basis index, so
-    each pair contributes one diagonal shift and one permutation matrix.
-    Exactly symmetric by construction.
-    """
+    """Dense Hamiltonian on the whole m**N basis, refused wherever the
+    oracle is and wherever H with a copy of it passes the memory budget."""
     _check_oracle_cost(spec)
     dim = spec.n_states
-    n, m = spec.n_spins, spec.m
-    coef = exchange_coefficients(spec)
-    weight = m ** np.arange(n - 1, -1, -1)
-    idx = np.arange(dim)
-    digits = (idx[:, None] // weight[None, :]) % m
-    h = np.zeros((dim, dim))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            swapped = idx + (digits[:, j] - digits[:, i]) * (weight[i] - weight[j])
-            h[idx, idx] += coef[i, j]
-            h[idx, swapped] -= spec.epsilon * coef[i, j]
-    return DenseOperator(matrix=h)
+    check_grid_budget(f"dense H of dim m**N = {dim} needs 2 x 8 x {dim}**2 bytes", 16 * dim * dim)
+    return DenseOperator(matrix=_block(spec, np.arange(dim), exchange_coefficients(spec)))
 
 
 def _advance(src: np.ndarray, dst: np.ndarray) -> None:
@@ -271,41 +298,25 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return np.sort(a.diagonal()[place < dim])
 
 
-def _weight_sectors(spec: ChainSpec) -> dict[tuple[int, ...], np.ndarray]:
-    """Ascending basis indices of each weight sector, keyed by the number
-    of spins of each colour."""
-    n, m = spec.n_spins, spec.m
-    idx = np.arange(spec.n_states)
-    colours = np.sort((idx[:, None] // m ** np.arange(n)) % m, axis=1)
-    multisets, which = np.unique(colours, axis=0, return_inverse=True)
-    which = which.reshape(-1)
-    return {
-        tuple(np.bincount(colours_k, minlength=m).tolist()): np.flatnonzero(which == k)
-        for k, colours_k in enumerate(multisets)
-    }
-
-
-def _sector_eigenvalues(h: np.ndarray, sectors: dict[tuple[int, ...], np.ndarray]) -> np.ndarray:
-    """Ascending eigenvalues of `h`, solved one weight sector at a time.
-
-    A permutation of the colours commutes with every exchange, so it maps
-    a sector onto one of equal spectrum: only sectors with non-increasing
-    counts are solved, each spectrum repeated once per permutation of its
-    counts.  The whole block-diagonal matrix is held to ``JACOBI_OFF_TOL``:
-    each solved block is scaled by a power of two k with k**2 at least the
-    number of sectors, which scales its sweeps exactly, so they end at an
-    off-diagonal norm below ``JACOBI_OFF_TOL / k`` in the block's units.
-    """
-    blocks = {counts: h[np.ix_(s, s)] for counts, s in sectors.items()}
-    outside = np.count_nonzero(h) - sum(np.count_nonzero(b) for b in blocks.values())
-    if outside:
-        raise ValidationError(f"{outside} entries lie outside the weight sectors")
-    twins = Counter(tuple(sorted(counts, reverse=True)) for counts in sectors)
-    k = 2.0 ** (((len(sectors) - 1).bit_length() + 1) // 2)
-    spectra = [
-        np.tile(jacobi_eigenvalues(k * block) / k, twins[counts])
-        for counts, block in blocks.items() if counts in twins
-    ]
+def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
+    """Ascending eigenvalues of the dense Hamiltonian, each solved sector's
+    spectrum repeated by its `copies`.  The whole block-diagonal matrix is
+    held to ``JACOBI_OFF_TOL``: each solved block is scaled by a power of two
+    k with k**2 at least the number of sectors, which scales its sweeps
+    exactly, so they end at an off-diagonal norm below ``JACOBI_OFF_TOL / k``
+    in the block's units."""
+    sectors = _check_oracle_cost(spec)
+    coef = exchange_coefficients(spec)
+    k = 2.0 ** (((sum(copies for _, copies, _ in sectors) - 1).bit_length() + 1) // 2)
+    spectra = []
+    for counts, copies, _ in sectors:
+        # the sector's states in ascending order, spelled out from the first spin
+        states, left = np.zeros(1, dtype=np.int64), np.array([counts])
+        for _ in range(spec.n_spins):
+            rows, colours = np.nonzero(left)
+            states, left = states[rows] * spec.m + colours, left[rows]
+            left[np.arange(rows.size), colours] -= 1
+        spectra.append(np.tile(jacobi_eigenvalues(k * _block(spec, states, coef)) / k, copies))
     return np.sort(np.concatenate(spectra))
 
 
@@ -370,11 +381,11 @@ def oracle_compare(spec: ChainSpec) -> OracleReport:
     normalization actually observed.  Multiplicity patterns must agree
     exactly, clustered at ``CLUSTER_TOL`` times the spectral spread.
     """
-    # the motif side first: its gate refuses chains (m = 1 at large N, say)
-    # that the oracle's own gate admits but whose exchange pairs cost N**2
-    motif_values, motif_sizes = _expand_density(density_dp(spec))
-    operator = build_hamiltonian(spec)
-    eig = _sector_eigenvalues(operator.matrix, _weight_sectors(spec))
+    # the motif side first: its gate refuses chains (m = 1 at large N, say) that the oracle's
+    # admits but whose exchange pairs cost N**2; its m**N values wait for the oracle's gate
+    density = density_dp(spec)
+    eig = _sector_eigenvalues(spec)
+    motif_values, motif_sizes = _expand_density(density)
 
     direct = float(np.abs(eig - motif_values).max())
     spread = float(motif_values.max() - motif_values.min())

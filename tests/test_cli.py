@@ -110,6 +110,15 @@ def test_oracle_json(tmp_path):
     assert report["multiplicities_match"] is True
 
 
+def test_oracle_prints_a_one_line_summary(tmp_path, capsys):
+    assert run(tmp_path, "oracle", "--family", "hs", "--N", "4", "--m", "2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == f"wrote {tmp_path / 'oracle.json'}"
+    assert lines[1].startswith("states = 16, affine deviation = ")
+    assert lines[1].endswith(", multiplicities match = True")
+
+
 def test_crosscheck_passes_and_writes_csv(tmp_path):
     rc = run(tmp_path, "crosscheck", "--max-N", "6")
     assert rc == 0

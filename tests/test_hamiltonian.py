@@ -20,11 +20,22 @@ from hschain import (
     oracle_compare,
 )
 from hschain.hamiltonian import (
+    _block,
     _check_oracle_cost,
     _sector_eigenvalues,
-    _weight_sectors,
+    _solved_sectors,
     exchange_coefficients,
 )
+
+
+def _brute_sectors(spec):
+    """Ascending basis indices of every weight sector, keyed by the number
+    of spins of each colour, read off the digits of every basis index."""
+    digits = np.arange(spec.n_states)[:, None] // spec.m ** np.arange(spec.n_spins) % spec.m
+    sectors = {}
+    for state, row in enumerate(digits):
+        sectors.setdefault(tuple(np.bincount(row, minlength=spec.m).tolist()), []).append(state)
+    return {counts: np.array(states) for counts, states in sectors.items()}
 
 
 def test_circle_sites_are_uniform_angles():
@@ -123,8 +134,10 @@ def test_dense_cap():
 @pytest.mark.parametrize("spec, refusal", [
     (ChainSpec("HS", 12, 2), None),  # 1.42e9 units of Jacobi work
     (ChainSpec("FI", 7, 3, alpha=2), None),
-    (ChainSpec("HS", 13, 2), "over the ceiling"),  # 7.57e9 units, H fits the budget exactly
-    (ChainSpec("HS", 7, 4), "over the budget"),  # 2 x 8 x 16384**2 bytes
+    (ChainSpec("HS", 13, 2), "over the ceiling"),  # 7.57e9 units
+    (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
+    (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
+    (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -148,12 +161,12 @@ def _spy_on_the_gate(monkeypatch):
 def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
-    solved = [s for c, s in _weight_sectors(spec).items() if list(c) == sorted(c, reverse=True)]
+    solved = [s for c, s in _brute_sectors(spec).items() if list(c) == sorted(c, reverse=True)]
     assert calls[-1][2] == sum(s.size ** 3 for s in solved)
 
 
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
-    # HS N=9 m=2: H takes 2 MiB and the oracle peaks near 1.5 H, against 2 H predicted
+    # HS N=9 m=2: Jacobi on the 126 x 126 block peaks near 5.5 blocks, against 6 predicted
     calls = _spy_on_the_gate(monkeypatch)
     tracemalloc.start()
     try:
@@ -163,6 +176,18 @@ def test_oracle_peak_stays_within_its_prediction(monkeypatch):
         tracemalloc.stop()
     assert report.multiplicities_match
     assert peak <= calls[-1][1], (peak, calls[-1][1])
+
+
+def test_oracle_holds_sector_blocks_not_the_whole_matrix():
+    # PF N=5 m=4: the whole H would take 8 MiB; the largest solved block is 60 x 60
+    tracemalloc.start()
+    try:
+        report = oracle_compare(ChainSpec("PF", 5, 4, epsilon=-1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.multiplicities_match
+    assert peak <= 1 << 20
 
 
 def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
@@ -247,13 +272,15 @@ def test_jacobi_counts_an_undecidable_convergence_test_as_not_converged(monkeypa
      {(5, 0, 0): 1, (4, 1, 0): 5, (3, 2, 0): 10, (3, 1, 1): 20, (2, 2, 1): 30}),
 ])
 def test_weight_sectors_partition_the_basis_by_colour_counts(spec, solved):
-    sectors = _weight_sectors(spec)
-    assert sorted(np.concatenate(list(sectors.values())).tolist()) == list(range(spec.n_states))
-    for counts, states in sectors.items():
-        assert sum(counts) == spec.n_spins
-        assert states.size == math.factorial(spec.n_spins) // math.prod(
-            math.factorial(c) for c in counts)
-    assert {c: s.size for c, s in sectors.items() if list(c) == sorted(c, reverse=True)} == solved
+    sectors = _solved_sectors(spec)
+    assert {counts: dim for counts, _, dim in sectors} == solved
+    everyone = _brute_sectors(spec)
+    for counts, copies, dim in sectors:
+        assert everyone[counts].size == dim
+        assert copies == sum(sorted(c, reverse=True) == list(counts) for c in everyone)
+    assert sum(copies * dim for _, copies, dim in sectors) == spec.n_states
+    assert sum(copies for _, copies, _ in sectors) == len(everyone) == math.comb(
+        spec.n_spins + spec.m - 1, spec.m - 1)
 
 
 @pytest.mark.parametrize("spec, unsorted", [
@@ -262,7 +289,7 @@ def test_weight_sectors_partition_the_basis_by_colour_counts(spec, solved):
 ])
 def test_unsorted_sector_has_the_spectrum_of_its_sorted_twin(spec, unsorted):
     h = build_hamiltonian(spec).matrix
-    sectors = _weight_sectors(spec)
+    sectors = _brute_sectors(spec)
     twin = tuple(sorted(unsorted, reverse=True))
     own, other = (jacobi_eigenvalues(h[np.ix_(sectors[c], sectors[c])]) for c in (unsorted, twin))
     assert own.size == other.size > 1
@@ -270,31 +297,30 @@ def test_unsorted_sector_has_the_spectrum_of_its_sorted_twin(spec, unsorted):
 
 
 def test_entry_outside_its_weight_sector_trips_the_check():
+    # states 0 (all colour 0) and 1 (one spin of colour 1) lie in different
+    # sectors: exchanging the first and last spins takes state 1 to state 8
     spec = ChainSpec("HS", 4, 2)
-    h = build_hamiltonian(spec).matrix
-    # states 0 (all colour 0) and 1 (one spin of colour 1) lie in different sectors
-    h[0, 1] = h[1, 0] = 0.25
-    with pytest.raises(ValidationError, match="2 entries lie outside the weight sectors"):
-        _sector_eigenvalues(h, _weight_sectors(spec))
+    with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
+        _block(spec, np.array([0, 1]), exchange_coefficients(spec))
 
 
 def test_solved_sectors_share_the_whole_matrix_off_norm_bound(monkeypatch):
     # each solved block reaches JACOBI_OFF_TOL / k with k**2 >= the number of
     # sectors, so the assembled block-diagonal matrix stays below JACOBI_OFF_TOL
     spec = ChainSpec("FI", 5, 3, alpha=2)
-    sectors = _weight_sectors(spec)
+    sectors = _brute_sectors(spec)
     h = build_hamiltonian(spec).matrix
     seen = []
     solve = hschain.hamiltonian.jacobi_eigenvalues
     monkeypatch.setattr(hschain.hamiltonian, "jacobi_eigenvalues",
                         lambda a: seen.append(a) or solve(a))
-    _sector_eigenvalues(h, sectors)
-    solved = [s for c, s in sectors.items() if list(c) == sorted(c, reverse=True)]
+    _sector_eigenvalues(spec)
+    solved = [sectors[counts] for counts, _, _ in _solved_sectors(spec)]
     assert len(seen) == len(solved) == 5
-    scales = {float(np.abs(a).max() / np.abs(h[np.ix_(s, s)]).max())
-              for a, s in zip(seen, solved) if a.any()}
-    assert len(scales) == 1
-    assert scales.pop() ** 2 >= len(sectors) == 21
+    k = 8.0  # 8**2 >= 21 sectors
+    assert len(sectors) == 21
+    for a, s in zip(seen, solved):
+        assert np.array_equal(a, k * h[np.ix_(s, s)])
 
 
 def test_oracle_two_spin_direct_match():
