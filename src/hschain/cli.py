@@ -31,7 +31,7 @@ from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
 from .table import csv_text, format_cell, format_rational
-from .transfer import charfn_series, convergence_report
+from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
 _FAMILY_BY_FLAG = {"hs": "HS", "pf": "PF", "fi": "FI"}
@@ -166,7 +166,7 @@ def _t_grid_from(args) -> np.ndarray:
         raise ValidationError("--t-max must be positive")
     if math.isinf(args.t_max):
         raise ValidationError("--t-max must be finite")
-    return np.linspace(-args.t_max, args.t_max, args.t_points)
+    return default_t_grid(args.t_max, args.t_points)
 
 
 def _spacing_bins_from(args) -> np.ndarray:

@@ -3,24 +3,20 @@
 Two independent routes to the same density:
 
 * :func:`density_dp` runs a transfer-style dynamic program over the bonds,
-  carrying one coefficient vector per spin value.  It works on a dense
-  grid of ``scaled_total + 1`` energy cells per spin value, each cell a
-  slot of about log2(m**N) / 8 bytes.  Per bond it does at most 4m - 3
-  big-integer shifts and adds of that grid (the sources of each spin
-  value are a prefix and a suffix of 1..m, whose partial sums it shares),
-  where adding every destination's sources afresh takes m(m + 2); so it
-  reaches chain sizes far beyond enumeration.  The result becomes a
-  :class:`~hschain.table.DensityTable` of two aligned arrays: ascending
-  int64 levels and their exact degeneracies.
+  carrying one polynomial per spin value: per bond at most 4m - 3
+  big-integer shifts and adds (the sources of each spin value are a prefix
+  and a suffix of 1..m, whose partial sums it shares), where adding every
+  destination's sources afresh takes m(m + 2).
 * :func:`composition_density` expands the closed partition-function sum
   over the ordered compositions of N, merged per cut position.  It never
   touches motifs or pairing rules, which makes it a genuinely independent
   cross-check of the dynamic program (and of brute-force enumeration).
 
-Degeneracies are exact integers everywhere.  The DP packs its coefficient
-vectors into single big integers, one fixed-width slot per energy cell, so
-big-number adds and shifts do the per-bond work in C; silent overflow is
-impossible because slots are sized from m**N.
+Both hold an exact polynomial in one format, a Python int with one slot
+per energy cell, wide enough for m**N, so big-number adds and shifts do
+the work in C; and both end in one unpack, :func:`_exact_table`, into a
+:class:`~hschain.table.DensityTable` of ascending int64 levels and their
+exact degeneracies.
 
 :func:`level_support` runs the same recursion with one bit per cell and
 ``|`` in place of ``+``: it finds which levels occur, not how often, on
@@ -31,7 +27,6 @@ degeneracies anyway.
 from __future__ import annotations
 
 import operator
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -42,7 +37,7 @@ import numpy as np
 from .chains import ChainSpec, dispersion
 from .errors import ValidationError
 from .motifs import DeltaRule, delta, rule_for
-from .table import COMPOSITION_CEILING, OBJECT_UPDATE, DensityTable, check_grid_budget
+from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
 
@@ -74,27 +69,40 @@ def _bond_plan(rule: DeltaRule, m: int) -> list:
     return plan
 
 
+def _slot_bytes(spec: ChainSpec) -> int:
+    """Bytes per energy cell of an exact polynomial: m**N and a spare byte."""
+    return max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
+
+
+def _unpack_bytes(cells: int, slot_bits: int) -> int:
+    """Predicted peak bytes of unpacking a finished polynomial of `cells`
+    slots of `slot_bits` bits.
+
+    A polynomial is a Python int, 4 bytes per 30-bit digit.  Next to it the
+    unpack holds a copy of its bytes, one byte per cell (the unpacked bit,
+    or the occupied-row mask) and, since any cell may be a level, per cell
+    an int64 index and, with exact counts, a copy of the cell's slot and a
+    Python int of the slot's width (24 bytes and 4 per 30 bits) in a tuple.
+    """
+    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
+    return 4 * -(-cells * slot_bits // 30) + (cells * slot_bits + 7) // 8 + cells * (1 + level)
+
+
 def _predicted_peak(m: int, plan: list, cells: int, slot_bits: int):
     """Predicted peak bytes of :func:`_bond_dp` and of unpacking its result,
     with the arithmetic behind it as text.
 
-    A polynomial is a Python int of ``cells * slot_bits`` bits, 4 bytes per
-    30-bit digit.  During a bond the loop holds at most the m old states,
-    the new partial combines :func:`_bond_plan` asks for, the m new states
-    and one shifted temporary.  After the loop the result is unpacked next
-    to it: a copy of its bytes, one byte per cell (the unpacked bit, or the
-    occupied-row mask) and, since any cell may be a level, per cell an
-    int64 index and, with exact counts, a copy of the cell's slot and a
-    Python int of the slot's width (24 bytes and 4 per 30 bits) held in a
-    tuple.  The prediction is the larger of the two phases.
+    During a bond the loop holds at most the m old states, the new partial
+    combines :func:`_bond_plan` asks for, the m new states and one shifted
+    temporary.  The prediction is the larger of that and
+    :func:`_unpack_bytes`.
     """
     polynomial = 4 * -(-cells * slot_bits // 30)
     low_top = max(k for k, _ in plan)
     high_bottom = min(k for k, _ in plan)
     partials = low_top - 1 + max(0, m - high_bottom - 1)
     live = 2 * m + partials + 1
-    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
-    unpack = polynomial + (cells * slot_bits + 7) // 8 + cells * (1 + level)
+    unpack = _unpack_bytes(cells, slot_bits)
     detail = (
         f"density grid needs {cells} cells x {slot_bits / 8:g} bytes = {polynomial} bytes "
         f"per polynomial; the bond loop holds {live} of them = {live * polynomial} bytes "
@@ -103,9 +111,9 @@ def _predicted_peak(m: int, plan: list, cells: int, slot_bits: int):
     return max(live * polynomial, unpack), detail
 
 
-def _bond_dp(spec, rule, slot_bits, combine):
+def _bond_dp(spec, rule, disp, slot_bits, combine):
     """The per-bond recursion shared by :func:`density_dp` and
-    :func:`level_support`.
+    :func:`level_support`, over the dispersion `disp` of `spec`.
 
     The state after bond j is, for each spin value v, a polynomial whose
     E-th cell describes the prefixes (n_1..n_{j+1}) ending in v with
@@ -113,8 +121,7 @@ def _bond_dp(spec, rule, slot_bits, combine):
     `slot_bits` bits per energy cell, so a shift by F(j) energy units is a
     single left shift, and `combine` merges the polynomials that feed a
     destination (``+`` counts prefixes, ``|`` only records that one
-    exists).  Returns the combined polynomial over all final spin values
-    and the chain's dispersion.
+    exists).  Returns the combined polynomial over all final spin values.
 
     Each bond first forms the partial combines of the sources over the
     prefixes 1..k and the suffixes k+1..m that :func:`_bond_plan` asks
@@ -131,7 +138,6 @@ def _bond_dp(spec, rule, slot_bits, combine):
     if rule is None:
         rule = rule_for(spec)
     m = spec.m
-    disp = dispersion(spec)
     plan = _bond_plan(rule, m)
     peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, slot_bits)
     check_grid_budget(detail, peak)
@@ -157,24 +163,15 @@ def _bond_dp(spec, rule, slot_bits, combine):
             else:
                 state.append(combine(plain, shifted << shift))
             del plain, shifted
-    return reduce(combine, state), disp
+    return reduce(combine, state)
 
 
-def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
-    """Exact level density via a per-bond dynamic program.
-
-    Each energy cell holds the number of prefixes reaching it, in a slot
-    wide enough for m**N, and bonds add the shifted polynomials.  The
-    result is unpacked as a (cells, slot) byte array; only the occupied
-    rows become Python ints.
-
-    Raises
-    ------
-    CapacityError
-        If the energy grid and its unpacking would exceed the memory budget.
+def _exact_table(packed: int, spec: ChainSpec, disp) -> DensityTable:
+    """The table of a finished exact polynomial of `spec`, read as a
+    (cells, slot) byte array whose occupied rows become Python ints.
+    Callers pass `packed` as a temporary, freed once its bytes are copied.
     """
-    slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    packed, disp = _bond_dp(spec, rule, 8 * slot, operator.add)
+    slot = _slot_bytes(spec)
     cells = disp.scaled_total + 1
     rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
     del packed
@@ -184,6 +181,22 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     degeneracies = tuple(int.from_bytes(counts[i : i + slot], "little")
                          for i in range(0, len(counts), slot))
     return DensityTable(occupied, degeneracies, disp.energy_scale, spec.n_states)
+
+
+def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
+    """Exact level density via a per-bond dynamic program.
+
+    Each energy cell holds the number of prefixes reaching it, in a slot
+    wide enough for m**N, and bonds add the shifted polynomials.
+
+    Raises
+    ------
+    CapacityError
+        If the energy grid and its unpacking would exceed the memory budget.
+    """
+    disp = dispersion(spec)
+    return _exact_table(_bond_dp(spec, rule, disp, 8 * _slot_bytes(spec), operator.add),
+                        spec, disp)
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,8 @@ def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSuppor
         If the bit grid and its unpacking (a byte and an int64 per cell)
         would exceed the memory budget.
     """
-    packed, disp = _bond_dp(spec, rule, 1, operator.or_)
+    disp = dispersion(spec)
+    packed = _bond_dp(spec, rule, disp, 1, operator.or_)
     cells = disp.scaled_total + 1
     bits = np.unpackbits(
         np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8), bitorder="little"
@@ -239,24 +253,6 @@ def spin_degeneracy(k: int, m: int, epsilon: int) -> int:
     return comb(m, k)
 
 
-def _coefficient_bound(n: int, dfac: list, longest_part: int) -> int:
-    """Rigorous bound on any intermediate coefficient of the composition
-    expansion, via l1 norms: shifts preserve the l1 norm, each (1 - q**F)
-    factor at most doubles it, each cut multiplies it by d(part)."""
-    bound = [0] * n
-    bound[0] = 1
-    total = 0
-    for p in range(1, n + 1):
-        acc = 0
-        for prev in range(max(0, p - longest_part), p):
-            acc += bound[prev] * dfac[p - prev] << (p - prev - 1)
-        if p < n:
-            bound[p] = acc
-        else:
-            total = acc
-    return max(total, max(bound))
-
-
 def composition_density(spec: ChainSpec) -> DensityTable:
     """Exact level density from the partition-function sum over compositions.
 
@@ -268,60 +264,62 @@ def composition_density(spec: ChainSpec) -> DensityTable:
     with d the spin degeneracy factor.  The terms are expanded by walking
     the cut positions left to right; composition prefixes whose last cut
     sits at the same bond share their entire remaining expansion, so they
-    are merged into one polynomial per cut position, row p of one
-    (N + 1) x cells grid.  Its last row collects the finished terms: the
-    last part ends at site N and adds there at shift 0.  Each cut position
-    costs at most (longest nonvanishing part) grid updates.  The term
-    multiset is exactly the composition sum (the spec of which ordered
-    composition contributed what never changes, only the association of
-    the additions).  Parts with vanishing degeneracy factor (epsilon=-1,
-    parts longer than m) are never formed: d(k) is nonzero for every k up
-    to the longest such part, since d(1) = m.
+    are merged into one polynomial per cut position, row p.  Row N
+    collects the finished terms: the last part ends at site N and adds
+    there at shift 0.  Each cut position costs at most (longest
+    nonvanishing part) row updates, and only the association of the
+    additions differs from the composition sum.  Parts with vanishing
+    degeneracy factor (epsilon=-1, parts longer than m) are never formed:
+    d(k) is nonzero for every k up to the longest such part, since d(1) = m.
+
+    A row is an exact polynomial in the format of :func:`density_dp`, one
+    Python int holding its value at q = 2**(8 * slot).  Evaluation at that
+    q is a ring homomorphism from Z[q] to Z, so the shifts, small multiples
+    and differences of the (1 - q**F) factors stay exact even while
+    intermediate coefficients are negative or overflow their slot.  Only
+    the finished row's coefficients must lie in [0, 2**(8 * slot)), and
+    they are degeneracies of at most m**N.  A row is freed once its cut is
+    consumed, and an untouched row is the int 0.
 
     Raises
     ------
     CapacityError
-        If its weighted grid-cell updates exceed ``COMPOSITION_CEILING``, or
-        its N + 3 grids (the N + 1 rows of merged polynomials and finished
-        terms, the running product and one temporary) and the output, five
-        8-byte entries and an int a cell, exceed the memory budget.
+        If its byte-updates (row updates x cells x slot bytes) exceed
+        ``COMPOSITION_CEILING``, or the memory budget is exceeded by the
+        larger of the unpack and the loop, counted as min(N, longest part)
+        + 5 polynomials: the rows ahead, the running product and the
+        temporaries of one update.
     """
     n, m = spec.n_spins, spec.m
     disp = dispersion(spec)
-    shifts = [*disp.scaled, 0]  # F at each cut; the last part closes at shift 0
-    top = disp.scaled_total
+    slot = _slot_bytes(spec)
+    shifts = [8 * slot * w for w in disp.scaled] + [0]  # the last part closes at shift 0
     dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
     longest_part = max(k for k in range(1, n + 1) if dfac[k])
-    size = top + 1
-    updates = size * sum(min(n - cut, longest_part) for cut in range(n))
-    text = f"composition sum makes {updates} updates of {n + 3} grids of {size} cells"
-    # int64 figures first, as lower bounds: the coefficient bound takes N x longest_part steps
-    check_grid_budget(f"{text} of >= 8 bytes", 8 * (n + 3) * size, updates, COMPOSITION_CEILING)
-    # int64 unless a rigorous worst-case coefficient bound says otherwise;
-    # an object cell holds a pointer and an int no wider than the bound.
-    bound = _coefficient_bound(n, dfac, longest_part)
-    int_bytes = sys.getsizeof(bound)
-    if bound < 2 ** 62:
-        dtype, cell_bytes, weight = np.int64, 8, 1
-    else:
-        dtype, cell_bytes, weight = object, 8 + int_bytes, OBJECT_UPDATE
-    nbytes = size * ((n + 3) * cell_bytes + 40 + int_bytes)
-    check_grid_budget(f"{text}, {np.dtype(dtype)} cells of {cell_bytes} bytes and updates of "
-                      f"weight {weight}; with the output {nbytes} bytes", nbytes, weight * updates,
+    cells = disp.scaled_total + 1
+    row_updates = sum(min(n - cut, longest_part) for cut in range(n))
+    byte_updates = row_updates * cells * slot
+    # an intermediate has degree <= the top cell; its l1 norm, below 2**(N-1)
+    # compositions x m**N x 2**N, spills at most 2N bits past the top slot
+    polynomial = 4 * -(-(cells * 8 * slot + 2 * n) // 30)
+    live = min(n, longest_part) + 5
+    unpack = _unpack_bytes(cells, 8 * slot)
+    check_grid_budget(f"composition sum makes {row_updates} row updates of {cells} cells x "
+                      f"{slot} bytes = {byte_updates} byte-updates and holds {live} polynomials "
+                      f"of {polynomial} bytes = {live * polynomial} bytes; the result needs "
+                      f"{unpack} bytes to unpack", max(live * polynomial, unpack), byte_updates,
                       COMPOSITION_CEILING)
-    merged = np.zeros((n + 1, size), dtype=dtype)  # row p: all prefixes with last cut at bond p
-    merged[0, 0] = 1
+    merged = [0] * (n + 1)  # row p: all prefixes with last cut at bond p
+    merged[0] = 1
     for last_cut in range(n):
-        running = merged[last_cut]  # gains one (1 - q**F(bond)) factor per passed bond
+        # gains one (1 - q**F(bond)) factor per passed bond
+        running, merged[last_cut] = merged[last_cut], 0
         stop = min(n, last_cut + longest_part)  # longer parts all have d = 0
         for p in range(last_cut + 1, stop + 1):
-            w = shifts[p - 1]
-            merged[p, w:] += dfac[p - last_cut] * running[: size - w]
+            merged[p] += dfac[p - last_cut] * running << shifts[p - 1]
             if p < stop:
-                extended = running.copy()
-                extended[w:] -= running[: size - w]
-                running = extended
-    return DensityTable.from_grid(merged[n], disp.energy_scale, spec.n_states)
+                running -= running << shifts[p - 1]
+    return _exact_table(merged.pop(), spec, disp)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:

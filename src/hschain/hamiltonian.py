@@ -322,13 +322,8 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
 
 def _multiplicity_pattern(values: np.ndarray, tol: float) -> tuple[int, ...]:
     """Cluster ascending values whose gaps stay below tol; return sizes."""
-    sizes = [1]
-    for gap in np.diff(values):
-        if gap > tol:
-            sizes.append(1)
-        else:
-            sizes[-1] += 1
-    return tuple(sizes)
+    starts = np.flatnonzero(np.diff(values) > tol) + 1
+    return tuple(np.diff(starts, prepend=0, append=len(values)).tolist())
 
 
 @dataclass(frozen=True)
@@ -352,8 +347,8 @@ class OracleReport:
     def to_json_dict(self) -> dict:
         return {
             "spec": self.spec.to_json_dict(),
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "motif_values": [float(v) for v in self.motif_values],
+            "eigenvalues": self.eigenvalues.tolist(),
+            "motif_values": self.motif_values.tolist(),
             "direct_deviation": self.direct_deviation,
             "affine_scale": self.affine_scale,
             "affine_offset": self.affine_offset,

@@ -17,10 +17,10 @@ from .errors import CapacityError, ValidationError
 DEFAULT_MEMORY_BUDGET = 1 << 30
 # Brute force: m**N states, about 30 ns per state and bond (80 s at N = 26).
 ENUMERATION_CEILING = 10 ** 8
-# Composition sum: grid-cell updates, about 4 ns on int64 grids; one on object
-# grids (50 to 100 ns) counts OBJECT_UPDATE.  About 10 s (HS N=64 m=2: 7.1 s).
-COMPOSITION_CEILING = 25 * 10 ** 8
-OBJECT_UPDATE = 20
+# Composition sum: byte-updates of its packed rows (row updates x cells x slot
+# bytes), 0.5 to 1.2 ns each.  About 10 s: PF N=200 m=2, just past it at
+# 1.08e10, took 9.0 s.
+COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: dim**3 summed over its solved sectors, about 0.25 us each.
 ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
 

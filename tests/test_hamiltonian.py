@@ -22,6 +22,7 @@ from hschain import (
 from hschain.hamiltonian import (
     _block,
     _check_oracle_cost,
+    _multiplicity_pattern,
     _sector_eigenvalues,
     _solved_sectors,
     exchange_coefficients,
@@ -361,6 +362,28 @@ def test_oracle_report_serializes():
     assert payload["spec"]["family"] == "PF"
     assert len(payload["eigenvalues"]) == 8
     assert sum(payload["motif_multiplicities"]) == 8
+
+
+def _loop_multiplicity_pattern(values, tol):
+    """The cluster sizes, one gap at a time."""
+    sizes = [1]
+    for gap in np.diff(values):
+        if gap > tol:
+            sizes.append(1)
+        else:
+            sizes[-1] += 1
+    return tuple(sizes)
+
+
+@pytest.mark.parametrize("sizes", [(1,), (5,), (1, 1, 1), (3, 1, 4, 1, 5), (1, 200, 2, 1)])
+def test_multiplicity_pattern_equals_the_gap_loop(sizes):
+    # clusters of values 1e-13 apart, the clusters 1.0 to 1.5 apart
+    rng = np.random.default_rng(len(sizes))
+    centres = np.cumsum(rng.uniform(1.0, 1.5, len(sizes)))
+    values = np.sort(np.concatenate([c + 1e-13 * np.arange(k) for c, k in zip(centres, sizes)]))
+    pattern = _multiplicity_pattern(values, 1e-9)
+    assert pattern == _loop_multiplicity_pattern(values, 1e-9) == sizes
+    assert all(type(k) is int for k in pattern)
 
 
 def test_expanded_density_repeats_every_level_by_its_degeneracy():
