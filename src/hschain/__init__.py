@@ -23,9 +23,11 @@ from .chains import (
 )
 from .crosscheck import CrosscheckReport, run_crosscheck
 from .density import (
+    LevelMasses,
     LevelSupport,
     composition_density,
     density_dp,
+    level_masses,
     level_support,
     partition_function_at,
     spin_degeneracy,
@@ -87,6 +89,7 @@ __all__ = [
     "DenseOperator",
     "DensityTable",
     "DispersionTable",
+    "LevelMasses",
     "LevelSupport",
     "OracleReport",
     "SiteLayout",
@@ -117,6 +120,7 @@ __all__ = [
     "gaussian_cdf",
     "jacobi_eigenvalues",
     "ks_distance",
+    "level_masses",
     "level_support",
     "motif_energy",
     "motif_of",

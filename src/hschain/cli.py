@@ -23,7 +23,7 @@ import numpy as np
 
 from .chains import ANTIFERRO, FERRO, ChainSpec
 from .crosscheck import run_crosscheck
-from .density import composition_density, density_dp, level_support
+from .density import composition_density, density_dp, level_masses, level_support
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import oracle_compare
 from .levelstats import default_spacing_bins, ks_distance, spacing_distribution, unfold
@@ -111,8 +111,30 @@ def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
     return config
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+def _json_text(payload, pad: str = "") -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte, for
+    payloads with string keys, nested `pad` deep.
+
+    An indent sends the whole payload through json's pure-Python encoder.
+    Here each dict or list without containers in it goes through the C
+    encoder in one call, with the newline and indent of its items as the
+    item separator; only containers of containers recurse in Python.
+    """
+    if not isinstance(payload, (dict, list, tuple)):
+        return json.dumps(payload)
+    opening, closing = "{}" if isinstance(payload, dict) else "[]"
+    if not payload:
+        return opening + closing
+    inner = pad + "  "
+    values = payload.values() if isinstance(payload, dict) else payload
+    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
+        body = json.dumps(payload, sort_keys=True, separators=(f",\n{inner}", ": "))[1:-1]
+    elif isinstance(payload, dict):
+        body = f",\n{inner}".join(f"{json.dumps(key)}: {_json_text(value, inner)}"
+                                   for key, value in sorted(payload.items()))
+    else:
+        body = f",\n{inner}".join(_json_text(value, inner) for value in payload)
+    return f"{opening}\n{inner}{body}\n{pad}{closing}"
 
 
 def _requested_formats(args) -> list:
@@ -296,7 +318,7 @@ def _cmd_kscan(args) -> int:
     distances = []
     for n in sweep:
         spec = _resolve_spec(args, n)
-        distances.append(ks_distance(density_dp(spec), closed_form_moments(spec)))
+        distances.append(ks_distance(level_masses(spec), closed_form_moments(spec)))
     _emit(
         args, "kscan", _config(spec, sweep),
         csv=("N,ks_distance", zip(sweep, distances)),

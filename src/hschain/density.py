@@ -18,10 +18,19 @@ the work in C; and both end in one unpack, :func:`_exact_table`, into a
 :class:`~hschain.table.DensityTable` of ascending int64 levels and their
 exact degeneracies.
 
-:func:`level_support` runs the same recursion with one bit per cell and
-``|`` in place of ``+``: it finds which levels occur, not how often, on
-a grid at most a sixty-fourth the size, for consumers that collapse
-degeneracies anyway.
+The recursion of :func:`density_dp` is one loop, :func:`_bond_dp`, over
+three kinds of polynomial.  :func:`level_support` runs it with one bit per
+cell and ``|`` in place of ``+``: it finds which levels occur, not how
+often, on a grid at most a sixty-fourth the size, for consumers that
+collapse degeneracies anyway.  :func:`level_masses` runs it over float64
+arrays of the fractions of states, for the Kolmogorov-Smirnov distance.
+
+For the default rules the loop always runs the ferromagnetic plan: the
+antiferromagnetic bit of a configuration is one minus its ferromagnetic
+bit, so the antiferromagnetic levels are the ferromagnetic ones reflected
+through the top energy, with the same degeneracies, and each unpack reads
+the cells from the top down (the packed ints big-endian).  An explicit
+``rule=`` runs its own plan.
 """
 
 from __future__ import annotations
@@ -31,12 +40,13 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from math import comb
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import ChainSpec, dispersion
+from .chains import FERRO, ChainSpec, dispersion
 from .errors import ValidationError
-from .motifs import DeltaRule, delta, rule_for
+from .motifs import DeltaRule, delta
 from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
@@ -88,65 +98,117 @@ def _unpack_bytes(cells: int, slot_bits: int) -> int:
     return 4 * -(-cells * slot_bits // 30) + (cells * slot_bits + 7) // 8 + cells * (1 + level)
 
 
-def _predicted_peak(m: int, plan: list, cells: int, slot_bits: int):
+class _Kind(NamedTuple):
+    """One kind of polynomial :func:`_bond_dp` accumulates, and its bytes."""
+
+    one: object  # one starting spin value: energy zero, reached once
+    shift: Callable  # (polynomial, F) -> the polynomial times q**F
+    combine: Callable  # merges the polynomials that feed one destination
+    scale: Callable | None  # rescales the list of states in place before each bond
+    nbytes: int  # one polynomial over every energy cell
+    unpack: int  # the finished polynomial and its unpacking
+
+
+def _packed_kind(cells: int, slot_bits: int, combine: Callable) -> _Kind:
+    """Python ints of `slot_bits` bits per cell, 4 bytes per 30-bit digit:
+    exact counts with ``+``, or one bit with ``|``."""
+    return _Kind(1, lambda packed, w: packed << w * slot_bits, combine, None,
+                 4 * -(-cells * slot_bits // 30), _unpack_bytes(cells, slot_bits))
+
+
+def _add_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The aligned sum of two mass arrays that both start at energy zero."""
+    if a.size < b.size:
+        a, b = b, a
+    total = a.copy()
+    total[: b.size] += b
+    return total
+
+
+def _mass_kind(m: int, cells: int) -> _Kind:
+    """Fractions of the states: float64 arrays that grow by padding,
+    added where they overlap, and divided by m before every bond, so that
+    the m starting values of mass 1/m keep a total of 1 at any N.
+
+    A state may hold one array for several spin values, so each distinct
+    array is divided once.  Unpacking holds the finished array, a byte and
+    an int64 index per cell, and the levels and masses it keeps.
+    """
+
+    def divide(state):
+        for masses in {id(masses): masses for masses in state}.values():
+            masses /= m
+
+    return _Kind(np.full(1, 1 / m), lambda masses, w: np.concatenate((np.zeros(w), masses)),
+                 _add_masses, divide, 8 * cells, 33 * cells)
+
+
+def _predicted_peak(m: int, plan: list, cells: int, kind: _Kind):
     """Predicted peak bytes of :func:`_bond_dp` and of unpacking its result,
     with the arithmetic behind it as text.
 
     During a bond the loop holds at most the m old states, the new partial
     combines :func:`_bond_plan` asks for, the m new states and one shifted
-    temporary.  The prediction is the larger of that and
-    :func:`_unpack_bytes`.
+    temporary.  The prediction is the larger of that and the unpack.
     """
-    polynomial = 4 * -(-cells * slot_bits // 30)
     low_top = max(k for k, _ in plan)
     high_bottom = min(k for k, _ in plan)
     partials = low_top - 1 + max(0, m - high_bottom - 1)
     live = 2 * m + partials + 1
-    unpack = _unpack_bytes(cells, slot_bits)
     detail = (
-        f"density grid needs {cells} cells x {slot_bits / 8:g} bytes = {polynomial} bytes "
-        f"per polynomial; the bond loop holds {live} of them = {live * polynomial} bytes "
-        f"and the result needs {unpack} bytes to unpack"
+        f"density grid needs {cells} cells = {kind.nbytes} bytes per polynomial; the bond "
+        f"loop holds {live} of them = {live * kind.nbytes} bytes and the result needs "
+        f"{kind.unpack} bytes to unpack"
     )
-    return max(live * polynomial, unpack), detail
+    return max(live * kind.nbytes, kind.unpack), detail
 
 
-def _bond_dp(spec, rule, disp, slot_bits, combine):
-    """The per-bond recursion shared by :func:`density_dp` and
-    :func:`level_support`, over the dispersion `disp` of `spec`.
+def _recursion(spec: ChainSpec, rule: DeltaRule | None):
+    """The rule the bond loop runs for `spec`, and whether its result is
+    read reflected: the ferromagnetic rule for both default rules, since
+    the antiferromagnetic bit is one minus the ferromagnetic bit of the
+    same configuration.  An explicit `rule` runs as given."""
+    if rule is None:
+        return DeltaRule.ferro(), spec.epsilon != FERRO
+    return rule, False
+
+
+def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
+    """The per-bond recursion shared by :func:`density_dp`,
+    :func:`level_support` and :func:`level_masses`, over the dispersion
+    `disp` of a chain of m spin values under `rule`.
 
     The state after bond j is, for each spin value v, a polynomial whose
     E-th cell describes the prefixes (n_1..n_{j+1}) ending in v with
-    accumulated scaled energy E.  Each polynomial is one big integer with
-    `slot_bits` bits per energy cell, so a shift by F(j) energy units is a
-    single left shift, and `combine` merges the polynomials that feed a
-    destination (``+`` counts prefixes, ``|`` only records that one
-    exists).  Returns the combined polynomial over all final spin values.
+    accumulated scaled energy E.  `kind` says what a cell holds and how a
+    polynomial is shifted by F(j) energy units and combined with another:
+    an exact count in a slot of a big integer and ``+``, one bit and ``|``,
+    or a float64 mass and an aligned add.  Returns the combined polynomial
+    over all final spin values.
 
     Each bond first forms the partial combines of the sources over the
     prefixes 1..k and the suffixes k+1..m that :func:`_bond_plan` asks
     for, at most 2m - 3 combines, and then gives each destination at most
     one shift and one combine of a prefix with a suffix: at most 4m - 3
-    big-integer operations per bond instead of the m(m + 2) of combining
-    every destination's sources afresh.
+    operations per bond instead of the m(m + 2) of combining every
+    destination's sources afresh.
 
     Raises
     ------
     CapacityError
         If the prediction of :func:`_predicted_peak` exceeds the memory budget.
     """
-    if rule is None:
-        rule = rule_for(spec)
-    m = spec.m
     plan = _bond_plan(rule, m)
-    peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, slot_bits)
+    peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, kind)
     check_grid_budget(detail, peak)
     low_top = max(k for k, _ in plan)
     high_bottom = min(k for k, _ in plan)
     last_use = {k: dest for dest, (k, _) in enumerate(plan)}
-    state = [1] * m  # energy zero reached once for every starting value
+    shift, combine, scale = kind.shift, kind.combine, kind.scale
+    state = [kind.one] * m  # energy zero reached once for every starting value
     for w in disp.scaled:
-        shift = w * slot_bits
+        if scale is not None:
+            scale(state)
         # low[k] combines sources 1..k and high[k] sources k+1..m; None is empty.
         low = [None, *accumulate(state[:low_top], combine)]
         high = [*accumulate(reversed(state[high_bottom:]), combine)]
@@ -159,26 +221,30 @@ def _bond_dp(spec, rule, disp, slot_bits, combine):
             if shifted is None:
                 state.append(plain)
             elif plain is None:
-                state.append(shifted << shift)
+                state.append(shift(shifted, w))
             else:
-                state.append(combine(plain, shifted << shift))
+                state.append(combine(plain, shift(shifted, w)))
             del plain, shifted
     return reduce(combine, state)
 
 
-def _exact_table(packed: int, spec: ChainSpec, disp) -> DensityTable:
+def _exact_table(packed: int, spec: ChainSpec, disp, mirrored: bool = False) -> DensityTable:
     """The table of a finished exact polynomial of `spec`, read as a
     (cells, slot) byte array whose occupied rows become Python ints.
     Callers pass `packed` as a temporary, freed once its bytes are copied.
+
+    A `mirrored` polynomial is read big-endian: its top cell comes first,
+    so row r holds the level r.
     """
     slot = _slot_bytes(spec)
     cells = disp.scaled_total + 1
-    rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
+    order = "big" if mirrored else "little"
+    rows = np.frombuffer(packed.to_bytes(cells * slot, order), np.uint8).reshape(cells, slot)
     del packed
     occupied = np.flatnonzero(rows.any(axis=1))
     counts = rows[occupied].tobytes()
     del rows
-    degeneracies = tuple(int.from_bytes(counts[i : i + slot], "little")
+    degeneracies = tuple(int.from_bytes(counts[i : i + slot], order)
                          for i in range(0, len(counts), slot))
     return DensityTable(occupied, degeneracies, disp.energy_scale, spec.n_states)
 
@@ -187,7 +253,9 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     """Exact level density via a per-bond dynamic program.
 
     Each energy cell holds the number of prefixes reaching it, in a slot
-    wide enough for m**N, and bonds add the shifted polynomials.
+    wide enough for m**N, and bonds add the shifted polynomials.  The
+    default antiferromagnetic rule runs as the ferromagnetic recursion,
+    read from the top cell down.
 
     Raises
     ------
@@ -195,8 +263,9 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
         If the energy grid and its unpacking would exceed the memory budget.
     """
     disp = dispersion(spec)
-    return _exact_table(_bond_dp(spec, rule, disp, 8 * _slot_bytes(spec), operator.add),
-                        spec, disp)
+    rule, mirrored = _recursion(spec, rule)
+    kind = _packed_kind(disp.scaled_total + 1, 8 * _slot_bytes(spec), operator.add)
+    return _exact_table(_bond_dp(spec.m, rule, disp, kind), spec, disp, mirrored)
 
 
 @dataclass(frozen=True)
@@ -233,13 +302,56 @@ def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSuppor
         would exceed the memory budget.
     """
     disp = dispersion(spec)
-    packed = _bond_dp(spec, rule, disp, 1, operator.or_)
+    rule, mirrored = _recursion(spec, rule)
     cells = disp.scaled_total + 1
-    bits = np.unpackbits(
-        np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8), bitorder="little"
-    )
-    scaled = np.flatnonzero(bits).astype(np.int64, copy=False)
-    return LevelSupport(scaled=scaled, energy_scale=disp.energy_scale)
+    packed = _bond_dp(spec.m, rule, disp, _packed_kind(cells, 1, operator.or_))
+    # read big-endian, a mirrored polynomial starts with its top cell, after
+    # the padding bits of its top byte
+    order, nbytes = ("big" if mirrored else "little"), (cells + 7) // 8
+    bits = np.unpackbits(np.frombuffer(packed.to_bytes(nbytes, order), np.uint8), bitorder=order)
+    scaled = np.flatnonzero(bits[8 * nbytes - cells:] if mirrored else bits)
+    return LevelSupport(scaled=scaled.astype(np.int64, copy=False), energy_scale=disp.energy_scale)
+
+
+@dataclass(frozen=True)
+class LevelMasses(LevelSupport):
+    """The distinct levels of a chain with the fraction of the m**N states
+    at each, ``masses``, in float64."""
+
+    masses: np.ndarray
+
+    def cdf_steps(self) -> np.ndarray:
+        """The empirical cumulative distribution below the first level and
+        after each level: 0, then the running sums of the masses."""
+        return np.concatenate(([0.0], np.cumsum(self.masses)))
+
+
+def level_masses(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelMasses:
+    """The levels and their fractions of the states, from the recursion of
+    :func:`density_dp` over float64 masses in place of exact counts.
+
+    Every mass is a fraction of the m**N states, at most 1 whatever N is:
+    each bond divides by m.  Rounding adds a relative error of a few units
+    in the last place per bond, far below what a Kolmogorov-Smirnov
+    distance resolves.  Underflow: a level's mass is at least m**-N, so
+    masses drop out only once N * log2(m) exceeds 1074; then masses below
+    the smallest float64, 2**-1074, drop out with their levels, and the
+    cumulative distribution, and so any distance taken from it, moves by
+    no more than the dropped mass.
+
+    Raises
+    ------
+    CapacityError
+        If the float grids and their unpacking would exceed the memory budget.
+    """
+    disp = dispersion(spec)
+    rule, mirrored = _recursion(spec, rule)
+    masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, disp.scaled_total + 1))
+    occupied = levels = np.flatnonzero(masses).astype(np.int64, copy=False)
+    if mirrored:  # cell c holds the level top - c
+        occupied = occupied[::-1]
+        levels = disp.scaled_total - occupied
+    return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses[occupied])
 
 
 def spin_degeneracy(k: int, m: int, epsilon: int) -> int:

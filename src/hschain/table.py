@@ -6,6 +6,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -122,9 +124,17 @@ class DensityTable:
         """(scaled energy, degeneracy) pairs in ascending energy order."""
         return list(zip(self.scaled.tolist(), self.degeneracies))
 
+    def cdf_steps(self) -> np.ndarray:
+        """The empirical cumulative distribution below the first level and
+        after each level: every running count over the total, each in one
+        correctly rounded true division."""
+        return np.fromiter((c / self.total for c in accumulate(self.degeneracies, initial=0)),
+                           dtype=float, count=len(self) + 1)
+
+    @cached_property
     def _energy_texts(self) -> list:
         """Every level as :func:`format_rational` writes its energy, reduced
-        over the whole array at once."""
+        over the whole array at once, for both artifacts."""
         common = np.gcd(self.scaled, self.energy_scale)
         numerators = (self.scaled // common).tolist()
         denominators = (self.energy_scale // common).tolist()
@@ -132,13 +142,13 @@ class DensityTable:
 
     def to_csv(self, header_lines=()) -> str:
         return csv_text(header_lines, "energy,degeneracy",
-                        map("{},{}".format, self._energy_texts(), self.degeneracies))
+                        map("{},{}".format, self._energy_texts, self.degeneracies))
 
     def to_json_dict(self) -> dict:
         return {
             "energy_scale": self.energy_scale,
             "total": self.total,
-            "levels": dict(zip(self._energy_texts(), self.degeneracies)),
+            "levels": dict(zip(self._energy_texts, self.degeneracies)),
         }
 
     @classmethod

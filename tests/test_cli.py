@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hschain.cli import main
+from hschain.cli import _json_text, main
 
 
 def run(tmp_path, *args):
@@ -136,6 +136,27 @@ def test_repeated_runs_are_byte_identical(tmp_path):
                      "--out", str(out)]) == 0
     assert (first / "charfn.csv").read_bytes() == (second / "charfn.csv").read_bytes()
     assert (first / "charfn.svg").read_bytes() == (second / "charfn.svg").read_bytes()
+
+
+@pytest.mark.parametrize("payload", [
+    {},
+    [],
+    {"config": {"family": "FI", "m": 4, "alpha": "3/2"}, "empty": {}, "none": [],
+     "density": {"total": 4 ** 64, "levels": {"9/2": 3, "0": 1, "-1/2": 2 ** 70}}},
+    {"report": {"eigenvalues": [0.1, -2.5e-300, float("inf"), float("nan")], "pairs": [[1, 2], (3,)],
+                "nested": [{"b": [], "a": {"y": None, "x": True}}, "text\nwith \"quotes\" \u00e9"]}},
+    [[], [{}], [[1]], 7],
+    "a scalar",
+])
+def test_json_text_equals_the_indented_sorted_encoder_byte_for_byte(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+def test_density_json_equals_the_indented_sorted_encoder(tmp_path):
+    assert run(tmp_path, "density", "--family", "fi", "--alpha", "5/3", "--N", "9", "--m", "3",
+               "--antiferro", "--format", "json") == 0
+    text = (tmp_path / "density.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 def test_missing_spec_options_exit_one(tmp_path, capsys):

@@ -11,18 +11,23 @@ import numpy as np
 import pytest
 
 import hschain.density
-from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, delta, dispersion
+from hschain import (CapacityError, ChainSpec, DeltaRule, ValidationError, closed_form_moments,
+                     delta, dispersion, ks_distance)
 from hschain.density import (
     _bond_dp,
     _bond_plan,
+    _mass_kind,
+    _packed_kind,
     _predicted_peak,
+    _recursion,
     composition_density,
     density_dp,
+    level_masses,
     level_support,
     partition_function_at,
     spin_degeneracy,
 )
-from hschain.motifs import brute_force_density, rule_for
+from hschain.motifs import brute_force_density
 
 FAMILY_GRID = [
     ("HS", None),
@@ -81,11 +86,25 @@ def test_dp_handles_graded_rule():
 
 
 def test_sign_flip_mirrors_dp_table():
+    # the default antiferro density is the ferro recursion read backwards,
+    # so the direct antiferro recursion is the reference
     spec = ChainSpec("HS", 9, 3)
     ferro = density_dp(spec)
-    anti = density_dp(spec.with_epsilon(-1))
+    anti = density_dp(spec.with_epsilon(-1), rule=DeltaRule.antiferro())
     top = dispersion(spec).scaled_total
     assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
+
+
+def test_mirrored_default_equals_the_direct_antiferro_recursion_at_large_n():
+    spec = ChainSpec("FI", 64, 4, -1, Fraction(3, 2))
+    assert _recursion(spec, None) == (DeltaRule.ferro(), True)
+    direct = density_dp(spec, rule=DeltaRule.antiferro())
+    mirrored = density_dp(spec)
+    assert mirrored == direct
+    assert np.array_equal(mirrored.levels(), direct.levels())
+    assert mirrored.degeneracies == direct.degeneracies
+    assert np.array_equal(level_support(spec).levels(),
+                          level_support(spec, DeltaRule.antiferro()).levels())
 
 
 def test_large_chain_stays_exact():
@@ -212,6 +231,51 @@ def test_support_budget_covers_the_unpack(monkeypatch):
     assert len(level_support(spec)) == len(exact)
 
 
+MASS_GRID = [
+    ChainSpec(family, n, m, eps, alpha)
+    for family, alpha in (("HS", None), ("PF", None), ("FI", Fraction(3, 2)))
+    for m, n in ((2, 96), (3, 64), (4, 48))
+    for eps in (1, -1)
+]
+
+
+@pytest.mark.parametrize("spec", MASS_GRID)
+def test_masses_are_the_dp_degeneracies_over_the_state_count(spec):
+    # N * log2(m) <= 96 here, far below the 1074 where a mass could underflow
+    table, masses = density_dp(spec), level_masses(spec)
+    assert np.array_equal(masses.levels(), table.levels())
+    assert masses.energy_scale == table.energy_scale
+    assert masses.masses.dtype == np.float64
+    assert abs(masses.masses.sum() - 1) <= 1e-12
+    exact = np.array([d / table.total for d in table.degeneracies])
+    np.testing.assert_allclose(masses.masses, exact, rtol=1e-12, atol=0)
+    # the largest KS difference measured over this grid is 5.0e-15
+    stats = closed_form_moments(spec)
+    assert abs(ks_distance(masses, stats) - ks_distance(table, stats)) <= 1e-13
+
+
+def test_masses_follow_an_explicit_rule():
+    for spec, rule in ((ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), DeltaRule.susy(2, 1)),
+                       (ChainSpec("HS", 12, 3), DeltaRule.susy(1, 2)),
+                       (ChainSpec("HS", 40, 3, -1), DeltaRule.antiferro())):
+        table, masses = density_dp(spec, rule), level_masses(spec, rule)
+        assert np.array_equal(masses.levels(), table.levels()), (spec, rule)
+        np.testing.assert_allclose(masses.masses, [d / table.total for d in table.degeneracies],
+                                   rtol=1e-12, atol=0)
+
+
+def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
+    # 8**360 = 2**1080 states overflow a float64; each bond divides by m,
+    # so the masses still sum to 1, and a level whose mass is below
+    # 2**-1074 drops out: here one extreme level of a few states
+    spec = ChainSpec("PF", 360, 8, -1)
+    masses, support = level_masses(spec), level_support(spec)
+    assert abs(masses.masses.sum() - 1) <= 1e-12
+    assert masses.masses.min() > 0
+    assert 0 < len(support) - len(masses) <= 2
+    assert np.isin(masses.levels(), support.levels()).all()
+
+
 def _combine_every_source(spec, rule, slot_bits, combine):
     """The bond recursion combining each destination's sources afresh."""
     m = spec.m
@@ -234,10 +298,18 @@ def _combine_every_source(spec, rule, slot_bits, combine):
       for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3))),
 ])
 def test_bond_partials_equal_combining_every_source(rule, spec):
+    disp = dispersion(spec)
+    cells = disp.scaled_total + 1
     slot_bits = 8 * max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
     for bits, combine in ((slot_bits, operator.add), (1, operator.or_)):
-        packed = _bond_dp(spec, rule, dispersion(spec), bits, combine)
+        packed = _bond_dp(spec.m, rule, disp, _packed_kind(cells, bits, combine))
         assert packed == _combine_every_source(spec, rule, bits, combine), (rule, spec, bits)
+    counts = _combine_every_source(spec, rule, slot_bits, operator.add)
+    masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, cells))
+    exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) / spec.n_states
+             for e in range(masses.size)]
+    np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0)
+    assert counts >> (slot_bits * masses.size) == 0
 
 
 def test_bond_plan_rejects_a_rule_that_shifts_neither_a_prefix_nor_a_suffix(monkeypatch):
@@ -254,12 +326,16 @@ def test_bond_plan_rejects_a_rule_that_shifts_neither_a_prefix_nor_a_suffix(monk
 ])
 def test_measured_peaks_stay_within_the_prediction(spec, monkeypatch):
     # the bond loop alone peaks at 9.3, 5.0 and 12.8 polynomials here,
-    # the unpack of the bit grid at 50 to 60
+    # the unpack of the bit grid at 50 to 60; the float masses peak at 6.6,
+    # 4.7 and 9.6 grid-sized arrays, about half their prediction, because
+    # the arrays grow with the bonds
     cells = dispersion(spec).scaled_total + 1
-    plan = _bond_plan(rule_for(spec), spec.m)
-    slot = max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    for backend, slot_bits in ((density_dp, 8 * slot), (level_support, 1)):
-        predicted, _ = _predicted_peak(spec.m, plan, cells, slot_bits)
+    plan = _bond_plan(_recursion(spec, None)[0], spec.m)
+    slot_bits = 8 * max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
+    for backend, kind in ((density_dp, _packed_kind(cells, slot_bits, operator.add)),
+                          (level_support, _packed_kind(cells, 1, operator.or_)),
+                          (level_masses, _mass_kind(spec.m, cells))):
+        predicted, _ = _predicted_peak(spec.m, plan, cells, kind)
         _set_budget(monkeypatch, predicted)
         tracemalloc.start()
         try:

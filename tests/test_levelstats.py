@@ -16,13 +16,14 @@ from hschain import (
     spacing_distribution,
     unfold,
 )
-from hschain.density import density_dp, level_support
+from hschain.density import LevelMasses, density_dp, level_support
 from hschain.levelstats import (
     UnfoldedSpectrum,
     default_spacing_bins,
     poisson_reference,
     wigner_reference,
 )
+from hschain.moments import SpectrumStats
 
 
 def test_cdf_midpoint_and_tails():
@@ -180,3 +181,15 @@ def test_ks_distance_equals_the_levelwise_loop_bit_for_bit(spec):
     if spec.family == "PF":
         assert max(density.degeneracies) > 2 ** 63
     assert ks_distance(density, stats) == _levelwise_ks_distance(density, stats)
+
+
+def test_ks_distance_reads_both_kinds_of_density():
+    stats = SpectrumStats.from_exact(Fraction(0), Fraction(1))
+    table = DensityTable.from_counts({-1: 1, 0: 2, 1: 1})
+    masses = LevelMasses(scaled=np.array([-1, 0, 1]), energy_scale=1,
+                         masses=np.array([0.25, 0.5, 0.25]))
+    np.testing.assert_array_equal(masses.cdf_steps(), table.cdf_steps())
+    assert ks_distance(masses, stats) == ks_distance(table, stats)
+    empty = LevelMasses(scaled=np.array([], dtype=np.int64), energy_scale=1, masses=np.array([]))
+    with pytest.raises(ValidationError, match="empty"):
+        ks_distance(empty, stats)

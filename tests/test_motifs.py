@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import hschain.motifs
-from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, dispersion
+from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, density_dp, dispersion
 from hschain.motifs import brute_force_density, delta, motif_energy, motif_of, rule_for
 
 
@@ -122,11 +122,14 @@ def test_graded_rule_rejects_mismatched_m():
 
 
 def test_sign_flip_mirrors_the_table():
+    # brute force enumerates under the antiferro rule itself, so this holds
+    # the reflection that density_dp relies on for its default antiferro route
     for spec in (ChainSpec("HS", 5, 2), ChainSpec("FI", 5, 3, alpha=2)):
         top = dispersion(spec).scaled_total
         ferro = brute_force_density(spec)
-        anti = brute_force_density(spec.with_epsilon(-1))
+        anti = brute_force_density(spec.with_epsilon(-1), rule=DeltaRule.antiferro())
         assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
+        assert density_dp(spec.with_epsilon(-1)) == anti
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

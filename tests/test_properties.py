@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hschain import ChainSpec, DensityTable, closed_form_moments, dispersion, empirical_moments
+from hschain import (ChainSpec, DeltaRule, DensityTable, closed_form_moments, dispersion,
+                     empirical_moments)
 from hschain.density import density_dp, level_support
 from hschain.transfer import charfn_exact
 
@@ -43,10 +44,16 @@ def test_degeneracies_sum_to_the_state_count(spec):
 @properties
 @given(chains)
 def test_sign_flip_reflects_levels_through_the_top_energy(spec):
-    ferro, anti = spec.with_epsilon(1), spec.with_epsilon(-1)
+    # the default antiferro route is the reflected ferro recursion, so the
+    # direct antiferro recursion is the reference, and the default must equal it
+    ferro, anti, rule = spec.with_epsilon(1), spec.with_epsilon(-1), DeltaRule.antiferro()
     top = dispersion(spec).scaled_total
-    assert dict(density_dp(anti).items()) == {top - e: d for e, d in density_dp(ferro).items()}
-    assert np.array_equal(level_support(anti).levels(), top - level_support(ferro).levels()[::-1])
+    direct = density_dp(anti, rule)
+    assert dict(direct.items()) == {top - e: d for e, d in density_dp(ferro).items()}
+    assert density_dp(anti) == direct
+    support = level_support(anti, rule).levels()
+    assert np.array_equal(support, top - level_support(ferro).levels()[::-1])
+    assert np.array_equal(level_support(anti).levels(), support)
 
 
 @properties

@@ -26,6 +26,16 @@ def test_artifact_text_equals_the_levelwise_rationals(spec):
     assert (payload["energy_scale"], payload["total"]) == (table.energy_scale, table.total)
 
 
+def test_both_artifacts_share_one_energy_text_pass(monkeypatch):
+    table = density_dp(ChainSpec("FI", 12, 3, alpha=Fraction(5, 3)))
+    calls = []
+    gcd = np.gcd
+    monkeypatch.setattr(np, "gcd", lambda *args: calls.append(args) or gcd(*args))
+    csv, payload = table.to_csv(), table.to_json_dict()
+    assert len(calls) == 1
+    assert csv.splitlines()[1].split(",")[0] == next(iter(payload["levels"]))
+
+
 def test_layout_is_two_aligned_arrays():
     table = DensityTable.from_counts({6: 1, 0: 5, 4: 4, 3: 6, 5: 0})
     assert table.levels().dtype == np.int64
