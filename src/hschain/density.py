@@ -14,9 +14,9 @@ Two independent routes to the same density:
 
 Both hold an exact polynomial in one format, a Python int with one slot
 per energy cell, wide enough for m**N, so big-number adds and shifts do
-the work in C; and both end in one unpack, :func:`_exact_table`, into a
-:class:`~hschain.table.DensityTable` of ascending int64 levels and their
-exact degeneracies.
+the work in C; and both end in one unpack, :func:`_exact_levels`, into
+the ascending int64 levels and exact degeneracies of a
+:class:`~hschain.table.DensityTable`.
 
 The recursion of :func:`density_dp` is one loop, :func:`_bond_dp`, over
 three kinds of polynomial.  :func:`level_support` runs it with one bit per
@@ -28,13 +28,14 @@ arrays of the fractions of states, for the Kolmogorov-Smirnov distance.
 For the default rules the loop always runs the ferromagnetic plan: the
 antiferromagnetic bit of a configuration is one minus its ferromagnetic
 bit, so the antiferromagnetic levels are the ferromagnetic ones reflected
-through the top energy, with the same degeneracies, and each unpack reads
-the cells from the top down (the packed ints big-endian).  An explicit
-``rule=`` runs its own plan.
+through the top energy, with the same degeneracies.  Each backend unpacks
+the ferromagnetic result and reflects the finished levels in one step,
+:func:`_reflected`.  An explicit ``rule=`` runs its own plan.
 """
 
 from __future__ import annotations
 
+import copy
 import operator
 from dataclasses import dataclass
 from functools import reduce
@@ -205,7 +206,9 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     high_bottom = min(k for k, _ in plan)
     last_use = {k: dest for dest, (k, _) in enumerate(plan)}
     shift, combine, scale = kind.shift, kind.combine, kind.scale
-    state = [kind.one] * m  # energy zero reached once for every starting value
+    # energy zero reached once for every starting value; a copy, since a
+    # kind's scale may rescale the states in place
+    state = [copy.copy(kind.one)] * m
     for w in disp.scaled:
         if scale is not None:
             scale(state)
@@ -228,25 +231,33 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     return reduce(combine, state)
 
 
-def _exact_table(packed: int, spec: ChainSpec, disp, mirrored: bool = False) -> DensityTable:
-    """The table of a finished exact polynomial of `spec`, read as a
-    (cells, slot) byte array whose occupied rows become Python ints.
-    Callers pass `packed` as a temporary, freed once its bytes are copied.
-
-    A `mirrored` polynomial is read big-endian: its top cell comes first,
-    so row r holds the level r.
+def _exact_levels(packed: int, spec: ChainSpec, disp) -> tuple:
+    """The occupied levels of a finished exact polynomial of `spec` and
+    their degeneracies, read as a (cells, slot) byte array whose occupied
+    rows become Python ints.  Callers pass `packed` as a temporary, freed
+    once its bytes are copied.
     """
     slot = _slot_bytes(spec)
     cells = disp.scaled_total + 1
-    order = "big" if mirrored else "little"
-    rows = np.frombuffer(packed.to_bytes(cells * slot, order), np.uint8).reshape(cells, slot)
+    rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
     del packed
     occupied = np.flatnonzero(rows.any(axis=1))
     counts = rows[occupied].tobytes()
     del rows
-    degeneracies = tuple(int.from_bytes(counts[i : i + slot], order)
-                         for i in range(0, len(counts), slot))
-    return DensityTable(occupied, degeneracies, disp.energy_scale, spec.n_states)
+    return occupied, tuple(int.from_bytes(counts[i : i + slot], "little")
+                           for i in range(0, len(counts), slot))
+
+
+def _reflected(top: int, levels: np.ndarray, values):
+    """Ascending `levels` and their `values` reflected through the level
+    `top`: the levels top - e, again ascending, and the values reversed.
+
+    Overwrites `levels`, and returns both as reversed views, so that the
+    reflection allocates no second array of levels.
+    """
+    levels = levels[::-1]
+    np.subtract(top, levels, out=levels)
+    return levels, values[::-1]
 
 
 def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
@@ -255,7 +266,7 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     Each energy cell holds the number of prefixes reaching it, in a slot
     wide enough for m**N, and bonds add the shifted polynomials.  The
     default antiferromagnetic rule runs as the ferromagnetic recursion,
-    read from the top cell down.
+    whose levels are then reflected.
 
     Raises
     ------
@@ -265,7 +276,10 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     disp = dispersion(spec)
     rule, mirrored = _recursion(spec, rule)
     kind = _packed_kind(disp.scaled_total + 1, 8 * _slot_bytes(spec), operator.add)
-    return _exact_table(_bond_dp(spec.m, rule, disp, kind), spec, disp, mirrored)
+    levels, degeneracies = _exact_levels(_bond_dp(spec.m, rule, disp, kind), spec, disp)
+    if mirrored:
+        levels, degeneracies = _reflected(disp.scaled_total, levels, degeneracies)
+    return DensityTable(levels, degeneracies, disp.energy_scale, spec.n_states)
 
 
 @dataclass(frozen=True)
@@ -305,12 +319,12 @@ def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSuppor
     rule, mirrored = _recursion(spec, rule)
     cells = disp.scaled_total + 1
     packed = _bond_dp(spec.m, rule, disp, _packed_kind(cells, 1, operator.or_))
-    # read big-endian, a mirrored polynomial starts with its top cell, after
-    # the padding bits of its top byte
-    order, nbytes = ("big" if mirrored else "little"), (cells + 7) // 8
-    bits = np.unpackbits(np.frombuffer(packed.to_bytes(nbytes, order), np.uint8), bitorder=order)
-    scaled = np.flatnonzero(bits[8 * nbytes - cells:] if mirrored else bits)
-    return LevelSupport(scaled=scaled.astype(np.int64, copy=False), energy_scale=disp.energy_scale)
+    bits = np.unpackbits(np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8),
+                         bitorder="little")
+    scaled = np.flatnonzero(bits).astype(np.int64, copy=False)
+    if mirrored:
+        scaled, _ = _reflected(disp.scaled_total, scaled, ())
+    return LevelSupport(scaled=scaled, energy_scale=disp.energy_scale)
 
 
 @dataclass(frozen=True)
@@ -326,7 +340,7 @@ class LevelMasses(LevelSupport):
         return np.concatenate(([0.0], np.cumsum(self.masses)))
 
 
-def level_masses(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelMasses:
+def level_masses(spec: ChainSpec) -> LevelMasses:
     """The levels and their fractions of the states, from the recursion of
     :func:`density_dp` over float64 masses in place of exact counts.
 
@@ -345,13 +359,13 @@ def level_masses(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelMasses:
         If the float grids and their unpacking would exceed the memory budget.
     """
     disp = dispersion(spec)
-    rule, mirrored = _recursion(spec, rule)
+    rule, mirrored = _recursion(spec, None)
     masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, disp.scaled_total + 1))
-    occupied = levels = np.flatnonzero(masses).astype(np.int64, copy=False)
-    if mirrored:  # cell c holds the level top - c
-        occupied = occupied[::-1]
-        levels = disp.scaled_total - occupied
-    return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses[occupied])
+    levels = np.flatnonzero(masses).astype(np.int64, copy=False)
+    masses = masses[levels]
+    if mirrored:
+        levels, masses = _reflected(disp.scaled_total, levels, masses)
+    return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses)
 
 
 def spin_degeneracy(k: int, m: int, epsilon: int) -> int:
@@ -431,7 +445,8 @@ def composition_density(spec: ChainSpec) -> DensityTable:
             merged[p] += dfac[p - last_cut] * running << shifts[p - 1]
             if p < stop:
                 running -= running << shifts[p - 1]
-    return _exact_table(merged.pop(), spec, disp)
+    return DensityTable(*_exact_levels(merged.pop(), spec, disp), disp.energy_scale,
+                        spec.n_states)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:

@@ -254,14 +254,16 @@ def test_masses_are_the_dp_degeneracies_over_the_state_count(spec):
     assert abs(ks_distance(masses, stats) - ks_distance(table, stats)) <= 1e-13
 
 
-def test_masses_follow_an_explicit_rule():
-    for spec, rule in ((ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), DeltaRule.susy(2, 1)),
-                       (ChainSpec("HS", 12, 3), DeltaRule.susy(1, 2)),
-                       (ChainSpec("HS", 40, 3, -1), DeltaRule.antiferro())):
-        table, masses = density_dp(spec, rule), level_masses(spec, rule)
-        assert np.array_equal(masses.levels(), table.levels()), (spec, rule)
-        np.testing.assert_allclose(masses.masses, [d / table.total for d in table.degeneracies],
-                                   rtol=1e-12, atol=0)
+def test_a_mass_kind_serves_more_than_one_recursion():
+    # the per-bond division works in place on the states, never on the
+    # kind's starting array
+    spec = ChainSpec("HS", 12, 3)
+    disp = dispersion(spec)
+    kind = _mass_kind(spec.m, disp.scaled_total + 1)
+    start = kind.one.copy()
+    first = _bond_dp(spec.m, DeltaRule.ferro(), disp, kind)
+    assert np.array_equal(kind.one, start)
+    assert np.array_equal(_bond_dp(spec.m, DeltaRule.ferro(), disp, kind), first)
 
 
 def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
