@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -207,14 +207,22 @@ def dispersion(spec: ChainSpec) -> DispersionTable:
     i*(N-i) for HS, i for PF and i*(alpha+i-1) for FI.  With alpha = p/q
     in lowest terms the FI weights are i*(p + q*(i-1)) / q, and bond 1
     has denominator exactly q, so the common scale is q.
+
+    The weights depend on the family, N and alpha only, and one chain's
+    moments and characteristic function read them several times in a row, so
+    the last table is kept (tables are immutable).
     """
-    n = spec.n_spins
-    if spec.family == "HS":
+    return _dispersion(spec.family, spec.n_spins, spec.alpha)
+
+
+@lru_cache(maxsize=1)
+def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
+    if family == "HS":
         scale, scaled = 1, tuple(i * (n - i) for i in range(1, n))
-    elif spec.family == "PF":
+    elif family == "PF":
         scale, scaled = 1, tuple(range(1, n))
     else:
-        p, scale = spec.alpha.numerator, spec.alpha.denominator
+        p, scale = alpha.numerator, alpha.denominator
         scaled = tuple(i * (p + scale * (i - 1)) for i in range(1, n))
     if any(s <= 0 for s in scaled):
         raise ValidationError("dispersion values must be strictly positive")

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -111,30 +112,40 @@ def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
     return config
 
 
-def _json_text(payload, pad: str = "") -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True)`` byte for byte, for
-    payloads with string keys, nested `pad` deep.
+def _json_text(payload, pad: str = ""):
+    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, byte
+    for byte, for payloads with string keys, nested `pad` deep.
 
     An indent sends the whole payload through json's pure-Python encoder.
     Here each dict or list without containers in it goes through the C
     encoder in one call, with the newline and indent of its items as the
-    item separator; only containers of containers recurse in Python.
+    item separator; only containers of containers recurse in Python.  The
+    pieces are yielded, not joined, so a megabyte leaf is written as it is
+    encoded and never copied into a larger text.
     """
     if not isinstance(payload, (dict, list, tuple)):
-        return json.dumps(payload)
+        yield json.dumps(payload)
+        return
     opening, closing = "{}" if isinstance(payload, dict) else "[]"
     if not payload:
-        return opening + closing
+        yield opening + closing
+        return
     inner = pad + "  "
     values = payload.values() if isinstance(payload, dict) else payload
     if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
-        body = json.dumps(payload, sort_keys=True, separators=(f",\n{inner}", ": "))[1:-1]
-    elif isinstance(payload, dict):
-        body = f",\n{inner}".join(f"{json.dumps(key)}: {_json_text(value, inner)}"
-                                   for key, value in sorted(payload.items()))
+        yield f"{opening}\n{inner}"
+        yield json.dumps(payload, sort_keys=True, separators=(f",\n{inner}", ": "))[1:-1]
     else:
-        body = f",\n{inner}".join(_json_text(value, inner) for value in payload)
-    return f"{opening}\n{inner}{body}\n{pad}{closing}"
+        if isinstance(payload, dict):
+            items = [(f"{json.dumps(key)}: ", value) for key, value in sorted(payload.items())]
+        else:
+            items = [("", value) for value in payload]
+        separator = f"{opening}\n{inner}"
+        for key, value in items:
+            yield separator + key
+            yield from _json_text(value, inner)
+            separator = f",\n{inner}"
+    yield f"\n{pad}{closing}"
 
 
 def _requested_formats(args) -> list:
@@ -166,18 +177,18 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
     for fmt in args.formats:
         artifact = artifacts[fmt]
         if fmt == "csv" and callable(artifact):
-            text = artifact(header)
+            pieces = [artifact(header)]
         elif fmt == "csv":
             columns, rows = artifact
-            text = csv_text(header, columns, (",".join(map(format_cell, row)) for row in rows))
+            pieces = [csv_text(header, columns, (",".join(map(format_cell, row)) for row in rows))]
         elif fmt == "json":
-            text = _json_text({"config": config, **artifact()}) + "\n"
+            pieces = chain(_json_text({"config": config, **artifact()}), ["\n"])
         else:
-            text = "<!--\n" + "\n".join(header) + "\n-->\n" + artifact()
+            pieces = ["<!--\n", "\n".join(header), "\n-->\n", artifact()]
         path = os.path.join(args.out, f"{command}.{fmt}")
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-        del text  # a density artifact is megabytes; free it before rendering the next
+            handle.writelines(pieces)
+        del pieces  # a density artifact is megabytes; free it before rendering the next
         print(f"wrote {path}")
 
 

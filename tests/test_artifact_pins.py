@@ -11,6 +11,8 @@ The files under ``pinned/<case>/`` are the recorded bytes; a case whose
 recording holds only a prefix is marked ``full=False`` below.
 """
 
+import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +20,8 @@ import pytest
 from hschain.cli import main
 
 PINNED = Path(__file__).parent / "pinned"
+# sha256 of the benchmark's FI N=64 density artifacts, recorded by the benchmark
+WORKLOAD_DIGESTS = Path(__file__).parent.parent / "perfbench" / "digests.json"
 
 FI_DENSITY = ["density", "--family", "fi", "--alpha", "3/2", "--N", "5", "--m", "2",
               "--antiferro", "--format", "csv,json"]
@@ -54,3 +58,13 @@ def test_artifacts_match_recorded_bytes(tmp_path, case):
             assert produced == expected, path.name
         else:
             assert produced.startswith(expected), path.name
+
+
+def test_density_artifacts_at_the_benchmark_size_match_its_digests(tmp_path):
+    # FI N=64 m=4: 132,342 levels, 6.2 MB of JSON, where the writer streams its pieces
+    argv = ["density", "--family", "fi", "--alpha", "3/2", "--N", "64", "--m", "4",
+            "--antiferro", "--format", "csv,json", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    digests = json.loads(WORKLOAD_DIGESTS.read_text(encoding="utf-8"))
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

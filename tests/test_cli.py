@@ -149,7 +149,7 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     "a scalar",
 ])
 def test_json_text_equals_the_indented_sorted_encoder_byte_for_byte(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(_json_text(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_density_json_equals_the_indented_sorted_encoder(tmp_path):

@@ -19,6 +19,7 @@ from hschain import (
     jacobi_eigenvalues,
     oracle_compare,
 )
+from hschain.cli import main
 from hschain.hamiltonian import (
     _block,
     _check_oracle_cost,
@@ -137,6 +138,8 @@ def test_dense_cap():
     (ChainSpec("FI", 7, 3, alpha=2), None),
     (ChainSpec("HS", 13, 2), "over the ceiling"),  # 7.57e9 units
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
+    # 5 x 8 x 24**5 bytes: 318 MB of spectra, but writing them as JSON takes 1.15 GB more
+    (ChainSpec("HS", 5, 24), "over the budget"),
     (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
 ])
@@ -176,6 +179,20 @@ def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.multiplicities_match
+    assert peak <= calls[-1][1], (peak, calls[-1][1])
+
+
+def test_the_oracle_gate_counts_the_written_report(tmp_path, monkeypatch):
+    # HS N=4 m=16: 65,536 states; writing the two lists of the report peaks
+    # near 0.9 of the prediction, and at about 4 times the spectra alone
+    calls = _spy_on_the_gate(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "--family", "hs", "--N", "4", "--m", "16",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak <= calls[-1][1], (peak, calls[-1][1])
 
 
