@@ -65,17 +65,14 @@ def _parse_sweep(text: str) -> list:
         while n <= stop:
             values.append(n)
             n *= 2
-    else:
-        try:
-            step = int(parts[2])
-        except ValueError as exc:
-            raise ValidationError(f"bad sweep step in {text!r}") from exc
-        if step < 1:
-            raise ValidationError("sweep step must be positive")
-        values = list(range(start, stop + 1, step))
-    if not values:
-        raise ValidationError(f"sweep {text!r} is empty")
-    return values
+        return values
+    try:
+        step = int(parts[2])
+    except ValueError as exc:
+        raise ValidationError(f"bad sweep step in {text!r}") from exc
+    if step < 1:
+        raise ValidationError("sweep step must be positive")
+    return list(range(start, stop + 1, step))
 
 
 def _resolve_spec(args, n=None) -> ChainSpec:
@@ -120,8 +117,9 @@ def _json_text(payload, pad: str = ""):
     Here each dict or list without containers in it goes through the C
     encoder in one call, with the newline and indent of its items as the
     item separator; only containers of containers recurse in Python.  The
-    pieces are yielded, not joined, so a megabyte leaf is written as it is
-    encoded and never copied into a larger text.
+    pieces are yielded, not joined, so no text of the whole payload is
+    built; a leaf's text is sliced once to drop its brackets, a second copy
+    of the largest leaf while it is written.
     """
     if not isinstance(payload, (dict, list, tuple)):
         yield json.dumps(payload)

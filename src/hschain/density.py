@@ -14,22 +14,25 @@ Two independent routes to the same density:
 
 Both hold an exact polynomial in one format, a Python int with one slot
 per energy cell, wide enough for m**N, so big-number adds and shifts do
-the work in C; and both end in one unpack, :func:`_exact_levels`, into
-the ascending int64 levels and exact degeneracies of a
+the work in C; and both end in one read-out, that of :func:`_exact_kind`,
+into the ascending int64 levels and exact degeneracies of a
 :class:`~hschain.table.DensityTable`.
 
 The recursion of :func:`density_dp` is one loop, :func:`_bond_dp`, over
-three kinds of polynomial.  :func:`level_support` runs it with one bit per
-cell and ``|`` in place of ``+``: it finds which levels occur, not how
-often, on a grid at most a sixty-fourth the size, for consumers that
-collapse degeneracies anyway.  :func:`level_masses` runs it over float64
-arrays of the fractions of states, for the Kolmogorov-Smirnov distance.
+three kinds of polynomial, each built with its read-out and its bytes:
+:func:`_exact_kind`, :func:`_support_kind` and :func:`_mass_kind`.
+:func:`level_support` runs it with one bit per cell and ``|`` in place of
+``+``: it finds which levels occur, not how often, on a grid at most a
+sixty-fourth the size, for consumers that collapse degeneracies anyway.
+:func:`level_masses` runs it over float64 arrays of the fractions of
+states, for the Kolmogorov-Smirnov distance.  One runner,
+:func:`_dp_levels`, serves all three.
 
 For the default rules the loop always runs the ferromagnetic plan: the
 antiferromagnetic bit of a configuration is one minus its ferromagnetic
 bit, so the antiferromagnetic levels are the ferromagnetic ones reflected
-through the top energy, with the same degeneracies.  Each backend unpacks
-the ferromagnetic result and reflects the finished levels in one step,
+through the top energy, with the same degeneracies.  The runner reads the
+ferromagnetic result and reflects the finished levels in one step,
 :func:`_reflected`.  An explicit ``rule=`` runs its own plan.
 
 The loop's polynomials grow every bond.  glibc's malloc serves each block
@@ -50,7 +53,7 @@ from __future__ import annotations
 import copy
 import operator
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import accumulate
 from math import comb
 from typing import Callable, NamedTuple
@@ -97,41 +100,74 @@ def _slot_bytes(spec: ChainSpec) -> int:
     return max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
 
 
-def _unpack_bytes(cells: int, slot_bits: int) -> int:
-    """Predicted peak bytes of unpacking a finished polynomial of `cells`
-    slots of `slot_bits` bits.
-
-    A polynomial is a Python int, 4 bytes per 30-bit digit.  Next to it the
-    unpack holds a copy of its bytes, one byte per cell (the unpacked bit,
-    or the occupied-row mask) and, since any cell may be a level, per cell
-    an int64 index and, with exact counts, a copy of the cell's slot and a
-    Python int of the slot's width (24 bytes and 4 per 30 bits) in a tuple.
-    """
-    level = 8 if slot_bits == 1 else 8 + slot_bits // 8 + 8 + 24 + 4 * -(-slot_bits // 30)
-    return 4 * -(-cells * slot_bits // 30) + (cells * slot_bits + 7) // 8 + cells * (1 + level)
-
-
 class _Kind(NamedTuple):
-    """One kind of polynomial :func:`_bond_dp` accumulates, and its bytes."""
+    """One kind of polynomial :func:`_bond_dp` accumulates, how a finished
+    one is read, and its bytes."""
 
     one: object  # one starting spin value: energy zero, reached once
     combine: Callable  # merges the polynomials that feed one destination
     add_shifted: Callable  # (plain or None, polynomial, F) -> plain and the polynomial times q**F
     scale: Callable | None  # rescales the list of states in place before each bond
+    read: Callable  # finished polynomial -> ascending occupied cells (int64) and their values
     nbytes: int  # one polynomial over every energy cell
-    unpack: int  # the finished polynomial and its unpacking
+    unpack: int  # the finished polynomial and its read-out
 
 
-def _packed_kind(cells: int, slot_bits: int, combine: Callable) -> _Kind:
-    """Python ints of `slot_bits` bits per cell, 4 bytes per 30-bit digit:
-    exact counts with ``+``, or one bit with ``|``."""
+def _packed_kind(cells: int, slot_bits: int, combine: Callable, read: Callable,
+                 level: int) -> _Kind:
+    """Python ints of `slot_bits` bits per cell, 4 bytes per 30-bit digit.
+
+    Next to the finished int, `read` holds a copy of its bytes, one byte
+    per cell (the unpacked bit, or the occupied-row mask) and, since any
+    cell may be a level, `level` bytes per cell.
+    """
 
     def add_shifted(plain, packed, w):
         shifted = packed << w * slot_bits
         return shifted if plain is None else combine(plain, shifted)
 
-    return _Kind(1, combine, add_shifted, None, 4 * -(-cells * slot_bits // 30),
-                 _unpack_bytes(cells, slot_bits))
+    nbytes = 4 * -(-cells * slot_bits // 30)
+    return _Kind(1, combine, add_shifted, None, read, nbytes,
+                 nbytes + (cells * slot_bits + 7) // 8 + cells * (1 + level))
+
+
+def _exact_kind(spec: ChainSpec, cells: int) -> _Kind:
+    """Exact counts of `spec`'s states, one slot of :func:`_slot_bytes` per
+    cell, added with ``+``.
+
+    A finished polynomial is read as a (cells, slot) byte array whose
+    occupied rows become Python ints; callers pass it as a temporary, freed
+    once its bytes are copied.  Per level the read-out holds an int64 index,
+    a copy of the level's slot and a Python int of the slot's width (24
+    bytes and 4 per 30 bits) in a tuple.
+    """
+    slot = _slot_bytes(spec)
+
+    def read(packed):
+        rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
+        del packed
+        occupied = np.flatnonzero(rows.any(axis=1))
+        counts = rows[occupied].tobytes()
+        del rows
+        return occupied, tuple(int.from_bytes(counts[i : i + slot], "little")
+                               for i in range(0, len(counts), slot))
+
+    return _packed_kind(cells, 8 * slot, operator.add, read,
+                        8 + slot + 8 + 24 + 4 * -(-8 * slot // 30))
+
+
+def _support_kind(cells: int) -> _Kind:
+    """One bit per cell, merged with ``|``: which levels occur, not how
+    often.  A finished polynomial is read by unpacking its bits, and each
+    level keeps an int64 index; its values are empty."""
+
+    def read(packed):
+        bits = np.unpackbits(np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8),
+                             bitorder="little")
+        # the indices are int64 already: a copy would double the levels' bytes
+        return np.flatnonzero(bits).astype(np.int64, copy=False), ()
+
+    return _packed_kind(cells, 1, operator.or_, read, 8)
 
 
 def _add_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,46 +196,21 @@ def _mass_kind(m: int, cells: int) -> _Kind:
     the m starting values of mass 1/m keep a total of 1 at any N.
 
     A state may hold one array for several spin values, so each distinct
-    array is divided once.  Unpacking holds the finished array, a byte and
-    an int64 index per cell, and the levels and masses it keeps.
+    array is divided once.  A finished array is read as its nonzero cells
+    and their masses: per cell, the read-out holds the finished array, a
+    byte and an int64 index, and the levels and masses it keeps.
     """
 
     def divide(state):
         for masses in {id(masses): masses for masses in state}.values():
             masses /= m
 
-    return _Kind(np.full(1, 1 / m), _add_masses, _add_shifted_masses, divide, 8 * cells,
-                 33 * cells)
+    def read(masses):
+        levels = np.flatnonzero(masses).astype(np.int64, copy=False)
+        return levels, masses[levels]
 
-
-def _predicted_peak(m: int, plan: list, cells: int, kind: _Kind):
-    """Predicted peak bytes of :func:`_bond_dp` and of unpacking its result,
-    with the arithmetic behind it as text.
-
-    During a bond the loop holds at most the m old states, the new partial
-    combines :func:`_bond_plan` asks for, the m new states and one shifted
-    temporary.  The prediction is the larger of that and the unpack.
-    """
-    low_top = max(k for k, _ in plan)
-    high_bottom = min(k for k, _ in plan)
-    partials = low_top - 1 + max(0, m - high_bottom - 1)
-    live = 2 * m + partials + 1
-    detail = (
-        f"density grid needs {cells} cells = {kind.nbytes} bytes per polynomial; the bond "
-        f"loop holds {live} of them = {live * kind.nbytes} bytes and the result needs "
-        f"{kind.unpack} bytes to unpack"
-    )
-    return max(live * kind.nbytes, kind.unpack), detail
-
-
-def _recursion(spec: ChainSpec, rule: DeltaRule | None):
-    """The rule the bond loop runs for `spec`, and whether its result is
-    read reflected: the ferromagnetic rule for both default rules, since
-    the antiferromagnetic bit is one minus the ferromagnetic bit of the
-    same configuration.  An explicit `rule` runs as given."""
-    if rule is None:
-        return DeltaRule.ferro(), spec.epsilon != FERRO
-    return rule, False
+    return _Kind(np.full(1, 1 / m), _add_masses, _add_shifted_masses, divide, read, 8 * cells,
+                 cells * (8 + 1 + 8 + 8 + 8))
 
 
 def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
@@ -222,21 +233,28 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     operations per bond instead of the m(m + 2) of combining every
     destination's sources afresh.
 
+    During a bond the loop holds at most the m old states, these partial
+    combines, the m new states and one shifted temporary; the memory gate
+    counts the larger of that and the kind's read-out.
+
     Raises
     ------
     CapacityError
-        If the prediction of :func:`_predicted_peak` exceeds the memory budget.
+        If the loop or the read-out would exceed the memory budget.
     """
     plan = _bond_plan(rule, m)
-    peak, detail = _predicted_peak(m, plan, disp.scaled_total + 1, kind)
-    check_grid_budget(detail, peak)
+    low_top = max(k for k, _ in plan)
+    high_bottom = min(k for k, _ in plan)
+    live = 2 * m + low_top - 1 + max(0, m - high_bottom - 1) + 1
+    check_grid_budget(
+        f"density grid needs {disp.scaled_total + 1} cells = {kind.nbytes} bytes per polynomial; "
+        f"the bond loop holds {live} of them = {live * kind.nbytes} bytes and the result needs "
+        f"{kind.unpack} bytes to unpack", max(live * kind.nbytes, kind.unpack))
     # glibc serves blocks above its mmap threshold from fresh zero pages and
     # raises the threshold to the size of each such block freed; one freed
     # block of a whole polynomial lifts it past every polynomial of the loop,
     # which then reuses heap pages.  calloc touches no page of this one.
     bytes(kind.nbytes)
-    low_top = max(k for k, _ in plan)
-    high_bottom = min(k for k, _ in plan)
     last_use = {k: dest for dest, (k, _) in enumerate(plan)}
     combine, add_shifted, scale = kind.combine, kind.add_shifted, kind.scale
     # energy zero reached once for every starting value; a copy, since a
@@ -259,23 +277,6 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     return reduce(combine, state)
 
 
-def _exact_levels(packed: int, spec: ChainSpec, disp) -> tuple:
-    """The occupied levels of a finished exact polynomial of `spec` and
-    their degeneracies, read as a (cells, slot) byte array whose occupied
-    rows become Python ints.  Callers pass `packed` as a temporary, freed
-    once its bytes are copied.
-    """
-    slot = _slot_bytes(spec)
-    cells = disp.scaled_total + 1
-    rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
-    del packed
-    occupied = np.flatnonzero(rows.any(axis=1))
-    counts = rows[occupied].tobytes()
-    del rows
-    return occupied, tuple(int.from_bytes(counts[i : i + slot], "little")
-                           for i in range(0, len(counts), slot))
-
-
 def _reflected(top: int, levels: np.ndarray, values):
     """Ascending `levels` and their `values` reflected through the level
     `top`: the levels top - e, again ascending, and the values reversed.
@@ -286,6 +287,24 @@ def _reflected(top: int, levels: np.ndarray, values):
     levels = levels[::-1]
     np.subtract(top, levels, out=levels)
     return levels, values[::-1]
+
+
+def _dp_levels(spec: ChainSpec, rule: DeltaRule | None, kind_of: Callable):
+    """The dispersion of `spec`, and the ascending levels and their values
+    that :func:`_bond_dp` finds over the kind ``kind_of(cells)``.
+
+    Both default rules run the ferromagnetic recursion, since the
+    antiferromagnetic bit is one minus the ferromagnetic bit of the same
+    configuration; the antiferromagnetic levels are read reflected.  An
+    explicit `rule` runs as given.
+    """
+    disp = dispersion(spec)
+    kind = kind_of(disp.scaled_total + 1)
+    levels, values = kind.read(_bond_dp(spec.m, DeltaRule.ferro() if rule is None else rule,
+                                        disp, kind))
+    if rule is None and spec.epsilon != FERRO:
+        levels, values = _reflected(disp.scaled_total, levels, values)
+    return disp, levels, values
 
 
 def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
@@ -301,12 +320,7 @@ def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
     CapacityError
         If the energy grid and its unpacking would exceed the memory budget.
     """
-    disp = dispersion(spec)
-    rule, mirrored = _recursion(spec, rule)
-    kind = _packed_kind(disp.scaled_total + 1, 8 * _slot_bytes(spec), operator.add)
-    levels, degeneracies = _exact_levels(_bond_dp(spec.m, rule, disp, kind), spec, disp)
-    if mirrored:
-        levels, degeneracies = _reflected(disp.scaled_total, levels, degeneracies)
+    disp, levels, degeneracies = _dp_levels(spec, rule, partial(_exact_kind, spec))
     return DensityTable(levels, degeneracies, disp.energy_scale, spec.n_states)
 
 
@@ -343,15 +357,7 @@ def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSuppor
         If the bit grid and its unpacking (a byte and an int64 per cell)
         would exceed the memory budget.
     """
-    disp = dispersion(spec)
-    rule, mirrored = _recursion(spec, rule)
-    cells = disp.scaled_total + 1
-    packed = _bond_dp(spec.m, rule, disp, _packed_kind(cells, 1, operator.or_))
-    bits = np.unpackbits(np.frombuffer(packed.to_bytes((cells + 7) // 8, "little"), np.uint8),
-                         bitorder="little")
-    scaled = np.flatnonzero(bits).astype(np.int64, copy=False)
-    if mirrored:
-        scaled, _ = _reflected(disp.scaled_total, scaled, ())
+    disp, scaled, _ = _dp_levels(spec, rule, _support_kind)
     return LevelSupport(scaled=scaled, energy_scale=disp.energy_scale)
 
 
@@ -386,13 +392,7 @@ def level_masses(spec: ChainSpec) -> LevelMasses:
     CapacityError
         If the float grids and their unpacking would exceed the memory budget.
     """
-    disp = dispersion(spec)
-    rule, mirrored = _recursion(spec, None)
-    masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, disp.scaled_total + 1))
-    levels = np.flatnonzero(masses).astype(np.int64, copy=False)
-    masses = masses[levels]
-    if mirrored:
-        levels, masses = _reflected(disp.scaled_total, levels, masses)
+    disp, levels, masses = _dp_levels(spec, None, partial(_mass_kind, spec.m))
     return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses)
 
 
@@ -457,12 +457,12 @@ def composition_density(spec: ChainSpec) -> DensityTable:
     # compositions x m**N x 2**N, spills at most 2N bits past the top slot
     polynomial = 4 * -(-(cells * 8 * slot + 2 * n) // 30)
     live = min(n, longest_part) + 5
-    unpack = _unpack_bytes(cells, 8 * slot)
+    kind = _exact_kind(spec, cells)
     check_grid_budget(f"composition sum makes {row_updates} row updates of {cells} cells x "
                       f"{slot} bytes = {byte_updates} byte-updates and holds {live} polynomials "
                       f"of {polynomial} bytes = {live * polynomial} bytes; the result needs "
-                      f"{unpack} bytes to unpack", max(live * polynomial, unpack), byte_updates,
-                      COMPOSITION_CEILING)
+                      f"{kind.unpack} bytes to unpack", max(live * polynomial, kind.unpack),
+                      byte_updates, COMPOSITION_CEILING)
     merged = [0] * (n + 1)  # row p: all prefixes with last cut at bond p
     merged[0] = 1
     for last_cut in range(n):
@@ -473,8 +473,7 @@ def composition_density(spec: ChainSpec) -> DensityTable:
             merged[p] += dfac[p - last_cut] * running << shifts[p - 1]
             if p < stop:
                 running -= running << shifts[p - 1]
-    return DensityTable(*_exact_levels(merged.pop(), spec, disp), disp.energy_scale,
-                        spec.n_states)
+    return DensityTable(*kind.read(merged.pop()), disp.energy_scale, spec.n_states)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:

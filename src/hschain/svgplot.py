@@ -42,7 +42,10 @@ class _Axis:
     def __post_init__(self):
         if self.log and (self.lo <= 0 or self.hi <= 0):
             raise ValidationError("log axis needs positive data")
-        if self.hi <= self.lo:
+        if self.hi <= self.lo and self.log:
+            # a decade each way: a factor keeps both bounds positive
+            self.lo, self.hi = self.lo / 10.0, self.hi * 10.0
+        elif self.hi <= self.lo:
             pad = abs(self.lo) * 0.5 + 1.0
             self.lo, self.hi = self.lo - pad, self.hi + pad
 

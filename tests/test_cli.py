@@ -101,6 +101,16 @@ def test_kscan_csv(tmp_path):
     assert 0 < last < first < 1
 
 
+def test_one_point_kscan_draws_its_log_log_plot(tmp_path):
+    rc = run(tmp_path, "kscan", "--family", "hs", "--m", "2", "--n-sweep", "16:16:geometric",
+             "--format", "csv,svg")
+    assert rc == 0
+    body = [line for line in (tmp_path / "kscan.csv").read_text().splitlines()
+            if not line.startswith("#")]
+    assert body[0] == "N,ks_distance" and len(body) == 2 and body[1].startswith("16,")
+    assert (tmp_path / "kscan.svg").read_text().count("<polyline") == 1
+
+
 def test_oracle_json(tmp_path):
     rc = run(tmp_path, "oracle", "--family", "hs", "--N", "2", "--m", "2", "--ferro")
     assert rc == 0
@@ -201,6 +211,25 @@ def test_capacity_violation_exits_one(tmp_path, capsys):
 def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
     assert run(tmp_path, *args) == 1
     assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, message", [
+    (["kscan", "--n-sweep", "16:32"], "sweep must look like a:b:geometric or a:b:step"),
+    (["kscan", "--n-sweep", "a:32:geometric"], "bad sweep bounds"),
+    (["kscan", "--n-sweep", "1:32:geometric"], "sweep bounds must satisfy 2 <= a <= b"),
+    (["kscan", "--n-sweep", "32:16:geometric"], "sweep bounds must satisfy 2 <= a <= b"),
+    (["kscan", "--n-sweep", "16:32:x"], "bad sweep step"),
+    (["kscan", "--n-sweep", "16:32:0"], "sweep step must be positive"),
+    (["charfn", "--N", "8", "--t-points", "1"], "--t-points must be at least 2"),
+    (["density", "--N", "4", "--format", ","], "at least one output format is required"),
+    (["density", "--spec", "{"], "invalid JSON chain spec"),
+])
+def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
+    assert run(tmp_path, *args[:1], "--family", "hs", "--m", "2", *args[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert not any(tmp_path.iterdir())
 
 

@@ -19,11 +19,10 @@ from hschain import (CapacityError, ChainSpec, DeltaRule, ValidationError, close
                      delta, dispersion, ks_distance)
 from hschain.density import (
     _bond_dp,
-    _bond_plan,
+    _exact_kind,
     _mass_kind,
-    _packed_kind,
-    _predicted_peak,
-    _recursion,
+    _slot_bytes,
+    _support_kind,
     composition_density,
     density_dp,
     level_masses,
@@ -101,7 +100,6 @@ def test_sign_flip_mirrors_dp_table():
 
 def test_mirrored_default_equals_the_direct_antiferro_recursion_at_large_n():
     spec = ChainSpec("FI", 64, 4, -1, Fraction(3, 2))
-    assert _recursion(spec, None) == (DeltaRule.ferro(), True)
     direct = density_dp(spec, rule=DeltaRule.antiferro())
     mirrored = density_dp(spec)
     assert mirrored == direct
@@ -306,9 +304,10 @@ def _combine_every_source(spec, rule, slot_bits, combine):
 def test_bond_partials_equal_combining_every_source(rule, spec):
     disp = dispersion(spec)
     cells = disp.scaled_total + 1
-    slot_bits = 8 * max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    for bits, combine in ((slot_bits, operator.add), (1, operator.or_)):
-        packed = _bond_dp(spec.m, rule, disp, _packed_kind(cells, bits, combine))
+    slot_bits = 8 * _slot_bytes(spec)
+    for kind, bits, combine in ((_exact_kind(spec, cells), slot_bits, operator.add),
+                                (_support_kind(cells), 1, operator.or_)):
+        packed = _bond_dp(spec.m, rule, disp, kind)
         assert packed == _combine_every_source(spec, rule, bits, combine), (rule, spec, bits)
     counts = _combine_every_source(spec, rule, slot_bits, operator.add)
     masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, cells))
@@ -335,20 +334,18 @@ def test_measured_peaks_stay_within_the_prediction(spec, monkeypatch):
     # the unpack of the bit grid at 50 to 60; the float masses peak at 6.5,
     # 4.0 and 9.6 grid-sized arrays, about half their prediction, because
     # the arrays grow with the bonds
-    cells = dispersion(spec).scaled_total + 1
-    plan = _bond_plan(_recursion(spec, None)[0], spec.m)
-    slot_bits = 8 * max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
-    for backend, kind in ((density_dp, _packed_kind(cells, slot_bits, operator.add)),
-                          (level_support, _packed_kind(cells, 1, operator.or_)),
-                          (level_masses, _mass_kind(spec.m, cells))):
-        predicted, _ = _predicted_peak(spec.m, plan, cells, kind)
-        _set_budget(monkeypatch, predicted)
+    checks = []
+    check = hschain.density.check_grid_budget
+    monkeypatch.setattr(hschain.density, "check_grid_budget",
+                        lambda *args: checks.append(args) or check(*args))
+    for backend in (density_dp, level_support, level_masses):
         tracemalloc.start()
         try:
             backend(spec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        _, predicted = checks[-1]
         assert peak <= predicted, (spec, backend.__name__, peak, predicted)
 
 

@@ -45,3 +45,11 @@ def test_histogram_plot_draws_bars_and_overlays():
     assert svg.startswith("<svg ")
     assert svg.count("<rect") >= 7  # one bar per nonzero bin, plus the frame
     assert svg.count("<polyline") == 1
+
+
+def test_one_point_log_log_plot_stays_on_positive_axes():
+    # a zero-width log axis widens by a factor, never below zero
+    svg = line_plot([("one", [16], [0.0135])], title="one point", x_label="N",
+                    y_label="distance", log_x=True, log_y=True)
+    assert svg.count("<polyline") == 1
+    assert ">10</text>" in svg and ">0.01</text>" in svg
