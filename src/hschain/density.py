@@ -3,10 +3,11 @@
 Two independent routes to the same density:
 
 * :func:`density_dp` runs a transfer-style dynamic program over the bonds,
-  carrying one polynomial per spin value: per bond at most 4m - 3
-  big-integer shifts and adds (the sources of each spin value are a prefix
-  and a suffix of 1..m, whose partial sums it shares), where adding every
-  destination's sources afresh takes m(m + 2).
+  carrying one polynomial per spin value: per bond 4m - 5 big-integer
+  shifts and adds (spin value d + 1 takes the prefix 1..d of the spin
+  values shifted and the suffix d + 1..m unshifted, and the partial sums
+  are shared), where adding every destination's sources afresh takes
+  m(m + 2).
 * :func:`composition_density` expands the closed partition-function sum
   over the ordered compositions of N, merged per cut position.  It never
   touches motifs or pairing rules, which makes it a genuinely independent
@@ -28,12 +29,14 @@ sixty-fourth the size, for consumers that collapse degeneracies anyway.
 states, for the Kolmogorov-Smirnov distance.  One runner,
 :func:`_dp_levels`, serves all three.
 
-For the default rules the loop always runs the ferromagnetic plan: the
+The loop runs the ferromagnetic recursion for both signs: the
 antiferromagnetic bit of a configuration is one minus its ferromagnetic
 bit, so the antiferromagnetic levels are the ferromagnetic ones reflected
 through the top energy, with the same degeneracies.  The runner reads the
 ferromagnetic result and reflects the finished levels in one step,
-:func:`_reflected`.  An explicit ``rule=`` runs its own plan.
+:func:`_reflected`; :func:`composition_density` and
+:func:`~hschain.motifs.brute_force_density`, which apply the
+antiferromagnetic sign themselves, check that reflection.
 
 The loop's polynomials grow every bond.  glibc's malloc serves each block
 above its mmap threshold (128 KiB in a fresh process) from fresh zero
@@ -62,37 +65,8 @@ import numpy as np
 
 from .chains import FERRO, ChainSpec, dispersion
 from .errors import ValidationError
-from .motifs import DeltaRule, delta
-from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget
+from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget, format_rational
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
-
-
-def _bond_plan(rule: DeltaRule, m: int) -> list:
-    """How each destination spin value draws on the m sources.
-
-    For every pairing rule the sources that feed a destination with a
-    shift form a prefix 1..k or a suffix k+1..m of the spin values, and
-    the sources that feed it plainly are the rest.  Returns, per
-    destination, ``(k, low_shifted)``: sources 1..k (never empty) are the
-    shifted side when `low_shifted` is true and the plain side otherwise;
-    sources k+1..m (empty when k = m) are the other side.
-
-    Raises
-    ------
-    ValidationError
-        If some rule feeds a destination from neither a prefix nor a suffix.
-    """
-    plan = []
-    for dest in range(1, m + 1):
-        bits = [delta(rule, src, dest, m) for src in range(1, m + 1)]
-        k = next((i for i in range(1, m) if bits[i] != bits[0]), m)
-        if bits[k:] != [1 - bits[0]] * (m - k):
-            raise ValidationError(
-                f"{rule.kind} rule shifts sources {bits} into spin value {dest}, "
-                "not a prefix or a suffix of the spin values"
-            )
-        plan.append((k, bits[0] == 1))
-    return plan
 
 
 def _slot_bytes(spec: ChainSpec) -> int:
@@ -106,7 +80,7 @@ class _Kind(NamedTuple):
 
     one: object  # one starting spin value: energy zero, reached once
     combine: Callable  # merges the polynomials that feed one destination
-    add_shifted: Callable  # (plain or None, polynomial, F) -> plain and the polynomial times q**F
+    add_shifted: Callable  # (plain, polynomial, F) -> plain and the polynomial times q**F
     scale: Callable | None  # rescales the list of states in place before each bond
     read: Callable  # finished polynomial -> ascending occupied cells (int64) and their values
     nbytes: int  # one polynomial over every energy cell
@@ -123,8 +97,7 @@ def _packed_kind(cells: int, slot_bits: int, combine: Callable, read: Callable,
     """
 
     def add_shifted(plain, packed, w):
-        shifted = packed << w * slot_bits
-        return shifted if plain is None else combine(plain, shifted)
+        return combine(plain, packed << w * slot_bits)
 
     nbytes = 4 * -(-cells * slot_bits // 30)
     return _Kind(1, combine, add_shifted, None, read, nbytes,
@@ -179,14 +152,13 @@ def _add_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return total
 
 
-def _add_shifted_masses(plain, masses: np.ndarray, w: int) -> np.ndarray:
-    """`plain` (None for none) plus `masses` moved up by `w` cells, written
-    once into one new array."""
+def _add_shifted_masses(plain: np.ndarray, masses: np.ndarray, w: int) -> np.ndarray:
+    """`plain` plus `masses` moved up by `w` cells, written once into one
+    new array."""
     top = w + masses.size
-    total = np.zeros(top if plain is None else max(top, plain.size))
+    total = np.zeros(max(top, plain.size))
     total[w:top] = masses
-    if plain is not None:
-        total[: plain.size] += plain
+    total[: plain.size] += plain
     return total
 
 
@@ -213,25 +185,27 @@ def _mass_kind(m: int, cells: int) -> _Kind:
                  cells * (8 + 1 + 8 + 8 + 8))
 
 
-def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
+def _bond_dp(m: int, disp, kind: _Kind):
     """The per-bond recursion shared by :func:`density_dp`,
     :func:`level_support` and :func:`level_masses`, over the dispersion
-    `disp` of a chain of m spin values under `rule`.
+    `disp` of a ferromagnetic chain of m spin values.
 
     The state after bond j is, for each spin value v, a polynomial whose
     E-th cell describes the prefixes (n_1..n_{j+1}) ending in v with
     accumulated scaled energy E.  `kind` says what a cell holds and how a
-    polynomial is shifted by F(j) energy units and combined with another:
-    an exact count in a slot of a big integer and ``+``, one bit and ``|``,
+    polynomial is shifted by F(j) energy units and added to another: an
+    exact count in a slot of a big integer and ``+``, one bit and ``|``,
     or a float64 mass and an aligned add.  Returns the combined polynomial
     over all final spin values.
 
-    Each bond first forms the partial combines of the sources over the
-    prefixes 1..k and the suffixes k+1..m that :func:`_bond_plan` asks
-    for, at most 2m - 3 combines, and then gives each destination at most
-    one shift and one combine of a prefix with a suffix: at most 4m - 3
-    operations per bond instead of the m(m + 2) of combining every
-    destination's sources afresh.
+    The ferromagnetic bit of a bond is set iff its left spin value is the
+    smaller, so spin value 1 takes every source unshifted, and spin value
+    d + 1 takes sources 1..d shifted and d + 1..m unshifted.  Each bond
+    first forms the partial combines of the sources over the prefixes
+    1..d and the suffixes d + 1..m, 2m - 3 combines, and then gives each
+    destination past the first one shift and one combine: 4m - 5
+    operations per bond (none at m = 1) instead of the m(m + 2) of
+    combining every destination's sources afresh.
 
     During a bond the loop holds at most the m old states, these partial
     combines, the m new states and one shifted temporary; the memory gate
@@ -242,10 +216,7 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     CapacityError
         If the loop or the read-out would exceed the memory budget.
     """
-    plan = _bond_plan(rule, m)
-    low_top = max(k for k, _ in plan)
-    high_bottom = min(k for k, _ in plan)
-    live = 2 * m + low_top - 1 + max(0, m - high_bottom - 1) + 1
+    live = 3 * m + max(0, m - 2)
     check_grid_budget(
         f"density grid needs {disp.scaled_total + 1} cells = {kind.nbytes} bytes per polynomial; "
         f"the bond loop holds {live} of them = {live * kind.nbytes} bytes and the result needs "
@@ -255,7 +226,6 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     # block of a whole polynomial lifts it past every polynomial of the loop,
     # which then reuses heap pages.  calloc touches no page of this one.
     bytes(kind.nbytes)
-    last_use = {k: dest for dest, (k, _) in enumerate(plan)}
     combine, add_shifted, scale = kind.combine, kind.add_shifted, kind.scale
     # energy zero reached once for every starting value; a copy, since a
     # kind's scale may rescale the states in place
@@ -263,17 +233,14 @@ def _bond_dp(m: int, rule: DeltaRule, disp, kind: _Kind):
     for w in disp.scaled:
         if scale is not None:
             scale(state)
-        # low[k] combines sources 1..k and high[k] sources k+1..m; None is empty.
-        low = [None, *accumulate(state[:low_top], combine)]
-        high = [*accumulate(reversed(state[high_bottom:]), combine)]
-        high = [None] * high_bottom + high[::-1] + [None]
-        state = []
-        for dest, (k, low_shifted) in enumerate(plan):
-            plain, shifted = (high[k], low[k]) if low_shifted else (low[k], high[k])
-            if last_use[k] == dest:
-                low[k] = high[k] = None  # grid-sized; free each partial once used
-            state.append(plain if shifted is None else add_shifted(plain, shifted, w))
-            del plain, shifted
+        # low[d - 1] combines sources 1..d, and its last entry all m of them
+        # for spin value 1; high[d] combines sources d + 1..m
+        low = [*accumulate(state, combine)]
+        high = [None, *reversed([*accumulate(reversed(state[1:]), combine)])]
+        state = [low.pop()]
+        for d in range(1, m):
+            state.append(add_shifted(high[d], low[d - 1], w))
+            low[d - 1] = high[d] = None  # grid-sized; free each partial once used
     return reduce(combine, state)
 
 
@@ -289,38 +256,36 @@ def _reflected(top: int, levels: np.ndarray, values):
     return levels, values[::-1]
 
 
-def _dp_levels(spec: ChainSpec, rule: DeltaRule | None, kind_of: Callable):
+def _dp_levels(spec: ChainSpec, kind_of: Callable):
     """The dispersion of `spec`, and the ascending levels and their values
     that :func:`_bond_dp` finds over the kind ``kind_of(cells)``.
 
-    Both default rules run the ferromagnetic recursion, since the
-    antiferromagnetic bit is one minus the ferromagnetic bit of the same
-    configuration; the antiferromagnetic levels are read reflected.  An
-    explicit `rule` runs as given.
+    The antiferromagnetic bit is one minus the ferromagnetic bit of the
+    same configuration, so both signs run the ferromagnetic recursion, and
+    the antiferromagnetic levels are read reflected.
     """
     disp = dispersion(spec)
     kind = kind_of(disp.scaled_total + 1)
-    levels, values = kind.read(_bond_dp(spec.m, DeltaRule.ferro() if rule is None else rule,
-                                        disp, kind))
-    if rule is None and spec.epsilon != FERRO:
+    levels, values = kind.read(_bond_dp(spec.m, disp, kind))
+    if spec.epsilon != FERRO:
         levels, values = _reflected(disp.scaled_total, levels, values)
     return disp, levels, values
 
 
-def density_dp(spec: ChainSpec, rule: DeltaRule | None = None) -> DensityTable:
+def density_dp(spec: ChainSpec) -> DensityTable:
     """Exact level density via a per-bond dynamic program.
 
     Each energy cell holds the number of prefixes reaching it, in a slot
     wide enough for m**N, and bonds add the shifted polynomials.  The
-    default antiferromagnetic rule runs as the ferromagnetic recursion,
-    whose levels are then reflected.
+    antiferromagnetic chain runs as the ferromagnetic recursion, whose
+    levels are then reflected.
 
     Raises
     ------
     CapacityError
         If the energy grid and its unpacking would exceed the memory budget.
     """
-    disp, levels, degeneracies = _dp_levels(spec, rule, partial(_exact_kind, spec))
+    disp, levels, degeneracies = _dp_levels(spec, partial(_exact_kind, spec))
     return DensityTable(levels, degeneracies, disp.energy_scale, spec.n_states)
 
 
@@ -343,7 +308,7 @@ class LevelSupport:
         return self.scaled
 
 
-def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSupport:
+def level_support(spec: ChainSpec) -> LevelSupport:
     """The set of distinct levels, from the recursion of :func:`density_dp`
     with one bit per energy cell and ``|`` in place of ``+``.
 
@@ -357,7 +322,7 @@ def level_support(spec: ChainSpec, rule: DeltaRule | None = None) -> LevelSuppor
         If the bit grid and its unpacking (a byte and an int64 per cell)
         would exceed the memory budget.
     """
-    disp, scaled, _ = _dp_levels(spec, rule, _support_kind)
+    disp, scaled, _ = _dp_levels(spec, _support_kind)
     return LevelSupport(scaled=scaled, energy_scale=disp.energy_scale)
 
 
@@ -392,7 +357,7 @@ def level_masses(spec: ChainSpec) -> LevelMasses:
     CapacityError
         If the float grids and their unpacking would exceed the memory budget.
     """
-    disp, levels, masses = _dp_levels(spec, None, partial(_mass_kind, spec.m))
+    disp, levels, masses = _dp_levels(spec, partial(_mass_kind, spec.m))
     return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses)
 
 
@@ -483,17 +448,22 @@ def partition_function_at(density: DensityTable, q: complex) -> complex:
     level down to energy zero; for tables with energy_scale D > 1 the
     principal branch of q**(1/D) is used.  Degeneracies above 2**53 lose
     precision in the float conversion.
+
+    Raises
+    ------
+    ValidationError
+        If the table has a negative level, which the grid from energy zero
+        up cannot hold.
     """
     q = complex(q)
-    if density.energy_scale != 1 and q != 0:
-        w = q ** (1.0 / density.energy_scale)
-    else:
-        w = q
+    w = q ** (1.0 / density.energy_scale) if density.energy_scale != 1 and q != 0 else q
     levels = density.levels().tolist()
+    if levels and levels[0] < 0:
+        raise ValidationError(f"Z(q) needs levels from energy zero up, but the table has "
+                              f"{format_rational(density.energy(levels[0]))}")
     grid = [0] * (levels[-1] + 1 if levels else 1)
     for e, d in zip(levels, density.degeneracies):
-        if e >= 0:
-            grid[e] = d
+        grid[e] = d
     result = 0j
     for d in reversed(grid):
         result = result * w + d

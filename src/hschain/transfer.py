@@ -16,9 +16,10 @@ the Gaussian exp(-t**2/2) and the gap between them closes;
 :func:`convergence_report` fits the rates (about N**-1 for both, and
 N**-2 for the gap of HS chains, on sweeps up to N = 16384).
 
-T(omega) is 1/m where the pairing rule (:func:`hschain.motifs.delta_bits`)
-gives 0 and omega**m / m where it gives 1.  Its eigensystem is
-:func:`eigenvalues` plus :func:`eigenvector_matrix`; its top eigenvalue is
+T(omega) is 1/m where the ferromagnetic pairing rule
+(:func:`hschain.motifs.delta_bits`) gives 0 and omega**m / m where it
+gives 1.  Its eigensystem is :func:`eigenvalues` plus
+:func:`eigenvector_matrix`; its top eigenvalue is
 lambda_m(e^(i x)) = e^(i (m-1) x/2) U_{m-1}(cos(x/2)) / m, with U the
 Chebyshev polynomial of the second kind.
 
@@ -33,9 +34,6 @@ probabilities come from the ferromagnetic pairing mask; that costs
 :func:`charfn_asymptotic` multiplies the real Chebyshev factors and puts
 the whole phase into one scalar per t: one cos and an m-step recurrence per
 (t, bond).
-
-Everything here assumes the ungraded pairing rules.  The graded (susy) rule
-produces a non-Toeplitz transfer matrix and is deliberately not handled.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ import numpy as np
 from .chains import FERRO, ChainSpec, dispersion, normalized_dispersion
 from .errors import ValidationError
 from .moments import SpectrumStats, closed_form_moments, variance_identity_residual
-from .motifs import DeltaRule, delta_bits
+from .motifs import delta_bits
 from .table import DensityTable
 
 # Bytes of one work array of the characteristic-function products: the
@@ -156,7 +154,7 @@ def _run_ratios(m: int) -> np.ndarray:
     probability that L given consecutive bonds all carry a set bit, with M
     the ferromagnetic pairing mask; p_0 = 1, and p_L = 0 from L = m on."""
     k = np.arange(1, m + 1)
-    mask = delta_bits(DeltaRule.ferro(), k[:, None], k[None, :], m).tolist()
+    mask = delta_bits(FERRO, k[:, None], k[None, :]).tolist()
     paths, counts = [1] * m, [m]
     for _ in range(m - 1):
         paths = [sum(p for p, bit in zip(paths, row) if bit) for row in mask]

@@ -12,6 +12,70 @@ def test_all_exports_resolve():
         assert getattr(hschain, name) is not None
 
 
+# Every name the package exports, so that adding or removing one is a
+# deliberate edit of this list.
+PUBLIC_NAMES = [
+    "ANTIFERRO",
+    "CapacityError",
+    "ChainSpec",
+    "CharFnSeries",
+    "ConvergenceError",
+    "ConvergenceReport",
+    "CrosscheckReport",
+    "DenseOperator",
+    "DensityTable",
+    "DispersionTable",
+    "FAMILIES",
+    "FERRO",
+    "LevelMasses",
+    "LevelSupport",
+    "OracleReport",
+    "SiteLayout",
+    "SpacingHistogram",
+    "SpectrumStats",
+    "UnfoldedSpectrum",
+    "ValidationError",
+    "asymptotic_sweep",
+    "bond_overlap_residual",
+    "brute_force_density",
+    "build_hamiltonian",
+    "chain_sites",
+    "charfn_asymptotic",
+    "charfn_exact",
+    "charfn_from_density",
+    "charfn_series",
+    "closed_form_moments",
+    "column_sum_residual",
+    "composition_density",
+    "convergence_report",
+    "density_dp",
+    "dispersion",
+    "eigenvalues",
+    "eigenvector_matrix",
+    "empirical_moments",
+    "format_rational",
+    "gaussian_cdf",
+    "jacobi_eigenvalues",
+    "ks_distance",
+    "level_masses",
+    "level_support",
+    "normalized_dispersion",
+    "normalized_spacings",
+    "oracle_compare",
+    "partition_function_at",
+    "run_crosscheck",
+    "spacing_distribution",
+    "spin_degeneracy",
+    "top_eigenvalue_from_phase",
+    "unfold",
+    "variance_identity_residual",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(hschain.__all__) == PUBLIC_NAMES
+
+
 def test_version_string():
     parts = hschain.__version__.split(".")
     assert len(parts) == 3 and all(p.isdigit() for p in parts)

@@ -1,9 +1,11 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import tracemalloc
 
 import pytest
 
+import hschain.cli
 from hschain.cli import _json_text, main
 
 
@@ -230,6 +232,60 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, points", [
+    (["convergence", "--family", "hs", "--m", "3", "--n-sweep", "8:16:geometric", "--t-points"],
+     200_001),
+    # the csv and svg text of a point is formatted at about 40 us under tracemalloc, so the
+    # artifacts run at a tenth of the size; their bytes per point do not depend on it
+    (["charfn", "--family", "hs", "--N", "8", "--m", "2", "--format", "csv,svg", "--t-points"],
+     20_001),
+    (["spacings", "--family", "hs", "--N", "10", "--m", "2", "--format", "csv,svg", "--bins"],
+     20_000),
+])
+def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, args, points):
+    # measured: 224, 387 and 589 bytes a point, against 592, 528 and 600 counted
+    checks = []
+    check = hschain.cli.check_grid_budget
+    monkeypatch.setattr(hschain.cli, "check_grid_budget",
+                        lambda *a: checks.append(a) or check(*a))
+    tracemalloc.start()
+    try:
+        rc = run(tmp_path, *args, str(points))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    (prediction, nbytes), = checks
+    assert peak <= nbytes, (prediction, peak)
+
+
+@pytest.mark.parametrize("args", [
+    ["charfn", "--family", "hs", "--N", "8", "--m", "2", "--t-points", str(10 ** 9)],
+    ["convergence", "--family", "hs", "--m", "2", "--t-points", str(10 ** 9)],
+    ["spacings", "--family", "hs", "--N", "8", "--m", "2", "--bins", str(10 ** 9)],
+])
+def test_huge_grids_are_refused_before_any_allocation(tmp_path, monkeypatch, capsys, args):
+    # were the gate to let them through, these grids would take gigabytes:
+    # building one fails the test instead
+    def never(*_):
+        raise AssertionError("a refused grid was built")
+
+    monkeypatch.setattr(hschain.cli, "default_t_grid", never)
+    monkeypatch.setattr(hschain.cli, "default_spacing_bins", never)
+    tracemalloc.start()
+    try:
+        rc = run(tmp_path, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "over the budget" in err, err
+    assert len(err.splitlines()) == 1
+    assert peak < 1 << 20
     assert not any(tmp_path.iterdir())
 
 

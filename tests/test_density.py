@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import hschain.density
-from hschain import (CapacityError, ChainSpec, DeltaRule, ValidationError, closed_form_moments,
-                     delta, dispersion, ks_distance)
+from hschain import (FERRO, CapacityError, ChainSpec, DensityTable, ValidationError,
+                     closed_form_moments, dispersion, ks_distance)
 from hschain.density import (
     _bond_dp,
     _exact_kind,
@@ -30,7 +30,7 @@ from hschain.density import (
     partition_function_at,
     spin_degeneracy,
 )
-from hschain.motifs import brute_force_density
+from hschain.motifs import brute_force_density, delta_bits
 
 FAMILY_GRID = [
     ("HS", None),
@@ -82,31 +82,27 @@ def test_composition_matches_dp():
         assert composition_density(spec) == density_dp(spec), spec
 
 
-def test_dp_handles_graded_rule():
-    spec = ChainSpec("FI", 5, 3, alpha=Fraction(1, 2))
-    rule = DeltaRule.susy(2, 1)
-    assert density_dp(spec, rule=rule) == brute_force_density(spec, rule=rule)
-
-
 def test_sign_flip_mirrors_dp_table():
-    # the default antiferro density is the ferro recursion read backwards,
-    # so the direct antiferro recursion is the reference
+    # the antiferro density is the ferro recursion read backwards, so brute
+    # force, which enumerates under the antiferro rule itself, is the reference
     spec = ChainSpec("HS", 9, 3)
     ferro = density_dp(spec)
-    anti = density_dp(spec.with_epsilon(-1), rule=DeltaRule.antiferro())
+    anti = brute_force_density(spec.with_epsilon(-1))
     top = dispersion(spec).scaled_total
     assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
+    assert density_dp(spec.with_epsilon(-1)) == anti
 
 
 def test_mirrored_default_equals_the_direct_antiferro_recursion_at_large_n():
+    # the composition sum applies the antiferro sign through its spin
+    # degeneracies and never runs the bond DP
     spec = ChainSpec("FI", 64, 4, -1, Fraction(3, 2))
-    direct = density_dp(spec, rule=DeltaRule.antiferro())
+    direct = composition_density(spec)
     mirrored = density_dp(spec)
     assert mirrored == direct
     assert np.array_equal(mirrored.levels(), direct.levels())
     assert mirrored.degeneracies == direct.degeneracies
-    assert np.array_equal(level_support(spec).levels(),
-                          level_support(spec, DeltaRule.antiferro()).levels())
+    assert np.array_equal(level_support(spec).levels(), direct.levels())
 
 
 def test_large_chain_stays_exact():
@@ -125,6 +121,15 @@ def test_z_at_one_counts_states():
 def test_z_at_zero_is_ground_degeneracy():
     table = density_dp(ChainSpec("PF", 3, 2))
     assert partition_function_at(table, 0.0) == pytest.approx(4.0)
+
+
+def test_z_refuses_a_negative_level():
+    # the grid runs from energy zero up; dropping the level at -1 used to
+    # give Z(1) = 3 for this table of 4 states
+    table = DensityTable.from_counts({-1: 1, 0: 2, 1: 1})
+    for q in (1.0, 0.5):
+        with pytest.raises(ValidationError, match="has -1"):
+            partition_function_at(table, q)
 
 
 def test_z_on_the_unit_circle_matches_direct_sum():
@@ -195,13 +200,6 @@ def test_support_matches_dp_levels():
         assert support.energy_scale == table.energy_scale, spec
 
 
-def test_support_handles_graded_rules():
-    for rule in (DeltaRule.susy(2, 1), DeltaRule.susy(1, 2)):
-        for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3)):
-            assert np.array_equal(level_support(spec, rule).levels(),
-                                  density_dp(spec, rule).levels()), (spec, rule)
-
-
 def test_support_count_at_a_size_the_exact_density_is_slow_for():
     # recorded from density_dp at HS N=192 m=2, ferro sign
     assert len(level_support(ChainSpec("HS", 192, 2))) == 583984
@@ -263,9 +261,9 @@ def test_a_mass_kind_serves_more_than_one_recursion():
     disp = dispersion(spec)
     kind = _mass_kind(spec.m, disp.scaled_total + 1)
     start = kind.one.copy()
-    first = _bond_dp(spec.m, DeltaRule.ferro(), disp, kind)
+    first = _bond_dp(spec.m, disp, kind)
     assert np.array_equal(kind.one, start)
-    assert np.array_equal(_bond_dp(spec.m, DeltaRule.ferro(), disp, kind), first)
+    assert np.array_equal(_bond_dp(spec.m, disp, kind), first)
 
 
 def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
@@ -280,48 +278,38 @@ def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
     assert np.isin(masses.levels(), support.levels()).all()
 
 
-def _combine_every_source(spec, rule, slot_bits, combine):
-    """The bond recursion combining each destination's sources afresh."""
+def _combine_every_source(spec, slot_bits, combine):
+    """The ferro bond recursion combining each destination's sources afresh."""
     m = spec.m
     state = [1] * m
     for w in dispersion(spec).scaled:
         state = [
             combine(reduce(combine, [state[s - 1] for s in range(1, m + 1)
-                                     if not delta(rule, s, d, m)], 0),
+                                     if not delta_bits(FERRO, s, d)], 0),
                     reduce(combine, [state[s - 1] for s in range(1, m + 1)
-                                     if delta(rule, s, d, m)], 0) << (w * slot_bits))
+                                     if delta_bits(FERRO, s, d)], 0) << (w * slot_bits))
             for d in range(1, m + 1)
         ]
     return reduce(combine, state)
 
 
-@pytest.mark.parametrize("rule, spec", [
-    *((rule, spec) for rule in (DeltaRule.ferro(), DeltaRule.antiferro())
-      for spec in (ChainSpec("HS", 11, 2), ChainSpec("PF", 9, 4), ChainSpec("HS", 10, 5))),
-    *((DeltaRule.susy(*graded), spec) for graded in ((2, 1), (1, 2), (0, 3), (3, 0))
-      for spec in (ChainSpec("FI", 7, 3, alpha=Fraction(1, 2)), ChainSpec("HS", 12, 3))),
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 11, 2), ChainSpec("PF", 9, 4), ChainSpec("HS", 10, 5),
 ])
-def test_bond_partials_equal_combining_every_source(rule, spec):
+def test_bond_partials_equal_combining_every_source(spec):
     disp = dispersion(spec)
     cells = disp.scaled_total + 1
     slot_bits = 8 * _slot_bytes(spec)
     for kind, bits, combine in ((_exact_kind(spec, cells), slot_bits, operator.add),
                                 (_support_kind(cells), 1, operator.or_)):
-        packed = _bond_dp(spec.m, rule, disp, kind)
-        assert packed == _combine_every_source(spec, rule, bits, combine), (rule, spec, bits)
-    counts = _combine_every_source(spec, rule, slot_bits, operator.add)
-    masses = _bond_dp(spec.m, rule, disp, _mass_kind(spec.m, cells))
+        packed = _bond_dp(spec.m, disp, kind)
+        assert packed == _combine_every_source(spec, bits, combine), (spec, bits)
+    counts = _combine_every_source(spec, slot_bits, operator.add)
+    masses = _bond_dp(spec.m, disp, _mass_kind(spec.m, cells))
     exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) / spec.n_states
              for e in range(masses.size)]
     np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0)
     assert counts >> (slot_bits * masses.size) == 0
-
-
-def test_bond_plan_rejects_a_rule_that_shifts_neither_a_prefix_nor_a_suffix(monkeypatch):
-    # a rule shifting sources 1 and 3 but not 2 into every destination
-    monkeypatch.setattr("hschain.density.delta", lambda rule, j, k, m: int(j != 2))
-    with pytest.raises(ValidationError, match="not a prefix or a suffix"):
-        density_dp(ChainSpec("HS", 4, 3))
 
 
 @pytest.mark.parametrize("spec", [

@@ -7,63 +7,37 @@ from fractions import Fraction
 import pytest
 
 import hschain.motifs
-from hschain import CapacityError, ChainSpec, DeltaRule, ValidationError, density_dp, dispersion
-from hschain.motifs import brute_force_density, delta, motif_energy, motif_of, rule_for
+from hschain import ANTIFERRO, FERRO, CapacityError, ChainSpec, density_dp, dispersion
+from hschain.motifs import brute_force_density, delta_bits
+
+
+def motif_of(epsilon, config):
+    """Motif bit vector of one spin configuration, one scalar pair at a time."""
+    return tuple(int(delta_bits(epsilon, j, k)) for j, k in zip(config, config[1:]))
+
+
+def motif_energy(motif, disp):
+    """Energy of a motif: sum of dispersion values over the set bits."""
+    return sum((v for b, v in zip(motif, disp.values, strict=True) if b), Fraction(0))
 
 
 def test_ferro_rule_truth_table():
-    rule = DeltaRule.ferro()
-    assert delta(rule, 1, 2, 2) == 1
-    assert delta(rule, 2, 2, 2) == 0
-    assert delta(rule, 2, 1, 2) == 0
+    assert delta_bits(FERRO, 1, 2)
+    assert not delta_bits(FERRO, 2, 2)
+    assert not delta_bits(FERRO, 2, 1)
 
 
 def test_antiferro_rule_flips_the_bits():
-    rule = DeltaRule.antiferro()
-    assert delta(rule, 1, 2, 2) == 0
-    assert delta(rule, 2, 2, 2) == 1
+    assert not delta_bits(ANTIFERRO, 1, 2)
+    assert delta_bits(ANTIFERRO, 2, 2)
     for j, k in itertools.product((1, 2, 3), repeat=2):
-        assert delta(rule, j, k, 3) == 1 - delta(DeltaRule.ferro(), j, k, 3)
-
-
-def test_graded_rule_splits_the_diagonal():
-    rule = DeltaRule.susy(1, 1)
-    assert delta(rule, 1, 1, 2) == 0
-    assert delta(rule, 2, 2, 2) == 1
-    assert delta(rule, 2, 1, 2) == 1
-    assert delta(rule, 1, 2, 2) == 0
-
-
-def test_delta_rejects_out_of_range_values():
-    with pytest.raises(ValidationError):
-        delta(DeltaRule.ferro(), 0, 1, 2)
-    with pytest.raises(ValidationError):
-        delta(DeltaRule.ferro(), 1, 3, 2)
-
-
-def test_rule_validation():
-    with pytest.raises(ValidationError):
-        DeltaRule("bogus")
-    with pytest.raises(ValidationError):
-        DeltaRule.susy(-1, 2)
-    with pytest.raises(ValidationError):
-        DeltaRule("ferro", boundary=1)
-    # graded rule fixes m = boundary + fermionic
-    assert DeltaRule.susy(2, 1).implied_m() == 3
-    with pytest.raises(ValidationError):
-        delta(DeltaRule.susy(1, 1), 1, 1, 3)
-
-
-def test_rule_for_follows_the_sign():
-    assert rule_for(ChainSpec("HS", 4, 2)).kind == "ferro"
-    assert rule_for(ChainSpec("HS", 4, 2, epsilon=-1)).kind == "antiferro"
+        assert delta_bits(ANTIFERRO, j, k) == (not delta_bits(FERRO, j, k))
 
 
 def test_motif_examples():
-    ferro = DeltaRule.ferro()
-    assert motif_of(ferro, (1, 2, 1), 2) == (1, 0)
-    assert motif_of(ferro, (2, 2, 2), 2) == (0, 0)
-    assert motif_of(DeltaRule.antiferro(), (1, 2, 1), 2) == (0, 1)
+    assert motif_of(FERRO, (1, 2, 1)) == (1, 0)
+    assert motif_of(FERRO, (2, 2, 2)) == (0, 0)
+    assert motif_of(ANTIFERRO, (1, 2, 1)) == (0, 1)
 
 
 def test_motif_energy_examples():
@@ -72,10 +46,6 @@ def test_motif_energy_examples():
     assert motif_energy((1, 0), pf3) == 1
     assert motif_energy((1, 1, 1), hs4) == 10
     assert motif_energy((0, 0, 0), hs4) == 0
-    with pytest.raises(ValidationError):
-        motif_energy((1, 0, 1), pf3)
-    with pytest.raises(ValidationError):
-        motif_energy((1, 2), pf3)
 
 
 def test_brute_force_spot_values():
@@ -92,42 +62,22 @@ def test_brute_force_matches_direct_enumeration():
         ChainSpec("PF", 4, 3, epsilon=-1),
         ChainSpec("FI", 4, 2, alpha=Fraction(3, 2)),
     ):
-        rule = rule_for(spec)
         disp = dispersion(spec)
         counts = {}
         for config in itertools.product(range(1, spec.m + 1), repeat=spec.n_spins):
-            energy = motif_energy(motif_of(rule, config, spec.m), disp)
+            energy = motif_energy(motif_of(spec.epsilon, config), disp)
             counts[energy] = counts.get(energy, 0) + 1
         table = brute_force_density(spec)
         assert {table.energy(e): d for e, d in table.items()} == counts
 
 
-def test_graded_rule_through_brute_force():
-    spec = ChainSpec("PF", 4, 2)
-    rule = DeltaRule.susy(1, 1)
-    table = brute_force_density(spec, rule=rule)
-    assert table.total == 16
-    # oracle as above, graded bits this time
-    disp = dispersion(spec)
-    counts = {}
-    for config in itertools.product((1, 2), repeat=4):
-        energy = int(motif_energy(motif_of(rule, config, 2), disp))
-        counts[energy] = counts.get(energy, 0) + 1
-    assert dict(table.items()) == counts
-
-
-def test_graded_rule_rejects_mismatched_m():
-    with pytest.raises(ValidationError):
-        brute_force_density(ChainSpec("PF", 4, 3), rule=DeltaRule.susy(1, 1))
-
-
 def test_sign_flip_mirrors_the_table():
     # brute force enumerates under the antiferro rule itself, so this holds
-    # the reflection that density_dp relies on for its default antiferro route
+    # the reflection that density_dp relies on for the antiferro sign
     for spec in (ChainSpec("HS", 5, 2), ChainSpec("FI", 5, 3, alpha=2)):
         top = dispersion(spec).scaled_total
         ferro = brute_force_density(spec)
-        anti = brute_force_density(spec.with_epsilon(-1), rule=DeltaRule.antiferro())
+        anti = brute_force_density(spec.with_epsilon(-1))
         assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
         assert density_dp(spec.with_epsilon(-1)) == anti
 

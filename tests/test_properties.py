@@ -8,9 +8,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hschain import (ChainSpec, DeltaRule, DensityTable, closed_form_moments, dispersion,
-                     empirical_moments)
-from hschain.density import density_dp, level_support
+from hschain import ChainSpec, DensityTable, closed_form_moments, dispersion, empirical_moments
+from hschain.density import composition_density, density_dp, level_support
 from hschain.transfer import charfn_exact
 
 FAMILIES = [("HS", None), ("PF", None), ("FI", Fraction(1)), ("FI", Fraction(3, 2)),
@@ -44,14 +43,14 @@ def test_degeneracies_sum_to_the_state_count(spec):
 @properties
 @given(chains)
 def test_sign_flip_reflects_levels_through_the_top_energy(spec):
-    # the default antiferro route is the reflected ferro recursion, so the
-    # direct antiferro recursion is the reference, and the default must equal it
-    ferro, anti, rule = spec.with_epsilon(1), spec.with_epsilon(-1), DeltaRule.antiferro()
+    # the antiferro DP is the reflected ferro recursion, so the composition
+    # sum, which applies the antiferro sign itself, is the reference
+    ferro, anti = spec.with_epsilon(1), spec.with_epsilon(-1)
     top = dispersion(spec).scaled_total
-    direct = density_dp(anti, rule)
+    direct = composition_density(anti)
     assert dict(direct.items()) == {top - e: d for e, d in density_dp(ferro).items()}
     assert density_dp(anti) == direct
-    support = level_support(anti, rule).levels()
+    support = direct.levels()
     assert np.array_equal(support, top - level_support(ferro).levels()[::-1])
     assert np.array_equal(level_support(anti).levels(), support)
 
