@@ -72,7 +72,6 @@ from .transfer import (
     convergence_report,
     eigenvalues,
     eigenvector_matrix,
-    top_eigenvalue_from_phase,
 )
 
 __all__ = [
@@ -127,7 +126,6 @@ __all__ = [
     "run_crosscheck",
     "spacing_distribution",
     "spin_degeneracy",
-    "top_eigenvalue_from_phase",
     "unfold",
     "variance_identity_residual",
 ]

@@ -11,11 +11,10 @@ its weight in the motif energy sum.  All downstream computations (exact
 densities, moments, characteristic functions) consume a :class:`ChainSpec`
 plus the :class:`DispersionTable` built here.
 
-Dispersion values are kept exact: as integers on a scaled grid, and as
-rationals for the consumers that ask for them.  The FI parameter alpha is
-restricted to positive rationals so that, after scaling by its denominator,
-every energy lives on an exact integer grid; floats are only produced at
-the characteristic-function boundary.
+Dispersion values are kept exact, as integers on a scaled grid.  The FI
+parameter alpha is restricted to positive rationals so that, after scaling
+by its denominator, every energy lives on an exact integer grid; floats are
+only produced at the characteristic-function boundary.
 """
 
 from __future__ import annotations
@@ -23,11 +22,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ValidationError
+from .table import check_grid_budget
 
 FAMILIES = ("HS", "PF", "FI")
 
@@ -123,9 +123,6 @@ class ChainSpec:
         """Total number of spin configurations, m**N."""
         return self.m ** self.n_spins
 
-    def with_epsilon(self, epsilon: int) -> "ChainSpec":
-        return ChainSpec(self.family, self.n_spins, self.m, epsilon, self.alpha)
-
     # -- JSON round trip; this is the CLI's canonical input format -------
 
     def to_json_dict(self) -> dict:
@@ -133,9 +130,6 @@ class ChainSpec:
         if self.alpha is not None:
             out["alpha"] = [self.alpha.numerator, self.alpha.denominator]
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainSpec":
@@ -167,13 +161,13 @@ class DispersionTable:
     ``energy_scale`` is the common denominator D for which D*F(i) is an
     integer for every bond; ``scaled`` holds those integers as Python
     ints, and everything else is derived from them.  HS and PF dispersions
-    are integral (D = 1); the FI dispersion has D = denominator(alpha).
-    The exact rationals F(i) = scaled[i] / D are built only when
-    ``values`` is read.  ``as_floats`` takes each scaled[i] / D by Python's
-    integer true division, which is correctly rounded for integers of any
-    size and so equals ``float`` of the exact rational.  (Dividing the
-    scaled integers as floats would equal it only while they stay below
-    2**53; FI weights with a large alpha denominator pass that.)
+    are integral (D = 1); the FI dispersion has D = denominator(alpha),
+    and F(i) is exactly scaled[i] / D.  ``as_floats`` takes each
+    scaled[i] / D by Python's integer true division, which is correctly
+    rounded for integers of any size and so equals ``float`` of the exact
+    rational.  (Dividing the scaled integers as floats would equal it only
+    while they stay below 2**53; FI weights with a large alpha denominator
+    pass that.)
     """
 
     scaled: tuple
@@ -181,11 +175,6 @@ class DispersionTable:
 
     def __len__(self):
         return len(self.scaled)
-
-    @cached_property
-    def values(self) -> tuple:
-        """The bond weights F(i) as exact Fractions."""
-        return tuple(Fraction(s, self.energy_scale) for s in self.scaled)
 
     @property
     def total(self) -> Fraction:
@@ -211,12 +200,24 @@ def dispersion(spec: ChainSpec) -> DispersionTable:
     The weights depend on the family, N and alpha only, and one chain's
     moments and characteristic function read them several times in a row, so
     the last table is kept (tables are immutable).
+
+    Raises
+    ------
+    CapacityError
+        If the weights, at 88 bytes a bond, would exceed the memory budget;
+        this is checked before any weight is built.
     """
     return _dispersion(spec.family, spec.n_spins, spec.alpha)
 
 
 @lru_cache(maxsize=1)
 def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
+    # measured with tracemalloc at N = 10**6: the tuple takes 40 bytes a bond,
+    # a pointer and an int object, and the float conversion of
+    # normalized_dispersion lifts the peak to 80.5; FI weights past 2**60 take
+    # 4 to 8 bytes more for their wider ints
+    check_grid_budget(f"dispersion of {n - 1} bonds needs 88 bytes per bond = {88 * (n - 1)} "
+                      "bytes", 88 * (n - 1))
     if family == "HS":
         scale, scaled = 1, tuple(i * (n - i) for i in range(1, n))
     elif family == "PF":

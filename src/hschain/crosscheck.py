@@ -48,10 +48,6 @@ class CrosscheckReport:
     results: tuple
 
     @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    @property
     def failures(self) -> tuple:
         return tuple(r for r in self.results if not r.passed)
 

@@ -29,7 +29,7 @@ import numpy as np
 from .chains import ChainSpec
 from .density import density_dp
 from .errors import ConvergenceError, ValidationError
-from .table import ORACLE_CEILING, DensityTable, check_grid_budget
+from .table import ORACLE_CEILING, check_grid_budget
 
 ZERO_RESIDUAL_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-10
@@ -177,8 +177,9 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]
     predicted.
     """
     states = spec.n_states
-    text = (f"dense oracle of m**N = {states} states needs 5 x 8 x {states} bytes of spectra "
-            f"and (2 x 40 + 2 x 32) x {states} bytes to write them as JSON")
+    # m**N is written as a power: past 4,300 digits Python refuses to print it
+    text = (f"dense oracle of m**N = {spec.m}**{spec.n_spins} states needs 5 x 8 x m**N bytes of "
+            "spectra and (2 x 40 + 2 x 32) x m**N bytes to write them as JSON")
     spectra_and_report = (5 * 8 + 2 * 40 + 2 * 32) * states
     check_grid_budget(text, spectra_and_report)
     sectors = _solved_sectors(spec)
@@ -371,12 +372,6 @@ class OracleReport:
         }
 
 
-def _expand_density(density: DensityTable) -> tuple[np.ndarray, tuple]:
-    """Every level's energy repeated by its degeneracy, and the degeneracies."""
-    energies = density.levels() / density.energy_scale
-    return np.repeat(energies, density.degeneracies), density.degeneracies
-
-
 def oracle_compare(spec: ChainSpec) -> OracleReport:
     """Diagonalize the dense Hamiltonian, one weight sector at a time, and
     line its spectrum up against the motif energies.
@@ -392,7 +387,7 @@ def oracle_compare(spec: ChainSpec) -> OracleReport:
     # admits but whose exchange pairs cost N**2; its m**N values wait for the oracle's gate
     density = density_dp(spec)
     eig = _sector_eigenvalues(spec)
-    motif_values, motif_sizes = _expand_density(density)
+    motif_values = np.repeat(density.levels() / density.energy_scale, density.degeneracies)
 
     direct = float(np.abs(eig - motif_values).max())
     spread = float(motif_values.max() - motif_values.min())
@@ -411,5 +406,5 @@ def oracle_compare(spec: ChainSpec) -> OracleReport:
         affine_offset=offset,
         affine_deviation=affine,
         eigen_multiplicities=_multiplicity_pattern(eig, gap_tol),
-        motif_multiplicities=motif_sizes,
+        motif_multiplicities=density.degeneracies,
     )

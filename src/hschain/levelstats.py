@@ -114,11 +114,6 @@ class SpacingHistogram:
     def bin_centers(self) -> np.ndarray:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
-    @property
-    def mass(self) -> float:
-        """Integral of the histogram; 1 by construction."""
-        return float((self.density * np.diff(self.bin_edges)).sum())
-
 
 def default_spacing_bins(s_max: float = 4.0, bins: int = 40) -> np.ndarray:
     return np.linspace(0.0, s_max, bins + 1)

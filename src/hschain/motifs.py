@@ -53,11 +53,11 @@ def brute_force_density(spec: ChainSpec) -> DensityTable:
         bytes a code, whatever N is) exceed the memory budget.
     """
     n, m = spec.n_spins, spec.m
+    disp = dispersion(spec)  # its gate refuses an absurd N before m**N is formed
     total = spec.n_states
-    disp = dispersion(spec)
     top = disp.scaled_total
     check_grid_budget(f"enumeration needs 2 grids of {top + 1} cells x 8 bytes and 41 bytes "
-                      f"for each of a block's {_BLOCK} codes, and visits m**N = {total} "
+                      f"for each of a block's {_BLOCK} codes, and visits m**N = {m}**{n} "
                       "states (density_dp takes larger chains)",
                       16 * (top + 1) + 41 * _BLOCK, total, ENUMERATION_CEILING)
     weights = np.array(disp.scaled, dtype=np.int64)
@@ -72,4 +72,5 @@ def brute_force_density(spec: ChainSpec) -> DensityTable:
             np.add(energies, weights[i], out=energies, where=delta_bits(spec.epsilon, left, right))
             right = left
         counts += np.bincount(energies, minlength=top + 1)
-    return DensityTable.from_grid(counts, disp.energy_scale, total)
+    occupied = np.flatnonzero(counts)
+    return DensityTable(occupied, counts[occupied].tolist(), disp.energy_scale, total)

@@ -3,7 +3,6 @@ artifact."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -105,13 +104,9 @@ class DensityTable:
     def __eq__(self, other):
         if not isinstance(other, DensityTable):
             return NotImplemented
-        # Tables with different scales can still describe the same density:
-        # compare the levels on the common grid of both scales.
-        grid = math.lcm(self.energy_scale, other.energy_scale)
-        return (self.total == other.total
+        return (self.energy_scale == other.energy_scale and self.total == other.total
                 and self.degeneracies == other.degeneracies
-                and np.array_equal(self.scaled * (grid // self.energy_scale),
-                                   other.scaled * (grid // other.energy_scale)))
+                and np.array_equal(self.scaled, other.scaled))
 
     def levels(self) -> np.ndarray:
         """Scaled integer energies in ascending order, a read-only int64 array."""
@@ -150,18 +145,3 @@ class DensityTable:
             "total": self.total,
             "levels": dict(zip(self._energy_texts, self.degeneracies)),
         }
-
-    @classmethod
-    def from_counts(cls, counts: dict, energy_scale: int = 1) -> "DensityTable":
-        """Table from a {scaled energy: degeneracy} map; zero counts drop out."""
-        pairs = sorted((int(e), int(d)) for e, d in counts.items() if d)
-        degeneracies = tuple(d for _, d in pairs)
-        return cls(np.array([e for e, _ in pairs], dtype=np.int64), degeneracies,
-                   energy_scale, sum(degeneracies))
-
-    @classmethod
-    def from_grid(cls, counts: np.ndarray, energy_scale: int, total: int) -> "DensityTable":
-        """Table from a dense count array indexed by scaled energy."""
-        occupied = np.flatnonzero(counts)
-        return cls(occupied, tuple(int(c) for c in counts[occupied].tolist()),
-                   energy_scale, total)

@@ -116,18 +116,6 @@ def _dirichlet_mean(c, m: int) -> np.ndarray:
     return cur / m
 
 
-def top_eigenvalue_from_phase(x, m: int) -> np.ndarray:
-    """Principal eigenvalue lambda_m(e^(i x)) for real phase x.
-
-    Uses lambda_m(e^(i x)) = e^(i (m-1) x/2) U_{m-1}(cos(x/2)) / m, which
-    holds everywhere, the removable points x in 2 pi Z included; the phase
-    is the (m-1)-th power of e^(i x/2), so its rounding does not grow with
-    m |x|.  The value at x = 0 is exactly 1.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.asarray(np.exp(0.5j * x) ** (m - 1) * _dirichlet_mean(np.cos(x / 2), m))
-
-
 # ---------------------------------------------------------------------------
 # characteristic function
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package surface: everything advertised at the top level resolves."""
 
 import contextlib
+import dataclasses
 import io
 from pathlib import Path
 
@@ -66,7 +67,6 @@ PUBLIC_NAMES = [
     "run_crosscheck",
     "spacing_distribution",
     "spin_degeneracy",
-    "top_eigenvalue_from_phase",
     "unfold",
     "variance_identity_residual",
 ]
@@ -74,6 +74,42 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert sorted(hschain.__all__) == PUBLIC_NAMES
+
+
+# The public methods and properties of every exported class, its own and
+# those it inherits from the package, so that an accessor only the tests
+# call cannot come back unnoticed.  Dataclass fields are not listed.
+PUBLIC_MEMBERS = {
+    "CapacityError": [],
+    "ChainSpec": ["from_json", "from_json_dict", "n_states", "to_json_dict"],
+    "CharFnSeries": [],
+    "ConvergenceError": [],
+    "ConvergenceReport": [],
+    "CrosscheckReport": ["failures"],
+    "DenseOperator": ["dimension"],
+    "DensityTable": ["cdf_steps", "energy", "items", "levels", "to_csv", "to_json_dict"],
+    "DispersionTable": ["as_floats", "scaled_total", "total"],
+    "LevelMasses": ["cdf_steps", "levels"],
+    "LevelSupport": ["levels"],
+    "OracleReport": ["multiplicities_match", "to_json_dict"],
+    "SiteLayout": [],
+    "SpacingHistogram": ["bin_centers"],
+    "SpectrumStats": ["from_exact"],
+    "UnfoldedSpectrum": [],
+    "ValidationError": [],
+}
+
+
+def _public_members(cls) -> list:
+    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    return sorted({name for klass in cls.__mro__ if klass.__module__.startswith("hschain")
+                   for name in vars(klass) if not name.startswith("_") and name not in fields})
+
+
+def test_public_members_are_pinned():
+    classes = {name: getattr(hschain, name) for name in hschain.__all__}
+    assert {name: _public_members(cls) for name, cls in classes.items()
+            if isinstance(cls, type)} == PUBLIC_MEMBERS
 
 
 def test_version_string():

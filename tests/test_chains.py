@@ -1,40 +1,49 @@
 """Chain specs, dispersion tables, and the normalized bond weights."""
 
+import json
 import math
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hschain import ChainSpec, ValidationError, dispersion, normalized_dispersion
+from hschain import (CapacityError, ChainSpec, ValidationError, dispersion,
+                     normalized_dispersion)
+
+
+def weights(table):
+    """The bond weights F(i) of a dispersion table as exact Fractions."""
+    return tuple(Fraction(s, table.energy_scale) for s in table.scaled)
 
 
 def test_dispersion_circle_chain():
     table = dispersion(ChainSpec("HS", 4, 2))
-    assert table.values == (Fraction(3), Fraction(4), Fraction(3))
+    assert weights(table) == (Fraction(3), Fraction(4), Fraction(3))
     assert table.energy_scale == 1
     assert table.scaled == (3, 4, 3)
 
 
 def test_dispersion_linear_chain():
     table = dispersion(ChainSpec("PF", 3, 2))
-    assert table.values == (Fraction(1), Fraction(2))
+    assert weights(table) == (Fraction(1), Fraction(2))
     assert table.total == 3
 
 
 def test_dispersion_hyperbolic_chain():
     # alpha = 1 collapses to squares, alpha = 3/2 needs the scale-2 grid
-    assert dispersion(ChainSpec("FI", 3, 2, alpha=1)).values == (Fraction(1), Fraction(4))
+    assert weights(dispersion(ChainSpec("FI", 3, 2, alpha=1))) == (Fraction(1), Fraction(4))
     assert dispersion(ChainSpec("FI", 3, 2, alpha=1)).energy_scale == 1
     table = dispersion(ChainSpec("FI", 3, 2, alpha="3/2"))
-    assert table.values == (Fraction(3, 2), Fraction(5))
+    assert weights(table) == (Fraction(3, 2), Fraction(5))
     assert table.energy_scale == 2
     assert table.scaled == (3, 10)
 
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_circle_dispersion_is_palindromic(n):
-    values = dispersion(ChainSpec("HS", n, 2)).values
+    values = weights(dispersion(ChainSpec("HS", n, 2)))
     assert values == values[::-1]
 
 
@@ -43,13 +52,13 @@ def test_circle_dispersion_is_palindromic(n):
     ChainSpec("FI", 9, 2, alpha=Fraction(3, 2)),
 ])
 def test_dispersion_strictly_increasing(spec):
-    values = dispersion(spec).values
+    values = weights(dispersion(spec))
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_circle_dispersion_increases_to_the_middle(n):
-    values = dispersion(ChainSpec("HS", n, 2)).values
+    values = weights(dispersion(ChainSpec("HS", n, 2)))
     rising = values[: (len(values) + 1) // 2]
     assert all(a < b for a, b in zip(rising, rising[1:]))
 
@@ -57,7 +66,7 @@ def test_circle_dispersion_increases_to_the_middle(n):
 def test_scaled_values_are_integers():
     for alpha in (1, Fraction(3, 2), Fraction(7, 3)):
         table = dispersion(ChainSpec("FI", 6, 2, alpha=alpha))
-        for value, scaled in zip(table.values, table.scaled):
+        for value, scaled in zip(weights(table), table.scaled):
             assert value * table.energy_scale == scaled
             assert isinstance(scaled, int)
         assert table.scaled_total == sum(table.scaled)
@@ -100,10 +109,12 @@ def test_n_states():
 
 def test_with_epsilon():
     spec = ChainSpec("PF", 6, 2)
-    flipped = spec.with_epsilon(-1)
+    flipped = replace(spec, epsilon=-1)
     assert flipped.epsilon == -1
     assert flipped.family == spec.family and flipped.n_spins == spec.n_spins
     assert spec.epsilon == 1  # original untouched
+    with pytest.raises(ValidationError):
+        replace(spec, epsilon=0)  # a replaced field is validated again
 
 
 def test_json_round_trip():
@@ -112,7 +123,7 @@ def test_json_round_trip():
         ChainSpec("FI", 5, 2, alpha=Fraction(7, 3)),
     ):
         assert ChainSpec.from_json_dict(spec.to_json_dict()) == spec
-        assert ChainSpec.from_json(spec.to_json()) == spec
+        assert ChainSpec.from_json(json.dumps(spec.to_json_dict(), sort_keys=True)) == spec
 
 
 def test_json_accepts_lowercase_family():
@@ -134,7 +145,7 @@ def exact_normalized_dispersion(spec, sigma2):
     rationals, gamma_j**2 = F(j)**2 / (m**2 * sigma2), without the float
     square root."""
     denom = spec.m * spec.m * sigma2
-    return [v * v / denom for v in dispersion(spec).values]
+    return [v * v / denom for v in weights(dispersion(spec))]
 
 
 def test_normalized_weights_match_their_exact_squares():
@@ -143,6 +154,18 @@ def test_normalized_weights_match_their_exact_squares():
     gam = normalized_dispersion(spec, math.sqrt(sigma2))
     exact_sq = exact_normalized_dispersion(spec, sigma2)
     assert np.allclose(gam ** 2, [float(g) for g in exact_sq], rtol=1e-13, atol=0)
+
+
+def test_a_huge_dispersion_is_refused_before_any_weight_is_built():
+    # at 88 bytes a bond, a billion spins would take 88 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="dispersion of 999999999 bonds"):
+            dispersion(ChainSpec("PF", 10 ** 9, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_normalized_weights_scale_inversely_with_sigma():
@@ -179,7 +202,7 @@ def test_dispersion_integers_equal_the_rational_weights(family, alpha):
         spec = ChainSpec(family, n, 2, alpha=alpha)
         table = dispersion(spec)
         values, scale, scaled = _rational_dispersion(spec)
-        assert table.values == values, spec
+        assert weights(table) == values, spec
         assert table.energy_scale == scale, spec
         assert table.scaled == scaled and all(type(s) is int for s in table.scaled), spec
         assert table.total == sum(values, Fraction(0)), spec

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import hschain.cli
+import hschain.table
 from hschain.cli import _json_text, main
 
 
@@ -246,20 +247,28 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message
      20_000),
 ])
 def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, args, points):
-    # measured: 224, 387 and 589 bytes a point, against 592, 528 and 600 counted
+    # measured: 224, 387 and 589 bytes a point, against 256, 528 and 600 counted
+    _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys,
+                                                     *args, str(points))
+
+
+def _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys, *args):
+    """Run the CLI under tracemalloc: it succeeds, and its peak stays within
+    the bytes of its one grid prediction, which are returned."""
     checks = []
     check = hschain.cli.check_grid_budget
     monkeypatch.setattr(hschain.cli, "check_grid_budget",
                         lambda *a: checks.append(a) or check(*a))
     tracemalloc.start()
     try:
-        rc = run(tmp_path, *args, str(points))
+        rc = run(tmp_path, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
     (prediction, nbytes), = checks
     assert peak <= nbytes, (prediction, peak)
+    return nbytes
 
 
 @pytest.mark.parametrize("args", [
@@ -284,6 +293,55 @@ def test_huge_grids_are_refused_before_any_allocation(tmp_path, monkeypatch, cap
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "over the budget" in err, err
+    assert len(err.splitlines()) == 1
+    assert peak < 1 << 20
+    assert not any(tmp_path.iterdir())
+
+
+def test_convergence_runs_grids_that_the_charfn_count_refuses(tmp_path, monkeypatch, capsys):
+    # against a budget of 32 MiB, charfn's 64 x 3 + 400 bytes a point refuse
+    # 100,001 points; convergence writes no text a point, and its own count,
+    # 64 x 3 + 64, admits them and holds its measured peak
+    points, budget = 100_001, 32 << 20
+    assert (64 * 3 + 400) * points > budget
+    monkeypatch.setattr(hschain.table, "DEFAULT_MEMORY_BUDGET", budget)
+    assert _assert_the_run_stays_within_its_grid_prediction(
+        tmp_path, monkeypatch, capsys, "convergence", "--family", "hs", "--m", "3",
+        "--n-sweep", "8:16:geometric", "--t-points", str(points)) <= budget
+
+
+_ABSURD = ["--family", "pf", "--N", str(10 ** 9), "--m", "2"]
+_ABSURD_SWEEP = ["--family", "pf", "--m", "2", "--n-sweep", f"{10 ** 9}:{2 * 10 ** 9}:geometric"]
+
+
+_GATED = "dispersion of 999999999 bonds"
+
+
+@pytest.mark.parametrize("args, message", [
+    pytest.param(["density", *_ABSURD, "--backend", "dp"], _GATED, id="density-dp"),
+    pytest.param(["density", *_ABSURD, "--backend", "composition"], _GATED,
+                 id="density-composition"),
+    pytest.param(["density", *_ABSURD, "--backend", "brute"], _GATED, id="density-brute"),
+    pytest.param(["moments", *_ABSURD], _GATED, id="moments"),
+    pytest.param(["charfn", *_ABSURD], _GATED, id="charfn"),
+    pytest.param(["convergence", *_ABSURD_SWEEP], _GATED, id="convergence"),
+    pytest.param(["spacings", *_ABSURD], _GATED, id="spacings"),
+    pytest.param(["kscan", *_ABSURD_SWEEP], _GATED, id="kscan"),
+    pytest.param(["oracle", *_ABSURD], _GATED, id="oracle"),
+    # m**N has 4,516 digits, past the 4,300 that Python converts to text
+    pytest.param(["density", "--family", "hs", "--N", "15000", "--m", "2", "--backend", "brute"],
+                 "m**N = 2**15000 states", id="density-brute-HS-N15000"),
+])
+def test_an_absurd_chain_exits_one_with_one_error_line(tmp_path, capsys, args, message):
+    tracemalloc.start()
+    try:
+        rc = run(tmp_path, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
     assert len(err.splitlines()) == 1
     assert peak < 1 << 20
     assert not any(tmp_path.iterdir())

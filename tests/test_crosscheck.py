@@ -5,7 +5,6 @@ from hschain import run_crosscheck
 
 def test_small_sweep_is_consistent():
     report = run_crosscheck(max_n=6)
-    assert report.passed
     assert not report.failures
     names = {result.name for result in report.results}
     assert names == {

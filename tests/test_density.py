@@ -8,6 +8,7 @@ import platform
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from functools import reduce
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import hschain.density
-from hschain import (FERRO, CapacityError, ChainSpec, DensityTable, ValidationError,
+from hschain import (FERRO, CapacityError, ChainSpec, ValidationError,
                      closed_form_moments, dispersion, ks_distance)
 from hschain.density import (
     _bond_dp,
@@ -31,6 +32,7 @@ from hschain.density import (
     spin_degeneracy,
 )
 from hschain.motifs import brute_force_density, delta_bits
+from small_tables import table_of
 
 FAMILY_GRID = [
     ("HS", None),
@@ -87,10 +89,10 @@ def test_sign_flip_mirrors_dp_table():
     # force, which enumerates under the antiferro rule itself, is the reference
     spec = ChainSpec("HS", 9, 3)
     ferro = density_dp(spec)
-    anti = brute_force_density(spec.with_epsilon(-1))
+    anti = brute_force_density(replace(spec, epsilon=-1))
     top = dispersion(spec).scaled_total
     assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
-    assert density_dp(spec.with_epsilon(-1)) == anti
+    assert density_dp(replace(spec, epsilon=-1)) == anti
 
 
 def test_mirrored_default_equals_the_direct_antiferro_recursion_at_large_n():
@@ -126,7 +128,7 @@ def test_z_at_zero_is_ground_degeneracy():
 def test_z_refuses_a_negative_level():
     # the grid runs from energy zero up; dropping the level at -1 used to
     # give Z(1) = 3 for this table of 4 states
-    table = DensityTable.from_counts({-1: 1, 0: 2, 1: 1})
+    table = table_of({-1: 1, 0: 2, 1: 1})
     for q in (1.0, 0.5):
         with pytest.raises(ValidationError, match="has -1"):
             partition_function_at(table, q)

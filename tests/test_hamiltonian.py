@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_aligned_states_are_annihilated():
 def test_both_signs_sum_to_a_constant():
     spec = ChainSpec("HS", 3, 2)
     total = 2.0 * exchange_coefficients(spec).sum()
-    h = build_hamiltonian(spec).matrix + build_hamiltonian(spec.with_epsilon(-1)).matrix
+    h = build_hamiltonian(spec).matrix + build_hamiltonian(replace(spec, epsilon=-1)).matrix
     assert np.allclose(h, total * np.eye(spec.n_states), atol=1e-12)
 
 
@@ -129,8 +130,9 @@ def test_trace_counts_misaligned_pairs():
 
 
 def test_dense_cap():
-    with pytest.raises(CapacityError):
-        build_hamiltonian(ChainSpec("HS", 13, 2))
+    for spec in (ChainSpec("HS", 13, 2), ChainSpec("HS", 15000, 2)):  # the last has 2**15000 states
+        with pytest.raises(CapacityError):
+            build_hamiltonian(spec)
 
 
 @pytest.mark.parametrize("spec, refusal", [
@@ -142,6 +144,8 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
     # 5 x 8 x 24**5 bytes: 318 MB of spectra, but writing them as JSON takes 1.15 GB more
     (ChainSpec("HS", 5, 24), "over the budget"),
+    # m**N has 4,516 digits, past the 4,300 that Python converts to text
+    (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -405,10 +409,10 @@ def test_multiplicity_pattern_equals_the_gap_loop(sizes):
 
 def test_expanded_density_repeats_every_level_by_its_degeneracy():
     from hschain.density import density_dp
-    from hschain.hamiltonian import _expand_density
 
-    density = density_dp(ChainSpec("FI", 6, 3, alpha=Fraction(5, 3)))
-    values, sizes = _expand_density(density)
+    spec = ChainSpec("FI", 6, 3, alpha=Fraction(5, 3))
+    density = density_dp(spec)
+    report = oracle_compare(spec)
     reference = [float(density.energy(e)) for e, d in density.items() for _ in range(d)]
-    assert values.tolist() == reference
-    assert sizes == density.degeneracies
+    assert report.motif_values.tolist() == reference
+    assert report.motif_multiplicities == density.degeneracies

@@ -2,13 +2,13 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from hschain import (
     ChainSpec,
-    DensityTable,
     ValidationError,
     closed_form_moments,
     dispersion,
@@ -16,6 +16,7 @@ from hschain import (
     variance_identity_residual,
 )
 from hschain.density import density_dp
+from small_tables import table_of
 
 FAMILY_GRID = [
     ("HS", None),
@@ -39,25 +40,25 @@ def test_closed_form_spot_values():
 
 
 def test_empirical_spot_values():
-    table = DensityTable.from_counts({0: 4, 1: 2, 2: 2})
+    table = table_of({0: 4, 1: 2, 2: 2})
     stats = empirical_moments(table)
     assert (stats.mu, stats.sigma2) == (Fraction(3, 4), Fraction(11, 16))
 
-    table = DensityTable.from_counts({0: 5, 3: 6, 4: 4, 6: 1})
+    table = table_of({0: 5, 3: 6, 4: 4, 6: 1})
     stats = empirical_moments(table)
     assert (stats.mu, stats.sigma2) == (Fraction(5, 2), Fraction(27, 8))
 
 
 def test_empirical_moments_respect_the_energy_scale():
     # same physical density on two grids
-    coarse = DensityTable.from_counts({0: 1, 1: 2, 2: 1})
-    fine = DensityTable.from_counts({0: 1, 2: 2, 4: 1}, energy_scale=2)
+    coarse = table_of({0: 1, 1: 2, 2: 1})
+    fine = table_of({0: 1, 2: 2, 4: 1}, energy_scale=2)
     assert empirical_moments(coarse).mu == empirical_moments(fine).mu
     assert empirical_moments(coarse).sigma2 == empirical_moments(fine).sigma2
 
 
 def test_single_atom_has_zero_width():
-    stats = empirical_moments(DensityTable.from_counts({0: 1}))
+    stats = empirical_moments(table_of({0: 1}))
     assert (stats.mu, stats.sigma2, stats.sigma) == (0, 0, 0.0)
 
 
@@ -76,7 +77,7 @@ def test_width_ignores_the_sign():
     for family, alpha in FAMILY_GRID:
         spec = ChainSpec(family, 7, 3, alpha=alpha)
         assert closed_form_moments(spec).sigma2 == closed_form_moments(
-            spec.with_epsilon(-1)
+            replace(spec, epsilon=-1)
         ).sigma2
 
 
@@ -85,7 +86,7 @@ def test_means_of_both_signs_add_to_the_total_weight():
         spec = ChainSpec(family, 8, 4, alpha=alpha)
         total = dispersion(spec).total
         assert (
-            closed_form_moments(spec).mu + closed_form_moments(spec.with_epsilon(-1)).mu
+            closed_form_moments(spec).mu + closed_form_moments(replace(spec, epsilon=-1)).mu
             == total
         )
 
@@ -116,6 +117,12 @@ def test_weight_square_sum_residual():
     assert variance_identity_residual(ChainSpec("HS", 16, 3)) >= 0
 
 
+def _weights(spec):
+    """The bond weights F(i) as exact Fractions."""
+    disp = dispersion(spec)
+    return [Fraction(s, disp.energy_scale) for s in disp.scaled]
+
+
 def test_weight_square_sum_residual_equals_the_rational_weight_sum():
     # reference: (1/12) (m**2 - 1) sum F**2 / (m**2 sigma2) over the Fraction
     # weights, minus 1, converted to float once
@@ -125,7 +132,7 @@ def test_weight_square_sum_residual_equals_the_rational_weight_sum():
     ):
         spec = ChainSpec(family, n, m, eps, alpha)
         sigma2 = closed_form_moments(spec).sigma2
-        total = sum((v * v / (m * m * sigma2) for v in dispersion(spec).values), Fraction(0))
+        total = sum((v * v / (m * m * sigma2) for v in _weights(spec)), Fraction(0))
         expected = abs(float(Fraction(m * m - 1, 12) * total - 1))
         assert variance_identity_residual(spec) == expected, spec
 
@@ -147,7 +154,7 @@ def test_weight_square_sum_residual_decays_at_least_like_one_over_n():
 
 def _fraction_moments(spec):
     """The closed forms summed term by term over the Fraction bond weights."""
-    values = dispersion(spec).values
+    values = _weights(spec)
     m = spec.m
     total = sum(values, Fraction(0))
     mu = Fraction(1, 2) * (1 - Fraction(spec.epsilon, m)) * total

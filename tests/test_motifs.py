@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,8 @@ def motif_of(epsilon, config):
 
 def motif_energy(motif, disp):
     """Energy of a motif: sum of dispersion values over the set bits."""
-    return sum((v for b, v in zip(motif, disp.values, strict=True) if b), Fraction(0))
+    return sum((Fraction(s, disp.energy_scale) for b, s in zip(motif, disp.scaled, strict=True)
+                if b), Fraction(0))
 
 
 def test_ferro_rule_truth_table():
@@ -77,9 +79,9 @@ def test_sign_flip_mirrors_the_table():
     for spec in (ChainSpec("HS", 5, 2), ChainSpec("FI", 5, 3, alpha=2)):
         top = dispersion(spec).scaled_total
         ferro = brute_force_density(spec)
-        anti = brute_force_density(spec.with_epsilon(-1))
+        anti = brute_force_density(replace(spec, epsilon=-1))
         assert dict(anti.items()) == {top - e: d for e, d in ferro.items()}
-        assert density_dp(spec.with_epsilon(-1)) == anti
+        assert density_dp(replace(spec, epsilon=-1)) == anti
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -2,15 +2,17 @@
 the characteristic function over random chains.  Examples are
 derandomized, so every run checks the same chains."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hschain import ChainSpec, DensityTable, closed_form_moments, dispersion, empirical_moments
+from hschain import ChainSpec, closed_form_moments, dispersion, empirical_moments
 from hschain.density import composition_density, density_dp, level_support
 from hschain.transfer import charfn_exact
+from small_tables import table_of
 
 FAMILIES = [("HS", None), ("PF", None), ("FI", Fraction(1)), ("FI", Fraction(3, 2)),
             ("FI", Fraction(2)), ("FI", Fraction(5, 3))]
@@ -45,7 +47,7 @@ def test_degeneracies_sum_to_the_state_count(spec):
 def test_sign_flip_reflects_levels_through_the_top_energy(spec):
     # the antiferro DP is the reflected ferro recursion, so the composition
     # sum, which applies the antiferro sign itself, is the reference
-    ferro, anti = spec.with_epsilon(1), spec.with_epsilon(-1)
+    ferro, anti = replace(spec, epsilon=1), replace(spec, epsilon=-1)
     top = dispersion(spec).scaled_total
     direct = composition_density(anti)
     assert dict(direct.items()) == {top - e: d for e, d in density_dp(ferro).items()}
@@ -78,4 +80,4 @@ def test_levels_ascend_and_the_table_rebuilds_from_its_items(spec):
     levels = table.levels()
     assert levels.dtype == np.int64
     assert np.all(levels[1:] > levels[:-1])
-    assert DensityTable.from_counts(dict(table.items()), table.energy_scale) == table
+    assert table_of(dict(table.items()), table.energy_scale) == table

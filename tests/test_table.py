@@ -8,6 +8,7 @@ import pytest
 
 from hschain import ChainSpec, DensityTable, ValidationError, format_rational
 from hschain.density import density_dp
+from small_tables import table_of
 
 
 @pytest.mark.parametrize("spec", [
@@ -37,7 +38,7 @@ def test_both_artifacts_share_one_energy_text_pass(monkeypatch):
 
 
 def test_layout_is_two_aligned_arrays():
-    table = DensityTable.from_counts({6: 1, 0: 5, 4: 4, 3: 6, 5: 0})
+    table = table_of({6: 1, 0: 5, 4: 4, 3: 6, 5: 0})
     assert table.levels().dtype == np.int64
     assert table.levels().tolist() == [0, 3, 4, 6]
     assert table.degeneracies == (5, 6, 4, 1)
@@ -59,10 +60,11 @@ def test_constructor_rejects_broken_layouts():
         DensityTable(np.array([0, 1]), (1, 1), 1, 3)  # wrong total
 
 
-def test_equality_compares_true_energies_across_scales():
-    coarse = DensityTable.from_counts({0: 1, 1: 2, 2: 1})
-    fine = DensityTable.from_counts({0: 1, 2: 2, 4: 1}, energy_scale=2)
-    thirds = DensityTable.from_counts({0: 1, 3: 2, 6: 1}, energy_scale=3)
-    assert coarse == fine == thirds
-    assert coarse != DensityTable.from_counts({0: 1, 3: 2, 4: 1}, energy_scale=2)
-    assert coarse != DensityTable.from_counts({0: 2, 1: 1, 2: 1})
+def test_equality_compares_every_field_as_it_is():
+    table = table_of({0: 1, 1: 2, 2: 1})
+    assert table == table_of({2: 1, 0: 1, 1: 2})
+    assert table != table_of({0: 1, 1: 2, 3: 1})  # a level differs
+    assert table != table_of({0: 2, 1: 1, 2: 1})  # a degeneracy differs
+    # the same levels on another grid are another density
+    assert table != table_of({0: 1, 1: 2, 2: 1}, energy_scale=2)
+    assert table.__eq__("not a table") is NotImplemented

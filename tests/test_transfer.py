@@ -4,6 +4,7 @@ characteristic function built from them."""
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,11 +22,11 @@ from hschain import (
     convergence_report,
     eigenvalues,
     eigenvector_matrix,
-    top_eigenvalue_from_phase,
 )
 from hschain.chains import dispersion, normalized_dispersion
 from hschain.density import density_dp
 from hschain.transfer import (
+    _dirichlet_mean,
     asymptotic_sweep,
     bond_overlap_residual,
     default_t_grid,
@@ -37,19 +38,28 @@ def test_unit_point_eigenvalues_pick_out_the_last():
     assert np.allclose(eigenvalues(1.0, 3), [0.0, 0.0, 1.0], atol=1e-15)
 
 
+def _top_eigenvalue(x, m):
+    """lambda_m(e^(i x)) as charfn_asymptotic forms it: the real Dirichlet
+    mean of cos(x/2) times the phase e^(i (m-1) x/2), which that kernel
+    gathers into one phase per t."""
+    x = np.asarray(x, dtype=float)
+    return _dirichlet_mean(np.cos(x / 2), m) * np.exp(0.5j * (m - 1) * x)
+
+
 def test_top_eigenvalue_closed_form_two_states():
     theta = np.linspace(-3.0, 3.0, 41)
-    lam = top_eigenvalue_from_phase(theta, 2)
+    lam = _top_eigenvalue(theta, 2)
     assert np.allclose(lam, (1.0 + np.exp(1j * theta)) / 2.0, atol=1e-14)
     assert np.allclose(lam, np.exp(0.5j * theta) * np.cos(theta / 2.0), atol=1e-14)
 
 
 def test_top_eigenvalue_is_continuous_across_the_wraparound():
-    for m in (2, 3, 5):
-        assert top_eigenvalue_from_phase(0.0, m) == 1.0
-        assert top_eigenvalue_from_phase(2.0 * math.pi, m) == pytest.approx(1.0, abs=1e-9)
-        left = top_eigenvalue_from_phase(2.0 * math.pi - 1e-9, m)
-        right = top_eigenvalue_from_phase(2.0 * math.pi + 1e-9, m)
+    for m in range(1, 7):
+        for zero in (0.0, -0.0):
+            assert _top_eigenvalue(zero, m) == 1.0  # exactly
+        assert _top_eigenvalue(2.0 * math.pi, m) == pytest.approx(1.0, abs=1e-9)
+        left = _top_eigenvalue(2.0 * math.pi - 1e-9, m)
+        right = _top_eigenvalue(2.0 * math.pi + 1e-9, m)
         assert abs(left - right) < 1e-6
 
 
@@ -138,9 +148,9 @@ def test_sign_flip_conjugates_the_charfn():
     spec = ChainSpec("PF", 8, 2)
     t = default_t_grid(5.0, 61)
     ferro = charfn_exact(spec, t_grid=t)
-    anti = charfn_exact(spec.with_epsilon(-1), t_grid=t)
+    anti = charfn_exact(replace(spec, epsilon=-1), t_grid=t)
     assert np.abs(anti - np.conj(ferro)).max() < 1e-13
-    anti_asym = charfn_asymptotic(spec.with_epsilon(-1), t_grid=t)
+    anti_asym = charfn_asymptotic(replace(spec, epsilon=-1), t_grid=t)
     ferro_asym = charfn_asymptotic(spec, t_grid=t)
     assert np.abs(anti_asym - np.conj(ferro_asym)).max() < 1e-13
 
@@ -321,18 +331,15 @@ def test_charfns_match_an_extended_precision_reference(spec):
 
 
 def test_top_eigenvalue_matches_the_geometric_sum_near_the_removable_points():
+    # eigenvalues(omega, m)[..., m - 1] is the geometric sum mean of omega**l
     turns = 2.0 * math.pi * np.arange(-6, 7)
     x = np.concatenate([turns, turns + 1e-9, turns - 1e-9, turns + 1e-8, [-0.0, 5e-324],
                         np.linspace(-20.0, 20.0, 401)]).reshape(-1, 7)
-    for m in (1, 2, 3, 4, 5, 8):
-        lam = top_eigenvalue_from_phase(x, m)
+    for m in range(1, 7):
+        lam = _top_eigenvalue(x, m)
         assert lam.shape == x.shape
-        assert np.abs(lam - _geometric_sum(x, m)).max() <= 1e-15 * m
-        for scalar in (0.0, 2.0 * math.pi, 1e-9, 1.5):
-            gap = abs(top_eigenvalue_from_phase(scalar, m) - _geometric_sum(scalar, m))
-            assert gap <= 1e-15 * m
-        assert top_eigenvalue_from_phase(0.0, m) == 1.0
-        assert np.all(top_eigenvalue_from_phase(np.array([0.0, -0.0]), m) == 1.0)
+        assert np.abs(lam - eigenvalues(np.exp(1j * x), m)[..., m - 1]).max() <= 1e-14
+        assert np.all(_top_eigenvalue(np.array([0.0, -0.0]), m) == 1.0)
 
 
 def test_asymptotic_charfn_memory_stays_bounded():
