@@ -210,14 +210,38 @@ def dispersion(spec: ChainSpec) -> DispersionTable:
     return _dispersion(spec.family, spec.n_spins, spec.alpha)
 
 
-@lru_cache(maxsize=1)
-def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
+def _check_dispersion_budget(n: int) -> None:
     # measured with tracemalloc at N = 10**6: the tuple takes 40 bytes a bond,
     # a pointer and an int object, and the float conversion of
     # normalized_dispersion lifts the peak to 80.5; FI weights past 2**60 take
     # 4 to 8 bytes more for their wider ints
     check_grid_budget(f"dispersion of {n - 1} bonds needs 88 bytes per bond = {88 * (n - 1)} "
                       "bytes", 88 * (n - 1))
+
+
+def scaled_dispersion_total(spec: ChainSpec) -> int:
+    """The sum of the scaled bond weights, ``dispersion(spec).scaled_total``,
+    in closed form: N(N**2 - 1)/6 for HS, N(N - 1)/2 for PF and, with
+    alpha = p/q, p N(N - 1)/2 + q N(N - 1)(N - 2)/3 for FI.
+
+    It is the top scaled energy, so a backend can hold its energy grid to
+    the memory budget before the weights are built.  Refused where
+    :func:`dispersion` is, so that nothing of the chain's size, such as
+    m**N, is formed for a chain whose weights could not be built.
+    """
+    n = spec.n_spins
+    _check_dispersion_budget(n)
+    if spec.family == "HS":
+        return n * (n * n - 1) // 6
+    if spec.family == "PF":
+        return n * (n - 1) // 2
+    p, q = spec.alpha.numerator, spec.alpha.denominator
+    return p * n * (n - 1) // 2 + q * n * (n - 1) * (n - 2) // 3
+
+
+@lru_cache(maxsize=1)
+def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
+    _check_dispersion_budget(n)
     if family == "HS":
         scale, scaled = 1, tuple(i * (n - i) for i in range(1, n))
     elif family == "PF":

@@ -54,6 +54,7 @@ it.
 from __future__ import annotations
 
 import copy
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -63,15 +64,31 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chains import FERRO, ChainSpec, dispersion
+from .chains import FERRO, ChainSpec, dispersion, scaled_dispersion_total
 from .errors import ValidationError
 from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget, format_rational
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
 
 def _slot_bytes(spec: ChainSpec) -> int:
-    """Bytes per energy cell of an exact polynomial: m**N and a spare byte."""
-    return max(8, (spec.n_states.bit_length() + 7) // 8 + 1)
+    """Bytes per energy cell of an exact polynomial: m**N and a spare byte.
+
+    With m = 2**k r, r odd, m**N has N k + floor(N log2 r) + 1 bits.  N log2 r
+    is never an integer for r > 1, so its float value decides the floor
+    unless it lies within its rounding error of an integer; only then is
+    r**N formed.  A gate can so refuse millions of spins without forming
+    m**N (2**3000000 peaks at 1.4 MB).
+    """
+    n, m = spec.n_spins, spec.m
+    k = (m & -m).bit_length() - 1
+    odd = m >> k
+    bits = n * k + 1
+    if odd > 1:
+        x = n * math.log2(odd)
+        whole = math.floor(x)
+        sure = 1e-12 * x < x - whole < 1 - 1e-12 * x
+        bits += whole if sure else (odd ** n).bit_length() - 1
+    return max(8, (bits + 7) // 8 + 1)
 
 
 class _Kind(NamedTuple):
@@ -185,10 +202,10 @@ def _mass_kind(m: int, cells: int) -> _Kind:
                  cells * (8 + 1 + 8 + 8 + 8))
 
 
-def _bond_dp(m: int, disp, kind: _Kind):
+def _bond_dp(spec: ChainSpec, kind: _Kind):
     """The per-bond recursion shared by :func:`density_dp`,
-    :func:`level_support` and :func:`level_masses`, over the dispersion
-    `disp` of a ferromagnetic chain of m spin values.
+    :func:`level_support` and :func:`level_masses`: the ferromagnetic
+    recursion over the dispersion of `spec`, whatever its sign.
 
     The state after bond j is, for each spin value v, a polynomial whose
     E-th cell describes the prefixes (n_1..n_{j+1}) ending in v with
@@ -209,16 +226,19 @@ def _bond_dp(m: int, disp, kind: _Kind):
 
     During a bond the loop holds at most the m old states, these partial
     combines, the m new states and one shifted temporary; the memory gate
-    counts the larger of that and the kind's read-out.
+    counts the larger of that and the kind's read-out, from the closed-form
+    top energy, before the dispersion is built.
 
     Raises
     ------
     CapacityError
         If the loop or the read-out would exceed the memory budget.
     """
+    m = spec.m
+    cells = scaled_dispersion_total(spec) + 1
     live = 3 * m + max(0, m - 2)
     check_grid_budget(
-        f"density grid needs {disp.scaled_total + 1} cells = {kind.nbytes} bytes per polynomial; "
+        f"density grid needs {cells} cells = {kind.nbytes} bytes per polynomial; "
         f"the bond loop holds {live} of them = {live * kind.nbytes} bytes and the result needs "
         f"{kind.unpack} bytes to unpack", max(live * kind.nbytes, kind.unpack))
     # glibc serves blocks above its mmap threshold from fresh zero pages and
@@ -230,7 +250,7 @@ def _bond_dp(m: int, disp, kind: _Kind):
     # energy zero reached once for every starting value; a copy, since a
     # kind's scale may rescale the states in place
     state = [copy.copy(kind.one)] * m
-    for w in disp.scaled:
+    for w in dispersion(spec).scaled:
         if scale is not None:
             scale(state)
         # low[d - 1] combines sources 1..d, and its last entry all m of them
@@ -264,12 +284,12 @@ def _dp_levels(spec: ChainSpec, kind_of: Callable):
     same configuration, so both signs run the ferromagnetic recursion, and
     the antiferromagnetic levels are read reflected.
     """
-    disp = dispersion(spec)
-    kind = kind_of(disp.scaled_total + 1)
-    levels, values = kind.read(_bond_dp(spec.m, disp, kind))
+    top = scaled_dispersion_total(spec)
+    kind = kind_of(top + 1)
+    levels, values = kind.read(_bond_dp(spec, kind))
     if spec.epsilon != FERRO:
-        levels, values = _reflected(disp.scaled_total, levels, values)
-    return disp, levels, values
+        levels, values = _reflected(top, levels, values)
+    return dispersion(spec), levels, values
 
 
 def density_dp(spec: ChainSpec) -> DensityTable:
@@ -407,16 +427,16 @@ def composition_density(spec: ChainSpec) -> DensityTable:
         ``COMPOSITION_CEILING``, or the memory budget is exceeded by the
         larger of the unpack and the loop, counted as min(N, longest part)
         + 5 polynomials: the rows ahead, the running product and the
-        temporaries of one update.
+        temporaries of one update.  Both are checked before the weights
+        and the degeneracy factors are built.
     """
     n, m = spec.n_spins, spec.m
-    disp = dispersion(spec)
+    cells = scaled_dispersion_total(spec) + 1
     slot = _slot_bytes(spec)
-    shifts = [8 * slot * w for w in disp.scaled] + [0]  # the last part closes at shift 0
-    dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
-    longest_part = max(k for k in range(1, n + 1) if dfac[k])
-    cells = disp.scaled_total + 1
-    row_updates = sum(min(n - cut, longest_part) for cut in range(n))
+    # d(k) = binom(m + k - 1, k) never vanishes; binom(m, k) does past k = m
+    longest_part = n if spec.epsilon == FERRO else min(n, m)
+    # the cut positions 0..N-1 each make min(N - cut, longest part) updates
+    row_updates = longest_part * (2 * n - longest_part + 1) // 2
     byte_updates = row_updates * cells * slot
     # an intermediate has degree <= the top cell; its l1 norm, below 2**(N-1)
     # compositions x m**N x 2**N, spills at most 2N bits past the top slot
@@ -428,6 +448,8 @@ def composition_density(spec: ChainSpec) -> DensityTable:
                       f"of {polynomial} bytes = {live * polynomial} bytes; the result needs "
                       f"{kind.unpack} bytes to unpack", max(live * polynomial, kind.unpack),
                       byte_updates, COMPOSITION_CEILING)
+    shifts = [8 * slot * w for w in dispersion(spec).scaled] + [0]  # the last part closes at 0
+    dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
     merged = [0] * (n + 1)  # row p: all prefixes with last cut at bond p
     merged[0] = 1
     for last_cut in range(n):
@@ -438,7 +460,7 @@ def composition_density(spec: ChainSpec) -> DensityTable:
             merged[p] += dfac[p - last_cut] * running << shifts[p - 1]
             if p < stop:
                 running -= running << shifts[p - 1]
-    return DensityTable(*kind.read(merged.pop()), disp.energy_scale, spec.n_states)
+    return DensityTable(*kind.read(merged.pop()), dispersion(spec).energy_scale, spec.n_states)
 
 
 def partition_function_at(density: DensityTable, q: complex) -> complex:

@@ -176,12 +176,15 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]
     max RSS rose 164 MiB above the interpreter's 30 MiB, against 184 MiB
     predicted.
     """
-    states = spec.n_states
     # m**N is written as a power: past 4,300 digits Python refuses to print it
     text = (f"dense oracle of m**N = {spec.m}**{spec.n_spins} states needs 5 x 8 x m**N bytes of "
             "spectra and (2 x 40 + 2 x 32) x m**N bytes to write them as JSON")
-    spectra_and_report = (5 * 8 + 2 * 40 + 2 * 32) * states
-    check_grid_budget(text, spectra_and_report)
+    per_state = 5 * 8 + 2 * 40 + 2 * 32
+    # m**min(N, 64) states is a lower bound, and m**N wherever 2**64 states
+    # would pass the budget, so a chain of 10**8 spins is refused without
+    # forming m**N
+    check_grid_budget(text, per_state * spec.m ** min(spec.n_spins, 64))
+    spectra_and_report = per_state * spec.n_states
     sectors = _solved_sectors(spec)
     size = max(dim for _, _, dim in sectors) + 1  # an odd block runs padded
     work = sum(dim ** 3 for _, _, dim in sectors)

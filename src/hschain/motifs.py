@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .chains import FERRO, ChainSpec, dispersion
+from .chains import FERRO, ChainSpec, dispersion, scaled_dispersion_total
 from .table import ENUMERATION_CEILING, DensityTable, check_grid_budget
 
 # Degeneracies are exact Python integers throughout; numpy counts are only
@@ -53,13 +53,15 @@ def brute_force_density(spec: ChainSpec) -> DensityTable:
         bytes a code, whatever N is) exceed the memory budget.
     """
     n, m = spec.n_spins, spec.m
-    disp = dispersion(spec)  # its gate refuses an absurd N before m**N is formed
-    total = spec.n_states
-    top = disp.scaled_total
+    top = scaled_dispersion_total(spec)
+    # m**min(N, 64) is m**N wherever it is within the ceiling, and refused
+    # like it elsewhere, without forming a number of N digits
     check_grid_budget(f"enumeration needs 2 grids of {top + 1} cells x 8 bytes and 41 bytes "
                       f"for each of a block's {_BLOCK} codes, and visits m**N = {m}**{n} "
                       "states (density_dp takes larger chains)",
-                      16 * (top + 1) + 41 * _BLOCK, total, ENUMERATION_CEILING)
+                      16 * (top + 1) + 41 * _BLOCK, m ** min(n, 64), ENUMERATION_CEILING)
+    total = spec.n_states
+    disp = dispersion(spec)
     weights = np.array(disp.scaled, dtype=np.int64)
     counts = np.zeros(top + 1, dtype=np.int64)
     for start in range(0, total, _BLOCK):

@@ -34,6 +34,11 @@ probabilities come from the ferromagnetic pairing mask; that costs
 :func:`charfn_asymptotic` multiplies the real Chebyshev factors and puts
 the whole phase into one scalar per t: one cos and an m-step recurrence per
 (t, bond).
+
+The spectrum is real, so phi(-t) = conj phi(t), and both kernels run once
+per distinct |t| and conjugate the values at t < 0 (:func:`_mirrored`).
+:func:`default_t_grid` is exactly antisymmetric, so on it each kernel does
+half the (bond, t) work of evaluating every t.
 """
 
 from __future__ import annotations
@@ -122,9 +127,18 @@ def _dirichlet_mean(c, m: int) -> np.ndarray:
 
 
 def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
-    """Symmetric uniform grid on [-t_max, t_max]; symmetric so the
-    conjugation property of the characteristic function is testable."""
-    return np.linspace(-t_max, t_max, points)
+    """Uniform grid on [-t_max, t_max] that is exactly antisymmetric:
+    t[-1 - i] is -t[i] bit for bit, so the kernels evaluate each pair once.
+
+    ``np.linspace`` alone is not (at the default 241 points only 83 points
+    are the exact negatives of their mirror points), so each point is the
+    half difference of linspace and its reverse.  Halving is exact, and
+    fl(a - b) = -fl(b - a), so the grid keeps +-t_max, and a point moves by
+    half of linspace's own asymmetry and one rounding: at most one unit in
+    the last place of t_max at the default grid.
+    """
+    g = np.linspace(-t_max, t_max, points)
+    return g / 2 - g[::-1] / 2
 
 
 def _stats_and_grid(spec: ChainSpec, stats: SpectrumStats | None, t_grid):
@@ -135,6 +149,29 @@ def _stats_and_grid(spec: ChainSpec, stats: SpectrumStats | None, t_grid):
     if not stats.sigma > 0:
         raise ValidationError("characteristic function needs a positive spectral width")
     return stats, np.asarray(default_t_grid() if t_grid is None else t_grid, dtype=float)
+
+
+def _mirrored(t: np.ndarray, antiferro: bool, ferro_at) -> np.ndarray:
+    """The characteristic function on the grid `t`, from ``ferro_at``, the
+    ferromagnetic value on a 1-d array of t >= 0, evaluated once per
+    distinct |t|.
+
+    A real spectrum gives phi(-t) = conj phi(t): cos is even and sin odd
+    bit for bit, and conjugation commutes with IEEE complex products and
+    sums, so a mirrored value equals the one computed at -t directly.  The
+    imaginary part at t < 0 is negated as 0 - y, which keeps a zero +0, as
+    the direct product gives it where the value is real (the asymptotic
+    kernel's, for closed-form moments), so an artifact prints 0, not -0.
+    The antiferromagnetic value is then the conjugate of the ferromagnetic
+    one at every t.
+    """
+    flat = t.reshape(-1)
+    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    values = ferro_at(magnitudes)[inverse]
+    np.subtract(0.0, values.imag, out=values.imag, where=flat < 0)
+    if antiferro:
+        np.conjugate(values, out=values)
+    return values.reshape(t.shape)[()]
 
 
 def _run_ratios(m: int) -> np.ndarray:
@@ -170,7 +207,8 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     A[0] <- sum of A and A[r+1] <- A[r] (w_i - 1) p_(r+1) / p_r: 2 (m - 1)
     elementwise operations on arrays over t, O(N m) in all.  The
     antiferromagnetic value is the complex conjugate of the ferromagnetic
-    one centred at the dispersion's sum less mu.
+    one centred at the dispersion's sum less mu.  The recursion runs once
+    per distinct |t|, and the values at t < 0 are its conjugates.
 
     The steps (w_i - 1) p_(r+1) / p_r are built a block of bonds at a time,
     from one real cos and one sin over the block's (bond, t) phases.  A
@@ -181,23 +219,25 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     m = spec.m
     gam = normalized_dispersion(spec, stats.sigma)
     ratios = _run_ratios(m)[:, None]
-    flat = t.reshape(-1)
-    state = np.zeros((m, flat.size), dtype=complex)
-    state[0] = 1.0
-    spare = np.empty_like(state)
-    block = max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, flat.size)))
-    for lo in range(0, gam.size, block):
-        theta = (m * gam[lo : lo + block, None, None]) * flat
-        steps = np.empty((theta.shape[0], m - 1, flat.size), dtype=complex)
-        np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
-        np.multiply(np.sin(theta), ratios, out=steps.imag)
-        for step in steps:
-            state.sum(axis=0, out=spare[0])
-            np.multiply(state[:-1], step, out=spare[1:])
-            state, spare = spare, state
-    center = np.exp(-1j * (float(_ferro_center(spec, stats)) / stats.sigma) * flat)
-    value = (center * state.sum(axis=0)).reshape(t.shape)[()]
-    return value if spec.epsilon == FERRO else np.conj(value)
+    center = float(_ferro_center(spec, stats)) / stats.sigma
+
+    def ferro_at(flat):
+        state = np.zeros((m, flat.size), dtype=complex)
+        state[0] = 1.0
+        spare = np.empty_like(state)
+        block = max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, flat.size)))
+        for lo in range(0, gam.size, block):
+            theta = (m * gam[lo : lo + block, None, None]) * flat
+            steps = np.empty((theta.shape[0], m - 1, flat.size), dtype=complex)
+            np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
+            np.multiply(np.sin(theta), ratios, out=steps.imag)
+            for step in steps:
+                state.sum(axis=0, out=spare[0])
+                np.multiply(state[:-1], step, out=spare[1:])
+                state, spare = spare, state
+        return np.exp(-1j * center * flat) * state.sum(axis=0)
+
+    return _mirrored(t, spec.epsilon != FERRO, ferro_at)
 
 
 def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=None) -> np.ndarray:
@@ -212,7 +252,8 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     the exact dispersion sum and mean, so it is exactly 0 for closed-form
     moments.  For the antiferromagnetic sign the spectrum is the mirror
     image of the ferromagnetic one, so the value is the complex conjugate
-    of the ferromagnetic approximation.
+    of the ferromagnetic approximation.  The product is taken once per
+    distinct |t|, and the values at t < 0 are its conjugates.
 
     The factors are taken a chunk of t values at a time, each chunk about
     ``_CHUNK_BYTES`` (512 KiB) of floats, or one t value's where those are
@@ -222,15 +263,17 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
     half = normalized_dispersion(spec, stats.sigma) / 2
-    flat = t.reshape(-1)
     rows = max(1, _CHUNK_BYTES // (8 * half.size))
-    product = np.empty(flat.shape)
-    for lo in range(0, flat.size, rows):
-        factors = _dirichlet_mean(np.cos(flat[lo : lo + rows, None] * half), m)
-        product[lo : lo + rows] = factors.prod(axis=-1)
     drift = Fraction(m - 1, 2 * m) * dispersion(spec).total - _ferro_center(spec, stats)
-    value = np.exp(1j * (float(drift) / stats.sigma) * t) * product.reshape(t.shape)[()]
-    return value if spec.epsilon == FERRO else np.conj(value)
+
+    def ferro_at(flat):
+        product = np.empty(flat.shape)
+        for lo in range(0, flat.size, rows):
+            factors = _dirichlet_mean(np.cos(flat[lo : lo + rows, None] * half), m)
+            product[lo : lo + rows] = factors.prod(axis=-1)
+        return np.exp(1j * (float(drift) / stats.sigma) * flat) * product
+
+    return _mirrored(t, spec.epsilon != FERRO, ferro_at)
 
 
 def charfn_from_density(density: DensityTable, stats: SpectrumStats, t_grid) -> np.ndarray:

@@ -11,6 +11,7 @@ import pytest
 
 from hschain import (CapacityError, ChainSpec, ValidationError, dispersion,
                      normalized_dispersion)
+from hschain.chains import scaled_dispersion_total
 
 
 def weights(table):
@@ -70,6 +71,16 @@ def test_scaled_values_are_integers():
             assert value * table.energy_scale == scaled
             assert isinstance(scaled, int)
         assert table.scaled_total == sum(table.scaled)
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("HS", None), ("PF", None), ("FI", Fraction(1)), ("FI", Fraction(3, 2)),
+    ("FI", Fraction(5, 3)), ("FI", Fraction(1, 20)), ("FI", Fraction(7)),
+])
+def test_closed_form_dispersion_total_is_the_sum_of_the_weights(family, alpha):
+    for n in range(2, 40):
+        spec = ChainSpec(family, n, 2, alpha=alpha)
+        assert scaled_dispersion_total(spec) == sum(dispersion(spec).scaled), n
 
 
 def test_spec_validation():

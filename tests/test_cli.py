@@ -247,7 +247,7 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message
      20_000),
 ])
 def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, args, points):
-    # measured: 224, 387 and 589 bytes a point, against 256, 528 and 600 counted
+    # measured: 149, 388 and 589 bytes a point, against 256, 528 and 600 counted
     _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys,
                                                      *args, str(points))
 

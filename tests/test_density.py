@@ -15,6 +15,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+import hschain.chains
 import hschain.density
 from hschain import (FERRO, CapacityError, ChainSpec, ValidationError,
                      closed_form_moments, dispersion, ks_distance)
@@ -260,12 +261,11 @@ def test_a_mass_kind_serves_more_than_one_recursion():
     # the per-bond division works in place on the states, never on the
     # kind's starting array
     spec = ChainSpec("HS", 12, 3)
-    disp = dispersion(spec)
-    kind = _mass_kind(spec.m, disp.scaled_total + 1)
+    kind = _mass_kind(spec.m, dispersion(spec).scaled_total + 1)
     start = kind.one.copy()
-    first = _bond_dp(spec.m, disp, kind)
+    first = _bond_dp(spec, kind)
     assert np.array_equal(kind.one, start)
-    assert np.array_equal(_bond_dp(spec.m, disp, kind), first)
+    assert np.array_equal(_bond_dp(spec, kind), first)
 
 
 def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
@@ -299,15 +299,14 @@ def _combine_every_source(spec, slot_bits, combine):
     ChainSpec("HS", 11, 2), ChainSpec("PF", 9, 4), ChainSpec("HS", 10, 5),
 ])
 def test_bond_partials_equal_combining_every_source(spec):
-    disp = dispersion(spec)
-    cells = disp.scaled_total + 1
+    cells = dispersion(spec).scaled_total + 1
     slot_bits = 8 * _slot_bytes(spec)
     for kind, bits, combine in ((_exact_kind(spec, cells), slot_bits, operator.add),
                                 (_support_kind(cells), 1, operator.or_)):
-        packed = _bond_dp(spec.m, disp, kind)
+        packed = _bond_dp(spec, kind)
         assert packed == _combine_every_source(spec, bits, combine), (spec, bits)
     counts = _combine_every_source(spec, slot_bits, operator.add)
-    masses = _bond_dp(spec.m, disp, _mass_kind(spec.m, cells))
+    masses = _bond_dp(spec, _mass_kind(spec.m, cells))
     exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) / spec.n_states
              for e in range(masses.size)]
     np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0)
@@ -371,6 +370,31 @@ def test_dense_grid_backends_check_the_memory_budget(backend):
     spec = ChainSpec("FI", 3, 2, alpha=10 ** 15)
     with pytest.raises(CapacityError, match="over the budget"):
         backend(spec)
+
+
+@pytest.mark.parametrize("backend", [
+    density_dp, level_support, level_masses, composition_density, brute_force_density,
+])
+def test_a_grid_far_past_the_budget_is_refused_before_the_weights_are_built(backend):
+    # PF N = 3,000,000 m = 2: 4.5e12 energy cells; the dispersion tuple
+    # alone takes 120 MB and m**N has 3,000,001 bits, so the gate must
+    # run on the closed-form top energy and form neither
+    hschain.chains._dispersion.cache_clear()  # no table of an earlier case to reuse
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="over the"):
+            backend(ChainSpec("PF", 3_000_000, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_slot_bytes_follow_the_bit_length_of_the_state_count():
+    for m in range(1, 40):
+        for n in (2, 3, 7, 64, 65, 300, 1001):
+            expected = max(8, ((m ** n).bit_length() + 7) // 8 + 1)
+            assert _slot_bytes(ChainSpec("PF", n, m)) == expected, (n, m)
 
 
 FAULT_PROBE = """

@@ -119,10 +119,13 @@ def test_charfn_matches_the_level_sum_for_a_tiny_chain():
     assert np.abs(charfn_exact(spec, t_grid=t) - expected).max() < 1e-13
 
 
-def test_charfn_conjugate_symmetry():
-    spec = ChainSpec("HS", 6, 3)
-    values = charfn_exact(spec, t_grid=default_t_grid())
-    assert np.abs(values - np.conj(values[::-1])).max() < 1e-13
+@pytest.mark.parametrize("t_max", [6.0, 3.5, 7.3, 1e-3])
+def test_default_t_grid_is_exactly_antisymmetric(t_max):
+    for points in (2, 3, 17, 240, 241):
+        t = default_t_grid(t_max, points)
+        assert np.array_equal(t, -t[::-1]), points
+        assert t[0] == -t_max and t[-1] == t_max, points
+        assert np.abs(t - np.linspace(-t_max, t_max, points)).max() <= np.spacing(t_max), points
 
 
 def test_charfn_modulus_never_exceeds_one():
@@ -280,6 +283,30 @@ def test_charfns_keep_the_grid_shape():
     spec = ChainSpec("FI", 40, 3, -1, Fraction(5, 3))
     for t in (np.array(0.7), np.array([]), np.linspace(-5.0, 5.0, 12).reshape(3, 4)):
         _assert_charfns_near_the_references(spec, t, 1e-13)
+
+
+def test_charfn_conjugate_symmetry():
+    # the kernels evaluate each |t| once and conjugate the values at t < 0,
+    # so hold them, at both signs, to references that evaluate every t
+    # directly: on a grid of negative t only, and on one where no t is the
+    # exact negative of another
+    negative, unmirrored = np.linspace(-6.0, -0.5, 23), np.linspace(-5.0, 3.0, 38)
+    assert np.unique(np.abs(unmirrored)).size == unmirrored.size
+    for (family, alpha), m, n, eps in itertools.product(
+        FAMILIES, (2, 3, 5), (3, 17, 300), (1, -1)
+    ):
+        for t in (negative, unmirrored):
+            _assert_charfns_near_the_references(ChainSpec(family, n, m, eps, alpha), t, 1e-13)
+
+
+def test_a_real_asymptotic_value_keeps_the_sign_of_its_zero_imaginary_part():
+    # closed-form moments make the asymptotic value real; the values mirrored
+    # to t < 0 keep the +0 of the direct product, so an artifact prints 0 and
+    # not -0 there, and the antiferromagnetic conjugate is -0 at every t
+    for eps in (1, -1):
+        value = charfn_asymptotic(ChainSpec("HS", 12, 3, eps), t_grid=default_t_grid())
+        assert np.all(value.imag == 0)
+        assert np.all(np.signbit(value.imag) == (eps == -1)), eps
 
 
 def _charfn_exact_extended(spec, stats, t):
