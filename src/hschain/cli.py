@@ -190,22 +190,20 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
         print(f"wrote {path}")
 
 
-def _t_grid_from(args, m: int, extra: int) -> np.ndarray:
+def _t_grid_from(args, m: int, text: int) -> np.ndarray:
     """The t grid of --t-max and --t-points, for a chain of m spin values.
 
-    Measured with tracemalloc, a t point's transfer products hold up to 64
-    bytes per spin value, and the subcommand `extra` bytes more: charfn's
-    csv or svg text up to 390, convergence's series of one N up to 42.
+    Measured with tracemalloc at m = 2 to 40, the kernels hold up to 32 m + 53
+    bytes a t point, counted as 36 m + 64, and the artifacts, written after
+    them, `text` bytes: charfn's csv and svg up to 397, counted as 440.
     """
     if args.t_points < 2:
         raise ValidationError("--t-points must be at least 2")
-    if not args.t_max > 0:
-        raise ValidationError("--t-max must be positive")
-    if math.isinf(args.t_max):
-        raise ValidationError("--t-max must be finite")
-    point = 64 * m + extra
-    check_grid_budget(f"--t-points {args.t_points} needs 64 x {m} + {extra} = {point} bytes "
-                      f"per t point = {args.t_points * point} bytes", args.t_points * point)
+    if not 0 < args.t_max < math.inf:
+        raise ValidationError("--t-max must be positive and finite")
+    point = max(36 * m + 64, text)
+    check_grid_budget(f"--t-points {args.t_points} needs max(36 x {m} + 64, {text}) = {point} "
+                      f"bytes per t point = {args.t_points * point} bytes", args.t_points * point)
     return default_t_grid(args.t_max, args.t_points)
 
 
@@ -252,7 +250,7 @@ def _cmd_moments(args) -> int:
 
 def _cmd_charfn(args) -> int:
     spec = _resolve_spec(args)
-    grid = _t_grid_from(args, spec.m, 400)
+    grid = _t_grid_from(args, spec.m, 440)
     series = charfn_series(spec, closed_form_moments(spec), grid)
     exact, asym = series.exact_values, series.asymptotic_values
     _emit(
@@ -278,7 +276,7 @@ def _cmd_charfn(args) -> int:
 def _cmd_convergence(args) -> int:
     sweep = _parse_sweep(args.n_sweep)
     spec = _resolve_spec(args, sweep[0])
-    grid = _t_grid_from(args, spec.m, 64)
+    grid = _t_grid_from(args, spec.m, 0)
     report = convergence_report(
         spec.family, spec.m, spec.epsilon, n_values=sweep, t_grid=grid, alpha=spec.alpha
     )

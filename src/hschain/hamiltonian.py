@@ -9,8 +9,9 @@ multiset with the motif spectrum exercises a completely different code
 path from the counting backends: floating point instead of exact
 integers, site geometry instead of the dispersion sequence.
 
-Every exchange keeps the number of spins of each colour, so the oracle
-builds one weight sector's block at a time, and only one of the sectors
+Every exchange keeps the number of spins of each colour, so
+``build_hamiltonian`` builds H on any set of basis states that exchanges
+keep, and the oracle calls it once per solved weight sector: one of those
 that a permutation of the colours maps onto one another.  The Jacobi
 sweeps rotate disjoint pairs of indices together, one numpy update per round.
 
@@ -118,7 +119,7 @@ def chain_sites(spec: ChainSpec) -> SiteLayout:
 
 @dataclass(frozen=True)
 class DenseOperator:
-    """Real symmetric operator on the full m**N spin basis."""
+    """Real symmetric operator on basis states that exchanges keep."""
 
     matrix: np.ndarray
 
@@ -179,12 +180,8 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]
     # m**N is written as a power: past 4,300 digits Python refuses to print it
     text = (f"dense oracle of m**N = {spec.m}**{spec.n_spins} states needs 5 x 8 x m**N bytes of "
             "spectra and (2 x 40 + 2 x 32) x m**N bytes to write them as JSON")
-    per_state = 5 * 8 + 2 * 40 + 2 * 32
-    # m**min(N, 64) states is a lower bound, and m**N wherever 2**64 states
-    # would pass the budget, so a chain of 10**8 spins is refused without
-    # forming m**N
-    check_grid_budget(text, per_state * spec.m ** min(spec.n_spins, 64))
-    spectra_and_report = per_state * spec.n_states
+    spectra_and_report = (5 * 8 + 2 * 40 + 2 * 32) * spec.n_states
+    check_grid_budget(text, spectra_and_report)
     sectors = _solved_sectors(spec)
     size = max(dim for _, _, dim in sectors) + 1  # an odd block runs padded
     work = sum(dim ** 3 for _, _, dim in sectors)
@@ -194,16 +191,18 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]
     return sectors
 
 
-def _block(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Sum of h_ij (1 - epsilon * exchange of spins i, j) over ascending
-    basis indices `states` that no exchange leaves: each pair adds one
-    diagonal shift and one permutation of base-m digits, placed by the
-    positions of the exchanged states.  Exactly symmetric by construction."""
-    n, m = spec.n_spins, spec.m
+def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> DenseOperator:
+    """Sum of h_ij (1 - epsilon * exchange of spins i, j), h_ij from `coef`,
+    over ascending basis indices `states` that no exchange leaves (a weight
+    sector, or all m**N): each pair adds one diagonal shift and one permutation
+    of base-m digits, placed by the positions of the exchanged states.  Exactly
+    symmetric; refused where H with a copy of it passes the memory budget."""
+    n, m, size = spec.n_spins, spec.m, states.size
+    check_grid_budget(f"dense H of {size} states needs 2 x 8 x {size}**2 bytes", 16 * size * size)
     weight = m ** np.arange(n - 1, -1, -1)
     digits = (states[:, None] // weight[None, :]) % m
-    rows = np.arange(states.size)
-    h = np.zeros((states.size, states.size))
+    rows = np.arange(size)
+    h = np.zeros((size, size))
     for i in range(n - 1):
         for j in range(i + 1, n):
             swapped = states + (digits[:, j] - digits[:, i]) * (weight[i] - weight[j])
@@ -212,16 +211,7 @@ def _block(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> np.ndarray:
                 raise ValidationError(f"exchanging spins {i} and {j} leaves the given states")
             h[rows, rows] += coef[i, j]
             h[rows, cols] -= spec.epsilon * coef[i, j]
-    return h
-
-
-def build_hamiltonian(spec: ChainSpec) -> DenseOperator:
-    """Dense Hamiltonian on the whole m**N basis, refused wherever the
-    oracle is and wherever H with a copy of it passes the memory budget."""
-    _check_oracle_cost(spec)
-    dim = spec.n_states
-    check_grid_budget(f"dense H of dim m**N = {dim} needs 2 x 8 x {dim}**2 bytes", 16 * dim * dim)
-    return DenseOperator(matrix=_block(spec, np.arange(dim), exchange_coefficients(spec)))
+    return DenseOperator(matrix=h)
 
 
 def _advance(src: np.ndarray, dst: np.ndarray) -> None:
@@ -332,7 +322,8 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
             rows, colours = np.nonzero(left)
             states, left = states[rows] * spec.m + colours, left[rows]
             left[np.arange(rows.size), colours] -= 1
-        spectra.append(np.tile(jacobi_eigenvalues(k * _block(spec, states, coef)) / k, copies))
+        spectra.append(np.tile(
+            jacobi_eigenvalues(k * build_hamiltonian(spec, states, coef).matrix) / k, copies))
     return np.sort(np.concatenate(spectra))
 
 

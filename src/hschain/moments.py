@@ -35,7 +35,11 @@ class SpectrumStats:
 
     @classmethod
     def from_exact(cls, mu: Fraction, sigma2: Fraction) -> "SpectrumStats":
-        return cls(mu=mu, sigma2=sigma2, sigma=math.sqrt(sigma2))
+        try:
+            sigma = math.sqrt(sigma2)
+        except OverflowError:
+            raise ValidationError("the variance sigma2 is past the float range") from None
+        return cls(mu=mu, sigma2=sigma2, sigma=sigma)
 
 
 def _bond_sums(spec: ChainSpec) -> tuple:

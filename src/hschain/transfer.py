@@ -126,6 +126,7 @@ def _dirichlet_mean(c, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
     """Uniform grid on [-t_max, t_max] that is exactly antisymmetric:
     t[-1 - i] is -t[i] bit for bit, so the kernels evaluate each pair once.
@@ -135,7 +136,8 @@ def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
     half difference of linspace and its reverse.  Halving is exact, and
     fl(a - b) = -fl(b - a), so the grid keeps +-t_max, and a point moves by
     half of linspace's own asymmetry and one rounding: at most one unit in
-    the last place of t_max at the default grid.
+    the last place of t_max at the default grid.  Past half the float range
+    linspace's step overflows, and the kernels refuse the grid it gives.
     """
     g = np.linspace(-t_max, t_max, points)
     return g / 2 - g[::-1] / 2
@@ -163,11 +165,15 @@ def _mirrored(t: np.ndarray, antiferro: bool, ferro_at) -> np.ndarray:
     the direct product gives it where the value is real (the asymptotic
     kernel's, for closed-form moments), so an artifact prints 0, not -0.
     The antiferromagnetic value is then the conjugate of the ferromagnetic
-    one at every t.
+    one at every t.  A grid with a value that is not finite is refused.
     """
     flat = t.reshape(-1)
     magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
-    values = ferro_at(magnitudes)[inverse]
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = ferro_at(magnitudes)[inverse]
+    if not np.isfinite(values).all():
+        raise ValidationError(f"the characteristic function is not finite on a t grid up to |t| = "
+                              f"{magnitudes[-1]:.3g}: the grid or its phases pass the float range")
     np.subtract(0.0, values.imag, out=values.imag, where=flat < 0)
     if antiferro:
         np.conjugate(values, out=values)

@@ -227,6 +227,14 @@ def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
     (["charfn", "--N", "8", "--t-points", "1"], "--t-points must be at least 2"),
     (["density", "--N", "4", "--format", ","], "at least one output format is required"),
     (["density", "--spec", "{"], "invalid JSON chain spec"),
+    # sigma2 past the float range; alpha = 1e150 at N = 4 still runs
+    (["moments", "--family", "fi", "--alpha", "1e160", "--N", "4"], "sigma2 is past the float"),
+    (["charfn", "--family", "fi", "--alpha", "1e200", "--N", "4"], "sigma2 is past the float"),
+    (["spacings", "--family", "fi", "--alpha", "1e200", "--N", "4"], "sigma2 is past the float"),
+    (["convergence", "--family", "fi", "--alpha", "1e200"], "sigma2 is past the float"),
+    # the kernels' phases overflow, and then linspace's own step
+    (["charfn", "--N", "8", "--t-max", "8e307"], "not finite on a t grid"),
+    (["convergence", "--n-sweep", "16:32:geometric", "--t-max", "1e308"], "not finite on a t grid"),
 ])
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
     assert run(tmp_path, *args[:1], "--family", "hs", "--m", "2", *args[1:]) == 1
@@ -245,9 +253,12 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message
      20_001),
     (["spacings", "--family", "hs", "--N", "10", "--m", "2", "--format", "csv,svg", "--bins"],
      20_000),
+    # at m = 40 the kernels hold more than the text
+    (["charfn", "--family", "hs", "--N", "8", "--m", "40", "--format", "csv,svg", "--t-points"],
+     20_001),
 ])
 def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, args, points):
-    # measured: 149, 388 and 589 bytes a point, against 256, 528 and 600 counted
+    # measured: 149, 388, 590 and 1,300 bytes a point, against 172, 440, 600 and 1,504 counted
     _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys,
                                                      *args, str(points))
 
@@ -299,11 +310,11 @@ def test_huge_grids_are_refused_before_any_allocation(tmp_path, monkeypatch, cap
 
 
 def test_convergence_runs_grids_that_the_charfn_count_refuses(tmp_path, monkeypatch, capsys):
-    # against a budget of 32 MiB, charfn's 64 x 3 + 400 bytes a point refuse
-    # 100,001 points; convergence writes no text a point, and its own count,
-    # 64 x 3 + 64, admits them and holds its measured peak
+    # against a budget of 32 MiB, charfn's count at m = 3, the 440 bytes of
+    # its text a point, refuses 100,001 points; convergence writes no text a
+    # point, and its own count, 36 x 3 + 64, admits them and holds its measured peak
     points, budget = 100_001, 32 << 20
-    assert (64 * 3 + 400) * points > budget
+    assert 440 * points > budget
     monkeypatch.setattr(hschain.table, "DEFAULT_MEMORY_BUDGET", budget)
     assert _assert_the_run_stays_within_its_grid_prediction(
         tmp_path, monkeypatch, capsys, "convergence", "--family", "hs", "--m", "3",

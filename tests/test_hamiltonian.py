@@ -22,13 +22,17 @@ from hschain import (
 )
 from hschain.cli import main
 from hschain.hamiltonian import (
-    _block,
     _check_oracle_cost,
     _multiplicity_pattern,
     _sector_eigenvalues,
     _solved_sectors,
     exchange_coefficients,
 )
+
+
+def _whole(spec):
+    """The Hamiltonian on the whole m**N basis."""
+    return build_hamiltonian(spec, np.arange(spec.n_states), exchange_coefficients(spec)).matrix
 
 
 def _brute_sectors(spec):
@@ -90,24 +94,24 @@ def test_exchange_strengths_are_positive_upper_triangle():
 
 def test_two_spin_chain_by_hand():
     # sites pi/2 and pi, so the single pair strength is 1/2
-    h = build_hamiltonian(ChainSpec("HS", 2, 2)).matrix
+    h = _whole(ChainSpec("HS", 2, 2))
     expected = np.zeros((4, 4))
     expected[1, 1] = expected[2, 2] = 0.5
     expected[1, 2] = expected[2, 1] = -0.5
     assert np.array_equal(h, expected)
     assert np.allclose(jacobi_eigenvalues(h), [0, 0, 0, 1])
-    anti = build_hamiltonian(ChainSpec("HS", 2, 2, epsilon=-1)).matrix
+    anti = _whole(ChainSpec("HS", 2, 2, epsilon=-1))
     assert np.allclose(jacobi_eigenvalues(anti), [0, 1, 1, 1])
 
 
 def test_hamiltonian_is_exactly_symmetric():
-    h = build_hamiltonian(ChainSpec("FI", 4, 3, alpha=Fraction(3, 2))).matrix
+    h = _whole(ChainSpec("FI", 4, 3, alpha=Fraction(3, 2)))
     assert np.array_equal(h, h.T)
 
 
 def test_aligned_states_are_annihilated():
     spec = ChainSpec("PF", 4, 3)
-    h = build_hamiltonian(spec).matrix
+    h = _whole(spec)
     dim = spec.n_states
     for value in range(3):  # all spins equal to the same value
         index = value * (dim - 1) // 2
@@ -117,22 +121,23 @@ def test_aligned_states_are_annihilated():
 def test_both_signs_sum_to_a_constant():
     spec = ChainSpec("HS", 3, 2)
     total = 2.0 * exchange_coefficients(spec).sum()
-    h = build_hamiltonian(spec).matrix + build_hamiltonian(replace(spec, epsilon=-1)).matrix
+    h = _whole(spec) + _whole(replace(spec, epsilon=-1))
     assert np.allclose(h, total * np.eye(spec.n_states), atol=1e-12)
 
 
 def test_trace_counts_misaligned_pairs():
     spec = ChainSpec("PF", 4, 2)
-    h = build_hamiltonian(spec).matrix
+    h = _whole(spec)
     weight = exchange_coefficients(spec).sum()
     dim = spec.n_states
     assert np.trace(h) == pytest.approx(weight * (dim - dim // 2), rel=1e-12)
 
 
 def test_dense_cap():
-    for spec in (ChainSpec("HS", 13, 2), ChainSpec("HS", 15000, 2)):  # the last has 2**15000 states
-        with pytest.raises(CapacityError):
-            build_hamiltonian(spec)
+    # 2**14 states: H with a copy of it would take 2 x 8 x 16384**2 bytes, 4 GiB
+    spec = ChainSpec("HS", 14, 2)
+    with pytest.raises(CapacityError, match=r"dense H of 16384 states .* over the budget"):
+        build_hamiltonian(spec, np.arange(spec.n_states), exchange_coefficients(spec))
 
 
 @pytest.mark.parametrize("spec, refusal", [
@@ -156,12 +161,12 @@ def test_oracle_cost_prediction(spec, refusal):
 
 
 def test_a_huge_chain_is_refused_without_forming_its_state_count():
-    # 2**100000000 took 0.8 s and a 46.7 MB peak to form before the refusal
+    # 2**100000000 took 0.8 s and a 46.7 MB peak to form: the dispersion's gate
+    # refuses the chain before the oracle's
     tracemalloc.start()
     try:
-        with pytest.raises(CapacityError,
-                           match=r"m\*\*N = 2\*\*100000000 states .* over the budget"):
-            build_hamiltonian(ChainSpec("HS", 10 ** 8, 2))
+        with pytest.raises(CapacityError, match="dispersion of 99999999 bonds"):
+            oracle_compare(ChainSpec("HS", 10 ** 8, 2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -174,6 +179,13 @@ def _spy_on_the_gate(monkeypatch):
     monkeypatch.setattr(hschain.hamiltonian, "check_grid_budget",
                         lambda *args: calls.append(args) or check(*args))
     return calls
+
+
+def _oracle_prediction(calls):
+    """The bytes of the oracle's own prediction, of the four-argument
+    "dense oracle ..." call; each block's gate runs after it."""
+    (_, nbytes, _, _), = (c for c in calls if len(c) == 4 and c[0].startswith("dense oracle"))
+    return nbytes
 
 
 @pytest.mark.parametrize("spec", [
@@ -196,7 +208,7 @@ def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     finally:
         tracemalloc.stop()
     assert report.multiplicities_match
-    assert peak <= calls[-1][1], (peak, calls[-1][1])
+    assert peak <= _oracle_prediction(calls), (peak, _oracle_prediction(calls))
 
 
 def test_the_oracle_gate_counts_the_written_report(tmp_path, monkeypatch):
@@ -210,7 +222,7 @@ def test_the_oracle_gate_counts_the_written_report(tmp_path, monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= calls[-1][1], (peak, calls[-1][1])
+    assert peak <= _oracle_prediction(calls), (peak, _oracle_prediction(calls))
 
 
 def test_oracle_holds_sector_blocks_not_the_whole_matrix():
@@ -323,7 +335,7 @@ def test_weight_sectors_partition_the_basis_by_colour_counts(spec, solved):
     (ChainSpec("FI", 5, 3, -1, alpha=2), (1, 1, 3)),
 ])
 def test_unsorted_sector_has_the_spectrum_of_its_sorted_twin(spec, unsorted):
-    h = build_hamiltonian(spec).matrix
+    h = _whole(spec)
     sectors = _brute_sectors(spec)
     twin = tuple(sorted(unsorted, reverse=True))
     own, other = (jacobi_eigenvalues(h[np.ix_(sectors[c], sectors[c])]) for c in (unsorted, twin))
@@ -336,24 +348,31 @@ def test_entry_outside_its_weight_sector_trips_the_check():
     # sectors: exchanging the first and last spins takes state 1 to state 8
     spec = ChainSpec("HS", 4, 2)
     with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
-        _block(spec, np.array([0, 1]), exchange_coefficients(spec))
+        build_hamiltonian(spec, np.array([0, 1]), exchange_coefficients(spec))
 
 
-def test_solved_sectors_share_the_whole_matrix_off_norm_bound(monkeypatch):
+@pytest.mark.parametrize("spec", [
+    pytest.param(ChainSpec(family, n, m, epsilon, alpha=2 if family == "FI" else None),
+                 id=f"{family}-N{n}-m{m}-{'ferro' if epsilon == 1 else 'anti'}")
+    for family in ("HS", "PF", "FI") for n, m in ((6, 2), (5, 3)) for epsilon in (1, -1)
+])
+def test_solved_sectors_share_the_whole_matrix_off_norm_bound(spec, monkeypatch):
     # each solved block reaches JACOBI_OFF_TOL / k with k**2 >= the number of
-    # sectors, so the assembled block-diagonal matrix stays below JACOBI_OFF_TOL
-    spec = ChainSpec("FI", 5, 3, alpha=2)
+    # sectors, so the assembled block-diagonal matrix stays below JACOBI_OFF_TOL;
+    # and each block is bitwise its submatrix of the whole basis
     sectors = _brute_sectors(spec)
-    h = build_hamiltonian(spec).matrix
+    h = _whole(spec)
     seen = []
     solve = hschain.hamiltonian.jacobi_eigenvalues
     monkeypatch.setattr(hschain.hamiltonian, "jacobi_eigenvalues",
                         lambda a: seen.append(a) or solve(a))
     _sector_eigenvalues(spec)
     solved = [sectors[counts] for counts, _, _ in _solved_sectors(spec)]
-    assert len(seen) == len(solved) == 5
-    k = 8.0  # 8**2 >= 21 sectors
-    assert len(sectors) == 21
+    assert len(seen) == len(solved)
+    assert len(sectors) == math.comb(spec.n_spins + spec.m - 1, spec.m - 1)
+    k = 1.0
+    while k * k < len(sectors):
+        k *= 2
     for a, s in zip(seen, solved):
         assert np.array_equal(a, k * h[np.ix_(s, s)])
 
@@ -387,7 +406,7 @@ def test_oracle_agreement_beyond_two_colours_and_six_spins(spec):
     report = oracle_compare(spec)
     assert report.affine_deviation < 1e-8
     assert report.multiplicities_match
-    reference = np.linalg.eigvalsh(build_hamiltonian(spec).matrix)
+    reference = np.linalg.eigvalsh(_whole(spec))
     assert np.abs(report.eigenvalues - reference).max() < 1e-10
 
 
