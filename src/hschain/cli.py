@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from itertools import chain
 
 import numpy as np
@@ -32,7 +33,7 @@ from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
 from .table import check_grid_budget, csv_text, format_cell, format_rational
-from .transfer import charfn_series, convergence_report, default_t_grid
+from .transfer import _CHUNK_BYTES, charfn_series, convergence_report, default_t_grid
 from . import __version__
 
 _FAMILY_BY_FLAG = {"hs": "HS", "pf": "PF", "fi": "FI"}
@@ -114,13 +115,18 @@ def _json_text(payload, pad: str = ""):
     for byte, for payloads with string keys, nested `pad` deep.
 
     An indent sends the whole payload through json's pure-Python encoder.
-    Here each dict or list without containers in it goes through the C
-    encoder in one call, with the newline and indent of its items as the
-    item separator; only containers of containers recurse in Python.  The
-    pieces are yielded, not joined, so no text of the whole payload is
+    Here a value given as a function of its indent (the levels of
+    :meth:`DensityTable.to_json_dict`) yields its own pieces, and each other
+    dict or list without containers or such functions in it goes through
+    the C encoder in one call, with the newline and indent of its items as
+    the item separator; only containers of containers recurse in Python.
+    The pieces are yielded, not joined, so no text of the whole payload is
     built; a leaf's text is sliced once to drop its brackets, a second copy
-    of the largest leaf while it is written.
+    of the largest leaf (an oracle spectrum) while it is written.
     """
+    if callable(payload):
+        yield from payload(pad)
+        return
     if not isinstance(payload, (dict, list, tuple)):
         yield json.dumps(payload)
         return
@@ -130,7 +136,7 @@ def _json_text(payload, pad: str = ""):
         return
     inner = pad + "  "
     values = payload.values() if isinstance(payload, dict) else payload
-    if not any(issubclass(kind, (dict, list, tuple)) for kind in set(map(type, values))):
+    if not any(issubclass(kind, (dict, list, tuple, Callable)) for kind in set(map(type, values))):
         yield f"{opening}\n{inner}"
         yield json.dumps(payload, sort_keys=True, separators=(f",\n{inner}", ": "))[1:-1]
     else:
@@ -195,15 +201,19 @@ def _t_grid_from(args, m: int, text: int) -> np.ndarray:
 
     Measured with tracemalloc at m = 2 to 40, the kernels hold up to 32 m + 53
     bytes a t point, counted as 36 m + 64, and the artifacts, written after
-    them, `text` bytes: charfn's csv and svg up to 397, counted as 440.
+    them, `text` bytes: charfn's csv and svg up to 397, counted as 440.  On
+    top of that the kernels' chunks of ``_CHUNK_BYTES`` and their temporaries
+    take up to 6.8 chunks more, whatever the grid (HS m = 5, N up to 4096, 101
+    points), counted as 8.
     """
     if args.t_points < 2:
         raise ValidationError("--t-points must be at least 2")
     if not 0 < args.t_max < math.inf:
         raise ValidationError("--t-max must be positive and finite")
-    point = max(36 * m + 64, text)
-    check_grid_budget(f"--t-points {args.t_points} needs max(36 x {m} + 64, {text}) = {point} "
-                      f"bytes per t point = {args.t_points * point} bytes", args.t_points * point)
+    fixed = 8 * _CHUNK_BYTES
+    nbytes = fixed + args.t_points * max(36 * m + 64, text)
+    check_grid_budget(f"--t-points {args.t_points} needs {fixed} + {args.t_points} x "
+                      f"max(36 x {m} + 64, {text}) = {nbytes} bytes", nbytes)
     return default_t_grid(args.t_max, args.t_points)
 
 

@@ -25,6 +25,9 @@ COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: dim**3 summed over its solved sectors, about 0.25 us each.
 ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
 
+# Levels in one piece of the density JSON text.
+_JSON_PIECE_LEVELS = 4096
+
 
 def format_rational(value: Fraction) -> str:
     """Render a rational as "p/q", or plain "p" when integral."""
@@ -140,8 +143,32 @@ class DensityTable:
                         map("{},{}".format, self._energy_texts, self.degeneracies))
 
     def to_json_dict(self) -> dict:
+        """The density's JSON payload: its energy scale, its total and its
+        levels.  ``levels`` is a function of the indent of the levels object
+        that yields, in pieces, that object's text as
+        ``json.dumps(indent=2, sort_keys=True)`` writes the energy-text to
+        degeneracy dict; no such dict is built."""
         return {
             "energy_scale": self.energy_scale,
             "total": self.total,
-            "levels": dict(zip(self._energy_texts, self.degeneracies)),
+            "levels": self._json_levels,
         }
+
+    def _json_levels(self, pad: str):
+        """Yield the levels object `pad` deep, keys in sort_keys order.  An
+        energy text holds only digits, "-" and "/", which json writes
+        unescaped, and json writes an int as ``int.__repr__`` does, so each
+        item is written here directly, `_JSON_PIECE_LEVELS` items a piece."""
+        texts, degeneracies = self._energy_texts, self.degeneracies
+        if not texts:
+            yield "{}"
+            return
+        order = sorted(range(len(texts)), key=texts.__getitem__)
+        separator = f",\n{pad}  "
+        lead = f"{{\n{pad}  "
+        for start in range(0, len(order), _JSON_PIECE_LEVELS):
+            yield lead
+            yield separator.join(f'"{texts[i]}": {degeneracies[i]}'
+                                 for i in order[start:start + _JSON_PIECE_LEVELS])
+            lead = separator
+        yield f"\n{pad}}}"

@@ -2,12 +2,15 @@
 
 import json
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
 import hschain.cli
 import hschain.table
+from hschain import ANTIFERRO, ChainSpec
 from hschain.cli import _json_text, main
+from hschain.density import density_dp
 
 
 def run(tmp_path, *args):
@@ -165,11 +168,43 @@ def test_json_text_equals_the_indented_sorted_encoder_byte_for_byte(payload):
     assert "".join(_json_text(payload)) == json.dumps(payload, indent=2, sort_keys=True)
 
 
-def test_density_json_equals_the_indented_sorted_encoder(tmp_path):
-    assert run(tmp_path, "density", "--family", "fi", "--alpha", "5/3", "--N", "9", "--m", "3",
-               "--antiferro", "--format", "json") == 0
+@pytest.mark.parametrize("sign", ["ferro", "antiferro"])
+@pytest.mark.parametrize("chain", [
+    pytest.param(["--family", "hs", "--N", "9"], id="hs"),
+    pytest.param(["--family", "pf", "--N", "9"], id="pf"),
+    pytest.param(["--family", "fi", "--alpha", "3/2", "--N", "9"], id="fi-3_2"),
+    pytest.param(["--family", "fi", "--alpha", "5/3", "--N", "9"], id="fi-5_3"),
+    # 6,675 levels: more than one written piece
+    pytest.param(["--family", "hs", "--N", "40"], id="hs-N40"),
+])
+def test_density_json_equals_the_indented_sorted_encoder(tmp_path, chain, sign):
+    assert run(tmp_path, "density", *chain, "--m", "3", f"--{sign}", "--format", "json") == 0
     text = (tmp_path / "density.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    if "40" in chain:
+        assert len(json.loads(text)["density"]["levels"]) > hschain.table._JSON_PIECE_LEVELS
+
+
+@pytest.mark.parametrize("chain, spec, bound", [
+    pytest.param(["--family", "fi", "--alpha", "3/2", "--N", "64", "--m", "4", "--antiferro"],
+                 ChainSpec("FI", 64, 4, ANTIFERRO, Fraction(3, 2)), 80, id="fi-N64"),
+    pytest.param(["--family", "hs", "--N", "40", "--m", "3"], ChainSpec("HS", 40, 3), 160,
+                 id="hs-N40"),
+])
+def test_density_json_write_peak_per_level(tmp_path, monkeypatch, chain, spec, bound):
+    # measured: 56 and 119 bytes a level; 168 and 241 while the levels went
+    # through a dict and one json.dumps call
+    table = density_dp(spec)
+    table.to_csv()  # the energy texts, which the csv, written first, makes too
+    monkeypatch.setattr(hschain.cli, "density_dp", lambda _: table)
+    tracemalloc.start()
+    try:
+        rc = run(tmp_path, "density", *chain, "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= bound * len(table), peak / len(table)
 
 
 def test_missing_spec_options_exit_one(tmp_path, capsys):
@@ -256,9 +291,13 @@ def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message
     # at m = 40 the kernels hold more than the text
     (["charfn", "--family", "hs", "--N", "8", "--m", "40", "--format", "csv,svg", "--t-points"],
      20_001),
+    # here the kernels' fixed chunks outweigh the bytes a point
+    (["convergence", "--family", "hs", "--m", "2", "--n-sweep", "8:16:geometric", "--t-points"],
+     20_001),
 ])
 def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, args, points):
-    # measured: 149, 388, 590 and 1,300 bytes a point, against 172, 440, 600 and 1,504 counted
+    # measured: 149, 388, 590, 1,300 and 197 bytes a point, against 193, 650, 600, 1,714 and
+    # 346 counted, the fixed 4 MiB of the t grids included
     _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys,
                                                      *args, str(points))
 
@@ -312,7 +351,8 @@ def test_huge_grids_are_refused_before_any_allocation(tmp_path, monkeypatch, cap
 def test_convergence_runs_grids_that_the_charfn_count_refuses(tmp_path, monkeypatch, capsys):
     # against a budget of 32 MiB, charfn's count at m = 3, the 440 bytes of
     # its text a point, refuses 100,001 points; convergence writes no text a
-    # point, and its own count, 36 x 3 + 64, admits them and holds its measured peak
+    # point, and its own count, 36 x 3 + 64 a point and 4 MiB of chunks,
+    # admits them and holds its measured peak
     points, budget = 100_001, 32 << 20
     assert 440 * points > budget
     monkeypatch.setattr(hschain.table, "DEFAULT_MEMORY_BUDGET", budget)

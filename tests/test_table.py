@@ -1,6 +1,7 @@
 """The array-backed density table: its layout, its artifact text and its
 equality."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -23,7 +24,10 @@ def test_artifact_text_equals_the_levelwise_rationals(spec):
         ["# head", "energy,degeneracy", *(f"{t},{d}" for t, (_, d) in zip(texts, table.items())),
          ""])
     payload = table.to_json_dict()
-    assert list(payload["levels"].items()) == [(t, d) for t, (_, d) in zip(texts, table.items())]
+    levels = dict(zip(texts, table.degeneracies))
+    for pad in ("", "    "):
+        assert "".join(payload["levels"](pad)) == json.dumps(
+            levels, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     assert (payload["energy_scale"], payload["total"]) == (table.energy_scale, table.total)
 
 
@@ -32,9 +36,13 @@ def test_both_artifacts_share_one_energy_text_pass(monkeypatch):
     calls = []
     gcd = np.gcd
     monkeypatch.setattr(np, "gcd", lambda *args: calls.append(args) or gcd(*args))
-    csv, payload = table.to_csv(), table.to_json_dict()
+    csv, levels = table.to_csv(), json.loads("".join(table.to_json_dict()["levels"]("")))
     assert len(calls) == 1
-    assert csv.splitlines()[1].split(",")[0] == next(iter(payload["levels"]))
+    assert {text: int(d) for text, d in (line.split(",") for line in csv.splitlines()[1:])} == levels
+
+
+def test_an_empty_table_writes_an_empty_levels_object():
+    assert "".join(table_of({}).to_json_dict()["levels"]("  ")) == json.dumps({}, indent=2)
 
 
 def test_layout_is_two_aligned_arrays():
