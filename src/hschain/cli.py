@@ -171,9 +171,10 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
 
     Each keyword is a format the subcommand offers (``args.offered``, as
     declared in :func:`build_parser`): ``csv`` is (column line, rows of
-    cells) or a function of the header lines returning the file; ``json``
-    and ``svg`` return the payload (the config is added to it) and the
-    plot, and are called only when requested.
+    cells) or a function of the header lines that yields the file's text
+    in pieces, each written as it comes; ``json`` and ``svg`` return the
+    payload (the config is added to it) and the plot, and are called only
+    when requested.
     """
     header = [f"hschain {__version__} {command}"]
     header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
@@ -181,7 +182,7 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
     for fmt in args.formats:
         artifact = artifacts[fmt]
         if fmt == "csv" and callable(artifact):
-            pieces = [artifact(header)]
+            pieces = artifact(header)
         elif fmt == "csv":
             columns, rows = artifact
             pieces = [csv_text(header, columns, (",".join(map(format_cell, row)) for row in rows))]
@@ -239,7 +240,7 @@ def _cmd_density(args) -> int:
     backends = {"dp": density_dp, "composition": composition_density, "brute": brute_force_density}
     density = backends[args.backend](spec)
     _emit(args, "density", _config(spec, backend=args.backend),
-          csv=density.to_csv, json=lambda: {"density": density.to_json_dict()})
+          csv=density._csv_pieces, json=lambda: {"density": density.to_json_dict()})
     print(f"levels = {len(density)}, states = {density.total}")
     return 0
 

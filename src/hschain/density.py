@@ -58,7 +58,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -139,8 +139,8 @@ def _exact_kind(spec: ChainSpec, cells: int) -> _Kind:
         occupied = np.flatnonzero(rows.any(axis=1))
         counts = rows[occupied].tobytes()
         del rows
-        return occupied, tuple(int.from_bytes(counts[i : i + slot], "little")
-                               for i in range(0, len(counts), slot))
+        slots = (counts[i : i + slot] for i in range(0, len(counts), slot))
+        return occupied, tuple(map(int.from_bytes, slots, repeat("little")))
 
     return _packed_kind(cells, 8 * slot, operator.add, read,
                         8 + slot + 8 + 24 + 4 * -(-8 * slot // 30))

@@ -25,8 +25,8 @@ COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: dim**3 summed over its solved sectors, about 0.25 us each.
 ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
 
-# Levels in one piece of the density JSON text.
-_JSON_PIECE_LEVELS = 4096
+# Levels in one piece of the density CSV and JSON texts.
+_PIECE_LEVELS = 4096
 
 
 def format_rational(value: Fraction) -> str:
@@ -139,8 +139,19 @@ class DensityTable:
         return [f"{p}/{q}" if q != 1 else str(p) for p, q in zip(numerators, denominators)]
 
     def to_csv(self, header_lines=()) -> str:
-        return csv_text(header_lines, "energy,degeneracy",
-                        map("{},{}".format, self._energy_texts, self.degeneracies))
+        """The density CSV as one text, joined from the pieces the CLI
+        writes one after another (:meth:`_csv_pieces`)."""
+        return "".join(self._csv_pieces(header_lines))
+
+    def _csv_pieces(self, header_lines):
+        """Yield the density CSV in pieces: the header and column text,
+        then the lines "energy,degeneracy", `_PIECE_LEVELS` levels a piece,
+        so no text of the whole file is built."""
+        yield csv_text(header_lines, "energy,degeneracy", ())
+        texts, degeneracies = self._energy_texts, self.degeneracies
+        for start in range(0, len(texts), _PIECE_LEVELS):
+            stop = start + _PIECE_LEVELS
+            yield "".join(map("{},{}\n".format, texts[start:stop], degeneracies[start:stop]))
 
     def to_json_dict(self) -> dict:
         """The density's JSON payload: its energy scale, its total and its
@@ -158,17 +169,21 @@ class DensityTable:
         """Yield the levels object `pad` deep, keys in sort_keys order.  An
         energy text holds only digits, "-" and "/", which json writes
         unescaped, and json writes an int as ``int.__repr__`` does, so each
-        item is written here directly, `_JSON_PIECE_LEVELS` items a piece."""
+        item is written here directly, `_PIECE_LEVELS` items a piece.  The
+        key order is one int64 argsort of the texts as ASCII bytes, whose
+        order is the texts' own; each piece takes its indices from it as
+        Python ints.  The texts are distinct, so any sort gives that order;
+        the stable one runs about 4x faster on them than the default."""
         texts, degeneracies = self._energy_texts, self.degeneracies
         if not texts:
             yield "{}"
             return
-        order = sorted(range(len(texts)), key=texts.__getitem__)
+        order = np.argsort(np.array(texts, dtype=np.bytes_), kind="stable")
         separator = f",\n{pad}  "
         lead = f"{{\n{pad}  "
-        for start in range(0, len(order), _JSON_PIECE_LEVELS):
+        for start in range(0, len(order), _PIECE_LEVELS):
             yield lead
             yield separator.join(f'"{texts[i]}": {degeneracies[i]}'
-                                 for i in order[start:start + _JSON_PIECE_LEVELS])
+                                 for i in order[start:start + _PIECE_LEVELS].tolist())
             lead = separator
         yield f"\n{pad}}}"

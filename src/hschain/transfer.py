@@ -238,7 +238,7 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
             np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
             np.multiply(np.sin(theta), ratios, out=steps.imag)
             for step in steps:
-                state.sum(axis=0, out=spare[0])
+                np.add.reduce(state, axis=0, out=spare[0])
                 np.multiply(state[:-1], step, out=spare[1:])
                 state, spare = spare, state
         return np.exp(-1j * center * flat) * state.sum(axis=0)

@@ -11,6 +11,8 @@ import hschain.table
 from hschain import ANTIFERRO, ChainSpec
 from hschain.cli import _json_text, main
 from hschain.density import density_dp
+from hschain.table import csv_text, format_rational
+from small_tables import table_of
 
 
 def run(tmp_path, *args):
@@ -182,29 +184,68 @@ def test_density_json_equals_the_indented_sorted_encoder(tmp_path, chain, sign):
     text = (tmp_path / "density.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     if "40" in chain:
-        assert len(json.loads(text)["density"]["levels"]) > hschain.table._JSON_PIECE_LEVELS
+        assert len(json.loads(text)["density"]["levels"]) > hschain.table._PIECE_LEVELS
 
 
-@pytest.mark.parametrize("chain, spec, bound", [
-    pytest.param(["--family", "fi", "--alpha", "3/2", "--N", "64", "--m", "4", "--antiferro"],
-                 ChainSpec("FI", 64, 4, ANTIFERRO, Fraction(3, 2)), 80, id="fi-N64"),
-    pytest.param(["--family", "hs", "--N", "40", "--m", "3"], ChainSpec("HS", 40, 3), 160,
-                 id="hs-N40"),
-])
-def test_density_json_write_peak_per_level(tmp_path, monkeypatch, chain, spec, bound):
-    # measured: 56 and 119 bytes a level; 168 and 241 while the levels went
-    # through a dict and one json.dumps call
+WRITTEN_CHAINS = {
+    "fi-N64": (["--family", "fi", "--alpha", "3/2", "--N", "64", "--m", "4", "--antiferro"],
+               ChainSpec("FI", 64, 4, ANTIFERRO, Fraction(3, 2))),
+    "hs-N40": (["--family", "hs", "--N", "40", "--m", "3"], ChainSpec("HS", 40, 3)),
+}
+
+
+def write_peak(tmp_path, monkeypatch, name, fmt):
+    """The table of the chain `name` and the tracemalloc peak of the CLI
+    writing its `fmt` artifact once the table is built and its energy
+    texts, which both artifacts share, are made."""
+    chain, spec = WRITTEN_CHAINS[name]
     table = density_dp(spec)
-    table.to_csv()  # the energy texts, which the csv, written first, makes too
+    table.to_csv()
     monkeypatch.setattr(hschain.cli, "density_dp", lambda _: table)
     tracemalloc.start()
     try:
-        rc = run(tmp_path, "density", *chain, "--format", "json")
+        rc = run(tmp_path, "density", *chain, "--format", fmt)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rc == 0
+    return table, peak
+
+
+@pytest.mark.parametrize("name, bound", [pytest.param("fi-N64", 30, id="fi-N64"),
+                                         pytest.param("hs-N40", 160, id="hs-N40")])
+def test_density_json_write_peak_per_level(tmp_path, monkeypatch, name, bound):
+    # measured: 17 and 94 bytes a level; 56 and 120 while the key order was
+    # a list of Python ints, 168 and 241 while the levels went through a
+    # dict and one json.dumps call
+    table, peak = write_peak(tmp_path, monkeypatch, name, "json")
     assert peak <= bound * len(table), peak / len(table)
+
+
+@pytest.mark.parametrize("name", WRITTEN_CHAINS)
+def test_density_csv_write_peak(tmp_path, monkeypatch, name):
+    # measured: 0.87 and 0.50 MB; 17.5 and 0.70 MB while the whole text was
+    # joined before it was written
+    _, peak = write_peak(tmp_path, monkeypatch, name, "csv")
+    assert peak <= 1.5 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("levels", [0, 1, 4095, 4096, 4097, 8193])
+def test_density_artifacts_join_their_pieces_seamlessly(tmp_path, monkeypatch, levels):
+    assert hschain.table._PIECE_LEVELS == 4096
+    table = table_of({3 * k - levels: 2 ** 70 + k for k in range(levels)}, energy_scale=2)
+    monkeypatch.setattr(hschain.cli, "density_dp", lambda _: table)
+    assert run(tmp_path, "density", "--family", "hs", "--N", "2", "--m", "2",
+               "--format", "csv,json") == 0
+    text = (tmp_path / "density.csv").read_text()
+    header = [line[2:] for line in text.splitlines() if line.startswith("# ")]
+    lines = [f"{format_rational(Fraction(int(e), 2))},{d}"
+             for e, d in zip(table.levels(), table.degeneracies)]
+    assert text == csv_text(header, "energy,degeneracy", lines)
+    text = (tmp_path / "density.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert json.loads(text)["density"]["levels"] == {
+        line.split(",")[0]: int(line.split(",")[1]) for line in lines}
 
 
 def test_missing_spec_options_exit_one(tmp_path, capsys):
