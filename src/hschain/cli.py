@@ -320,7 +320,8 @@ def _cmd_spacings(args) -> int:
     spec = _resolve_spec(args)
     bins = _spacing_bins_from(args)
     stats = closed_form_moments(spec)
-    histogram = spacing_distribution(unfold(level_support(spec), stats), bins=bins)
+    unfolded = unfold(level_support(spec), stats)
+    histogram = spacing_distribution(unfolded, bins=bins)
     centers = histogram.bin_centers
     _emit(
         args, "spacings", _config(spec, bins=args.bins, s_max=args.s_max),
@@ -340,6 +341,7 @@ def _cmd_spacings(args) -> int:
     )
     mean = float(histogram.spacings.mean())
     print(f"spacings = {histogram.spacings.size}, mean = {format_cell(mean)}")
+    print(f"underflow = {unfolded.underflow}")
     return 0
 
 

@@ -56,7 +56,8 @@ from .table import DensityTable
 
 # Bytes of one work array of the characteristic-function products: the
 # complex run steps of one block of bonds in charfn_exact, the real
-# Chebyshev factors of one chunk of t rows in charfn_asymptotic.
+# Chebyshev factors of one chunk of t rows in charfn_asymptotic; and of
+# one piece of standard scores in the unfolding's erfc kernel.
 _CHUNK_BYTES = 1 << 19
 
 

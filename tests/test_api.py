@@ -95,7 +95,7 @@ PUBLIC_MEMBERS = {
     "SiteLayout": [],
     "SpacingHistogram": ["bin_centers"],
     "SpectrumStats": ["from_exact"],
-    "UnfoldedSpectrum": [],
+    "UnfoldedSpectrum": ["eta", "underflow"],
     "ValidationError": [],
 }
 

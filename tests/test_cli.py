@@ -4,6 +4,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import hschain.cli
@@ -11,6 +12,7 @@ import hschain.table
 from hschain import ANTIFERRO, ChainSpec
 from hschain.cli import _json_text, main
 from hschain.density import density_dp
+from hschain.levelstats import spacing_distribution
 from hschain.table import csv_text, format_rational
 from small_tables import table_of
 
@@ -96,6 +98,25 @@ def test_spacings_csv_reference_columns(tmp_path):
     body = [line for line in lines if not line.startswith("#")]
     assert body[0] == "bin_center,density,poisson_ref,wigner_ref"
     assert len(body) == 1 + 20
+
+
+def test_spacings_at_the_benchmark_size_have_no_zero_spacing(tmp_path, monkeypatch, capsys):
+    histograms = []
+
+    def keep(*args, **kwargs):
+        histograms.append(spacing_distribution(*args, **kwargs))
+        return histograms[-1]
+
+    monkeypatch.setattr(hschain.cli, "spacing_distribution", keep)
+    assert main(["spacings", "--family", "hs", "--N", "192", "--m", "2", "--format", "csv",
+                 "--out", str(tmp_path)]) == 0
+    (histogram,) = histograms
+    assert histogram.spacings.size == 583_983
+    assert np.count_nonzero(histogram.spacings == 0.0) == 0
+    assert abs(histogram.spacings.mean() - 1.0) < 1e-9
+    out = capsys.readouterr().out.splitlines()
+    assert "spacings = 583983, mean = 1" in out
+    assert "underflow = 0" in out
 
 
 def test_kscan_csv(tmp_path):

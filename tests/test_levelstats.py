@@ -1,5 +1,6 @@
 """Unfolding, spacing statistics, and the Gaussian goodness-of-fit."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,9 +17,12 @@ from hschain import (
     spacing_distribution,
     unfold,
 )
-from hschain.density import LevelMasses, density_dp, level_support
+from hschain import levelstats
+from hschain.density import LevelMasses, LevelSupport, density_dp, level_support
 from hschain.levelstats import (
+    _CODY_BREAKS,
     UnfoldedSpectrum,
+    _erfc,
     default_spacing_bins,
     poisson_reference,
     wigner_reference,
@@ -33,6 +37,10 @@ def test_cdf_midpoint_and_tails():
     assert gaussian_cdf(-1e9, 0.0, 1.0) == 0.0
 
 
+def test_cdf_of_nan_is_nan():
+    assert math.isnan(gaussian_cdf(math.nan, 0.0, 1.0))
+
+
 def test_cdf_one_width_above_the_mean():
     assert gaussian_cdf(1.0, 0.0, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
 
@@ -42,6 +50,26 @@ def test_cdf_mirror_symmetry():
         assert gaussian_cdf(2.0 - e, 1.0, 0.7) == pytest.approx(
             1.0 - gaussian_cdf(e, 1.0, 0.7), abs=1e-15
         )
+
+
+# Cody's kernel measured 8 ulp off math.erfc at worst over 2 M points in [0, 27]
+ERFC_ULP_BOUND = 12
+
+
+def test_erfc_kernel_is_within_a_few_ulp_of_math_erfc():
+    breaks = np.array(_CODY_BREAKS)
+    neighbours = [np.nextafter(breaks, 0.0), breaks, np.nextafter(breaks, np.inf)]
+    y = np.unique(np.concatenate([np.linspace(0.0, 27.0, 270_001), *neighbours]))
+    values = _erfc(y)
+    reference = np.array([math.erfc(v) for v in y.tolist()])
+    inside = y <= breaks[-1]
+    # for floats of one sign the bit patterns count the ulps between them
+    ulps = np.abs(values.view(np.int64) - reference.view(np.int64))
+    assert ulps[inside].max() <= ERFC_ULP_BOUND
+    # past the last break erfc is below 2.3e-308, and the kernel gives 0
+    assert np.all(values[~inside] == 0.0) and reference[~inside].max() < 2.3e-308
+    assert np.all(np.diff(values) <= 0)
+    assert gaussian_cdf(0.0, 0.0, 1.0) == 0.5
 
 
 def test_cdf_rejects_nonpositive_width():
@@ -87,6 +115,43 @@ def test_unfold_equals_the_levelwise_cdf_bit_for_bit(spec):
     assert np.array_equal(unfold(level_support(spec), stats).eta, reference)
 
 
+@pytest.mark.parametrize("spec", [ChainSpec("HS", 128, 2), ChainSpec("PF", 200, 2)])
+def test_both_tails_stay_strictly_ordered_with_no_zero_spacing(spec):
+    # 0.5 * (1 + erf(z)) rounded 26.1 % and 35.4 % of these spacings to 0
+    unfolded = unfold(level_support(spec), closed_form_moments(spec))
+    tail, split = unfolded.tail, unfolded.split
+    assert 0 < split < tail.size
+    assert np.all(np.diff(tail[:split]) > 0) and np.all(np.diff(tail[split:]) < 0)
+    assert (1.0 - tail[split]) - tail[split - 1] > 0
+    assert tail.min() > 0 and unfolded.underflow == 0
+    spacings = normalized_spacings(unfolded)
+    assert np.count_nonzero(spacings == 0.0) == 0
+    assert abs(spacings.mean() - 1.0) < 1e-9
+
+
+def test_unfold_in_pieces_equals_one_piece(monkeypatch):
+    # 171,554 levels: each tail fills one piece of the kernel and part of a second
+    spec = ChainSpec("HS", 128, 2)
+    support, stats = level_support(spec), closed_form_moments(spec)
+    pieces = unfold(support, stats)
+    monkeypatch.setattr(levelstats, "_CHUNK_BYTES", 1 << 40)
+    whole = unfold(support, stats)
+    assert pieces.split == whole.split
+    assert np.array_equal(pieces.tail, whole.tail)
+
+
+def test_underflowed_tails_are_counted():
+    # z = E / sqrt(2): |E| = 45 and 60 put |z| past 26.543, where the tail is
+    # 0, and |E| = 37.533 gives |z| = 26.54, whose tail is subnormal
+    scaled = np.array([-60000, -45000, -37533, -30000, 0, 30000, 37533, 45000, 60000])
+    stats = SpectrumStats.from_exact(Fraction(0), Fraction(1))
+    unfolded = unfold(LevelSupport(scaled, 1000), stats)
+    assert unfolded.split == 5
+    assert unfolded.underflow == 6
+    # the two zero tails on each side tie
+    assert np.count_nonzero(normalized_spacings(unfolded) == 0.0) == 2
+
+
 def test_unfold_needs_three_distinct_levels():
     spec = ChainSpec("PF", 2, 2)
     with pytest.raises(ValidationError):
@@ -100,20 +165,29 @@ def test_spacings_have_unit_mean():
 
 
 def test_equal_gaps_normalize_to_ones():
-    s = normalized_spacings(UnfoldedSpectrum(np.linspace(0.2, 0.8, 7)))
+    # eta = 0.2, 0.3, ..., 0.8
+    tail = np.array([0.2, 0.3, 0.4, 0.5, 0.4, 0.3, 0.2])
+    s = normalized_spacings(UnfoldedSpectrum(tail, split=4))
     assert np.allclose(s, 1.0, atol=1e-12)
 
 
 def test_two_levels_give_the_single_unit_spacing():
-    s = normalized_spacings(UnfoldedSpectrum(np.array([0.3, 0.6])))
+    s = normalized_spacings(UnfoldedSpectrum(np.array([0.3, 0.4]), split=1))  # eta = 0.3, 0.6
     assert s.tolist() == [1.0]
 
 
 def test_degenerate_unfolded_sequence_is_rejected():
     with pytest.raises(ValidationError):
-        normalized_spacings(UnfoldedSpectrum(np.array([0.4, 0.4, 0.4])))
+        normalized_spacings(UnfoldedSpectrum(np.array([0.4, 0.4, 0.4]), split=3))
     with pytest.raises(ValidationError):
-        normalized_spacings(UnfoldedSpectrum(np.array([0.4])))
+        normalized_spacings(UnfoldedSpectrum(np.array([0.4]), split=1))
+
+
+def test_split_outside_the_levels_is_rejected():
+    with pytest.raises(ValidationError, match="split"):
+        UnfoldedSpectrum(np.array([0.3, 0.4]), split=3)
+    with pytest.raises(ValidationError, match="split"):
+        UnfoldedSpectrum(np.array([0.3, 0.4]), split=-1)
 
 
 def _mass(hist):
