@@ -45,7 +45,6 @@ from .hamiltonian import (
 from .levelstats import (
     SpacingHistogram,
     UnfoldedSpectrum,
-    gaussian_cdf,
     ks_distance,
     normalized_spacings,
     spacing_distribution,
@@ -114,7 +113,6 @@ __all__ = [
     "eigenvector_matrix",
     "empirical_moments",
     "format_rational",
-    "gaussian_cdf",
     "jacobi_eigenvalues",
     "ks_distance",
     "level_masses",

@@ -14,8 +14,7 @@ either a :class:`DensityTable` or the cheaper
 at a time, through one numpy kernel for erfc, W. J. Cody's rational
 approximations (Math. Comp. 23 (1969) 631), within 8 ulp of ``math.erfc``
 below its underflow, and keeps each tail in its own form, erfc(|z|)/2, so
-that neither tail rounds to exactly 0 or 1.  :func:`gaussian_cdf` is the
-one-level case of the same kernel.
+that neither tail rounds to exactly 0 or 1.
 """
 
 from __future__ import annotations
@@ -28,8 +27,7 @@ import numpy as np
 from .density import LevelMasses, LevelSupport
 from .errors import ValidationError
 from .moments import SpectrumStats
-from .table import DensityTable
-from .transfer import _CHUNK_BYTES
+from .table import _CHUNK_BYTES, DensityTable
 
 # Cody's CALERF: erf(y) = y P(y**2)/Q(y**2) up to the first break, then
 # erfc(y) = exp(-y**2) P(y)/Q(y) up to the second, then
@@ -92,25 +90,6 @@ def _erfc(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def gaussian_cdf(energy: float, mu, sigma: float) -> float:
-    """Gaussian cumulative density (1 + erf((E - mu)/(sqrt(2) sigma))) / 2.
-
-    The one-level case of :func:`unfold`: erfc(|z|)/2 by Cody's rational
-    approximations, within 8 ulp of ``math.erfc`` on [0, 26.543] and 0
-    past it, far below the 1e-12 absolute accuracy this module needs.  The
-    upper tail is one minus that.
-    """
-    z = _standard_score(np.array([float(energy)]), mu, sigma)
-    return float(_tail_form(z).eta[0])
-
-
-def _standard_score(energy, mu, sigma):
-    """(E - mu) / (sqrt(2) sigma) for a float or a float array."""
-    if not sigma > 0:
-        raise ValidationError("sigma must be positive")
-    return (energy - float(mu)) / (math.sqrt(2.0) * float(sigma))
-
-
 def poisson_reference(s) -> np.ndarray:
     return np.exp(-np.asarray(s, dtype=float))
 
@@ -164,37 +143,39 @@ def unfold(density: DensityTable | LevelSupport, stats: SpectrumStats) -> Unfold
     """Push the distinct levels of a :class:`DensityTable` or a
     :class:`~hschain.density.LevelSupport` through the Gaussian CDF.
 
-    Each value of ``eta`` equals ``gaussian_cdf(float(density.energy(e)),
-    mu, sigma)`` bit for bit: scaled energies are integers below 2**53, so
-    the int64 to float64 conversion is exact and the division by
-    ``energy_scale`` rounds as ``float(Fraction(e, energy_scale))`` does.
+    A level's standard score is z = (E - mu) / (sqrt(2) sigma), and its
+    value of ``eta`` is (1 + erf(z)) / 2, held as erfc(|z|)/2 in ``tail``.
+    Scaled energies are integers below 2**53, so the int64 to float64
+    conversion is exact and the division by ``energy_scale`` rounds as
+    ``float(Fraction(e, energy_scale))`` does: each value is the one a
+    per-level loop over the same float operations gives, bit for bit.
     """
     if len(density) < 3:
         raise ValidationError(f"unfolding needs at least 3 distinct levels, got {len(density)}")
-    return _unfolded_levels(density, stats)
+    return _tail_form(density, stats)
 
 
-def _unfolded_levels(density, stats: SpectrumStats) -> UnfoldedSpectrum:
-    """The tail form of every level of a density."""
-    energies = density.levels() / density.energy_scale
-    return _tail_form(_standard_score(energies, stats.mu, stats.sigma))
+def _tail_form(density, stats: SpectrumStats) -> UnfoldedSpectrum:
+    """The tail form of every level of a density, in one float array.
 
-
-def _tail_form(z: np.ndarray) -> UnfoldedSpectrum:
-    """The tail form of ascending standard scores.
-
-    The kernel runs over pieces of ``_CHUNK_BYTES`` of scores, so that its
-    temporaries stay in cache, and walks the lower tail down from the
+    The standard scores are formed in place in the array that becomes
+    ``tail``, with the same roundings as (E - mu) / (sqrt(2) sigma).  The
+    kernel then overwrites them over pieces of ``_CHUNK_BYTES``, so that
+    its temporaries stay in cache, and walks the lower tail down from the
     split, so that |z| ascends there too.
     """
+    if not stats.sigma > 0:
+        raise ValidationError("sigma must be positive")
+    z = density.levels() / density.energy_scale
+    z -= float(stats.mu)
+    z /= math.sqrt(2.0) * float(stats.sigma)
     split = int(np.searchsorted(z, 0.0, side="right"))
-    tail = np.empty_like(z)
     piece = _CHUNK_BYTES // z.itemsize
-    for scores, out in ((z[:split][::-1], tail[:split][::-1]), (z[split:], tail[split:])):
+    for scores in (z[:split][::-1], z[split:]):
         for start in range(0, scores.size, piece):
-            stop = start + piece
-            np.multiply(_erfc(np.abs(scores[start:stop])), 0.5, out=out[start:stop])
-    return UnfoldedSpectrum(tail=tail, split=split)
+            chunk = scores[start:start + piece]
+            np.multiply(_erfc(np.abs(chunk)), 0.5, out=chunk)
+    return UnfoldedSpectrum(tail=z, split=split)
 
 
 def normalized_spacings(unfolded: UnfoldedSpectrum) -> np.ndarray:
@@ -254,6 +235,9 @@ def spacing_distribution(unfolded: UnfoldedSpectrum, bins=None) -> SpacingHistog
     to exactly 1 even when a few large spacings fall past the last edge.
     """
     edges = np.asarray(default_spacing_bins() if bins is None else bins, dtype=float)
+    if not (edges.ndim == 1 and edges.size >= 2 and np.all(np.isfinite(edges))
+            and np.all(np.diff(edges) > 0)):
+        raise ValidationError("bin edges must be at least two finite, strictly increasing values")
     spacings = normalized_spacings(unfolded)
     counts, edges = np.histogram(spacings, bins=edges)
     inside = counts.sum()
@@ -277,16 +261,16 @@ def ks_distance(density: DensityTable | LevelMasses, stats: SpectrumStats) -> fl
     The empirical CDF is right-continuous; the supremum over a step
     function is reached at a level from one side or the other, so both
     one-sided values are taken at every distinct level.  The Gaussian CDF
-    is the one :func:`unfold` computes, and the steps are the density's
+    is the ``eta`` of :func:`unfold`, and the steps are the density's
     ``cdf_steps()``.  For a :class:`DensityTable` each step is the exact
     running count divided by the total in one correctly rounded true
-    division, so the result equals, bit for bit, a per-level loop over
-    :func:`gaussian_cdf`; the float masses of
+    division, so the result equals, bit for bit, a per-level loop over the
+    same float operations; the float masses of
     :func:`~hschain.density.level_masses` give it to within about 1e-14.
     """
     if len(density) == 0:
         raise ValidationError("density is empty")
-    gauss = _unfolded_levels(density, stats).eta
+    gauss = _tail_form(density, stats).eta
     steps = density.cdf_steps()
     below = np.abs(steps[:-1] - gauss).max(initial=0.0)
     above = np.abs(steps[1:] - gauss).max(initial=0.0)

@@ -27,6 +27,11 @@ ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
 
 # Levels in one piece of the density CSV and JSON texts.
 _PIECE_LEVELS = 4096
+# Bytes of one work array of the numpy kernels: the complex run steps of one
+# block of bonds in charfn_exact, the real Chebyshev factors of one chunk of t
+# rows in charfn_asymptotic, and one piece of standard scores in the
+# unfolding's erfc kernel.
+_CHUNK_BYTES = 1 << 19
 
 
 def format_rational(value: Fraction) -> str:

@@ -52,13 +52,7 @@ from .chains import FERRO, ChainSpec, dispersion, normalized_dispersion
 from .errors import ValidationError
 from .moments import SpectrumStats, closed_form_moments, variance_identity_residual
 from .motifs import delta_bits
-from .table import DensityTable
-
-# Bytes of one work array of the characteristic-function products: the
-# complex run steps of one block of bonds in charfn_exact, the real
-# Chebyshev factors of one chunk of t rows in charfn_asymptotic; and of
-# one piece of standard scores in the unfolding's erfc kernel.
-_CHUNK_BYTES = 1 << 19
+from .table import _CHUNK_BYTES, DensityTable
 
 
 def eigenvalues(omega, m: int) -> np.ndarray:

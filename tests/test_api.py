@@ -55,7 +55,6 @@ PUBLIC_NAMES = [
     "eigenvector_matrix",
     "empirical_moments",
     "format_rational",
-    "gaussian_cdf",
     "jacobi_eigenvalues",
     "ks_distance",
     "level_masses",

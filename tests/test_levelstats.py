@@ -1,6 +1,7 @@
 """Unfolding, spacing statistics, and the Gaussian goodness-of-fit."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from hschain import (
     ChainSpec,
     ValidationError,
     closed_form_moments,
-    gaussian_cdf,
     ks_distance,
     normalized_spacings,
     spacing_distribution,
@@ -31,24 +31,32 @@ from hschain.moments import SpectrumStats
 from small_tables import table_of
 
 
+def _levelwise_cdf(energy: float, mu, sigma: float) -> float:
+    """The Gaussian CDF of one level in unfold's float operations: the
+    kernel on a single element, one tail or one minus the other."""
+    z = (energy - float(mu)) / (math.sqrt(2.0) * float(sigma))
+    tail = float(_erfc(np.array([abs(z)]))[0]) * 0.5
+    return tail if z <= 0 else 1.0 - tail
+
+
 def test_cdf_midpoint_and_tails():
-    assert gaussian_cdf(3.0, 3.0, 2.0) == 0.5
-    assert gaussian_cdf(1e9, 0.0, 1.0) == 1.0
-    assert gaussian_cdf(-1e9, 0.0, 1.0) == 0.0
+    assert _levelwise_cdf(3.0, 3.0, 2.0) == 0.5
+    assert _levelwise_cdf(1e9, 0.0, 1.0) == 1.0
+    assert _levelwise_cdf(-1e9, 0.0, 1.0) == 0.0
 
 
 def test_cdf_of_nan_is_nan():
-    assert math.isnan(gaussian_cdf(math.nan, 0.0, 1.0))
+    assert math.isnan(_levelwise_cdf(math.nan, 0.0, 1.0))
 
 
 def test_cdf_one_width_above_the_mean():
-    assert gaussian_cdf(1.0, 0.0, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
+    assert _levelwise_cdf(1.0, 0.0, 1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
 
 
 def test_cdf_mirror_symmetry():
     for e in (0.3, 1.7, 4.2):
-        assert gaussian_cdf(2.0 - e, 1.0, 0.7) == pytest.approx(
-            1.0 - gaussian_cdf(e, 1.0, 0.7), abs=1e-15
+        assert _levelwise_cdf(2.0 - e, 1.0, 0.7) == pytest.approx(
+            1.0 - _levelwise_cdf(e, 1.0, 0.7), abs=1e-15
         )
 
 
@@ -69,12 +77,13 @@ def test_erfc_kernel_is_within_a_few_ulp_of_math_erfc():
     # past the last break erfc is below 2.3e-308, and the kernel gives 0
     assert np.all(values[~inside] == 0.0) and reference[~inside].max() < 2.3e-308
     assert np.all(np.diff(values) <= 0)
-    assert gaussian_cdf(0.0, 0.0, 1.0) == 0.5
+    assert _levelwise_cdf(0.0, 0.0, 1.0) == 0.5
 
 
 def test_cdf_rejects_nonpositive_width():
-    with pytest.raises(ValidationError):
-        gaussian_cdf(0.0, 0.0, 0.0)
+    support = LevelSupport(np.array([-1, 0, 1]), 1)
+    with pytest.raises(ValidationError, match="sigma must be positive"):
+        unfold(support, SpectrumStats.from_exact(Fraction(0), Fraction(0)))
 
 
 def test_unfold_three_level_chain():
@@ -109,7 +118,7 @@ def test_unfold_equals_the_levelwise_cdf_bit_for_bit(spec):
     stats = closed_form_moments(spec)
     density = density_dp(spec)
     reference = np.array(
-        [gaussian_cdf(float(density.energy(e)), stats.mu, stats.sigma) for e in density.levels()]
+        [_levelwise_cdf(float(density.energy(e)), stats.mu, stats.sigma) for e in density.levels()]
     )
     assert np.array_equal(unfold(density, stats).eta, reference)
     assert np.array_equal(unfold(level_support(spec), stats).eta, reference)
@@ -127,6 +136,37 @@ def test_both_tails_stay_strictly_ordered_with_no_zero_spacing(spec):
     spacings = normalized_spacings(unfolded)
     assert np.count_nonzero(spacings == 0.0) == 0
     assert abs(spacings.mean() - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec("HS", 128, 2),
+    ChainSpec("HS", 128, 2, -1),
+    ChainSpec("FI", 30, 2, alpha=Fraction(5, 3)),
+])
+def test_unfolded_tails_are_within_a_few_ulp_of_math_erfc(spec):
+    support, stats = level_support(spec), closed_form_moments(spec)
+    width = math.sqrt(2.0) * stats.sigma
+    reference = np.array([
+        0.5 * math.erfc(abs((float(Fraction(e, support.energy_scale)) - float(stats.mu)) / width))
+        for e in support.levels().tolist()
+    ])
+    tail = unfold(support, stats).tail
+    assert reference.min() > 0
+    # for floats of one sign the bit patterns count the ulps between them
+    assert np.abs(tail.view(np.int64) - reference.view(np.int64)).max() <= ERFC_ULP_BOUND
+
+
+def test_unfold_peak_memory_is_one_float_a_level_and_its_pieces():
+    # 583,984 levels; the kernel's pieces are 64 Ki levels, 512 KiB each
+    support = level_support(ChainSpec("HS", 192, 2))
+    stats = closed_form_moments(ChainSpec("HS", 192, 2))
+    tracemalloc.start()
+    try:
+        unfold(support, stats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * len(support) + (6 << 20)
 
 
 def test_unfold_in_pieces_equals_one_piece(monkeypatch):
@@ -205,6 +245,14 @@ def test_histogram_mass_is_one():
     assert _mass(short) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("bins", [[1.0, 0.5], [0.0, math.nan, 1.0], [0.5]])
+def test_bad_bin_edges_are_rejected(bins):
+    spec = ChainSpec("HS", 12, 2)
+    unfolded = unfold(density_dp(spec), closed_form_moments(spec))
+    with pytest.raises(ValidationError, match="bin edges"):
+        spacing_distribution(unfolded, bins=bins)
+
+
 def test_histogram_carries_both_reference_curves():
     spec = ChainSpec("HS", 20, 2)
     hist = spacing_distribution(unfold(density_dp(spec), closed_form_moments(spec)))
@@ -239,10 +287,10 @@ def test_ks_distance_shrinks_with_chain_length():
 
 
 def _levelwise_ks_distance(density, stats):
-    """The per-level loop over gaussian_cdf that ks_distance replaces."""
+    """The per-level loop that ks_distance replaces."""
     best, cumulative = 0.0, 0
     for level, count in density.items():
-        gauss = gaussian_cdf(float(density.energy(level)), stats.mu, stats.sigma)
+        gauss = _levelwise_cdf(float(density.energy(level)), stats.mu, stats.sigma)
         below = cumulative / density.total
         cumulative += count
         above = cumulative / density.total
