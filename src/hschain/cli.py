@@ -32,7 +32,7 @@ from .levelstats import default_spacing_bins, ks_distance, spacing_distribution,
 from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import _CHUNK_BYTES, check_grid_budget, csv_text, format_cell, format_rational
+from .table import _CHUNK_BYTES, _PIECE_LEVELS, check_grid_budget, csv_text, format_cell, format_rational
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -129,8 +129,8 @@ def _json_text(payload, pad: str = ""):
     the C encoder in one call, with the newline and indent of its items as
     the item separator; only containers of containers recurse in Python.
     The pieces are yielded, not joined, so no text of the whole payload is
-    built; a leaf's text is sliced once to drop its brackets, a second copy
-    of the largest leaf (an oracle spectrum) while it is written.
+    built: a flat list (an oracle spectrum) is encoded ``_PIECE_LEVELS``
+    items at a time, each text sliced once to drop its brackets.
     """
     if callable(payload):
         yield from payload(pad)
@@ -145,8 +145,15 @@ def _json_text(payload, pad: str = ""):
     inner = pad + "  "
     values = payload.values() if isinstance(payload, dict) else payload
     if not any(issubclass(kind, (dict, list, tuple, Callable)) for kind in set(map(type, values))):
-        yield f"{opening}\n{inner}"
-        yield json.dumps(payload, sort_keys=True, separators=(f",\n{inner}", ": "))[1:-1]
+        separators = (f",\n{inner}", ": ")
+        pieces = ([payload] if isinstance(payload, dict) else
+                  (payload[start:start + _PIECE_LEVELS]
+                   for start in range(0, len(payload), _PIECE_LEVELS)))
+        lead = f"{opening}\n{inner}"
+        for piece in pieces:
+            yield lead
+            yield json.dumps(piece, sort_keys=True, separators=separators)[1:-1]
+            lead = separators[0]
     else:
         if isinstance(payload, dict):
             items = [(f"{json.dumps(key)}: ", value) for key, value in sorted(payload.items())]

@@ -12,17 +12,24 @@ integers, site geometry instead of the dispersion sequence.
 Every exchange keeps the number of spins of each colour, so
 ``build_hamiltonian`` builds H on any set of basis states that exchanges
 keep, and the oracle calls it once per solved weight sector: one of those
-that a permutation of the colours maps onto one another.  The Jacobi
-sweeps rotate disjoint pairs of indices together, one numpy update per round.
+that a permutation of the colours maps onto one another.  On the circle
+lattice h_ij depends on (i - j) mod N only, so an HS sector splits further
+into momentum blocks over the orbits of the rotation, taken from the
+sector matrix; PF and FI sectors are solved whole.  The Jacobi sweeps
+rotate disjoint pairs of indices together, one numpy update per round, for
+a whole stack of equal-size blocks at once.
 
-Only small chains are in scope: the gate holds the largest block and the
-m**N spectra to the memory budget and the Jacobi work of the solved
-sectors to ``ORACLE_CEILING``, while the site layout has no cap.
+Only small chains are in scope: the gate predicts every block size from
+the colour counts, and holds the blocks, the largest sector matrix, the
+largest stack and the m**N spectra to the memory budget and the Jacobi
+work of the solved blocks to ``ORACLE_CEILING``, while the site layout has
+no cap.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +37,7 @@ import numpy as np
 from .chains import ChainSpec
 from .density import density_dp
 from .errors import ConvergenceError, ValidationError
-from .table import ORACLE_CEILING, check_grid_budget
+from .table import _PIECE_LEVELS, ORACLE_CEILING, check_grid_budget
 
 ZERO_RESIDUAL_TOL = 1e-10
 JACOBI_OFF_TOL = 1e-10
@@ -161,34 +168,127 @@ def _solved_sectors(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
             for p in partitions(spec.n_spins, spec.n_spins, spec.m)]
 
 
-def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
+def _momentum_sizes(n: int, counts: tuple[int, ...]) -> list[int]:
+    """Sizes of the nonempty momentum blocks p = 0, ..., n // 2 of the HS
+    weight sector with `counts`, as :func:`_momentum_blocks` builds them,
+    from the number of rotation orbits of each period; no state is listed.
+
+    A state is fixed by the rotation T**d, d dividing n, when it is n // d
+    copies of its first d spins, which needs every count divisible by n // d
+    (Burnside); those of exact period d are the rest once the ones of each
+    smaller period dividing d are taken away (Moebius), in orbits of d.  An
+    orbit of period L carries momentum p when p L is a multiple of n, and
+    the blocks of 0 < p < n/2 hold p and -p together, twice the orbits.
+    """
+    exact = {}  # states of exact period d, by the divisors d of n
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        repeat = n // d
+        fixed = 0 if any(c % repeat for c in counts) else (
+            math.factorial(d) // math.prod(math.factorial(c // repeat) for c in counts))
+        exact[d] = fixed - sum(e for period, e in exact.items() if d % period == 0)
+    sizes = (sum(e // d for d, e in exact.items() if p * d % n == 0) * (1 if 2 * p % n == 0 else 2)
+             for p in range(n // 2 + 1))
+    return [size for size in sizes if size]
+
+
+def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list[int]]]:
     """Refuse a chain whose m**N eigenvalues, motif values and temporaries,
     with the report written from them, pass the memory budget; only then
-    list (and return) the solved sectors, and refuse a chain whose largest
-    block with Jacobi's working copies of it (peaks of 5.5 blocks are
-    measured) joins them over the budget, or whose sum of dim**3 passes
+    list (and return) the solved sectors with the sizes of their blocks
+    (an HS sector's momentum blocks, every other sector whole), and refuse
+    a chain whose solved blocks, with the largest sector matrix and a copy
+    of it or with Jacobi's working copies of the largest stack of
+    equal-size blocks (3.5 stacks measured, 5 counted), join them over the
+    budget, or whose sum of size**3 over the solved blocks passes
     ``ORACLE_CEILING``.
 
     The report's JSON holds both spectra as lists of Python floats, a
     pointer and a 32-byte object per value, and writes one list at a time
-    as a text of up to 32 characters a value (a 24-character float and the
-    item separator), held twice: the encoder's text and its copy without
-    brackets.  For ``hschain oracle`` at HS N=5 m=16 (1,048,576 states) the
-    max RSS rose 164 MiB above the interpreter's 30 MiB, against 184 MiB
-    predicted.
+    in pieces of ``_PIECE_LEVELS`` values: a text of up to 32 characters a
+    value (a 24-character float and the item separator), held twice, the
+    encoder's text and its copy without brackets, and the slice's pointers.
+    For ``hschain oracle`` at HS N=5 m=24 (7,962,624 states) the tracemalloc
+    peak was 638 MB, 80 bytes a state, against 956 MB predicted.
     """
+    piece = (2 * 32 + 8) * _PIECE_LEVELS
     # m**N is written as a power: past 4,300 digits Python refuses to print it
     text = (f"dense oracle of m**N = {spec.m}**{spec.n_spins} states needs 5 x 8 x m**N bytes of "
-            "spectra and (2 x 40 + 2 x 32) x m**N bytes to write them as JSON")
-    spectra_and_report = (5 * 8 + 2 * 40 + 2 * 32) * spec.n_states
+            f"spectra and 2 x 40 x m**N + {piece} bytes to write them as JSON")
+    spectra_and_report = (5 * 8 + 2 * 40) * spec.n_states + piece
     check_grid_budget(text, spectra_and_report)
-    sectors = _solved_sectors(spec)
-    size = max(dim for _, _, dim in sectors) + 1  # an odd block runs padded
-    work = sum(dim ** 3 for _, _, dim in sectors)
-    check_grid_budget(f"{text} plus 6 x 8 x {size}**2 for its largest block, and {work} units of "
-                      "Jacobi work, the sum of dim**3 over the solved sectors",
-                      spectra_and_report + 48 * size * size, work, ORACLE_CEILING)
+    sectors = [(counts, copies,
+                _momentum_sizes(spec.n_spins, counts) if spec.family == "HS" else [dim])
+               for counts, copies, dim in _solved_sectors(spec)]
+    largest = max(sum(sizes) for _, _, sizes in sectors)
+    blocks = Counter(size for _, _, sizes in sectors for size in sizes)
+    stack = max(count * (size + size % 2) ** 2 for size, count in blocks.items())
+    held = sum(count * size * size for size, count in blocks.items())
+    work = sum(count * size ** 3 for size, count in blocks.items())
+    check_grid_budget(f"{text} plus 8 x {held} for the solved blocks and the larger of "
+                      f"2 x 8 x {largest}**2 for the largest sector and 5 x 8 x {stack} for the "
+                      f"largest stack of blocks, and {work} units of Jacobi work, the sum of "
+                      "size**3 over the solved blocks",
+                      spectra_and_report + 8 * held + max(16 * largest * largest, 40 * stack),
+                      work, ORACLE_CEILING)
     return sectors
+
+
+def _sector_states(spec: ChainSpec, counts: tuple[int, ...]) -> np.ndarray:
+    """The ascending basis indices with counts[c] spins of colour c, spelled
+    out from the first spin."""
+    states, left = np.zeros(1, dtype=np.int64), np.array([counts])
+    for _ in range(spec.n_spins):
+        rows, colours = np.nonzero(left)
+        states, left = states[rows] * spec.m + colours, left[rows]
+        left[np.arange(rows.size), colours] -= 1
+    return states
+
+
+def _momentum_blocks(spec: ChainSpec, states: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
+    """The exactly symmetric momentum blocks p = 0, ..., N // 2 of an HS
+    sector matrix `h` on ascending `states`, empty ones left out.
+
+    The rotation T moves every spin one site on, and h_ij depends on
+    (i - j) mod N only, so T commutes with H.  An orbit of T is kept by its
+    least state r, of period L, and carries momentum p when p L is a
+    multiple of N; between such orbits H_p[a, b] = sqrt(L_a L_b) / N
+    sum_j exp(2 pi i p j / N) H[r_a, T**j r_b], a cosine and a sine sum
+    over j of the representatives' rows (numpy's FFT module would cost a
+    fresh process 0.6 MB more to load).  Each block is made exactly
+    Hermitian by averaging it with its transpose, its real part symmetric
+    and its imaginary part antisymmetric.  p = 0 and p = N/2 are real; for
+    0 < p < N/2 the real block [[Re, -Im], [Im, Re]] has each eigenvalue of
+    H_p twice, the spectra of p and -p.
+    """
+    n, m = spec.n_spins, spec.m
+    high = m ** (n - 1)
+    turns = [states]  # T**j of every state, j = 0, ..., N - 1
+    for _ in range(n - 1):
+        turns.append(turns[-1] % high * m + turns[-1] // high)
+    turns = np.stack(turns)
+    reps = np.flatnonzero(turns.min(axis=0) == states)
+    # T**N is the identity, so every orbit returns by j = N
+    period = np.argmax(np.vstack([turns[1:, reps], states[reps]]) == states[reps], axis=0) + 1
+    rows = h[reps][:, np.searchsorted(states, turns[:, reps])]  # H[r_a, T**j r_b] at [a, j, b]
+    angles = np.outer(np.arange(n // 2 + 1), np.arange(n)) % n * (2 * math.pi / n)
+    cosine = np.einsum("ajb,pj->abp", rows, np.cos(angles))
+    sine = np.einsum("ajb,pj->abp", rows, np.sin(angles))
+    weight = np.sqrt(period / n)
+    blocks = []
+    for p in range(n // 2 + 1):
+        keep = np.flatnonzero(p * period % n == 0)
+        if not keep.size:
+            continue
+        scale = np.outer(weight[keep], weight[keep])
+        real = cosine[keep][:, keep, p] * scale
+        real = (real + real.T) / 2
+        if 2 * p % n == 0:
+            blocks.append(real)
+            continue
+        imag = sine[keep][:, keep, p] * scale
+        imag = (imag - imag.T) / 2
+        blocks.append(np.block([[real, -imag], [imag, real]]))
+    return blocks
 
 
 def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> DenseOperator:
@@ -231,44 +331,61 @@ def _advance(src: np.ndarray, dst: np.ndarray) -> None:
 
 
 def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by parallel-order Jacobi.
+    """Eigenvalues of a real symmetric matrix, or of each matrix of a
+    stack (B, n, n) of them, by parallel-order Jacobi.
 
     Deliberately not a LAPACK call: the point of this module is an
     independent route.  A sweep is the size - 1 rounds of a round-robin
     over the indices (Brent & Luk's ordering; odd sizes gain one decoupled
     zero row, whose eigenvalue is dropped).  Each round rotates its size/2
-    disjoint pairs (i, half + i) with one row update and one column
-    update, then moves the matrix into the next round's order.  Sweeps
-    continue until the off-diagonal Frobenius norm falls below
-    ``JACOBI_OFF_TOL``, for at most ``JACOBI_MAX_SWEEPS`` sweeps.
-    Ascending.
+    disjoint pairs (i, half + i) of every matrix of the stack with one row
+    update and one column update, then moves the stack into the next
+    round's order.  Sweeps continue until the off-diagonal Frobenius norm
+    of the whole stack falls below ``JACOBI_OFF_TOL``, for at most
+    ``JACOBI_MAX_SWEEPS`` sweeps.  Ascending, one row per matrix of a stack.
     """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValidationError("jacobi_eigenvalues needs a square matrix")
-    if not np.isfinite(a).all():
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValidationError("jacobi_eigenvalues needs a square matrix or a stack of them")
+    if not np.isfinite(matrix).all():
         raise ValidationError("jacobi_eigenvalues needs finite entries")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(matrix, matrix.swapaxes(-1, -2)):
         raise ValidationError("jacobi_eigenvalues needs an exactly symmetric matrix")
-    dim = a.shape[0]
+    stack = matrix if matrix.ndim == 3 else matrix[None]
+    count, dim = stack.shape[:2]
     if dim <= 1:
-        return a.diagonal().copy()
-    size = dim + dim % 2
+        values = stack.diagonal(axis1=1, axis2=2).copy()
+    else:
+        # one padded working copy, a[row, member, column] so that a row of
+        # every member moves as one; a single matrix keeps its two axes
+        size = dim + dim % 2
+        a = np.zeros((size, count, size) if count > 1 else (size, size))
+        a[:dim, ..., :dim] = stack.transpose(1, 0, 2) if count > 1 else stack[0]
+        values = _sweep(a, dim).reshape(count, dim)
+    return values if matrix.ndim == 3 else values[0]
+
+
+def _sweep(a: np.ndarray, dim: int) -> np.ndarray:
+    """Run the sweeps of :func:`jacobi_eigenvalues` on its working copy
+    `a`, a[row, ..., column]; the ascending eigenvalues of the first
+    `dim` indices, (member, value)."""
+    size = a.shape[0]
     half = size // 2
-    a = np.pad(a, (0, size - dim))
     spare = np.empty_like(a)
     place = np.arange(size)  # original index at each position
     top, bottom = a[:half], a[half:]
-    left, right = a[:, :half], a[:, half:]
-    flat = a.reshape(-1)
-    app, aqq = flat[: half * (size + 1): size + 1], flat[half * (size + 1):: size + 1]
-    apq = flat[half: half * size: size + 1]
+    left, right = a[..., :half], a[..., half:]
+    diagonal = a.diagonal(axis1=0, axis2=-1)  # read-only views, (member, index)
+    app, aqq = diagonal[..., :half], diagonal[..., half:]
+    apq = a[:half, ..., half:].diagonal(axis1=0, axis2=-1)
 
     def off_norm() -> float:
         # summed from the off-diagonal entries themselves; subtracting the
         # diagonal from the total Frobenius norm would cancel catastrophically
-        gap = a - np.diag(a.diagonal())
-        return math.sqrt(float((gap * gap).sum()))
+        gap = a.copy()
+        gap[place, ..., place] = 0.0
+        gap *= gap
+        return math.sqrt(float(gap.sum()))
 
     for _ in range(JACOBI_MAX_SWEEPS):
         off = off_norm()
@@ -280,14 +397,15 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
             half_gap = 0.5 * (aqq - app)
             t = np.divide(apq * np.copysign(1.0, half_gap),
                           np.abs(half_gap) + np.hypot(half_gap, apq),
-                          out=np.zeros(half), where=apq != 0.0)
+                          out=np.zeros(apq.shape), where=apq != 0.0)
             c = 1.0 / np.sqrt(t * t + 1.0)
             s = t * c
+            c_rows, s_rows = c.T[..., None], s.T[..., None]
             upper = top.copy()
-            top *= c[:, None]
-            top -= s[:, None] * bottom
-            bottom *= c[:, None]
-            bottom += s[:, None] * upper
+            top *= c_rows
+            top -= s_rows * bottom
+            bottom *= c_rows
+            bottom += s_rows * upper
             upper = left.copy()
             left *= c
             left -= right * s
@@ -301,30 +419,38 @@ def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
         off = off_norm()
     if not off < JACOBI_OFF_TOL:
         raise ConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off:.3e}")
-    return np.sort(a.diagonal()[place < dim])
+    return np.sort(diagonal[..., place < dim], axis=-1)
 
 
 def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     """Ascending eigenvalues of the dense Hamiltonian, each solved sector's
-    spectrum repeated by its `copies`.  The whole block-diagonal matrix is
-    held to ``JACOBI_OFF_TOL``: each solved block is scaled by a power of two
-    k with k**2 at least the number of sectors, which scales its sweeps
-    exactly, so they end at an off-diagonal norm below ``JACOBI_OFF_TOL / k``
-    in the block's units."""
+    spectrum repeated by its `copies`.  Every solved sector is built, split
+    into its blocks, and the blocks of each size are solved in one stack.
+    The whole matrix, block-diagonal in the blocks' bases, is held to
+    ``JACOBI_OFF_TOL``: each block is scaled by a power of two k with k**2
+    at least the number of blocks, copies included, which scales its sweeps
+    exactly, so each stack ends at an off-diagonal norm below
+    ``JACOBI_OFF_TOL / k`` in the blocks' units."""
     sectors = _check_oracle_cost(spec)
     coef = exchange_coefficients(spec)
-    k = 2.0 ** (((sum(copies for _, copies, _ in sectors) - 1).bit_length() + 1) // 2)
-    spectra = []
-    for counts, copies, _ in sectors:
-        # the sector's states in ascending order, spelled out from the first spin
-        states, left = np.zeros(1, dtype=np.int64), np.array([counts])
-        for _ in range(spec.n_spins):
-            rows, colours = np.nonzero(left)
-            states, left = states[rows] * spec.m + colours, left[rows]
-            left[np.arange(rows.size), colours] -= 1
-        spectra.append(np.tile(
-            jacobi_eigenvalues(k * build_hamiltonian(spec, states, coef).matrix) / k, copies))
-    return np.sort(np.concatenate(spectra))
+    k = 2.0 ** (((sum(copies * len(sizes) for _, copies, sizes in sectors) - 1).bit_length()
+                 + 1) // 2)
+    by_size = {}  # block size: [(sector index, scaled block)]
+    for index, (counts, _, _) in enumerate(sectors):
+        states = _sector_states(spec, counts)
+        h = build_hamiltonian(spec, states, coef).matrix
+        for block in _momentum_blocks(spec, states, h) if spec.family == "HS" else [h]:
+            by_size.setdefault(block.shape[0], []).append((index, k * block))
+        del h  # before the next sector's is built
+    spectra = [[] for _ in sectors]
+    for size in list(by_size):
+        indices, blocks = zip(*by_size.pop(size))
+        stack = np.stack(blocks)
+        del blocks
+        for index, row in zip(indices, jacobi_eigenvalues(stack) / k):
+            spectra[index].append(row)
+    return np.sort(np.concatenate([np.tile(np.concatenate(rows), copies)
+                                   for rows, (_, copies, _) in zip(spectra, sectors)]))
 
 
 def _multiplicity_pattern(values: np.ndarray, tol: float) -> tuple[int, ...]:

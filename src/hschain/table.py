@@ -22,8 +22,9 @@ ENUMERATION_CEILING = 10 ** 8
 # bytes), 0.5 to 1.2 ns each.  About 10 s: PF N=200 m=2, just past it at
 # 1.08e10, took 9.0 s.
 COMPOSITION_CEILING = 10 ** 10
-# Dense oracle: dim**3 summed over its solved sectors, about 0.25 us each.
-ORACLE_CEILING = 15 * 10 ** 8  # HS N=12 m=2 makes 1.42e9, about 6 min
+# Dense oracle: size**3 summed over the blocks it solves, about 0.25 us each
+# (HS N=13 m=2 makes 1.69e8 over its momentum blocks and took 46 s).
+ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 1.42e9
 
 # Levels in one piece of the density CSV and JSON texts.
 _PIECE_LEVELS = 4096

@@ -23,8 +23,10 @@ from hschain import (
 from hschain.cli import main
 from hschain.hamiltonian import (
     _check_oracle_cost,
+    _momentum_blocks,
     _multiplicity_pattern,
     _sector_eigenvalues,
+    _sector_states,
     _solved_sectors,
     exchange_coefficients,
 )
@@ -141,16 +143,19 @@ def test_dense_cap():
 
 
 @pytest.mark.parametrize("spec, refusal", [
-    (ChainSpec("HS", 12, 2), None),  # 1.42e9 units of Jacobi work
+    (ChainSpec("HS", 12, 2), None),  # 3.41e7 units of Jacobi work over its momentum blocks
     (ChainSpec("FI", 7, 3, alpha=2), None),
-    (ChainSpec("HS", 13, 2), "over the ceiling"),  # 7.57e9 units
+    (ChainSpec("HS", 15, 2), "over the ceiling"),  # 7.12e9 units
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
     (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
-    # 5 x 8 x 24**5 bytes: 318 MB of spectra, but writing them as JSON takes 1.15 GB more
-    (ChainSpec("HS", 5, 24), "over the budget"),
+    # 5 x 8 x 25**5 bytes: 391 MB of spectra, but writing them as JSON takes 781 MB more
+    (ChainSpec("HS", 5, 25), "over the budget"),
     # m**N has 4,516 digits, past the 4,300 that Python converts to text
     (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
+    (ChainSpec("HS", 13, 2), None),  # 1.69e8 units; 7.57e9 over its whole weight sectors
+    (ChainSpec("HS", 14, 2), None),  # 1.39e9 units
+    (ChainSpec("HS", 5, 24), None),  # 955 MB of spectra and report
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -188,32 +193,44 @@ def _oracle_prediction(calls):
     return nbytes
 
 
+def _blocks(spec, states, h):
+    """The blocks the oracle solves for one sector matrix: an HS sector's
+    momentum blocks, any other sector whole."""
+    return _momentum_blocks(spec, states, h) if spec.family == "HS" else [h]
+
+
 @pytest.mark.parametrize("spec", [
     ChainSpec("HS", 7, 2), ChainSpec("FI", 5, 3, alpha=2), ChainSpec("HS", 4, 4),
 ])
 def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
+    # the work counts size**3 over the blocks built from the solved sectors' states
+    h = _whole(spec)
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
     solved = [s for c, s in _brute_sectors(spec).items() if list(c) == sorted(c, reverse=True)]
-    assert calls[-1][2] == sum(s.size ** 3 for s in solved)
+    sizes = [b.shape[0] for s in solved for b in _blocks(spec, s, h[np.ix_(s, s)])]
+    assert sum(sizes) == sum(s.size for s in solved)
+    assert calls[-1][2] == sum(size ** 3 for size in sizes)
 
 
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
-    # HS N=9 m=2: Jacobi on the 126 x 126 block peaks near 5.5 blocks, against 6 predicted
-    calls = _spy_on_the_gate(monkeypatch)
-    tracemalloc.start()
-    try:
-        report = oracle_compare(ChainSpec("HS", 9, 2))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert report.multiplicities_match
-    assert peak <= _oracle_prediction(calls), (peak, _oracle_prediction(calls))
+    # HS N=9 and 10 m=2 and PF N=8 m=2: the solved blocks with the largest
+    # sector matrix or the largest stack of blocks with Jacobi's copies of it
+    for spec in (ChainSpec("HS", 9, 2), ChainSpec("HS", 10, 2), ChainSpec("PF", 8, 2)):
+        calls = _spy_on_the_gate(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = oracle_compare(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.multiplicities_match
+        assert peak <= _oracle_prediction(calls), (spec, peak, _oracle_prediction(calls))
 
 
 def test_the_oracle_gate_counts_the_written_report(tmp_path, monkeypatch):
-    # HS N=4 m=16: 65,536 states; writing the two lists of the report peaks
-    # near 0.9 of the prediction, and at about 4 times the spectra alone
+    # HS N=4 m=16: 65,536 states; writing the two lists of the report in
+    # pieces peaks near 0.75 of the prediction, at 94 bytes a state
     calls = _spy_on_the_gate(monkeypatch)
     tracemalloc.start()
     try:
@@ -264,7 +281,41 @@ def test_jacobi_rejects_bad_input():
     with pytest.raises(ValidationError):
         jacobi_eigenvalues(np.zeros((2, 3)))
     with pytest.raises(ValidationError):
+        jacobi_eigenvalues(np.zeros((2, 2, 3)))
+    with pytest.raises(ValidationError):
+        jacobi_eigenvalues(np.zeros((1, 2, 2, 2)))
+    with pytest.raises(ValidationError):
         jacobi_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _symmetric_stack(count, dim, seed=0):
+    a = np.random.default_rng(seed).normal(size=(count, dim, dim))
+    return a + a.swapaxes(1, 2)
+
+
+@pytest.mark.parametrize("count, dim", [(1, 1), (3, 1), (2, 2), (4, 5), (3, 12)])
+def test_a_stack_matches_eigvalsh_member_by_member(count, dim):
+    stack = _symmetric_stack(count, dim)
+    values = jacobi_eigenvalues(stack)
+    assert values.shape == (count, dim)
+    for member, row in zip(stack, values):
+        assert np.abs(row - np.linalg.eigvalsh(member)).max() < 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 7, 12])
+def test_a_one_member_stack_is_bitwise_the_matrix_alone(dim):
+    matrix = _symmetric_stack(1, dim, seed=dim)[0]
+    assert np.array_equal(jacobi_eigenvalues(matrix[None])[0], jacobi_eigenvalues(matrix))
+
+
+@pytest.mark.parametrize("entry, message", [
+    (math.nan, "finite"), (math.inf, "finite"), (0.5, "exactly symmetric"),
+])
+def test_a_stack_with_one_bad_member_is_refused(entry, message):
+    stack = _symmetric_stack(3, 4)
+    stack[1, 0, 2] = entry
+    with pytest.raises(ValidationError, match=message):
+        jacobi_eigenvalues(stack)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 12])
@@ -357,9 +408,10 @@ def test_entry_outside_its_weight_sector_trips_the_check():
     for family in ("HS", "PF", "FI") for n, m in ((6, 2), (5, 3)) for epsilon in (1, -1)
 ])
 def test_solved_sectors_share_the_whole_matrix_off_norm_bound(spec, monkeypatch):
-    # each solved block reaches JACOBI_OFF_TOL / k with k**2 >= the number of
-    # sectors, so the assembled block-diagonal matrix stays below JACOBI_OFF_TOL;
-    # and each block is bitwise its submatrix of the whole basis
+    # each stack of equal-size blocks reaches JACOBI_OFF_TOL / k with k**2 >= the
+    # number of blocks, copies included, so the whole matrix, block-diagonal in the
+    # blocks' bases, stays below JACOBI_OFF_TOL; one stack a block size, and each
+    # block bitwise k times a block of its submatrix of the whole basis
     sectors = _brute_sectors(spec)
     h = _whole(spec)
     seen = []
@@ -367,14 +419,50 @@ def test_solved_sectors_share_the_whole_matrix_off_norm_bound(spec, monkeypatch)
     monkeypatch.setattr(hschain.hamiltonian, "jacobi_eigenvalues",
                         lambda a: seen.append(a) or solve(a))
     _sector_eigenvalues(spec)
-    solved = [sectors[counts] for counts, _, _ in _solved_sectors(spec)]
-    assert len(seen) == len(solved)
+    blocks, copies = [], 0
+    for counts, sector_copies, _ in _solved_sectors(spec):
+        s = sectors[counts]
+        own = _blocks(spec, s, h[np.ix_(s, s)])
+        blocks += own
+        copies += sector_copies * len(own)
     assert len(sectors) == math.comb(spec.n_spins + spec.m - 1, spec.m - 1)
     k = 1.0
-    while k * k < len(sectors):
+    while k * k < copies:
         k *= 2
-    for a, s in zip(seen, solved):
-        assert np.array_equal(a, k * h[np.ix_(s, s)])
+    sizes = [a.shape[1] for a in seen]
+    assert all(a.ndim == 3 for a in seen) and len(set(sizes)) == len(sizes)
+    assert sorted(sizes) == sorted({b.shape[0] for b in blocks})
+    for a in seen:
+        members = [b for b in blocks if b.shape[0] == a.shape[1]]
+        assert len(a) == len(members)
+        for member, b in zip(a, members):
+            assert np.array_equal(member, k * b)
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for m in (1, 2, 3) for n in range(2, 9)])
+def test_momentum_blocks_hold_the_sector_spectrum(n, m):
+    # every weight sector, sorted counts or not, and both signs: the blocks are
+    # exactly symmetric, and a 0 < p < N/2 block holds the spectra of p and -p,
+    # so together the blocks' spectra are the sector's
+    for epsilon in (1, -1):
+        spec = ChainSpec("HS", n, m, epsilon)
+        coef = exchange_coefficients(spec)
+        for states in _brute_sectors(spec).values():
+            h = build_hamiltonian(spec, states, coef).matrix
+            blocks = _momentum_blocks(spec, states, h)
+            assert all(np.array_equal(b, b.T) for b in blocks)
+            values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            assert np.abs(values - np.linalg.eigvalsh(h)).max() < 1e-10
+
+
+@pytest.mark.parametrize("spec", [ChainSpec("HS", n, 2) for n in range(2, 13)]
+                         + [ChainSpec("HS", n, 3) for n in range(2, 8)])
+def test_the_gate_predicts_the_block_sizes_built(spec):
+    coef = exchange_coefficients(spec)
+    for counts, _, sizes in _check_oracle_cost(spec):
+        states = _sector_states(spec, counts)
+        blocks = _momentum_blocks(spec, states, build_hamiltonian(spec, states, coef).matrix)
+        assert [b.shape[0] for b in blocks] == sizes
 
 
 def test_oracle_two_spin_direct_match():
@@ -408,6 +496,14 @@ def test_oracle_agreement_beyond_two_colours_and_six_spins(spec):
     assert report.multiplicities_match
     reference = np.linalg.eigvalsh(_whole(spec))
     assert np.abs(report.eigenvalues - reference).max() < 1e-10
+
+
+def test_oracle_agreement_at_eleven_spins():
+    # HS N=11 m=2: 2,048 states, whose largest weight sector (462 states) splits
+    # into momentum blocks of 42 and 84
+    report = oracle_compare(ChainSpec("HS", 11, 2))
+    assert report.multiplicities_match
+    assert report.affine_deviation < 1e-8
 
 
 def test_oracle_report_serializes():
