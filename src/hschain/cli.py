@@ -23,7 +23,7 @@ from itertools import chain
 
 import numpy as np
 
-from .chains import ANTIFERRO, FERRO, ChainSpec
+from .chains import ANTIFERRO, FERRO, ChainSpec, scaled_dispersion_total
 from .crosscheck import run_crosscheck
 from .density import composition_density, density_dp, level_masses, level_support
 from .errors import CapacityError, ConvergenceError, ValidationError
@@ -32,7 +32,8 @@ from .levelstats import default_spacing_bins, ks_distance, spacing_distribution,
 from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import _CHUNK_BYTES, _PIECE_LEVELS, check_grid_budget, csv_text, format_cell, format_rational
+from .table import (_CHUNK_BYTES, _PIECE_LEVELS, TRANSFER_CEILING, check_grid_budget, csv_text,
+                    format_cell, format_rational)
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -299,10 +300,27 @@ def _cmd_charfn(args) -> int:
     return 0
 
 
+def _check_sweep_work(args, sweep, spec: ChainSpec, grid) -> None:
+    """Refuse a convergence sweep whose transfer products would run too
+    long, before its first N.  Each chain runs its N - 1 bonds once per
+    distinct |t| (the upper half of the antisymmetric grid) in both
+    kernels.  Measured per bond, the time is a fixed cost for the numpy
+    calls, 1.7 to 2.8 us at m <= 8, plus 7 to 19 ns for each of the m
+    values at each |t|; the work is counted as bonds x (m x |t| + 256).
+    The first chain's own gates speak first."""
+    scaled_dispersion_total(spec)
+    bonds, points = sum(sweep) - len(sweep), grid.size - grid.size // 2
+    work = bonds * (spec.m * points + 256)
+    check_grid_budget(f"--n-sweep {args.n_sweep} runs {bonds} bonds at {points} |t| values: "
+                      f"{bonds} x ({spec.m} x {points} + 256) = {work} units of work", 0,
+                      work, TRANSFER_CEILING)
+
+
 def _cmd_convergence(args) -> int:
     sweep = _parse_sweep(args.n_sweep)
     spec = _resolve_spec(args, sweep[0])
     grid = _t_grid_from(args, spec.m, 0)
+    _check_sweep_work(args, sweep, spec, grid)
     report = convergence_report(
         spec.family, spec.m, spec.epsilon, n_values=sweep, t_grid=grid, alpha=spec.alpha
     )

@@ -25,6 +25,10 @@ COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 summed over the blocks it solves, about 0.25 us each
 # (HS N=13 m=2 makes 1.69e8 over its momentum blocks and took 46 s).
 ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 1.42e9
+# Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
+# 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
+# 9.95e8 on the default grid, took 22.7 s.
+TRANSFER_CEILING = 10 ** 9
 
 # Levels in one piece of the density CSV and JSON texts.
 _PIECE_LEVELS = 4096

@@ -35,6 +35,11 @@ probabilities come from the ferromagnetic pairing mask; that costs
 the whole phase into one scalar per t: one cos and an m-step recurrence per
 (t, bond).
 
+Where the bond weights are palindromic, as HS's F(i) = F(N - i) are, both
+kernels pay those costs only per bond of the first half: the run recursion
+meets its own mirror image at the middle bond, and the Chebyshev product is
+the square of the first half's.  PF and FI run every bond.
+
 The spectrum is real, so phi(-t) = conj phi(t), and both kernels run once
 per distinct |t| and conjugate the values at t < 0 (:func:`_mirrored`).
 :func:`default_t_grid` is exactly antisymmetric, so on it each kernel does
@@ -161,31 +166,60 @@ def _mirrored(t: np.ndarray, antiferro: bool, ferro_at) -> np.ndarray:
     kernel's, for closed-form moments), so an artifact prints 0, not -0.
     The antiferromagnetic value is then the conjugate of the ferromagnetic
     one at every t.  A grid with a value that is not finite is refused.
+
+    On an exactly antisymmetric grid (every :func:`default_t_grid`),
+    t[i] pairs with t[-1 - i] by index, and the kernel runs on the |t| of
+    the upper half; any other grid is paired through ``np.unique``.
     """
     flat = t.reshape(-1)
-    magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
+    if np.array_equal(flat, -flat[::-1]):
+        magnitudes = np.abs(flat[flat.size // 2 :])
+        inverse = np.abs(2 * np.arange(flat.size) - (flat.size - 1)) // 2
+    else:
+        magnitudes, inverse = np.unique(np.abs(flat), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
         values = ferro_at(magnitudes)[inverse]
     if not np.isfinite(values).all():
         raise ValidationError(f"the characteristic function is not finite on a t grid up to |t| = "
-                              f"{magnitudes[-1]:.3g}: the grid or its phases pass the float range")
+                              f"{magnitudes.max():.3g}: the grid or its phases pass the float range")
     np.subtract(0.0, values.imag, out=values.imag, where=flat < 0)
     if antiferro:
         np.conjugate(values, out=values)
     return values.reshape(t.shape)[()]
 
 
-def _run_ratios(m: int) -> np.ndarray:
-    """p_(r+1) / p_r for r = 0 .. m-2, where p_L = 1^T M^L 1 / m^(L+1) is the
+def _run_factors(m: int):
+    """The factors of charfn_exact, from p_L = 1^T M^L 1 / m^(L+1), the
     probability that L given consecutive bonds all carry a set bit, with M
-    the ferromagnetic pairing mask; p_0 = 1, and p_L = 0 from L = m on."""
+    the ferromagnetic pairing mask; p_0 = 1, and p_L = 0 from L = m on.
+
+    Returns the ratios p_(r+1) / p_r for r = 0 .. m-2, and the join
+    K[r, s] = p_(r+s) / (p_r p_s) for r, s = 0 .. m-1, which is 1 where r or
+    s is 0: a run of r bonds that ends where a run of s bonds starts makes
+    one run of r + s bonds.  With c_L = 1^T M^L 1, K[r, s] is the ratio of
+    integers m c_(r+s) / (c_r c_s), divided once.
+    """
     k = np.arange(1, m + 1)
     mask = delta_bits(FERRO, k[:, None], k[None, :]).tolist()
     paths, counts = [1] * m, [m]
     for _ in range(m - 1):
         paths = [sum(p for p, bit in zip(paths, row) if bit) for row in mask]
         counts.append(sum(paths))
-    return np.array([counts[r + 1] / (m * counts[r]) for r in range(m - 1)])
+    ratios = np.array([counts[r + 1] / (m * counts[r]) for r in range(m - 1)])
+    counts += [0] * (m - 1)
+    join = np.array([[m * counts[r + s] / (counts[r] * counts[s]) for s in range(m)]
+                     for r in range(m)])
+    return ratios, join
+
+
+def _reflected_bonds(spec: ChainSpec) -> int:
+    """The number c of bonds that the reflection i <-> N - i repeats:
+    floor((N - 1)/2) where the bond weights read the same backwards, as
+    HS's F(i) = i (N - i) do, and 0 otherwise (PF, FI, or a single bond).
+    Decided from the exact scaled integers.  The kernels then run only the
+    first N - 1 - c bonds."""
+    scaled = dispersion(spec).scaled
+    return len(scaled) // 2 if scaled == scaled[::-1] else 0
 
 
 def _ferro_center(spec: ChainSpec, stats: SpectrumStats):
@@ -202,7 +236,7 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     uncentred value is E[prod over bonds of (1 + (w_i - 1) b_i)].  Expanded,
     each subset of bonds splits into maximal runs of consecutive bonds;
     different runs share no spin, so the expectation factorises over runs,
-    and a run of L bonds contributes p_L (see ``_run_ratios``), which is 0
+    and a run of L bonds contributes p_L (see ``_run_factors``), which is 0
     from L = m on.  The recursion keeps m partial sums A[r], r the length of
     the run that ends at the current bond, and per bond sets
     A[0] <- sum of A and A[r+1] <- A[r] (w_i - 1) p_(r+1) / p_r: 2 (m - 1)
@@ -210,6 +244,16 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     antiferromagnetic value is the complex conjugate of the ferromagnetic
     one centred at the dispersion's sum less mu.  The recursion runs once
     per distinct |t|, and the values at t < 0 are its conjugates.
+
+    Where the weights are palindromic (HS), the recursion meets itself in
+    the middle and runs only the first ceil((N - 1)/2) bonds.  Split at
+    c = floor((N - 1)/2): run backwards over bonds N - 1 .. c + 1, the
+    recursion sees the weights F(1) .. F(N - 1 - c), so its state is the
+    forward state A_(N-1-c), and the uncentred value is
+    sum over r, s of A_c[r] K[r, s] A_(N-1-c)[s], with the join K of
+    ``_run_factors`` merging the run that ends at bond c with the one that
+    starts at bond c + 1.  A_c is the last state for an even N - 1 and the
+    one a bond back for an odd N - 1.  PF and FI run every bond.
 
     The steps (w_i - 1) p_(r+1) / p_r are built a block of bonds at a time,
     from one real cos and one sin over the block's (bond, t) phases.  A
@@ -219,7 +263,10 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
     gam = normalized_dispersion(spec, stats.sigma)
-    ratios = _run_ratios(m)[:, None]
+    cut = _reflected_bonds(spec)
+    bonds = gam[: gam.size - cut]
+    ratios, join = _run_factors(m)
+    ratios = ratios[:, None]
     center = float(_ferro_center(spec, stats)) / stats.sigma
 
     def ferro_at(flat):
@@ -227,8 +274,8 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
         state[0] = 1.0
         spare = np.empty_like(state)
         block = max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, flat.size)))
-        for lo in range(0, gam.size, block):
-            theta = (m * gam[lo : lo + block, None, None]) * flat
+        for lo in range(0, bonds.size, block):
+            theta = (m * bonds[lo : lo + block, None, None]) * flat
             steps = np.empty((theta.shape[0], m - 1, flat.size), dtype=complex)
             np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
             np.multiply(np.sin(theta), ratios, out=steps.imag)
@@ -236,7 +283,14 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
                 np.add.reduce(state, axis=0, out=spare[0])
                 np.multiply(state[:-1], step, out=spare[1:])
                 state, spare = spare, state
-        return np.exp(-1j * center * flat) * state.sum(axis=0)
+        if not cut:
+            return np.exp(-1j * center * flat) * state.sum(axis=0)
+        del theta, steps  # the join's temporaries reuse the last block's memory
+        first = spare if bonds.size > cut else state
+        total = np.zeros(flat.size, dtype=complex)
+        for r in range(m):
+            total += first[r] * (join[r, : m - r, None] * state[: m - r]).sum(axis=0)
+        return np.exp(-1j * center * flat) * total
 
     return _mirrored(t, spec.epsilon != FERRO, ferro_at)
 
@@ -256,6 +310,12 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     of the ferromagnetic approximation.  The product is taken once per
     distinct |t|, and the values at t < 0 are its conjugates.
 
+    Where the weights are palindromic (HS), only the factors of the first
+    ceil((N - 1)/2) bonds are formed: the product is the square of the
+    first floor((N - 1)/2) of them, times the middle one for an odd N - 1.
+    PF and FI form every factor, and their products are those of every
+    bond bit for bit (the square of an empty product is exactly 1).
+
     The factors are taken a chunk of t values at a time, each chunk about
     ``_CHUNK_BYTES`` (512 KiB) of floats, or one t value's where those are
     larger, and reduced to its products before the next, so the memory
@@ -263,7 +323,9 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     """
     stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
+    cut = _reflected_bonds(spec)
     half = normalized_dispersion(spec, stats.sigma) / 2
+    half = half[: half.size - cut]
     rows = max(1, _CHUNK_BYTES // (8 * half.size))
     drift = Fraction(m - 1, 2 * m) * dispersion(spec).total - _ferro_center(spec, stats)
 
@@ -271,7 +333,8 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
         product = np.empty(flat.shape)
         for lo in range(0, flat.size, rows):
             factors = _dirichlet_mean(np.cos(flat[lo : lo + rows, None] * half), m)
-            product[lo : lo + rows] = factors.prod(axis=-1)
+            first = factors[:, :cut].prod(axis=-1)
+            product[lo : lo + rows] = first * first * factors[:, cut:].prod(axis=-1)
         return np.exp(1j * (float(drift) / stats.sigma) * flat) * product
 
     return _mirrored(t, spec.epsilon != FERRO, ferro_at)

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -422,6 +423,46 @@ def test_convergence_runs_grids_that_the_charfn_count_refuses(tmp_path, monkeypa
     assert _assert_the_run_stays_within_its_grid_prediction(
         tmp_path, monkeypatch, capsys, "convergence", "--family", "hs", "--m", "3",
         "--n-sweep", "8:16:geometric", "--t-points", str(points)) <= budget
+
+
+class _SweepAdmitted(Exception):
+    pass
+
+
+def _admit_no_sweep(*_, **__):
+    raise _SweepAdmitted
+
+
+@pytest.mark.parametrize("args", [
+    # the README's, the benchmark's and the tier-1 tests' sweeps
+    ["--family", "hs", "--m", "3", "--n-sweep", "16:16384:geometric"],
+    ["--family", "hs", "--m", "3", "--n-sweep", "16:4096:geometric", "--antiferro"],
+    ["--family", "pf", "--m", "2", "--n-sweep", "16:1024:geometric"],
+    ["--family", "pf", "--m", "2", "--n-sweep", "16:256:geometric", "--t-points", "81"],
+    ["--family", "fi", "--alpha", "5/2", "--m", "2", "--n-sweep", "8:24:8", "--t-max", "3.5"],
+    ["--family", "hs", "--m", "3", "--n-sweep", "8:16:geometric", "--t-points", "200001"],
+    ["--family", "hs", "--m", "40", "--n-sweep", "16:1024:geometric"],
+])
+def test_the_sweep_work_gate_admits_the_sweeps_people_run(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(hschain.cli, "convergence_report", _admit_no_sweep)
+    with pytest.raises(_SweepAdmitted):
+        run(tmp_path, "convergence", *args)
+
+
+def test_a_sweep_past_the_work_ceiling_exits_one_before_its_first_n(tmp_path, monkeypatch,
+                                                                       capsys):
+    # each N passes its own gates and the list the memory gate (149 MB
+    # predicted), but one transfer product per N would run practically forever
+    monkeypatch.setattr(hschain.cli, "convergence_report", _admit_no_sweep)
+    start = time.perf_counter()
+    rc = run(tmp_path, "convergence", "--family", "pf", "--m", "2", "--n-sweep", "2:1000000:1")
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n-sweep 2:1000000:1 runs 499999500000 bonds"), err
+    assert "over the ceiling" in err and len(err.splitlines()) == 1
+    assert elapsed < 1.0
+    assert not any(tmp_path.iterdir())
 
 
 _ABSURD = ["--family", "pf", "--N", str(10 ** 9), "--m", "2"]

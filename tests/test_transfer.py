@@ -25,8 +25,11 @@ from hschain import (
 )
 from hschain.chains import dispersion, normalized_dispersion
 from hschain.density import density_dp
+from hschain.table import _CHUNK_BYTES
 from hschain.transfer import (
     _dirichlet_mean,
+    _mirrored,
+    _run_factors,
     asymptotic_sweep,
     bond_overlap_residual,
     default_t_grid,
@@ -367,6 +370,117 @@ def test_top_eigenvalue_matches_the_geometric_sum_near_the_removable_points():
         assert lam.shape == x.shape
         assert np.abs(lam - eigenvalues(np.exp(1j * x), m)[..., m - 1]).max() <= 1e-14
         assert np.all(_top_eigenvalue(np.array([0.0, -0.0]), m) == 1.0)
+
+
+# Both kernels as they ran before the reflection F(i) = F(N - i) was folded
+# in: the run recursion forward over every bond, and the Chebyshev product
+# of every bond's factor.  PF and FI still run exactly these operations.
+
+
+def _charfn_exact_every_bond(spec, stats, t):
+    m = spec.m
+    gam = normalized_dispersion(spec, stats.sigma)
+    ratios = _run_factors(m)[0][:, None]
+    mu_ferro = stats.mu if spec.epsilon == 1 else dispersion(spec).total - stats.mu
+    center = float(mu_ferro) / stats.sigma
+
+    def ferro_at(flat):
+        state = np.zeros((m, flat.size), dtype=complex)
+        state[0] = 1.0
+        spare = np.empty_like(state)
+        block = max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, flat.size)))
+        for lo in range(0, gam.size, block):
+            theta = (m * gam[lo : lo + block, None, None]) * flat
+            steps = np.empty((theta.shape[0], m - 1, flat.size), dtype=complex)
+            np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
+            np.multiply(np.sin(theta), ratios, out=steps.imag)
+            for step in steps:
+                np.add.reduce(state, axis=0, out=spare[0])
+                np.multiply(state[:-1], step, out=spare[1:])
+                state, spare = spare, state
+        return np.exp(-1j * center * flat) * state.sum(axis=0)
+
+    return _mirrored(t, spec.epsilon != 1, ferro_at)
+
+
+def _charfn_asymptotic_every_bond(spec, stats, t):
+    m = spec.m
+    half = normalized_dispersion(spec, stats.sigma) / 2
+    mu_ferro = stats.mu if spec.epsilon == 1 else dispersion(spec).total - stats.mu
+    drift = Fraction(m - 1, 2 * m) * dispersion(spec).total - mu_ferro
+
+    def ferro_at(flat):
+        product = _dirichlet_mean(np.cos(flat[:, None] * half), m).prod(axis=-1)
+        return np.exp(1j * (float(drift) / stats.sigma) * flat) * product
+
+    return _mirrored(t, spec.epsilon != 1, ferro_at)
+
+
+def test_the_run_join_is_the_ratio_of_run_probabilities():
+    # K[r, s] = p_(r+s) / (p_r p_s), with p the products of the ratios
+    for m in range(1, 9):
+        ratios, join = _run_factors(m)
+        p = np.concatenate([[1.0], np.cumprod(ratios), np.zeros(m - 1)])
+        assert join.shape == (m, m)
+        assert np.all(join[0] == 1.0) and np.all(join[:, 0] == 1.0)
+        assert np.array_equal(join, join.T)
+        for r, s in itertools.product(range(1, m), repeat=2):
+            assert join[r, s] == pytest.approx(p[r + s] / (p[r] * p[s]), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_the_folded_hs_charfn_equals_the_density_route_at_every_small_n(m):
+    # N = 2..13 runs the cut c = floor((N - 1)/2) from 0 to 6, at both
+    # parities of N - 1
+    t = default_t_grid()
+    for n, eps in itertools.product(range(2, 14), (1, -1)):
+        spec = ChainSpec("HS", n, m, eps)
+        stats = closed_form_moments(spec)
+        via_density = charfn_from_density(density_dp(spec), stats, t)
+        assert np.abs(charfn_exact(spec, stats, t) - via_density).max() <= 1e-13, (n, eps)
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_the_folded_hs_charfn_stays_near_the_recursion_over_every_bond(n):
+    t = default_t_grid()
+    for eps in (1, -1):
+        spec = ChainSpec("HS", n, 3, eps)
+        stats = closed_form_moments(spec)
+        value = charfn_exact(spec, stats, t)
+        assert np.abs(value - _charfn_exact_every_bond(spec, stats, t)).max() <= 1e-13, eps
+
+
+def test_pf_and_fi_run_every_bond_bit_for_bit():
+    # their weights are not palindromic, so both kernels keep the operations
+    # of the forward loop over every bond, on grids paired by index and by sort
+    grids = (default_t_grid(), np.linspace(-5.0, 3.0, 38), np.array(0.7))
+    for (family, alpha), m, n, eps in itertools.product(
+        FAMILIES[1:], (2, 3, 5), (2, 3, 4, 17, 300), (1, -1)
+    ):
+        spec = ChainSpec(family, n, m, eps, alpha)
+        stats = closed_form_moments(spec)
+        for t in grids:
+            for kernel, reference in ((charfn_exact, _charfn_exact_every_bond),
+                                      (charfn_asymptotic, _charfn_asymptotic_every_bond)):
+                value, expected = kernel(spec, stats, t), reference(spec, stats, t)
+                assert np.array_equal(value, expected), (spec, kernel.__name__)
+                assert np.array_equal(np.signbit(np.imag(value)), np.signbit(np.imag(expected)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 13, 64, 300, 4096, 16384])
+def test_the_folded_hs_asymptotic_product_stays_within_rounding(n):
+    # the square of the first half's product against the product of every
+    # factor: the same factors multiplied in another order, whose rounding
+    # adds up like a random walk (measured: 0 to 1.9 ulp up to N = 13, 46 at
+    # N = 4096 and 100 at N = 16384)
+    t = default_t_grid()
+    bound = max(4.0, 2.0 * math.sqrt(n)) * np.finfo(float).eps
+    for m, eps in itertools.product((2, 3, 4, 5), (1, -1)):
+        spec = ChainSpec("HS", n, m, eps)
+        stats = closed_form_moments(spec)
+        value = charfn_asymptotic(spec, stats, t)
+        expected = _charfn_asymptotic_every_bond(spec, stats, t)
+        assert np.all(np.abs(value - expected) <= bound * np.abs(expected)), (m, eps)
 
 
 def test_asymptotic_charfn_memory_stays_bounded():
