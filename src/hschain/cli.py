@@ -32,8 +32,8 @@ from .levelstats import default_spacing_bins, ks_distance, spacing_distribution,
 from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import (_CHUNK_BYTES, _PIECE_LEVELS, TRANSFER_CEILING, check_grid_budget, csv_text,
-                    format_cell, format_rational)
+from .table import (_CHUNK_BYTES, _PIECE_LEVELS, MASS_CEILING, TRANSFER_CEILING,
+                    check_grid_budget, csv_text, format_cell, format_rational)
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -125,13 +125,14 @@ def _json_text(payload, pad: str = ""):
 
     An indent sends the whole payload through json's pure-Python encoder.
     Here a value given as a function of its indent (the levels of
-    :meth:`DensityTable.to_json_dict`) yields its own pieces, and each other
-    dict or list without containers or such functions in it goes through
-    the C encoder in one call, with the newline and indent of its items as
-    the item separator; only containers of containers recurse in Python.
-    The pieces are yielded, not joined, so no text of the whole payload is
-    built: a flat list (an oracle spectrum) is encoded ``_PIECE_LEVELS``
-    items at a time, each text sliced once to drop its brackets.
+    :meth:`DensityTable.to_json_dict`, the spectra of an oracle report)
+    yields its own pieces, and each other dict or list without containers
+    or such functions in it goes through the C encoder in one call, with
+    the newline and indent of its items as the item separator; only
+    containers of containers recurse in Python.  The pieces are yielded,
+    not joined, so no text of the whole payload is built: a flat list (an
+    oracle's multiplicities) is encoded ``_PIECE_LEVELS`` items at a time,
+    each text sliced once to drop its brackets.
     """
     if callable(payload):
         yield from payload(pad)
@@ -378,8 +379,27 @@ def _cmd_spacings(args) -> int:
     return 0
 
 
+def _check_mass_sweep_work(args, sweep) -> None:
+    """Refuse a kscan sweep whose mass DPs would run too long, before its
+    first N.  Each N runs one mass DP over its N - 1 bonds, and a bond
+    updates polynomials of up to its chain's top energy + 1 cells for each
+    of the m spin values; the work is counted as the sum over the sweep of
+    (N - 1) x cells x m.  The sum stops at the first N that takes it past
+    ``MASS_CEILING``, so an absurd sweep is refused after a few values, and
+    each chain's own gates speak before its work is counted."""
+    work = 0
+    for n in sweep:
+        spec = _resolve_spec(args, n)
+        work += (n - 1) * (scaled_dispersion_total(spec) + 1) * spec.m
+        if work > MASS_CEILING:
+            break
+    check_grid_budget(f"--n-sweep {args.n_sweep} runs one mass DP per N, (N - 1) x cells x m "
+                      f"summed up to N = {n}: {work} units of work", 0, work, MASS_CEILING)
+
+
 def _cmd_kscan(args) -> int:
     sweep = _parse_sweep(args.n_sweep)
+    _check_mass_sweep_work(args, sweep)
     distances = []
     for n in sweep:
         spec = _resolve_spec(args, n)

@@ -14,8 +14,8 @@ comparison between the two characteristic-function routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +32,7 @@ _M_VALUES = (2, 3)
 _ALPHAS = (1, Fraction(3, 2))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """One pairwise comparison; deviation is 0.0 for exact matches, 1.0
     for exact mismatches, and the max absolute error for float checks."""
 
@@ -43,8 +42,7 @@ class CheckResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
+class CrosscheckReport(NamedTuple):
     results: tuple
 
     @property

@@ -28,9 +28,11 @@ no cap.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +84,7 @@ def _orthopoly_zeros(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray,
     return x, float(np.abs(value / safe).max())
 
 
-@dataclass(frozen=True)
-class SiteLayout:
+class SiteLayout(NamedTuple):
     """Ordered site coordinates of one chain, with the zero-finding
     residual (0 for the closed-form circle lattice)."""
 
@@ -124,8 +125,7 @@ def chain_sites(spec: ChainSpec) -> SiteLayout:
     return SiteLayout(xi=zeros, residual=residual)
 
 
-@dataclass(frozen=True)
-class DenseOperator:
+class DenseOperator(NamedTuple):
     """Real symmetric operator on basis states that exchanges keep."""
 
     matrix: np.ndarray
@@ -202,19 +202,19 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     budget, or whose sum of size**3 over the solved blocks passes
     ``ORACLE_CEILING``.
 
-    The report's JSON holds both spectra as lists of Python floats, a
-    pointer and a 32-byte object per value, and writes one list at a time
-    in pieces of ``_PIECE_LEVELS`` values: a text of up to 32 characters a
+    The report's JSON is written from the spectra themselves, one piece of
+    ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
+    and a 24-byte object per value, and a text of up to 32 characters a
     value (a 24-character float and the item separator), held twice, the
-    encoder's text and its copy without brackets, and the slice's pointers.
-    For ``hschain oracle`` at HS N=5 m=24 (7,962,624 states) the tracemalloc
-    peak was 638 MB, 80 bytes a state, against 956 MB predicted.
+    encoder's text and its copy without brackets.  For ``hschain oracle``
+    at HS N=5 m=16 (1,048,576 states) the tracemalloc peak was 32 bytes a
+    state, inside the spectra's 40.
     """
-    piece = (2 * 32 + 8) * _PIECE_LEVELS
+    piece = (2 * 32 + 8 + 24) * _PIECE_LEVELS
     # m**N is written as a power: past 4,300 digits Python refuses to print it
     text = (f"dense oracle of m**N = {spec.m}**{spec.n_spins} states needs 5 x 8 x m**N bytes of "
-            f"spectra and 2 x 40 x m**N + {piece} bytes to write them as JSON")
-    spectra_and_report = (5 * 8 + 2 * 40) * spec.n_states + piece
+            f"spectra and {piece} bytes to write them as JSON")
+    spectra_and_report = 5 * 8 * spec.n_states + piece
     check_grid_budget(text, spectra_and_report)
     sectors = [(counts, copies,
                 _momentum_sizes(spec.n_spins, counts) if spec.family == "HS" else [dim])
@@ -459,8 +459,23 @@ def _multiplicity_pattern(values: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(np.diff(starts, prepend=0, append=len(values)).tolist())
 
 
-@dataclass(frozen=True)
-class OracleReport:
+def _json_floats(values: np.ndarray, pad: str):
+    """Yield, in pieces, the text ``json.dumps(indent=2)`` writes for the
+    float list of `values` `pad` deep, ``_PIECE_LEVELS`` values a piece,
+    each encoded from a slice of the array."""
+    if not values.size:
+        yield "[]"
+        return
+    separators = (f",\n{pad}  ", ": ")
+    lead = f"[\n{pad}  "
+    for start in range(0, values.size, _PIECE_LEVELS):
+        yield lead
+        yield json.dumps(values[start:start + _PIECE_LEVELS].tolist(), separators=separators)[1:-1]
+        lead = separators[0]
+    yield f"\n{pad}]"
+
+
+class OracleReport(NamedTuple):
     """Outcome of matching dense eigenvalues against the motif multiset."""
 
     spec: ChainSpec
@@ -478,10 +493,13 @@ class OracleReport:
         return self.eigen_multiplicities == self.motif_multiplicities
 
     def to_json_dict(self) -> dict:
+        """The report's JSON payload.  Each spectrum is a function of its
+        indent, as :meth:`DensityTable.to_json_dict` gives its levels, so
+        no list of its floats is built."""
         return {
             "spec": self.spec.to_json_dict(),
-            "eigenvalues": self.eigenvalues.tolist(),
-            "motif_values": self.motif_values.tolist(),
+            "eigenvalues": partial(_json_floats, self.eigenvalues),
+            "motif_values": partial(_json_floats, self.motif_values),
             "direct_deviation": self.direct_deviation,
             "affine_scale": self.affine_scale,
             "affine_offset": self.affine_offset,

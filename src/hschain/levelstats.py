@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +209,7 @@ def normalized_spacings(unfolded: UnfoldedSpectrum) -> np.ndarray:
     return gaps
 
 
-@dataclass(frozen=True)
-class SpacingHistogram:
+class SpacingHistogram(NamedTuple):
     """Normalized spacing histogram with the two reference densities
     tabulated on the bin centers."""
 

@@ -17,16 +17,15 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .chains import ChainSpec, dispersion
 from .errors import ValidationError
 from .table import DensityTable
 
 
-@dataclass(frozen=True)
-class SpectrumStats:
+class SpectrumStats(NamedTuple):
     """Exact mean and variance of a spectrum, plus the float width."""
 
     mu: Fraction

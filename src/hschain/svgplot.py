@@ -10,7 +10,6 @@ are byte-identical and the files diff cleanly in CI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from .errors import ValidationError
 
@@ -33,21 +32,17 @@ def _tick_label(x: float) -> str:
     return f"{x:.4g}"
 
 
-@dataclass
 class _Axis:
-    lo: float
-    hi: float
-    log: bool
-
-    def __post_init__(self):
-        if self.log and (self.lo <= 0 or self.hi <= 0):
+    def __init__(self, lo: float, hi: float, log: bool):
+        if log and (lo <= 0 or hi <= 0):
             raise ValidationError("log axis needs positive data")
-        if self.hi <= self.lo and self.log:
+        if hi <= lo and log:
             # a decade each way: a factor keeps both bounds positive
-            self.lo, self.hi = self.lo / 10.0, self.hi * 10.0
-        elif self.hi <= self.lo:
-            pad = abs(self.lo) * 0.5 + 1.0
-            self.lo, self.hi = self.lo - pad, self.hi + pad
+            lo, hi = lo / 10.0, hi * 10.0
+        elif hi <= lo:
+            pad = abs(lo) * 0.5 + 1.0
+            lo, hi = lo - pad, hi + pad
+        self.lo, self.hi, self.log = lo, hi, log
 
     def unit(self, x: float) -> float:
         """Map a data value to [0, 1]."""
@@ -74,17 +69,13 @@ def _axis_for(values, log: bool, pad_frac: float = 0.04) -> _Axis:
     return _Axis(lo=lo, hi=hi, log=log)
 
 
-@dataclass
 class Figure:
     """Accumulates SVG elements for one plot panel."""
 
-    title: str
-    x_label: str
-    y_label: str
-    x_axis: _Axis
-    y_axis: _Axis
-    parts: list = field(default_factory=list)
-    legend: list = field(default_factory=list)
+    def __init__(self, title: str, x_label: str, y_label: str, x_axis: _Axis, y_axis: _Axis):
+        self.title, self.x_label, self.y_label = title, x_label, y_label
+        self.x_axis, self.y_axis = x_axis, y_axis
+        self.parts, self.legend = [], []
 
     def x_pix(self, x: float) -> float:
         return MARGIN_LEFT + self.x_axis.unit(x) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)

@@ -3,7 +3,6 @@ artifact."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -29,6 +28,10 @@ ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 1.42e9
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
 # 9.95e8 on the default grid, took 22.7 s.
 TRANSFER_CEILING = 10 ** 9
+# Mass DPs of a kscan sweep: (N - 1) x cells x m summed over its N, 0.5 to
+# 2.6 ns each (PF m=2 the cheapest, HS m=16 the dearest).  About 25 s: HS m=3
+# over N = 150..200 in steps of 2, 1.27e10, took 30.2 s.
+MASS_CEILING = 10 ** 10
 
 # Levels in one piece of the density CSV and JSON texts.
 _PIECE_LEVELS = 4096
@@ -74,7 +77,6 @@ def csv_text(header_lines, columns: str, lines) -> str:
     return "\n".join([*(f"# {h}" for h in header_lines), columns, *lines, ""])
 
 
-@dataclass
 class DensityTable:
     """Exact level density as two aligned arrays.
 
@@ -86,17 +88,13 @@ class DensityTable:
     always sum to it exactly.
     """
 
-    scaled: np.ndarray
-    degeneracies: tuple
-    energy_scale: int = 1
-    total: int = 0
-
-    def __post_init__(self):
-        if self.energy_scale < 1:
-            raise ValidationError(f"energy_scale must be >= 1, got {self.energy_scale}")
-        self.scaled = np.array(self.scaled, dtype=np.int64)
+    def __init__(self, scaled, degeneracies, energy_scale: int = 1, total: int = 0):
+        if energy_scale < 1:
+            raise ValidationError(f"energy_scale must be >= 1, got {energy_scale}")
+        self.energy_scale, self.total = energy_scale, total
+        self.scaled = np.array(scaled, dtype=np.int64)
         self.scaled.setflags(write=False)
-        self.degeneracies = tuple(self.degeneracies)
+        self.degeneracies = tuple(degeneracies)
         if self.scaled.shape != (len(self.degeneracies),):
             raise ValidationError(
                 f"levels of shape {self.scaled.shape} for {len(self.degeneracies)} degeneracies"

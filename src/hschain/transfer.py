@@ -48,8 +48,8 @@ half the (bond, t) work of evaluating every t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -355,8 +355,7 @@ def charfn_from_density(density: DensityTable, stats: SpectrumStats, t_grid) -> 
     return center * (phases @ weights) / float(density.total)
 
 
-@dataclass(frozen=True)
-class CharFnSeries:
+class CharFnSeries(NamedTuple):
     """Sampled characteristic function with its two reference curves."""
 
     t_grid: np.ndarray
@@ -395,8 +394,7 @@ def bond_overlap_residual(spec: ChainSpec, t: float, stats: SpectrumStats | None
     return float(np.abs(overlap - np.eye(spec.m)).max())
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Sup-norm deviations of the characteristic function over an N sweep."""
 
     n_values: tuple

@@ -3,7 +3,10 @@
 import contextlib
 import dataclasses
 import io
+import sys
 from pathlib import Path
+
+import pytest
 
 import hschain
 
@@ -77,7 +80,8 @@ def test_public_surface_is_pinned():
 
 # The public methods and properties of every exported class, its own and
 # those it inherits from the package, so that an accessor only the tests
-# call cannot come back unnoticed.  Dataclass fields are not listed.
+# call cannot come back unnoticed.  Dataclass and NamedTuple fields are not
+# listed.
 PUBLIC_MEMBERS = {
     "CapacityError": [],
     "ChainSpec": ["from_json", "from_json_dict", "n_states", "to_json_dict"],
@@ -99,8 +103,15 @@ PUBLIC_MEMBERS = {
 }
 
 
+def _field_names(cls) -> list:
+    """The fields of a dataclass or a NamedTuple, none for other classes."""
+    if dataclasses.is_dataclass(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+    return list(getattr(cls, "_fields", ()))
+
+
 def _public_members(cls) -> list:
-    fields = {f.name for f in dataclasses.fields(cls)} if dataclasses.is_dataclass(cls) else set()
+    fields = set(_field_names(cls))
     return sorted({name for klass in cls.__mro__ if klass.__module__.startswith("hschain")
                    for name in vars(klass) if not name.startswith("_") and name not in fields})
 
@@ -109,6 +120,47 @@ def test_public_members_are_pinned():
     classes = {name: getattr(hschain, name) for name in hschain.__all__}
     assert {name: _public_members(cls) for name, cls in classes.items()
             if isinstance(cls, type)} == PUBLIC_MEMBERS
+
+
+# The records kept as frozen dataclasses: ChainSpec, because
+# dataclasses.replace validates the replaced chain again, and four whose
+# __len__, subclass or validation a tuple's own len and fields would
+# contradict.  Every other record is a NamedTuple or a plain class: a
+# dataclass compiles its generated methods at every import of the package,
+# about ten times the cost of defining a NamedTuple.
+DATACLASSES = ["ChainSpec", "DispersionTable", "LevelMasses", "LevelSupport", "UnfoldedSpectrum"]
+
+# The immutable result records, as NamedTuples.
+NAMED_TUPLES = ["CharFnSeries", "CheckResult", "ConvergenceReport", "CrosscheckReport",
+                "DenseOperator", "OracleReport", "SiteLayout", "SpacingHistogram",
+                "SpectrumStats"]
+
+
+def _package_classes():
+    modules = [module for name, module in sorted(sys.modules.items())
+               if name == "hschain" or name.startswith("hschain.")]
+    return {name: cls for module in modules for name, cls in vars(module).items()
+            if isinstance(cls, type) and cls.__module__ == module.__name__}
+
+
+def test_only_the_kept_records_are_dataclasses():
+    import hschain.cli  # noqa: F401, every module of the package
+    classes = _package_classes()
+    assert sorted(name for name, cls in classes.items()
+                  if dataclasses.is_dataclass(cls)) == DATACLASSES
+    assert sorted(name for name, cls in classes.items()
+                  if issubclass(cls, tuple) and hasattr(cls, "_fields")
+                  and not name.startswith("_")) == NAMED_TUPLES
+
+
+@pytest.mark.parametrize("name", NAMED_TUPLES)
+def test_a_result_record_refuses_a_field_assignment(name):
+    cls = _package_classes()[name]
+    fields = _field_names(cls)
+    record = cls(*range(len(fields)))
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 def test_version_string():

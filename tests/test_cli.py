@@ -465,6 +465,43 @@ def test_a_sweep_past_the_work_ceiling_exits_one_before_its_first_n(tmp_path, mo
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [
+    # the README's, the benchmark's and the tier-1 tests' kscan sweeps
+    ["--family", "hs", "--m", "2", "--n-sweep", "16:128:geometric"],
+    ["--family", "hs", "--m", "3", "--n-sweep", "24:192:geometric"],
+    ["--family", "pf", "--m", "2", "--n-sweep", "64:64:geometric"],
+    ["--family", "hs", "--m", "3", "--n-sweep", "24:96:24"],
+    ["--family", "pf", "--m", "2", "--n-sweep", "8:16:geometric"],
+    ["--family", "hs", "--m", "2", "--n-sweep", "16:16:geometric"],
+])
+def test_the_mass_sweep_gate_admits_the_sweeps_people_run(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(hschain.cli, "level_masses", _admit_no_sweep)
+    with pytest.raises(_SweepAdmitted):
+        run(tmp_path, "kscan", *args)
+
+
+@pytest.mark.parametrize("sweep, reached", [
+    # each N passes its own gates and the list the memory gate, but one
+    # mass DP per N would run for hours; the sum passes the ceiling at N = 448
+    ("2:1000000:1", 448),
+    # one chain, 2.7e11 units: by extrapolation from PF N=3000 (29 s), minutes
+    ("6500:6500:1", 6500),
+])
+def test_a_kscan_past_the_mass_ceiling_exits_one_before_its_first_n(tmp_path, monkeypatch,
+                                                                    capsys, sweep, reached):
+    monkeypatch.setattr(hschain.cli, "level_masses", _admit_no_sweep)
+    start = time.perf_counter()
+    rc = run(tmp_path, "kscan", "--family", "pf", "--m", "2", "--n-sweep", sweep)
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --n-sweep {sweep} runs one mass DP per N"), err
+    assert f"summed up to N = {reached}:" in err and "over the ceiling" in err
+    assert len(err.splitlines()) == 1
+    assert elapsed < 1.0
+    assert not any(tmp_path.iterdir())
+
+
 _ABSURD = ["--family", "pf", "--N", str(10 ** 9), "--m", "2"]
 _ABSURD_SWEEP = ["--family", "pf", "--m", "2", "--n-sweep", f"{10 ** 9}:{2 * 10 ** 9}:geometric"]
 

@@ -1,5 +1,6 @@
 """Dense Hamiltonians, the Jacobi eigensolver, and the spectrum oracle."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -23,6 +24,7 @@ from hschain import (
 from hschain.cli import main
 from hschain.hamiltonian import (
     _check_oracle_cost,
+    _json_floats,
     _momentum_blocks,
     _multiplicity_pattern,
     _sector_eigenvalues,
@@ -149,13 +151,15 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
     (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
-    # 5 x 8 x 25**5 bytes: 391 MB of spectra, but writing them as JSON takes 781 MB more
-    (ChainSpec("HS", 5, 25), "over the budget"),
+    # 5 x 8 x 31**5 bytes: 1.15 GB of spectra; the report is written from them a piece at a time
+    (ChainSpec("HS", 5, 31), "over the budget"),
     # m**N has 4,516 digits, past the 4,300 that Python converts to text
     (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
     (ChainSpec("HS", 13, 2), None),  # 1.69e8 units; 7.57e9 over its whole weight sectors
     (ChainSpec("HS", 14, 2), None),  # 1.39e9 units
-    (ChainSpec("HS", 5, 24), None),  # 955 MB of spectra and report
+    (ChainSpec("HS", 5, 24), None),  # 319 MB of spectra
+    (ChainSpec("HS", 5, 25), None),  # 391 MB of spectra
+    (ChainSpec("HS", 5, 30), None),  # 972 MB of spectra
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -229,8 +233,9 @@ def test_oracle_peak_stays_within_its_prediction(monkeypatch):
 
 
 def test_the_oracle_gate_counts_the_written_report(tmp_path, monkeypatch):
-    # HS N=4 m=16: 65,536 states; writing the two lists of the report in
-    # pieces peaks near 0.75 of the prediction, at 94 bytes a state
+    # HS N=4 m=16: 65,536 states; writing the two spectra of the report
+    # from slices of their arrays peaks near 0.77 of the prediction, at 36
+    # bytes a state
     calls = _spy_on_the_gate(monkeypatch)
     tracemalloc.start()
     try:
@@ -509,8 +514,17 @@ def test_oracle_agreement_at_eleven_spins():
 def test_oracle_report_serializes():
     payload = oracle_compare(ChainSpec("PF", 3, 2)).to_json_dict()
     assert payload["spec"]["family"] == "PF"
-    assert len(payload["eigenvalues"]) == 8
+    assert len(json.loads("".join(payload["eigenvalues"]("")))) == 8
     assert sum(payload["motif_multiplicities"]) == 8
+
+
+@pytest.mark.parametrize("size", [0, 1, 4096, 4097, 3 * 4096 + 5])
+def test_a_spectrum_is_written_as_json_writes_its_float_list(size):
+    rng = np.random.default_rng(size)
+    values = rng.normal(size=size) * 10.0 ** rng.integers(-300, 300, size)
+    for pad in ("", "    "):
+        assert "".join(_json_floats(values, pad)) == json.dumps(
+            values.tolist(), indent=2).replace("\n", "\n" + pad)
 
 
 def _loop_multiplicity_pattern(values, tol):
