@@ -183,6 +183,22 @@ def _requested_formats(args) -> list:
     return [fmt for fmt in _FORMATS if fmt in formats]
 
 
+def _csv_lines(rows):
+    """Yield each row of cells as one CSV line, each cell as
+    :func:`format_cell` writes it.  A row is written by one %-format whose
+    text, "%.17g" for a float cell and "%s" for any other (an int, a string
+    or a Fraction, as str writes them), is made once per tuple of cell types,
+    so no Python call is made per cell."""
+    formats = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        text = formats.get(kinds)
+        if text is None:
+            text = formats[kinds] = ",".join("%.17g" if issubclass(kind, float) else "%s"
+                                             for kind in kinds)
+        yield text % tuple(row)
+
+
 def _emit(args, command: str, config: dict, **artifacts) -> None:
     """Write the artifacts that --format asks for as <out>/<command>.<format>.
 
@@ -202,7 +218,7 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
             pieces = artifact(header)
         elif fmt == "csv":
             columns, rows = artifact
-            pieces = [csv_text(header, columns, (",".join(map(format_cell, row)) for row in rows))]
+            pieces = [csv_text(header, columns, _csv_lines(rows))]
         elif fmt == "json":
             pieces = chain(_json_text({"config": config, **artifact()}), ["\n"])
         else:

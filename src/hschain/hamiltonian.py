@@ -15,7 +15,9 @@ keep, and the oracle calls it once per solved weight sector: one of those
 that a permutation of the colours maps onto one another.  On the circle
 lattice h_ij depends on (i - j) mod N only, so an HS sector splits further
 into momentum blocks over the orbits of the rotation, taken from the
-sector matrix; PF and FI sectors are solved whole.  The Jacobi sweeps
+sector matrix.  A PF or FI sector splits by the swaps of colours with equal
+counts, which every exchange commutes with, into one block per character of
+the group they generate.  The Jacobi sweeps
 rotate disjoint pairs of indices together, one numpy update per round, for
 a whole stack of equal-size blocks at once.
 
@@ -191,11 +193,26 @@ def _momentum_sizes(n: int, counts: tuple[int, ...]) -> list[int]:
     return [size for size in sizes if size]
 
 
+def _colour_swaps(counts: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Disjoint pairs (a, b), a < b, of colours with equal nonzero counts:
+    the colours of each count are paired in order, one left over when
+    their number is odd."""
+    swaps, waiting = [], {}
+    for colour, count in enumerate(counts):
+        if count:
+            if count in waiting:
+                swaps.append((waiting.pop(count), colour))
+            else:
+                waiting[count] = colour
+    return swaps
+
+
 def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list[int]]]:
     """Refuse a chain whose m**N eigenvalues, motif values and temporaries,
     with the report written from them, pass the memory budget; only then
     list (and return) the solved sectors with the sizes of their blocks
-    (an HS sector's momentum blocks, every other sector whole), and refuse
+    (an HS sector's momentum blocks, the 2**t equal swap blocks of any
+    other sector with t colour swaps), and refuse
     a chain whose solved blocks, with the largest sector matrix and a copy
     of it or with Jacobi's working copies of the largest stack of
     equal-size blocks (3.5 stacks measured, 5 counted), join them over the
@@ -216,9 +233,11 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
             f"spectra and {piece} bytes to write them as JSON")
     spectra_and_report = 5 * 8 * spec.n_states + piece
     check_grid_budget(text, spectra_and_report)
-    sectors = [(counts, copies,
-                _momentum_sizes(spec.n_spins, counts) if spec.family == "HS" else [dim])
-               for counts, copies, dim in _solved_sectors(spec)]
+    sectors = []
+    for counts, copies, dim in _solved_sectors(spec):
+        swaps = len(_colour_swaps(counts))
+        sectors.append((counts, copies, _momentum_sizes(spec.n_spins, counts)
+                        if spec.family == "HS" else [dim >> swaps] * (1 << swaps)))
     largest = max(sum(sizes) for _, _, sizes in sectors)
     blocks = Counter(size for _, _, sizes in sectors for size in sizes)
     stack = max(count * (size + size % 2) ** 2 for size, count in blocks.items())
@@ -289,6 +308,43 @@ def _momentum_blocks(spec: ChainSpec, states: np.ndarray, h: np.ndarray) -> list
         imag = (imag - imag.T) / 2
         blocks.append(np.block([[real, -imag], [imag, real]]))
     return blocks
+
+
+def _swap_blocks(spec: ChainSpec, counts: tuple[int, ...], states: np.ndarray,
+                 h: np.ndarray) -> list[np.ndarray]:
+    """The 2**t exactly symmetric blocks of a sector matrix `h` on ascending
+    `states` with `counts`, one per character of the group of the t colour
+    swaps of :func:`_colour_swaps`; `h` itself when t = 0.
+
+    Relabelling colours commutes with every exchange.  A swap of two colours
+    with equal counts maps the sector onto itself, and no state is its own
+    image under a nontrivial product g of the swaps, since g moves a colour
+    that the state holds, so every orbit has 2**t states.  An orbit is kept
+    by its least state r, and the character chi(g) = (-1)**(bits shared by
+    s and g) gives the block B_s[a, b] = sum_g chi(g) H[r_a, g r_b] of
+    dim / 2**t states, from the representatives' rows.  Each swap moves
+    every state by its own shift of base-m digits, placed by one
+    searchsorted; the products are composed from those positions.  Each
+    block is made exactly symmetric by averaging it with its transpose.
+    """
+    swaps = _colour_swaps(counts)
+    if not swaps:
+        return [h]
+    n, m = spec.n_spins, spec.m
+    weight = m ** np.arange(n - 1, -1, -1)
+    digits = states[:, None] // weight % m
+    places = [np.arange(states.size)]  # position of g state for g = 0, ..., 2**t - 1
+    signs = np.ones((1, 1))  # chi_s(g) at [s, g], the high bit of g the latest swap
+    for a, b in swaps:
+        shift = ((digits == a) * weight - (digits == b) * weight).sum(axis=1) * (b - a)
+        turn = np.searchsorted(states, states + shift)
+        places += [turn[place] for place in places]
+        signs = np.block([[signs, signs], [signs, -signs]])
+    places = np.stack(places)
+    reps = np.flatnonzero(places.min(axis=0) == places[0])
+    rows = h[reps[:, None, None], places[:, reps]]  # H[r_a, g r_b] at [a, g, b]
+    blocks = np.einsum("agb,sg->sab", rows, signs)
+    return list((blocks + blocks.swapaxes(1, 2)) / 2)
 
 
 def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> DenseOperator:
@@ -439,7 +495,8 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     for index, (counts, _, _) in enumerate(sectors):
         states = _sector_states(spec, counts)
         h = build_hamiltonian(spec, states, coef).matrix
-        for block in _momentum_blocks(spec, states, h) if spec.family == "HS" else [h]:
+        for block in (_momentum_blocks(spec, states, h) if spec.family == "HS"
+                      else _swap_blocks(spec, counts, states, h)):
             by_size.setdefault(block.shape[0], []).append((index, k * block))
         del h  # before the next sector's is built
     spectra = [[] for _ in sectors]

@@ -23,7 +23,7 @@ ENUMERATION_CEILING = 10 ** 8
 COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 summed over the blocks it solves, about 0.25 us each
 # (HS N=13 m=2 makes 1.69e8 over its momentum blocks and took 46 s).
-ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 1.42e9
+ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 8.3e8
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
 # 9.95e8 on the default grid, took 22.7 s.
@@ -159,7 +159,8 @@ class DensityTable:
         texts, degeneracies = self._energy_texts, self.degeneracies
         for start in range(0, len(texts), _PIECE_LEVELS):
             stop = start + _PIECE_LEVELS
-            yield "".join(map("{},{}\n".format, texts[start:stop], degeneracies[start:stop]))
+            yield "".join([f"{text},{count}\n"
+                           for text, count in zip(texts[start:stop], degeneracies[start:stop])])
 
     def to_json_dict(self) -> dict:
         """The density's JSON payload: its energy scale, its total and its

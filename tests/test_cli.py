@@ -11,10 +11,10 @@ import pytest
 import hschain.cli
 import hschain.table
 from hschain import ANTIFERRO, ChainSpec
-from hschain.cli import _json_text, main
+from hschain.cli import _csv_lines, _json_text, main
 from hschain.density import density_dp
 from hschain.levelstats import spacing_distribution
-from hschain.table import csv_text, format_rational
+from hschain.table import csv_text, format_cell, format_rational
 from small_tables import table_of
 
 
@@ -33,6 +33,19 @@ def test_density_brute_csv(tmp_path):
     assert "# family = PF" in header
     body = [line for line in lines if not line.startswith("#")]
     assert body == ["energy,degeneracy", "0,4", "1,2", "2,2"]
+
+
+def test_csv_lines_write_each_cell_as_format_cell_does():
+    floats = [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0, float("inf"),
+              float("-inf"), float("nan"), 2.0 / 3.0]
+    rows = [
+        *zip(np.array(floats), floats, np.arange(10), range(-5, 5)),
+        ("mu", "1/3", Fraction(7, 2), Fraction(4)),
+        ("check", "", np.float64(0.25), True),
+        ("check", "", np.int64(3), np.float32(0.1)),
+        ("50%", "%s", 0.5, 1),
+    ]
+    assert list(_csv_lines(iter(rows))) == [",".join(map(format_cell, row)) for row in rows]
 
 
 def test_density_json_and_fractional_energies(tmp_path):

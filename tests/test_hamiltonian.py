@@ -30,6 +30,7 @@ from hschain.hamiltonian import (
     _sector_eigenvalues,
     _sector_states,
     _solved_sectors,
+    _swap_blocks,
     exchange_coefficients,
 )
 
@@ -160,6 +161,9 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 24), None),  # 319 MB of spectra
     (ChainSpec("HS", 5, 25), None),  # 391 MB of spectra
     (ChainSpec("HS", 5, 30), None),  # 972 MB of spectra
+    (ChainSpec("PF", 7, 5), None),  # 2.50e8 units over its swap blocks; 2.94e9 over whole sectors
+    (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.25e9 units; 1.89e10 over whole sectors
+    (ChainSpec("PF", 7, 7), "over the ceiling"),  # 3.25e9 units
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -197,10 +201,12 @@ def _oracle_prediction(calls):
     return nbytes
 
 
-def _blocks(spec, states, h):
+def _blocks(spec, counts, states, h):
     """The blocks the oracle solves for one sector matrix: an HS sector's
-    momentum blocks, any other sector whole."""
-    return _momentum_blocks(spec, states, h) if spec.family == "HS" else [h]
+    momentum blocks, any other sector's colour-swap blocks."""
+    if spec.family == "HS":
+        return _momentum_blocks(spec, states, h)
+    return _swap_blocks(spec, counts, states, h)
 
 
 @pytest.mark.parametrize("spec", [
@@ -211,9 +217,9 @@ def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
     h = _whole(spec)
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
-    solved = [s for c, s in _brute_sectors(spec).items() if list(c) == sorted(c, reverse=True)]
-    sizes = [b.shape[0] for s in solved for b in _blocks(spec, s, h[np.ix_(s, s)])]
-    assert sum(sizes) == sum(s.size for s in solved)
+    solved = {c: s for c, s in _brute_sectors(spec).items() if list(c) == sorted(c, reverse=True)}
+    sizes = [b.shape[0] for c, s in solved.items() for b in _blocks(spec, c, s, h[np.ix_(s, s)])]
+    assert sum(sizes) == sum(s.size for s in solved.values())
     assert calls[-1][2] == sum(size ** 3 for size in sizes)
 
 
@@ -427,7 +433,7 @@ def test_solved_sectors_share_the_whole_matrix_off_norm_bound(spec, monkeypatch)
     blocks, copies = [], 0
     for counts, sector_copies, _ in _solved_sectors(spec):
         s = sectors[counts]
-        own = _blocks(spec, s, h[np.ix_(s, s)])
+        own = _blocks(spec, counts, s, h[np.ix_(s, s)])
         blocks += own
         copies += sector_copies * len(own)
     assert len(sectors) == math.comb(spec.n_spins + spec.m - 1, spec.m - 1)
@@ -461,13 +467,35 @@ def test_momentum_blocks_hold_the_sector_spectrum(n, m):
 
 
 @pytest.mark.parametrize("spec", [ChainSpec("HS", n, 2) for n in range(2, 13)]
-                         + [ChainSpec("HS", n, 3) for n in range(2, 8)])
+                         + [ChainSpec("HS", n, 3) for n in range(2, 8)]
+                         + [ChainSpec("PF", n, m) for n, m in ((2, 2), (4, 2), (6, 2), (8, 2),
+                                                                (5, 3), (6, 3), (4, 4), (6, 4))]
+                         + [ChainSpec("FI", n, m, alpha=2)
+                            for n, m in ((4, 2), (5, 3), (4, 4), (5, 5))])
 def test_the_gate_predicts_the_block_sizes_built(spec):
     coef = exchange_coefficients(spec)
     for counts, _, sizes in _check_oracle_cost(spec):
         states = _sector_states(spec, counts)
-        blocks = _momentum_blocks(spec, states, build_hamiltonian(spec, states, coef).matrix)
+        blocks = _blocks(spec, counts, states, build_hamiltonian(spec, states, coef).matrix)
         assert [b.shape[0] for b in blocks] == sizes
+
+
+@pytest.mark.parametrize("family", ["PF", "FI"])
+@pytest.mark.parametrize("n, m", [(n, m) for m in (1, 2, 3, 4) for n in range(2, 9)
+                                  if m ** n <= 4096])
+def test_swap_blocks_hold_the_sector_spectrum(family, n, m):
+    # every weight sector, sorted counts or not, and both signs: the swaps of
+    # colours with equal counts split the sector into 2**t exactly symmetric
+    # blocks of equal size, whose spectra together are the sector's
+    for epsilon in (1, -1):
+        spec = ChainSpec(family, n, m, epsilon, alpha=2 if family == "FI" else None)
+        coef = exchange_coefficients(spec)
+        for counts, states in _brute_sectors(spec).items():
+            h = build_hamiltonian(spec, states, coef).matrix
+            blocks = _swap_blocks(spec, counts, states, h)
+            assert all(np.array_equal(b, b.T) for b in blocks)
+            values = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+            assert np.abs(values - np.linalg.eigvalsh(h)).max() < 1e-10
 
 
 def test_oracle_two_spin_direct_match():
@@ -494,6 +522,8 @@ def test_oracle_agreement_small_chains(spec):
     ChainSpec("FI", 5, 3, alpha=2),
     ChainSpec("HS", 8, 2, epsilon=-1),
     ChainSpec("HS", 4, 4),
+    # two colour swaps, 0 <-> 1 and 2 <-> 3: sector (1, 1, 1, 1) splits into 4 blocks of 6
+    ChainSpec("FI", 4, 4, alpha=2),
 ])
 def test_oracle_agreement_beyond_two_colours_and_six_spins(spec):
     report = oracle_compare(spec)
