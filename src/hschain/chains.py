@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -186,7 +186,18 @@ class DispersionTable:
         return sum(self.scaled)
 
     def as_floats(self) -> np.ndarray:
+        return self._floats.copy()
+
+    @cached_property
+    def _floats(self) -> np.ndarray:
+        """The float weights, formed once per table; callers must not write
+        to them (:meth:`as_floats` hands out a copy)."""
         return np.array([s / self.energy_scale for s in self.scaled])
+
+    @cached_property
+    def _palindromic(self) -> bool:
+        """Whether the weights read the same backwards, as HS's do."""
+        return self.scaled == self.scaled[::-1]
 
 
 def dispersion(spec: ChainSpec) -> DispersionTable:
@@ -213,8 +224,8 @@ def dispersion(spec: ChainSpec) -> DispersionTable:
 def _check_dispersion_budget(n: int) -> None:
     # measured with tracemalloc at N = 10**6: the tuple takes 40 bytes a bond,
     # a pointer and an int object, and the float conversion of
-    # normalized_dispersion lifts the peak to 80.5; FI weights past 2**60 take
-    # 4 to 8 bytes more for their wider ints
+    # normalized_dispersion, which the table keeps, lifts the peak to 80.5; FI
+    # weights past 2**60 take 4 to 8 bytes more for their wider ints
     check_grid_budget(f"dispersion of {n - 1} bonds needs 88 bytes per bond = {88 * (n - 1)} "
                       "bytes", 88 * (n - 1))
 
@@ -249,7 +260,7 @@ def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
     else:
         p, scale = alpha.numerator, alpha.denominator
         scaled = tuple(i * (p + scale * (i - 1)) for i in range(1, n))
-    if any(s <= 0 for s in scaled):
+    if min(scaled) <= 0:
         raise ValidationError("dispersion values must be strictly positive")
     return DispersionTable(scaled=scaled, energy_scale=scale)
 
@@ -263,6 +274,5 @@ def normalized_dispersion(spec: ChainSpec, sigma: float) -> np.ndarray:
     """
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
-    disp = dispersion(spec)
-    return disp.as_floats() / (spec.m * float(sigma))
+    return dispersion(spec)._floats / (spec.m * float(sigma))
 

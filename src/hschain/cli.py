@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid configuration or capacity violation,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -497,7 +498,11 @@ def _add_grid_options(parser) -> None:
     parser.add_argument("--t-points", type=int, default=241)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it
+    was, and each parse returns a fresh namespace, so every ``main`` call in
+    one process shares it."""
     parser = _ArgumentParser(
         prog="hschain",
         description="Exact spectra and level statistics of spin chains of Haldane-Shastry type.",

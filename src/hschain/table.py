@@ -182,7 +182,9 @@ class DensityTable:
         key order is one int64 argsort of the texts as ASCII bytes, whose
         order is the texts' own; each piece takes its indices from it as
         Python ints.  The texts are distinct, so any sort gives that order;
-        the stable one runs about 4x faster on them than the default."""
+        the stable one runs about 4x faster on them than the default.  A
+        piece is one %-format of its texts and degeneracies, interleaved,
+        whose format text is made once for every full piece."""
         texts, degeneracies = self._energy_texts, self.degeneracies
         if not texts:
             yield "{}"
@@ -190,9 +192,15 @@ class DensityTable:
         order = np.argsort(np.array(texts, dtype=np.bytes_), kind="stable")
         separator = f",\n{pad}  "
         lead = f"{{\n{pad}  "
+        item = '"%s": %s'
+        full = separator.join([item] * _PIECE_LEVELS)
         for start in range(0, len(order), _PIECE_LEVELS):
+            index = order[start:start + _PIECE_LEVELS].tolist()
+            cells = [None] * (2 * len(index))
+            cells[::2] = [texts[i] for i in index]
+            cells[1::2] = [degeneracies[i] for i in index]
+            form = full if len(index) == _PIECE_LEVELS else separator.join([item] * len(index))
             yield lead
-            yield separator.join(f'"{texts[i]}": {degeneracies[i]}'
-                                 for i in order[start:start + _PIECE_LEVELS].tolist())
+            yield form % tuple(cells)
             lead = separator
         yield f"\n{pad}}}"

@@ -105,20 +105,32 @@ def column_sum_residual(omega, m: int) -> np.ndarray:
     return np.abs(value - target)
 
 
-def _dirichlet_mean(c, m: int) -> np.ndarray:
+def _dirichlet_mean(c, m: int, out=None) -> np.ndarray:
     """U_{m-1}(c) / m, from U_0 = 1 and U_1 = 2c by U_{k+1} = 2c U_k - U_{k-1}.
 
     At c = cos(x/2) this is the real Dirichlet mean sin(m x/2) / (m sin(x/2)),
     the top eigenvalue of T(e^(i x)) without its phase e^(i (m-1) x/2).  It
     is exactly 1 at c = 1, where every U_k is the integer k + 1.
+
+    ``out`` is a scratch stack of three float arrays of c's shape.  Given
+    one, c is overwritten as well and the value is one of the four arrays,
+    so nothing is allocated; without one, c is kept and new arrays are made.
+    Each U_(k+1) goes into the array that holds neither 2c, U_k nor U_(k-1).
     """
+    if out is None:
+        c, out = np.array(c, dtype=float), np.empty((3,) + np.shape(c))
     if m == 1:
-        return np.ones_like(c)
-    two_c = c + c
+        c.fill(1.0)
+        return c
+    two_c = np.add(c, c, out[0, ...])
+    spare = (out[1, ...], out[2, ...], c)
     prev, cur = 1.0, two_c
-    for _ in range(m - 2):
-        prev, cur = cur, two_c * cur - prev
-    return cur / m
+    for k in range(m - 2):
+        new = spare[k % 3]
+        np.multiply(two_c, cur, new)
+        np.subtract(new, prev, new)
+        prev, cur = cur, new
+    return np.divide(cur, m, cur)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +228,10 @@ def _reflected_bonds(spec: ChainSpec) -> int:
     """The number c of bonds that the reflection i <-> N - i repeats:
     floor((N - 1)/2) where the bond weights read the same backwards, as
     HS's F(i) = i (N - i) do, and 0 otherwise (PF, FI, or a single bond).
-    Decided from the exact scaled integers.  The kernels then run only the
-    first N - 1 - c bonds."""
-    scaled = dispersion(spec).scaled
-    return len(scaled) // 2 if scaled == scaled[::-1] else 0
+    Decided once per dispersion table from the exact scaled integers.  The
+    kernels then run only the first N - 1 - c bonds."""
+    table = dispersion(spec)
+    return len(table) // 2 if table._palindromic else 0
 
 
 def _ferro_center(spec: ChainSpec, stats: SpectrumStats):
@@ -258,41 +270,72 @@ def charfn_exact(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=Non
     The steps (w_i - 1) p_(r+1) / p_r are built a block of bonds at a time,
     from one real cos and one sin over the block's (bond, t) phases.  A
     block holds about ``_CHUNK_BYTES`` (512 KiB) of steps, or one bond's
-    where those are larger, so the memory does not grow with N.
+    where those are larger, so the memory does not grow with N.  The
+    buffers of a block and of the two states are made once per call
+    (:func:`_run_states`), so the loop over bonds allocates nothing.
     """
     stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
     gam = normalized_dispersion(spec, stats.sigma)
     cut = _reflected_bonds(spec)
-    bonds = gam[: gam.size - cut]
+    weights = (m * gam[: gam.size - cut])[:, None, None]
     ratios, join = _run_factors(m)
     ratios = ratios[:, None]
     center = float(_ferro_center(spec, stats)) / stats.sigma
 
     def ferro_at(flat):
-        state = np.zeros((m, flat.size), dtype=complex)
-        state[0] = 1.0
-        spare = np.empty_like(state)
-        block = max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, flat.size)))
-        for lo in range(0, bonds.size, block):
-            theta = (m * bonds[lo : lo + block, None, None]) * flat
-            steps = np.empty((theta.shape[0], m - 1, flat.size), dtype=complex)
-            np.multiply(np.cos(theta) - 1.0, ratios, out=steps.real)
-            np.multiply(np.sin(theta), ratios, out=steps.imag)
-            for step in steps:
-                np.add.reduce(state, axis=0, out=spare[0])
-                np.multiply(state[:-1], step, out=spare[1:])
-                state, spare = spare, state
+        state, before = _run_states(weights, ratios, flat)
         if not cut:
             return np.exp(-1j * center * flat) * state.sum(axis=0)
-        del theta, steps  # the join's temporaries reuse the last block's memory
-        first = spare if bonds.size > cut else state
+        first = before if weights.shape[0] > cut else state
         total = np.zeros(flat.size, dtype=complex)
         for r in range(m):
             total += first[r] * (join[r, : m - r, None] * state[: m - r]).sum(axis=0)
         return np.exp(-1j * center * flat) * total
 
     return _mirrored(t, spec.epsilon != FERRO, ferro_at)
+
+
+def _run_states(weights, ratios, flat):
+    """The run recursion of :func:`charfn_exact` over the bonds whose phases
+    per unit of t are `weights` (m gamma_i, shaped (bonds, 1, 1)), on the t
+    values `flat`: the last state and the one a bond back.
+
+    Every buffer is made once per call.  A block of phases, their cos and
+    sin, and the steps are written into buffers of one block, and the steps'
+    per-bond rows are listed once; the two states are viewed once each
+    (whole, row 0, rows [:-1] and rows [1:]), and a bond swaps the two
+    tuples of views.  So a bond makes no Python object and calls
+    ``np.add.reduce`` and ``np.multiply`` with positional ``out``; a block
+    allocates nothing, and the last, shorter block takes views of the
+    buffers' first rows.  The operations and their order are those of one
+    array per block.
+    """
+    m, size, bonds = len(ratios) + 1, flat.size, len(weights)  # a ratio per r = 0 .. m-2
+    block = min(bonds, max(1, _CHUNK_BYTES // (16 * max(1, m - 1) * max(1, size))))
+    theta = np.empty((block, 1, size))
+    trig = np.empty_like(theta)
+    steps = np.empty((block, m - 1, size), dtype=complex)
+    real, imag, rows = steps.real, steps.imag, list(steps)
+    state = np.zeros((m, size), dtype=complex)
+    state[0] = 1.0
+    cur, nxt = [(a, a[0], a[:-1], a[1:]) for a in (state, np.empty_like(state))]
+    reduce_sum, multiply = np.add.reduce, np.multiply
+    for lo in range(0, bonds, block):
+        if bonds - lo < block:
+            k = bonds - lo
+            theta, trig, real, imag, rows = theta[:k], trig[:k], real[:k], imag[:k], rows[:k]
+        np.multiply(weights[lo : lo + block], flat, theta)
+        np.cos(theta, trig)
+        np.subtract(trig, 1.0, trig)
+        np.multiply(trig, ratios, real)
+        np.sin(theta, trig)
+        np.multiply(trig, ratios, imag)
+        for step in rows:
+            reduce_sum(cur[0], 0, None, nxt[1])
+            multiply(cur[2], step, nxt[3])
+            cur, nxt = nxt, cur
+    return cur[0], nxt[0]
 
 
 def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_grid=None) -> np.ndarray:
@@ -319,7 +362,9 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     The factors are taken a chunk of t values at a time, each chunk about
     ``_CHUNK_BYTES`` (512 KiB) of floats, or one t value's where those are
     larger, and reduced to its products before the next, so the memory
-    does not grow with the number of t values times N.
+    does not grow with the number of t values times N.  The chunk's phases,
+    cosines, recurrence and products are written into buffers made once
+    per call, the last, shorter chunk into their first rows.
     """
     stats, t = _stats_and_grid(spec, stats, t_grid)
     m = spec.m
@@ -330,11 +375,22 @@ def charfn_asymptotic(spec: ChainSpec, stats: SpectrumStats | None = None, t_gri
     drift = Fraction(m - 1, 2 * m) * dispersion(spec).total - _ferro_center(spec, stats)
 
     def ferro_at(flat):
+        size = min(rows, flat.size)
+        scratch = np.empty((3, size, half.size))
+        cosines = np.empty((size, half.size))
+        first, rest = np.empty(size), np.empty(size)
         product = np.empty(flat.shape)
         for lo in range(0, flat.size, rows):
-            factors = _dirichlet_mean(np.cos(flat[lo : lo + rows, None] * half), m)
-            first = factors[:, :cut].prod(axis=-1)
-            product[lo : lo + rows] = first * first * factors[:, cut:].prod(axis=-1)
+            if flat.size - lo < size:
+                k = flat.size - lo
+                scratch, cosines, first, rest = scratch[:, :k], cosines[:k], first[:k], rest[:k]
+            np.multiply(flat[lo : lo + rows, None], half, scratch[0])
+            np.cos(scratch[0], cosines)
+            factors = _dirichlet_mean(cosines, m, scratch)
+            np.multiply.reduce(factors[:, :cut], -1, None, first)
+            np.multiply.reduce(factors[:, cut:], -1, None, rest)
+            np.multiply(first, first, first)
+            np.multiply(first, rest, product[lo : lo + rows])
         return np.exp(1j * (float(drift) / stats.sigma) * flat) * product
 
     return _mirrored(t, spec.epsilon != FERRO, ferro_at)

@@ -220,3 +220,17 @@ def test_dispersion_integers_equal_the_rational_weights(family, alpha):
         assert len(table) == n - 1
         # one correctly rounded division is float() of the exact rational
         assert np.array_equal(table.as_floats(), np.array([float(v) for v in values])), spec
+
+
+@pytest.mark.parametrize("family, alpha", [("HS", None), ("PF", None), ("FI", Fraction(3, 2))])
+def test_a_written_float_copy_leaves_the_weights_alone(family, alpha):
+    # the float weights are formed once per table; as_floats hands out a copy
+    spec = ChainSpec(family, 9, 3, alpha=alpha)
+    table = dispersion(spec)
+    exact = np.array([float(v) for v in weights(table)])
+    before = normalized_dispersion(spec, 2.0)
+    floats = table.as_floats()
+    floats[:] = -1.0
+    assert np.array_equal(normalized_dispersion(spec, 2.0), before)
+    assert np.array_equal(before, exact / 6.0)
+    assert np.array_equal(table.as_floats(), exact)

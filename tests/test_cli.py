@@ -589,3 +589,17 @@ def test_unreadable_spec_path_exits_one(tmp_path, capsys):
     folder.mkdir()
     assert run(tmp_path, "density", "--spec", str(folder)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_one_parser_serves_every_main_call_in_a_process(tmp_path):
+    assert hschain.cli.build_parser() is hschain.cli.build_parser()
+    charfn = ["charfn", "--family", "hs", "--N", "64", "--m", "3", "--antiferro",
+              "--format", "csv,svg"]
+    assert main(charfn + ["--out", str(tmp_path / "first")]) == 0
+    assert main(["convergence", "--family", "pf", "--m", "2", "--n-sweep", "8:32:geometric",
+                 "--t-points", "41", "--out", str(tmp_path / "between")]) == 0
+    # the first call's --antiferro stays with its own namespace
+    assert "# epsilon = +1\n" in (tmp_path / "between" / "convergence.csv").read_text()
+    assert main(charfn + ["--out", str(tmp_path / "again")]) == 0
+    for name in ("charfn.csv", "charfn.svg"):
+        assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()

@@ -496,3 +496,46 @@ def test_asymptotic_charfn_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20, kernel.__name__
+
+
+def _bits(values):
+    """Shape and bytes of an array: equal for two arrays only if every value,
+    its sign bit and any NaN payload are."""
+    values = np.asarray(values)
+    return values.shape, values.tobytes()
+
+
+def _nan_filled(make):
+    def filled(*args, **kwargs):
+        out = make(*args, **kwargs)
+        if out.dtype.kind in "fc":
+            out.fill(complex(math.nan, math.nan) if out.dtype.kind == "c" else math.nan)
+        return out
+    return filled
+
+
+def test_reused_buffers_are_written_before_they_are_read(monkeypatch):
+    # both kernels make their buffers once per call with np.empty and fill
+    # them block by block; a NaN in any buffer cell read before it is written
+    # would reach the output.  The grids cover short last blocks and chunks:
+    # 1001 points give 501 |t| values, more than one chunk of the
+    # asymptotic kernel at N = 300
+    grids = (None, np.linspace(-5.0, 3.0, 38), np.linspace(-6.0, 6.0, 1001))
+    cases = [(ChainSpec(family, n, m, eps, alpha), t)
+             for (family, alpha), m, n, eps in itertools.product(
+                 FAMILIES, (2, 3, 5), (2, 3, 17, 300, 301), (1, -1))
+             for t in grids]
+    kernels = (charfn_exact, charfn_asymptotic)
+    expected = [[_bits(kernel(spec, t_grid=t)) for kernel in kernels] for spec, t in cases]
+    monkeypatch.setattr(np, "empty", _nan_filled(np.empty))
+    monkeypatch.setattr(np, "empty_like", _nan_filled(np.empty_like))
+    for (spec, t), bits in zip(cases, expected):
+        assert [_bits(kernel(spec, t_grid=t)) for kernel in kernels] == bits, spec
+
+
+def test_a_call_leaves_nothing_for_the_next():
+    chains = (ChainSpec("HS", 4096, 3), ChainSpec("PF", 300, 3), ChainSpec("HS", 4096, 3))
+    first, between, again = ([_bits(kernel(spec)) for kernel in (charfn_exact, charfn_asymptotic)]
+                             for spec in chains)
+    assert again == first
+    assert between != first
