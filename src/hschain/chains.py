@@ -215,19 +215,30 @@ def dispersion(spec: ChainSpec) -> DispersionTable:
     Raises
     ------
     CapacityError
-        If the weights, at 88 bytes a bond, would exceed the memory budget;
-        this is checked before any weight is built.
+        If the weights, at 80 bytes a bond and 4 more for each 30-bit digit
+        of the largest one, would exceed the memory budget; this is checked
+        before any weight is built.
     """
     return _dispersion(spec.family, spec.n_spins, spec.alpha)
 
 
-def _check_dispersion_budget(n: int) -> None:
-    # measured with tracemalloc at N = 10**6: the tuple takes 40 bytes a bond,
-    # a pointer and an int object, and the float conversion of
-    # normalized_dispersion, which the table keeps, lifts the peak to 80.5; FI
-    # weights past 2**60 take 4 to 8 bytes more for their wider ints
-    check_grid_budget(f"dispersion of {n - 1} bonds needs 88 bytes per bond = {88 * (n - 1)} "
-                      "bytes", 88 * (n - 1))
+def _check_dispersion_budget(family: str, n: int, alpha: Fraction | None) -> None:
+    # measured with tracemalloc at N = 2 * 10**5: the tuple of weights, a
+    # pointer and an int object a bond, and the float conversion of
+    # normalized_dispersion, which the table keeps, peak at 80.1 bytes a bond
+    # for HS, PF and FI alpha = 3/2, 88.1 for FI alpha = 1/(10**15 + 37),
+    # 97.3 for 1/(10**40 + 1) and 124.1 for 1/(10**100 + 1), up to 52.1 past
+    # the largest weight's int object (24 bytes and 4 per 30-bit digit);
+    # counted as 56 past it
+    if family == "HS":
+        largest = (n // 2) * ((n + 1) // 2)
+    elif family == "PF":
+        largest = n - 1
+    else:
+        largest = (n - 1) * (alpha.numerator + alpha.denominator * (n - 2))
+    per_bond = 80 + 4 * max(1, -(-largest.bit_length() // 30))
+    check_grid_budget(f"dispersion of {n - 1} bonds needs {per_bond} bytes per bond = "
+                      f"{per_bond * (n - 1)} bytes", per_bond * (n - 1))
 
 
 def scaled_dispersion_total(spec: ChainSpec) -> int:
@@ -241,7 +252,7 @@ def scaled_dispersion_total(spec: ChainSpec) -> int:
     m**N, is formed for a chain whose weights could not be built.
     """
     n = spec.n_spins
-    _check_dispersion_budget(n)
+    _check_dispersion_budget(spec.family, n, spec.alpha)
     if spec.family == "HS":
         return n * (n * n - 1) // 6
     if spec.family == "PF":
@@ -252,7 +263,7 @@ def scaled_dispersion_total(spec: ChainSpec) -> int:
 
 @lru_cache(maxsize=1)
 def _dispersion(family: str, n: int, alpha: Fraction | None) -> DispersionTable:
-    _check_dispersion_budget(n)
+    _check_dispersion_budget(family, n, alpha)
     if family == "HS":
         scale, scaled = 1, tuple(i * (n - i) for i in range(1, n))
     elif family == "PF":

@@ -122,32 +122,36 @@ def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
 
 def _json_text(payload, pad: str = ""):
     """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, byte
-    for byte, for payloads with string keys, nested `pad` deep.
+    for byte, for payloads with string keys, nested `pad` deep, where a 1-d
+    float array is written as its list of floats.
 
     An indent sends the whole payload through json's pure-Python encoder.
     Here a value given as a function of its indent (the levels of
-    :meth:`DensityTable.to_json_dict`, the spectra of an oracle report)
-    yields its own pieces, and each other dict or list without containers
-    or such functions in it goes through the C encoder in one call, with
-    the newline and indent of its items as the item separator; only
-    containers of containers recurse in Python.  The pieces are yielded,
-    not joined, so no text of the whole payload is built: a flat list (an
-    oracle's multiplicities) is encoded ``_PIECE_LEVELS`` items at a time,
-    each text sliced once to drop its brackets.
+    :meth:`DensityTable.to_json_dict`) yields its own pieces, and each other
+    dict or list without containers or such functions in it goes through
+    the C encoder in one call, with the newline and indent of its items as
+    the item separator; only containers of containers recurse in Python.
+    The pieces are yielded, not joined, so no text of the whole payload is
+    built: a flat list (an oracle's multiplicities) or float array (its
+    spectra) is encoded ``_PIECE_LEVELS`` items at a time, each text sliced
+    once to drop its brackets, an array's items taken as Python floats from
+    one slice at a time.
     """
     if callable(payload):
         yield from payload(pad)
         return
-    if not isinstance(payload, (dict, list, tuple)):
+    array = isinstance(payload, np.ndarray)
+    if not array and not isinstance(payload, (dict, list, tuple)):
         yield json.dumps(payload)
         return
     opening, closing = "{}" if isinstance(payload, dict) else "[]"
-    if not payload:
+    if not len(payload):
         yield opening + closing
         return
     inner = pad + "  "
     values = payload.values() if isinstance(payload, dict) else payload
-    if not any(issubclass(kind, (dict, list, tuple, Callable)) for kind in set(map(type, values))):
+    if array or not any(issubclass(kind, (dict, list, tuple, Callable))
+                        for kind in set(map(type, values))):
         separators = (f",\n{inner}", ": ")
         pieces = ([payload] if isinstance(payload, dict) else
                   (payload[start:start + _PIECE_LEVELS]
@@ -155,7 +159,8 @@ def _json_text(payload, pad: str = ""):
         lead = f"{opening}\n{inner}"
         for piece in pieces:
             yield lead
-            yield json.dumps(piece, sort_keys=True, separators=separators)[1:-1]
+            yield json.dumps(piece.tolist() if array else piece, sort_keys=True,
+                             separators=separators)[1:-1]
             lead = separators[0]
     else:
         if isinstance(payload, dict):

@@ -12,29 +12,29 @@ integers, site geometry instead of the dispersion sequence.
 Every exchange keeps the number of spins of each colour, so
 ``build_hamiltonian`` builds H on any set of basis states that exchanges
 keep, and the oracle calls it once per solved weight sector: one of those
-that a permutation of the colours maps onto one another.  On the circle
-lattice h_ij depends on (i - j) mod N only, so an HS sector splits further
-into momentum blocks over the orbits of the rotation, taken from the
-sector matrix.  A PF or FI sector splits by the swaps of colours with equal
-counts, which every exchange commutes with, into one block per character of
-the group they generate.  The Jacobi sweeps
-rotate disjoint pairs of indices together, one numpy update per round, for
-a whole stack of equal-size blocks at once.
+that a permutation of the colours maps onto one another.  Each sector then
+splits by one group of permutations that commute with H, described once by
+``_sector_group`` (its characters, the states each element keeps, and where
+each element takes the states): the rotations of the circle lattice for an
+HS sector, whose h_ij depends on (i - j) mod N only, and the swaps of
+colours with equal counts for a PF or FI sector.  ``_symmetry_blocks``
+projects the sector matrix onto one block per character of either group.
+The Jacobi sweeps rotate disjoint pairs of indices together, one numpy
+update per round, for a whole stack of equal-size blocks at once.
 
 Only small chains are in scope: the gate predicts every block size from
-the colour counts, and holds the blocks, the largest sector matrix, the
-largest stack and the m**N spectra to the memory budget and the Jacobi
+the group's characters and the states each element keeps, both taken from
+the colour counts alone, and holds the blocks, the largest sector matrix,
+the largest stack and the m**N spectra to the memory budget and the Jacobi
 work of the solved blocks to ``ORACLE_CEILING``, while the site layout has
 no cap.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
-from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -170,29 +170,6 @@ def _solved_sectors(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
             for p in partitions(spec.n_spins, spec.n_spins, spec.m)]
 
 
-def _momentum_sizes(n: int, counts: tuple[int, ...]) -> list[int]:
-    """Sizes of the nonempty momentum blocks p = 0, ..., n // 2 of the HS
-    weight sector with `counts`, as :func:`_momentum_blocks` builds them,
-    from the number of rotation orbits of each period; no state is listed.
-
-    A state is fixed by the rotation T**d, d dividing n, when it is n // d
-    copies of its first d spins, which needs every count divisible by n // d
-    (Burnside); those of exact period d are the rest once the ones of each
-    smaller period dividing d are taken away (Moebius), in orbits of d.  An
-    orbit of period L carries momentum p when p L is a multiple of n, and
-    the blocks of 0 < p < n/2 hold p and -p together, twice the orbits.
-    """
-    exact = {}  # states of exact period d, by the divisors d of n
-    for d in (d for d in range(1, n + 1) if n % d == 0):
-        repeat = n // d
-        fixed = 0 if any(c % repeat for c in counts) else (
-            math.factorial(d) // math.prod(math.factorial(c // repeat) for c in counts))
-        exact[d] = fixed - sum(e for period, e in exact.items() if d % period == 0)
-    sizes = (sum(e // d for d, e in exact.items() if p * d % n == 0) * (1 if 2 * p % n == 0 else 2)
-             for p in range(n // 2 + 1))
-    return [size for size in sizes if size]
-
-
 def _colour_swaps(counts: tuple[int, ...]) -> list[tuple[int, int]]:
     """Disjoint pairs (a, b), a < b, of colours with equal nonzero counts:
     the colours of each count are paired in order, one left over when
@@ -207,17 +184,86 @@ def _colour_swaps(counts: tuple[int, ...]) -> list[tuple[int, int]]:
     return swaps
 
 
-def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list[int]]]:
+class _Group(NamedTuple):
+    """The symmetry group of one weight sector, as :func:`_symmetry_blocks`
+    projects H onto it and :func:`_check_oracle_cost` counts its blocks."""
+
+    characters: np.ndarray  # chi(g) at [character, element], the identity element first
+    real: np.ndarray  # which characters are real
+    fixed: list  # the sector states each element keeps, from the counts alone
+    places: Callable  # ascending states -> the position of g state at [element, state]
+
+
+def _sector_group(spec: ChainSpec, counts: tuple[int, ...], dim: int) -> _Group:
+    """The group that splits the weight sector with `counts` (of `dim`
+    states) into blocks, each element a permutation of the sector that
+    commutes with every exchange.
+
+    On the circle lattice h_ij depends on (i - j) mod N only, so an HS
+    sector has the N rotations T**j, which move every spin j sites on, with
+    the momentum characters exp(2 pi i p j / N), p = 0, ..., N // 2 (p and
+    -p give one real block).  T**j keeps the states that are N / g copies
+    of their first g = gcd(j, N) spins, which needs N / g to divide every
+    count: multinomial(g; counts g / N) of them.  Any other sector has the
+    2**t products of the t colour swaps of :func:`_colour_swaps`, relabellings
+    that keep the sector, with the characters (-1)**(bits shared by s and g),
+    the high bit of g the latest swap; only the identity keeps a state,
+    since any other product moves a colour that the state holds.  Each swap
+    moves every state by its own shift of base-m digits, placed by one
+    searchsorted; the products are composed from those positions.
+    """
+    n, m = spec.n_spins, spec.m
+    if spec.family == "HS":
+        high = m ** (n - 1)
+
+        def rotations(states: np.ndarray) -> np.ndarray:
+            places, turn = np.empty((n, states.size), dtype=np.intp), states
+            for j in range(n):
+                places[j] = np.searchsorted(states, turn)
+                turn = turn % high * m + turn // high
+            return places
+
+        fixed = []
+        for g in (math.gcd(j, n) for j in range(n)):
+            fixed.append(0 if any(c * g % n for c in counts) else
+                         math.factorial(g) // math.prod(math.factorial(c * g // n) for c in counts))
+        momenta = np.arange(n // 2 + 1)
+        angles = momenta[:, None] * np.arange(n) % n * (2 * math.pi / n)
+        characters = np.empty(angles.shape, dtype=complex)
+        characters.real, characters.imag = np.cos(angles), np.sin(angles)
+        return _Group(characters, 2 * momenta % n == 0, fixed, rotations)
+    swaps = _colour_swaps(counts)
+    order = range(1 << len(swaps))
+    signs = np.array([[(-1) ** (s & g).bit_count() for g in order] for s in order], dtype=float)
+    weight = m ** np.arange(n - 1, -1, -1)
+
+    def products(states: np.ndarray) -> np.ndarray:
+        places = [np.arange(states.size)]
+        for a, b in swaps:
+            digits = states[:, None] // weight % m
+            shift = ((digits == a) * weight - (digits == b) * weight).sum(axis=1) * (b - a)
+            turn = np.searchsorted(states, states + shift)
+            places += [turn[place] for place in places]
+        return np.stack(places)
+
+    return _Group(signs, np.ones(len(signs), dtype=bool), [dim] + [0] * (len(signs) - 1), products)
+
+
+def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list[int], _Group]]:
     """Refuse a chain whose m**N eigenvalues, motif values and temporaries,
     with the report written from them, pass the memory budget; only then
-    list (and return) the solved sectors with the sizes of their blocks
-    (an HS sector's momentum blocks, the 2**t equal swap blocks of any
-    other sector with t colour swaps), and refuse
+    list (and return) the solved sectors with the sizes of their blocks and
+    their groups, and refuse
     a chain whose solved blocks, with the largest sector matrix and a copy
     of it or with Jacobi's working copies of the largest stack of
     equal-size blocks (3.5 stacks measured, 5 counted), join them over the
     budget, or whose sum of size**3 over the solved blocks passes
     ``ORACLE_CEILING``.
+
+    A block of :func:`_symmetry_blocks` holds the orbits on whose stabiliser
+    its character chi is trivial, (1 / |G|) sum_g conj(chi(g)) Fix(g) of them
+    (Burnside's count, by character), with Fix(g) the states that g keeps;
+    a complex chi holds them twice.  No state is listed.
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -235,11 +281,14 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     check_grid_budget(text, spectra_and_report)
     sectors = []
     for counts, copies, dim in _solved_sectors(spec):
-        swaps = len(_colour_swaps(counts))
-        sectors.append((counts, copies, _momentum_sizes(spec.n_spins, counts)
-                        if spec.family == "HS" else [dim >> swaps] * (1 << swaps)))
-    largest = max(sum(sizes) for _, _, sizes in sectors)
-    blocks = Counter(size for _, _, sizes in sectors for size in sizes)
+        group = _sector_group(spec, counts, dim)
+        # the sum is real, so only the characters' real parts enter it
+        orbits = np.rint(np.einsum("sg,g->s", group.characters.real, group.fixed)
+                         / len(group.fixed))
+        sizes = [int(k) << (not r) for k, r in zip(orbits, group.real) if k]
+        sectors.append((counts, copies, sizes, group))
+    largest = max(sum(sizes) for _, _, sizes, _ in sectors)
+    blocks = Counter(size for _, _, sizes, _ in sectors for size in sizes)
     stack = max(count * (size + size % 2) ** 2 for size, count in blocks.items())
     held = sum(count * size * size for size, count in blocks.items())
     work = sum(count * size ** 3 for size, count in blocks.items())
@@ -263,88 +312,52 @@ def _sector_states(spec: ChainSpec, counts: tuple[int, ...]) -> np.ndarray:
     return states
 
 
-def _momentum_blocks(spec: ChainSpec, states: np.ndarray, h: np.ndarray) -> list[np.ndarray]:
-    """The exactly symmetric momentum blocks p = 0, ..., N // 2 of an HS
-    sector matrix `h` on ascending `states`, empty ones left out.
+def _symmetry_blocks(h: np.ndarray, places: np.ndarray, characters: np.ndarray,
+                     real: np.ndarray) -> list[np.ndarray]:
+    """The exactly symmetric blocks of a sector matrix `h`, one per
+    character of a group G of permutations of the sector that commute with
+    H, empty ones left out; `h` itself when G is trivial.
 
-    The rotation T moves every spin one site on, and h_ij depends on
-    (i - j) mod N only, so T commutes with H.  An orbit of T is kept by its
-    least state r, of period L, and carries momentum p when p L is a
-    multiple of N; between such orbits H_p[a, b] = sqrt(L_a L_b) / N
-    sum_j exp(2 pi i p j / N) H[r_a, T**j r_b], a cosine and a sine sum
-    over j of the representatives' rows (numpy's FFT module would cost a
-    fresh process 0.6 MB more to load).  Each block is made exactly
-    Hermitian by averaging it with its transpose, its real part symmetric
-    and its imaginary part antisymmetric.  p = 0 and p = N/2 are real; for
-    0 < p < N/2 the real block [[Re, -Im], [Im, Re]] has each eigenvalue of
-    H_p twice, the spectra of p and -p.
+    `places` gives the position of g r for every element g and state r (the
+    identity first), and `characters` chi(g) at [character, element].  An
+    orbit is kept by its least state r_a, of L_a states, and enters the
+    block of chi when chi is trivial on its stabiliser; between such orbits
+    B_chi[a, b] = sqrt(L_a L_b) / |G| sum_g chi(g) H[r_a, g r_b], a real and
+    an imaginary sum over g of the representatives' rows (numpy's FFT
+    module would cost a fresh process 0.6 MB more to load).  Each block is
+    made exactly Hermitian by averaging it with its transpose, its real part
+    symmetric and its imaginary part antisymmetric; a complex chi gives the
+    real block [[Re, -Im], [Im, Re]], which holds each eigenvalue of B_chi
+    twice, the spectra of chi and of its conjugate.
     """
-    n, m = spec.n_spins, spec.m
-    high = m ** (n - 1)
-    turns = [states]  # T**j of every state, j = 0, ..., N - 1
-    for _ in range(n - 1):
-        turns.append(turns[-1] % high * m + turns[-1] // high)
-    turns = np.stack(turns)
-    reps = np.flatnonzero(turns.min(axis=0) == states)
-    # T**N is the identity, so every orbit returns by j = N
-    period = np.argmax(np.vstack([turns[1:, reps], states[reps]]) == states[reps], axis=0) + 1
-    rows = h[reps][:, np.searchsorted(states, turns[:, reps])]  # H[r_a, T**j r_b] at [a, j, b]
-    angles = np.outer(np.arange(n // 2 + 1), np.arange(n)) % n * (2 * math.pi / n)
-    cosine = np.einsum("ajb,pj->abp", rows, np.cos(angles))
-    sine = np.einsum("ajb,pj->abp", rows, np.sin(angles))
-    weight = np.sqrt(period / n)
+    if len(places) == 1:
+        return [h]
+    reps = np.flatnonzero(places.min(axis=0) == places[0])
+    stabiliser = places[:, reps] == reps  # whether g keeps r_a, at [g, a]
+    rows = h[reps][:, places[:, reps]]  # H[r_a, g r_b] at [a, g, b], a innermost
+    # einsum's order of summation, and so the blocks' last bits, follows the
+    # operands' strides; the characters are made contiguous for it
+    sums = np.einsum("agb,sg->sab", rows, np.ascontiguousarray(characters.real))
+    if not real.all():
+        imaginary = np.einsum("agb,sg->sab", rows, np.ascontiguousarray(characters.imag))
+    # sum_g chi(g) over the stabiliser is its order where chi is trivial on it, else 0
+    order = stabiliser.sum(axis=0)
+    kept = np.einsum("sg,ga->sa", characters.real, stabiliser) > order - 0.5
+    weight = np.sqrt(1 / order)  # sqrt(L_a / |G|)
     blocks = []
-    for p in range(n // 2 + 1):
-        keep = np.flatnonzero(p * period % n == 0)
+    for s in range(len(characters)):
+        keep = np.flatnonzero(kept[s])
         if not keep.size:
             continue
         scale = np.outer(weight[keep], weight[keep])
-        real = cosine[keep][:, keep, p] * scale
-        real = (real + real.T) / 2
-        if 2 * p % n == 0:
-            blocks.append(real)
-            continue
-        imag = sine[keep][:, keep, p] * scale
-        imag = (imag - imag.T) / 2
-        blocks.append(np.block([[real, -imag], [imag, real]]))
+        block = sums[s][keep][:, keep] * scale
+        block = (block + block.T) / 2
+        if not real[s]:
+            imag = imaginary[s][keep][:, keep] * scale
+            imag = (imag - imag.T) / 2
+            block = np.block([[block, -imag], [imag, block]])
+        blocks.append(block)
     return blocks
-
-
-def _swap_blocks(spec: ChainSpec, counts: tuple[int, ...], states: np.ndarray,
-                 h: np.ndarray) -> list[np.ndarray]:
-    """The 2**t exactly symmetric blocks of a sector matrix `h` on ascending
-    `states` with `counts`, one per character of the group of the t colour
-    swaps of :func:`_colour_swaps`; `h` itself when t = 0.
-
-    Relabelling colours commutes with every exchange.  A swap of two colours
-    with equal counts maps the sector onto itself, and no state is its own
-    image under a nontrivial product g of the swaps, since g moves a colour
-    that the state holds, so every orbit has 2**t states.  An orbit is kept
-    by its least state r, and the character chi(g) = (-1)**(bits shared by
-    s and g) gives the block B_s[a, b] = sum_g chi(g) H[r_a, g r_b] of
-    dim / 2**t states, from the representatives' rows.  Each swap moves
-    every state by its own shift of base-m digits, placed by one
-    searchsorted; the products are composed from those positions.  Each
-    block is made exactly symmetric by averaging it with its transpose.
-    """
-    swaps = _colour_swaps(counts)
-    if not swaps:
-        return [h]
-    n, m = spec.n_spins, spec.m
-    weight = m ** np.arange(n - 1, -1, -1)
-    digits = states[:, None] // weight % m
-    places = [np.arange(states.size)]  # position of g state for g = 0, ..., 2**t - 1
-    signs = np.ones((1, 1))  # chi_s(g) at [s, g], the high bit of g the latest swap
-    for a, b in swaps:
-        shift = ((digits == a) * weight - (digits == b) * weight).sum(axis=1) * (b - a)
-        turn = np.searchsorted(states, states + shift)
-        places += [turn[place] for place in places]
-        signs = np.block([[signs, signs], [signs, -signs]])
-    places = np.stack(places)
-    reps = np.flatnonzero(places.min(axis=0) == places[0])
-    rows = h[reps[:, None, None], places[:, reps]]  # H[r_a, g r_b] at [a, g, b]
-    blocks = np.einsum("agb,sg->sab", rows, signs)
-    return list((blocks + blocks.swapaxes(1, 2)) / 2)
 
 
 def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> DenseOperator:
@@ -489,14 +502,13 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     ``JACOBI_OFF_TOL / k`` in the blocks' units."""
     sectors = _check_oracle_cost(spec)
     coef = exchange_coefficients(spec)
-    k = 2.0 ** (((sum(copies * len(sizes) for _, copies, sizes in sectors) - 1).bit_length()
+    k = 2.0 ** (((sum(copies * len(sizes) for _, copies, sizes, _ in sectors) - 1).bit_length()
                  + 1) // 2)
     by_size = {}  # block size: [(sector index, scaled block)]
-    for index, (counts, _, _) in enumerate(sectors):
+    for index, (counts, _, _, group) in enumerate(sectors):
         states = _sector_states(spec, counts)
         h = build_hamiltonian(spec, states, coef).matrix
-        for block in (_momentum_blocks(spec, states, h) if spec.family == "HS"
-                      else _swap_blocks(spec, counts, states, h)):
+        for block in _symmetry_blocks(h, group.places(states), group.characters, group.real):
             by_size.setdefault(block.shape[0], []).append((index, k * block))
         del h  # before the next sector's is built
     spectra = [[] for _ in sectors]
@@ -507,29 +519,13 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
         for index, row in zip(indices, jacobi_eigenvalues(stack) / k):
             spectra[index].append(row)
     return np.sort(np.concatenate([np.tile(np.concatenate(rows), copies)
-                                   for rows, (_, copies, _) in zip(spectra, sectors)]))
+                                   for rows, (_, copies, _, _) in zip(spectra, sectors)]))
 
 
 def _multiplicity_pattern(values: np.ndarray, tol: float) -> tuple[int, ...]:
     """Cluster ascending values whose gaps stay below tol; return sizes."""
     starts = np.flatnonzero(np.diff(values) > tol) + 1
     return tuple(np.diff(starts, prepend=0, append=len(values)).tolist())
-
-
-def _json_floats(values: np.ndarray, pad: str):
-    """Yield, in pieces, the text ``json.dumps(indent=2)`` writes for the
-    float list of `values` `pad` deep, ``_PIECE_LEVELS`` values a piece,
-    each encoded from a slice of the array."""
-    if not values.size:
-        yield "[]"
-        return
-    separators = (f",\n{pad}  ", ": ")
-    lead = f"[\n{pad}  "
-    for start in range(0, values.size, _PIECE_LEVELS):
-        yield lead
-        yield json.dumps(values[start:start + _PIECE_LEVELS].tolist(), separators=separators)[1:-1]
-        lead = separators[0]
-    yield f"\n{pad}]"
 
 
 class OracleReport(NamedTuple):
@@ -550,13 +546,13 @@ class OracleReport(NamedTuple):
         return self.eigen_multiplicities == self.motif_multiplicities
 
     def to_json_dict(self) -> dict:
-        """The report's JSON payload.  Each spectrum is a function of its
-        indent, as :meth:`DensityTable.to_json_dict` gives its levels, so
-        no list of its floats is built."""
+        """The report's JSON payload.  The spectra are the float arrays
+        themselves, which the CLI's JSON writer encodes a slice at a time,
+        so no list of their floats is built."""
         return {
             "spec": self.spec.to_json_dict(),
-            "eigenvalues": partial(_json_floats, self.eigenvalues),
-            "motif_values": partial(_json_floats, self.motif_values),
+            "eigenvalues": self.eigenvalues,
+            "motif_values": self.motif_values,
             "direct_deviation": self.direct_deviation,
             "affine_scale": self.affine_scale,
             "affine_offset": self.affine_offset,

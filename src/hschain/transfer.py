@@ -105,20 +105,18 @@ def column_sum_residual(omega, m: int) -> np.ndarray:
     return np.abs(value - target)
 
 
-def _dirichlet_mean(c, m: int, out=None) -> np.ndarray:
+def _dirichlet_mean(c: np.ndarray, m: int, out: np.ndarray) -> np.ndarray:
     """U_{m-1}(c) / m, from U_0 = 1 and U_1 = 2c by U_{k+1} = 2c U_k - U_{k-1}.
 
     At c = cos(x/2) this is the real Dirichlet mean sin(m x/2) / (m sin(x/2)),
     the top eigenvalue of T(e^(i x)) without its phase e^(i (m-1) x/2).  It
     is exactly 1 at c = 1, where every U_k is the integer k + 1.
 
-    ``out`` is a scratch stack of three float arrays of c's shape.  Given
-    one, c is overwritten as well and the value is one of the four arrays,
-    so nothing is allocated; without one, c is kept and new arrays are made.
-    Each U_(k+1) goes into the array that holds neither 2c, U_k nor U_(k-1).
+    ``out`` is a scratch stack of three float arrays of c's shape.  The
+    float array c is overwritten as well and the value is one of the four
+    arrays, so nothing is allocated.  Each U_(k+1) goes into the array that
+    holds neither 2c, U_k nor U_(k-1).
     """
-    if out is None:
-        c, out = np.array(c, dtype=float), np.empty((3,) + np.shape(c))
     if m == 1:
         c.fill(1.0)
         return c

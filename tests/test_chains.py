@@ -9,9 +9,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hschain.chains
 from hschain import (CapacityError, ChainSpec, ValidationError, dispersion,
                      normalized_dispersion)
-from hschain.chains import scaled_dispersion_total
+from hschain.chains import _dispersion, scaled_dispersion_total
 
 
 def weights(table):
@@ -168,7 +169,7 @@ def test_normalized_weights_match_their_exact_squares():
 
 
 def test_a_huge_dispersion_is_refused_before_any_weight_is_built():
-    # at 88 bytes a bond, a billion spins would take 88 GB
+    # at 84 bytes a bond, a billion spins would take 84 GB
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="dispersion of 999999999 bonds"):
@@ -177,6 +178,30 @@ def test_a_huge_dispersion_is_refused_before_any_weight_is_built():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("HS", None), ("PF", None), ("FI", Fraction(3, 2)),
+    # scaled weights of 86, 169 and 368 bits at N = 2 * 10**5
+    ("FI", Fraction(1, 10**15 + 37)), ("FI", Fraction(1, 10**40 + 1)),
+    ("FI", Fraction(1, 10**100 + 1)),
+])
+def test_the_dispersion_peak_stays_within_the_gate(family, alpha, monkeypatch):
+    # the gate counts the int width of the largest scaled weight before any
+    # weight is built; a flat 88 bytes a bond undercounted the wide FI weights
+    counted = []
+    check = hschain.chains.check_grid_budget
+    monkeypatch.setattr(hschain.chains, "check_grid_budget",
+                        lambda text, nbytes: counted.append(nbytes) or check(text, nbytes))
+    _dispersion.cache_clear()
+    tracemalloc.start()
+    try:
+        normalized_dispersion(ChainSpec(family, 2 * 10 ** 5, 2, alpha=alpha), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _dispersion.cache_clear()
+    assert counted and peak <= counted[0], (peak, counted)
 
 
 def test_normalized_weights_scale_inversely_with_sigma():

@@ -200,9 +200,18 @@ def test_repeated_runs_are_byte_identical(tmp_path):
                 "nested": [{"b": [], "a": {"y": None, "x": True}}, "text\nwith \"quotes\" \u00e9"]}},
     [[], [{}], [[1]], 7],
     "a scalar",
+    # float arrays, an oracle's spectra, as their float lists: 4,096 values a piece
+    *(pytest.param(values, id=f"floats-{values.size}") for values in (
+        np.random.default_rng(size).normal(size=size)
+        * 10.0 ** np.random.default_rng(size).integers(-300, 300, size)
+        for size in (0, 1, 4096, 4097, 3 * 4096 + 5))),
+    pytest.param(np.array([-0.0, 5e-324, 0.0, 2.5e-310]), id="floats-signed-zero-subnormal"),
+    pytest.param({"eigenvalues": np.linspace(-1.0, 2.0, 4097), "multiplicities": [1, 2]},
+                 id="floats-nested"),
 ])
 def test_json_text_equals_the_indented_sorted_encoder_byte_for_byte(payload):
-    assert "".join(_json_text(payload)) == json.dumps(payload, indent=2, sort_keys=True)
+    assert "".join(_json_text(payload)) == json.dumps(payload, indent=2, sort_keys=True,
+                                                      default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("sign", ["ferro", "antiferro"])

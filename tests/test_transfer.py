@@ -41,12 +41,18 @@ def test_unit_point_eigenvalues_pick_out_the_last():
     assert np.allclose(eigenvalues(1.0, 3), [0.0, 0.0, 1.0], atol=1e-15)
 
 
+def _mean(c, m):
+    """The Dirichlet mean of a float copy of `c`, in a scratch array of its own."""
+    c = np.array(c, dtype=float)
+    return _dirichlet_mean(c, m, np.empty((3,) + c.shape))
+
+
 def _top_eigenvalue(x, m):
     """lambda_m(e^(i x)) as charfn_asymptotic forms it: the real Dirichlet
     mean of cos(x/2) times the phase e^(i (m-1) x/2), which that kernel
     gathers into one phase per t."""
     x = np.asarray(x, dtype=float)
-    return _dirichlet_mean(np.cos(x / 2), m) * np.exp(0.5j * (m - 1) * x)
+    return _mean(np.cos(x / 2), m) * np.exp(0.5j * (m - 1) * x)
 
 
 def test_top_eigenvalue_closed_form_two_states():
@@ -410,7 +416,7 @@ def _charfn_asymptotic_every_bond(spec, stats, t):
     drift = Fraction(m - 1, 2 * m) * dispersion(spec).total - mu_ferro
 
     def ferro_at(flat):
-        product = _dirichlet_mean(np.cos(flat[:, None] * half), m).prod(axis=-1)
+        product = _mean(np.cos(flat[:, None] * half), m).prod(axis=-1)
         return np.exp(1j * (float(drift) / stats.sigma) * flat) * product
 
     return _mirrored(t, spec.epsilon != 1, ferro_at)
