@@ -4,10 +4,11 @@ The three chains are defined by pairwise spin exchanges with strengths set
 by the site geometry: inverse sin**2 on the uniform circle lattice,
 inverse square distance at the Hermite zeros, inverse sinh**2 at half the
 log of the Laguerre zeros.  Building the dense matrix, diagonalising it
-with self-contained Jacobi rotations, and comparing the eigenvalue
-multiset with the motif spectrum exercises a completely different code
-path from the counting backends: floating point instead of exact
-integers, site geometry instead of the dispersion sequence.
+with a self-contained Householder reduction and Sturm multisection, and
+comparing the eigenvalue multiset with the motif spectrum exercises a
+completely different code path from the counting backends: floating
+point instead of exact integers, site geometry instead of the dispersion
+sequence.
 
 Every exchange keeps the number of spins of each colour, so
 ``build_hamiltonian`` builds H on any set of basis states that exchanges
@@ -19,15 +20,18 @@ each element takes the states): the rotations of the circle lattice for an
 HS sector, whose h_ij depends on (i - j) mod N only, and the swaps of
 colours with equal counts for a PF or FI sector.  ``_symmetry_blocks``
 projects the sector matrix onto one block per character of either group.
-The Jacobi sweeps rotate disjoint pairs of indices together, one numpy
-update per round, for a whole stack of equal-size blocks at once.
+The blocks of every solved sector then go to one solver call: each stack
+of equal-size blocks is reduced to tridiagonal form by Householder
+reflections, and one Sturm multisection, vectorised over every
+eigenvalue of every block, brackets them all at once (Barth, Martin and
+Wilkinson, Numer. Math. 9 (1967) 386).
 
 Only small chains are in scope: the gate predicts every block size from
 the group's characters and the states each element keeps, both taken from
 the colour counts alone, and holds the blocks, the largest sector matrix,
-the largest stack and the m**N spectra to the memory budget and the Jacobi
-work of the solved blocks to ``ORACLE_CEILING``, while the site layout has
-no cap.
+the solver's arrays and the m**N spectra to the memory budget and the
+solver's work on the solved blocks to ``ORACLE_CEILING``, while the site
+layout has no cap.
 """
 
 from __future__ import annotations
@@ -41,29 +45,31 @@ import numpy as np
 from .chains import ChainSpec
 from .density import density_dp
 from .errors import ConvergenceError, ValidationError
-from .table import _PIECE_LEVELS, ORACLE_CEILING, check_grid_budget
+from .table import _CHUNK_BYTES, _PIECE_LEVELS, ORACLE_CEILING, check_grid_budget
 
 ZERO_RESIDUAL_TOL = 1e-10
-JACOBI_OFF_TOL = 1e-10
-JACOBI_MAX_SWEEPS = 60
 CLUSTER_TOL = 1e-6
+# The parts each Sturm step cuts a bracket into, and the steps the gate
+# counts: a bracket starts about twice the call's largest Gershgorin bound
+# wide and stops at 2 eps times it, 2**52 narrower, 3 bits a step.
+_SECTIONS = 8
+_STURM_STEPS = math.ceil(52 / math.log2(_SECTIONS))
 
 
 def _orthopoly_zeros(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, float]:
     """Zeros of the degree-n orthogonal polynomial with the given Jacobi
     recurrence coefficients, plus the worst recurrence residual.
 
-    Eigenvalues of the symmetric tridiagonal Jacobi matrix give the zeros;
-    one Newton step on the orthonormal three-term recurrence then polishes
-    them.  The residual is the Newton correction length |p/p'| at the
+    Eigenvalues of the symmetric tridiagonal Jacobi matrix give the zeros,
+    found by the oracle's own Sturm multisection, so the oracle makes no
+    LAPACK call; one Newton step on the orthonormal three-term recurrence
+    then polishes them.  The residual is the Newton correction length |p/p'| at the
     refined zeros, i.e. the remaining root error in coordinate units; the
     raw polynomial value would not be scale-free.
     """
     n = diag.size
-    jac = np.diag(diag)
-    if n > 1:
-        jac += np.diag(offdiag, 1) + np.diag(offdiag, -1)
-    x = np.linalg.eigvalsh(jac)
+    # the couplings are positive, so the matrix is one run and its zeros ascend
+    x = _multisection(diag, np.append(0.0, offdiag) ** 2)
 
     def recurrence(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p_prev = np.zeros_like(points)
@@ -253,17 +259,22 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     """Refuse a chain whose m**N eigenvalues, motif values and temporaries,
     with the report written from them, pass the memory budget; only then
     list (and return) the solved sectors with the sizes of their blocks and
-    their groups, and refuse
-    a chain whose solved blocks, with the largest sector matrix and a copy
-    of it or with Jacobi's working copies of the largest stack of
-    equal-size blocks (3.5 stacks measured, 5 counted), join them over the
-    budget, or whose sum of size**3 over the solved blocks passes
-    ``ORACLE_CEILING``.
+    their groups, and refuse a chain whose solved blocks, with the largest
+    sector matrix and a copy of it or with the solver's own arrays, join
+    them over the budget, or whose solver work passes ``ORACLE_CEILING``.
 
     A block of :func:`_symmetry_blocks` holds the orbits on whose stabiliser
     its character chi is trivial, (1 / |G|) sum_g conj(chi(g)) Fix(g) of them
     (Burnside's count, by character), with Fix(g) the states that g keeps;
     a complex chi holds them twice.  No state is listed.
+
+    The solver (:func:`jacobi_eigenvalues`) holds a copy of the largest
+    stack of equal-size blocks and one outer product of its trailing
+    blocks, 128 bytes a solved eigenvalue for its lanes and their results,
+    and one piece of lanes, 4 x ``_CHUNK_BYTES``.  Its work is size**3 a
+    block for the Householder reduction and 2 x ``_STURM_STEPS`` x
+    (``_SECTIONS`` - 1) x size**2 for the multisection: a Sturm evaluation
+    (one row of one lane at one point) took about twice a size**3 unit.
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -289,14 +300,19 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
         sectors.append((counts, copies, sizes, group))
     largest = max(sum(sizes) for _, _, sizes, _ in sectors)
     blocks = Counter(size for _, _, sizes, _ in sectors for size in sizes)
-    stack = max(count * (size + size % 2) ** 2 for size, count in blocks.items())
+    solved = sum(count * size for size, count in blocks.items())
+    stack = max(count * size * size for size, count in blocks.items())
     held = sum(count * size * size for size, count in blocks.items())
-    work = sum(count * size ** 3 for size, count in blocks.items())
+    sturm = 2 * _STURM_STEPS * (_SECTIONS - 1)
+    work = sum(count * (size ** 3 + sturm * size * size) for size, count in blocks.items())
+    solver = 16 * stack + 128 * solved + 4 * _CHUNK_BYTES
     check_grid_budget(f"{text} plus 8 x {held} for the solved blocks and the larger of "
-                      f"2 x 8 x {largest}**2 for the largest sector and 5 x 8 x {stack} for the "
-                      f"largest stack of blocks, and {work} units of Jacobi work, the sum of "
-                      "size**3 over the solved blocks",
-                      spectra_and_report + 8 * held + max(16 * largest * largest, 40 * stack),
+                      f"2 x 8 x {largest}**2 for the largest sector and {solver} for the solver "
+                      f"(2 x 8 x {stack} for the largest stack of blocks and its outer products, "
+                      f"128 x {solved} for its lanes and {4 * _CHUNK_BYTES} for one piece of "
+                      f"them), and {work} units of solver work, the sum over the solved blocks "
+                      f"of size**3 and {sturm} x size**2",
+                      spectra_and_report + 8 * held + max(16 * largest * largest, solver),
                       work, ORACLE_CEILING)
     return sectors
 
@@ -383,141 +399,204 @@ def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> 
     return DenseOperator(matrix=h)
 
 
-def _advance(src: np.ndarray, dst: np.ndarray) -> None:
-    """Copy the rows of `src` into `dst` in the next round's order.
-
-    Position 0 stays; every other index moves one place along the circle
-    1, ..., half - 1, size - 1, ..., half, so that position i meets
-    position half + i in each round and every two indices meet once in
-    size - 1 rounds.
-    """
-    half = src.shape[0] // 2
-    dst[0] = src[0]
-    dst[1] = src[half]
-    dst[2:half] = src[1:half - 1]
-    dst[half:-1] = src[half + 1:]
-    dst[-1] = src[half - 1]
-
-
-def jacobi_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix, or of each matrix of a
-    stack (B, n, n) of them, by parallel-order Jacobi.
+def jacobi_eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
+    """Ascending eigenvalues of a real symmetric matrix, of each matrix of
+    a stack (B, n, n) of them (one row each), or of each square block of a
+    list or tuple of them of any sizes (one array each).
 
     Deliberately not a LAPACK call: the point of this module is an
-    independent route.  A sweep is the size - 1 rounds of a round-robin
-    over the indices (Brent & Luk's ordering; odd sizes gain one decoupled
-    zero row, whose eigenvalue is dropped).  Each round rotates its size/2
-    disjoint pairs (i, half + i) of every matrix of the stack with one row
-    update and one column update, then moves the stack into the next
-    round's order.  Sweeps continue until the off-diagonal Frobenius norm
-    of the whole stack falls below ``JACOBI_OFF_TOL``, for at most
-    ``JACOBI_MAX_SWEEPS`` sweeps.  Ascending, one row per matrix of a stack.
+    independent route.  Each stack of equal-size blocks is reduced to
+    tridiagonal form by Householder reflections (:func:`_tridiagonal`), and
+    then one Sturm multisection (:func:`_multisection`) finds every
+    eigenvalue of every block at once.  The name is that of the Jacobi
+    solver that this route replaced: the oracle makes its one solve through
+    this module attribute, which the benchmark's tracer wraps by name.
     """
+    if isinstance(matrix, (list, tuple)):
+        blocks = [_checked(block, (2,)) for block in matrix]
+        values = _eigenvalues(blocks)
+        ends = np.cumsum([len(block) for block in blocks]).tolist()
+        return [values[end - len(block):end] for block, end in zip(blocks, ends)]
+    matrix = _checked(matrix, (2, 3))
+    stack = matrix if matrix.ndim == 3 else matrix[None]
+    values = _eigenvalues(list(stack)).reshape(stack.shape[:2])
+    return values if matrix.ndim == 3 else values[0]
+
+
+def _checked(matrix, ndims: tuple[int, ...]) -> np.ndarray:
+    """`matrix` as a float array of one of `ndims` dimensions, square,
+    finite and exactly symmetric in its last two axes, or refused."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim not in (2, 3) or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValidationError("jacobi_eigenvalues needs a square matrix or a stack of them")
+    if matrix.ndim not in ndims or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValidationError("jacobi_eigenvalues needs a square matrix, a stack of them "
+                              "or a list of them")
     if not np.isfinite(matrix).all():
         raise ValidationError("jacobi_eigenvalues needs finite entries")
     if not np.array_equal(matrix, matrix.swapaxes(-1, -2)):
         raise ValidationError("jacobi_eigenvalues needs an exactly symmetric matrix")
-    stack = matrix if matrix.ndim == 3 else matrix[None]
-    count, dim = stack.shape[:2]
-    if dim <= 1:
-        values = stack.diagonal(axis1=1, axis2=2).copy()
-    else:
-        # one padded working copy, a[row, member, column] so that a row of
-        # every member moves as one; a single matrix keeps its two axes
-        size = dim + dim % 2
-        a = np.zeros((size, count, size) if count > 1 else (size, size))
-        a[:dim, ..., :dim] = stack.transpose(1, 0, 2) if count > 1 else stack[0]
-        values = _sweep(a, dim).reshape(count, dim)
-    return values if matrix.ndim == 3 else values[0]
+    return matrix
 
 
-def _sweep(a: np.ndarray, dim: int) -> np.ndarray:
-    """Run the sweeps of :func:`jacobi_eigenvalues` on its working copy
-    `a`, a[row, ..., column]; the ascending eigenvalues of the first
-    `dim` indices, (member, value)."""
-    size = a.shape[0]
-    half = size // 2
-    spare = np.empty_like(a)
-    place = np.arange(size)  # original index at each position
-    top, bottom = a[:half], a[half:]
-    left, right = a[..., :half], a[..., half:]
-    diagonal = a.diagonal(axis1=0, axis2=-1)  # read-only views, (member, index)
-    app, aqq = diagonal[..., :half], diagonal[..., half:]
-    apq = a[:half, ..., half:].diagonal(axis1=0, axis2=-1)
+def _eigenvalues(blocks: list[np.ndarray]) -> np.ndarray:
+    """The eigenvalues of checked symmetric blocks in one array, block after
+    block, each block's ascending.  The blocks of each size are stacked
+    and reduced together; their diagonals and squared couplings are laid
+    end to end, each block starting a new run of the multisection.  Every
+    entry is first scaled by one power of two, exactly, to below 1, so that
+    no square or pivot overflows and no coupling of a tiny block squares
+    to 0."""
+    sizes = [len(block) for block in blocks]
+    ends = np.cumsum(sizes, dtype=np.intp)
+    diagonal, squares = np.empty(sum(sizes)), np.empty(sum(sizes))
+    exponent = math.frexp(max((max(b.max(), -b.min()) for b in blocks if b.size), default=0.0))[1]
+    by_size = {}
+    for index, size in enumerate(sizes):
+        by_size.setdefault(size, []).append(index)
+    stacks = [(ends[members] - size)[:, None] + np.arange(size)
+              for size, members in by_size.items()]
+    for places, members in zip(stacks, by_size.values()):
+        stack = np.stack([blocks[i] for i in members])
+        diagonal[places], squares[places] = _tridiagonal(np.ldexp(stack, -exponent, out=stack))
+    values = np.ldexp(_multisection(diagonal, squares), exponent)
+    for places in stacks:
+        values[places] = np.sort(values[places], axis=1)
+    return values
 
-    def off_norm() -> float:
-        # summed from the off-diagonal entries themselves; subtracting the
-        # diagonal from the total Frobenius norm would cancel catastrophically
-        gap = a.copy()
-        gap[place, ..., place] = 0.0
-        gap *= gap
-        return math.sqrt(float(gap.sum()))
 
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = off_norm()
-        if off < JACOBI_OFF_TOL:
-            break
-        for _ in range(size - 1):
-            # t = tan of the angle that zeroes a_pq, written without the
-            # quotient (a_qq - a_pp) / (2 a_pq), which overflows for tiny a_pq
-            half_gap = 0.5 * (aqq - app)
-            t = np.divide(apq * np.copysign(1.0, half_gap),
-                          np.abs(half_gap) + np.hypot(half_gap, apq),
-                          out=np.zeros(apq.shape), where=apq != 0.0)
-            c = 1.0 / np.sqrt(t * t + 1.0)
-            s = t * c
-            c_rows, s_rows = c.T[..., None], s.T[..., None]
-            upper = top.copy()
-            top *= c_rows
-            top -= s_rows * bottom
-            bottom *= c_rows
-            bottom += s_rows * upper
-            upper = left.copy()
-            left *= c
-            left -= right * s
-            right *= c
-            right += upper * s
-            if half > 1:  # a 2 x 2 matrix has a single round
-                _advance(a, spare)
-                _advance(spare.T, a.T)
-                _advance(place.copy(), place)
-    else:
-        off = off_norm()
-    if not off < JACOBI_OFF_TOL:
-        raise ConvergenceError(f"Jacobi sweeps exhausted with off-diagonal norm {off:.3e}")
-    return np.sort(diagonal[..., place < dim], axis=-1)
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reduce the stack `a` (B, n, n) of symmetric matrices to tridiagonal
+    form, in place; its diagonals (B, n) and squared couplings (B, n), at
+    [:, i] that of rows i - 1 and i ([:, 0] = 0).
+
+    Step k reflects x, the entries of row k past the diagonal, onto their
+    first place with v = x + sign(x_0) |x| e_1: with h = |v|**2 / 2,
+    p = A v / h and w = p - (v.p / 2h) v, the trailing block A becomes
+    A - v w^T - w v^T, one outer-product temporary.  The products are
+    einsums, so no BLAS is loaded.  A zero x has nothing to reflect: h
+    counts as 1 there, and v = 0 leaves A as it is.
+    """
+    count, n = a.shape[:2]
+    squares = np.zeros((count, n))
+    for k in range(n - 2):
+        x = a[:, k, k + 1:]
+        squares[:, k + 1] = np.einsum("bi,bi->b", x, x)
+        norm = np.sqrt(squares[:, k + 1])
+        v = x.copy()
+        v[:, 0] += np.copysign(norm, x[:, 0])
+        h = norm * (norm + np.abs(x[:, 0]))
+        h[h == 0.0] = 1.0
+        tail = a[:, k + 1:, k + 1:]
+        w = np.einsum("bij,bj->bi", tail, v) / h[:, None]
+        w -= (np.einsum("bi,bi->b", v, w) / (2 * h))[:, None] * v
+        outer = np.einsum("bi,bj->bij", v, w)
+        tail -= outer
+        tail -= outer.swapaxes(1, 2)
+        del outer  # before the next step's is made
+    if n > 1:
+        squares[:, n - 1] = a[:, n - 2, n - 1] ** 2
+    return a.diagonal(axis1=1, axis2=2).copy(), squares
+
+
+def _multisection(diagonal: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """Every eigenvalue of the symmetric tridiagonal matrices laid end to
+    end in `diagonal`, with squared couplings `squares` (squares[i] that of
+    rows i - 1 and i), a zero coupling starting a new run; ascending within
+    each run, in the run's places.
+
+    There is one lane per eigenvalue, the j-th of its run, holding a
+    bracket: first the run's Gershgorin interval, widened by 2 n floor.
+    Each step counts the eigenvalues below ``_SECTIONS - 1`` interior
+    points of every bracket at once, the negative pivots
+    q_i = d_i - x - e_i**2 / q_(i-1) (Sturm) counted from the sum of their
+    signs, and keeps the one of the ``_SECTIONS`` equal parts where the
+    count passes j.  A zero pivot divides to an infinity of its own sign,
+    the limit of a pivot of +-tiny (a signed zero has the sign of its sign
+    bit), and no coupling inside a run is zero, so no step divides 0 by 0.
+    The lanes are sorted by run size, longest first, so that row i updates
+    only the leading lanes whose run is longer than i, and are processed in
+    pieces whose point arrays hold ``_CHUNK_BYTES`` each; a run of one row
+    is its own eigenvalue and has no lane.  A bracket stops at the floor, 2
+    eps times the call's largest Gershgorin bound plus the least normal
+    float, which is at least the spacing of the floats at either of its
+    ends: so it stops by the time its ends are adjacent floats, on an
+    all-zero run too.  Each eigenvalue is its bracket's midpoint.
+    """
+    total = diagonal.size
+    values = np.empty(total)
+    if not total:
+        return values
+    starts = np.flatnonzero(squares == 0.0)
+    sizes = np.diff(starts, append=total)
+    radius = np.sqrt(squares)
+    radius[:-1] += radius[1:]
+    lower = np.minimum.reduceat(diagonal - radius, starts)
+    upper = np.maximum.reduceat(diagonal + radius, starts)
+    floor = 2 * np.finfo(float).eps * max(-lower.min(), upper.max()) + np.finfo(float).tiny
+    lower -= 2 * sizes * floor
+    upper += 2 * sizes * floor
+    single = starts[sizes == 1]
+    values[single] = diagonal[single]
+    # a Python sort: numpy's stable argsort would fault in code pages no other call uses
+    order = sorted(np.flatnonzero(sizes > 1).tolist(), key=sizes.item, reverse=True)
+    lane_run = np.repeat(order, sizes[order])
+    lane_rank = np.arange(lane_run.size) - np.repeat(np.cumsum(sizes[order]) - sizes[order],
+                                                     sizes[order])
+    pairs = np.stack([diagonal, squares], axis=1)
+    fractions = np.arange(1, _SECTIONS) / _SECTIONS
+    piece = _CHUNK_BYTES // fractions.nbytes
+    with np.errstate(divide="ignore", over="ignore"):
+        for first in range(0, lane_run.size, piece):
+            run = lane_run[first:first + piece]
+            rank = lane_rank[first:first + piece]
+            length = sizes[run]
+            active = np.searchsorted(-length, -np.arange(1, length[0])).tolist()
+            lo, hi = lower[run], upper[run]
+            place, pivot = np.empty(run.size, dtype=np.intp), np.empty((run.size, fractions.size))
+            sign, signs = np.empty(pivot.shape), np.empty(pivot.shape)
+            # the count, (length - the sum of the signs) / 2, passes j where
+            # that sum falls below length - 2 j
+            passed = (length - 2 * rank)[:, None].astype(float)
+            width = hi - lo
+            while width.max() > floor:
+                x = lo[:, None] + width[:, None] * fractions
+                place[:] = starts[run]
+                np.subtract(diagonal[place, None], x, out=pivot)
+                np.copysign(1.0, pivot, out=signs)
+                for a in active:
+                    place[:a] += 1
+                    row = pairs.take(place[:a], axis=0)
+                    q = pivot[:a]
+                    np.divide(row[:, 1:], q, out=q)
+                    np.subtract(row[:, :1], q, out=q)
+                    q -= x[:a]
+                    signs[:a] += np.copysign(1.0, q, out=sign[:a])
+                part = (signs >= passed).sum(axis=1)
+                hi = np.where(part == fractions.size, hi, lo + width * ((part + 1) / _SECTIONS))
+                lo = lo + width * (part / _SECTIONS)
+                width = hi - lo
+            values[starts[run] + rank] = lo + width / 2
+    return values
 
 
 def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     """Ascending eigenvalues of the dense Hamiltonian, each solved sector's
-    spectrum repeated by its `copies`.  Every solved sector is built, split
-    into its blocks, and the blocks of each size are solved in one stack.
-    The whole matrix, block-diagonal in the blocks' bases, is held to
-    ``JACOBI_OFF_TOL``: each block is scaled by a power of two k with k**2
-    at least the number of blocks, copies included, which scales its sweeps
-    exactly, so each stack ends at an off-diagonal norm below
-    ``JACOBI_OFF_TOL / k`` in the blocks' units."""
+    spectrum repeated by its `copies`.  Every solved sector is built and
+    split into its blocks, and the blocks of all sectors are solved in one
+    call of :func:`jacobi_eigenvalues`."""
     sectors = _check_oracle_cost(spec)
     coef = exchange_coefficients(spec)
-    k = 2.0 ** (((sum(copies * len(sizes) for _, copies, sizes, _ in sectors) - 1).bit_length()
-                 + 1) // 2)
-    by_size = {}  # block size: [(sector index, scaled block)]
+    blocks, owners = [], []
     for index, (counts, _, _, group) in enumerate(sectors):
         states = _sector_states(spec, counts)
         h = build_hamiltonian(spec, states, coef).matrix
-        for block in _symmetry_blocks(h, group.places(states), group.characters, group.real):
-            by_size.setdefault(block.shape[0], []).append((index, k * block))
-        del h  # before the next sector's is built
+        own = _symmetry_blocks(h, group.places(states), group.characters, group.real)
+        blocks += own
+        owners += [index] * len(own)
+        del h, own  # before the next sector's is built
     spectra = [[] for _ in sectors]
-    for size in list(by_size):
-        indices, blocks = zip(*by_size.pop(size))
-        stack = np.stack(blocks)
-        del blocks
-        for index, row in zip(indices, jacobi_eigenvalues(stack) / k):
-            spectra[index].append(row)
+    for index, values in zip(owners, jacobi_eigenvalues(blocks)):
+        spectra[index].append(values)
+    del blocks
     return np.sort(np.concatenate([np.tile(np.concatenate(rows), copies)
                                    for rows, (_, copies, _, _) in zip(spectra, sectors)]))
 

@@ -21,9 +21,11 @@ ENUMERATION_CEILING = 10 ** 8
 # bytes), 0.5 to 1.2 ns each.  About 10 s: PF N=200 m=2, just past it at
 # 1.08e10, took 9.0 s.
 COMPOSITION_CEILING = 10 ** 10
-# Dense oracle: size**3 summed over the blocks it solves, about 0.25 us each
-# (HS N=13 m=2 makes 1.69e8 over its momentum blocks and took 46 s).
-ORACLE_CEILING = 15 * 10 ** 8  # HS N=14 m=2 makes 1.39e9, PF N=12 m=2 8.3e8
+# Dense oracle: size**3 + 252 x size**2 summed over the blocks it solves (the
+# Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each.  About
+# a minute: HS N=7 m=7, 1.30e10, took 32.5 s and HS N=15 m=2, 9.64e9, 23.0 s;
+# PF N=8 m=5 makes 2.45e10 and PF N=14 m=2 5.13e10.
+ORACLE_CEILING = 2 * 10 ** 10
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
 # 9.95e8 on the default grid, took 22.7 s.

@@ -1,4 +1,4 @@
-"""Dense Hamiltonians, the Jacobi eigensolver, and the spectrum oracle."""
+"""Dense Hamiltonians, the Householder and Sturm eigensolver, and the spectrum oracle."""
 
 import math
 import tracemalloc
@@ -13,7 +13,6 @@ import hschain.hamiltonian
 from hschain import (
     CapacityError,
     ChainSpec,
-    ConvergenceError,
     ValidationError,
     build_hamiltonian,
     chain_sites,
@@ -144,9 +143,9 @@ def test_dense_cap():
 
 
 @pytest.mark.parametrize("spec, refusal", [
-    (ChainSpec("HS", 12, 2), None),  # 3.41e7 units of Jacobi work over its momentum blocks
+    (ChainSpec("HS", 12, 2), None),  # 1.02e8 units of solver work over its momentum blocks
     (ChainSpec("FI", 7, 3, alpha=2), None),
-    (ChainSpec("HS", 15, 2), "over the ceiling"),  # 7.12e9 units
+    (ChainSpec("PF", 14, 2), "over the ceiling"),  # 5.13e10 units
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
     (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
@@ -154,14 +153,17 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 31), "over the budget"),
     # m**N has 4,516 digits, past the 4,300 that Python converts to text
     (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
-    (ChainSpec("HS", 13, 2), None),  # 1.69e8 units; 7.57e9 over its whole weight sectors
-    (ChainSpec("HS", 14, 2), None),  # 1.39e9 units
+    (ChainSpec("HS", 13, 2), None),  # 3.63e8 units
+    (ChainSpec("HS", 14, 2), None),  # 2.26e9 units
     (ChainSpec("HS", 5, 24), None),  # 319 MB of spectra
     (ChainSpec("HS", 5, 25), None),  # 391 MB of spectra
     (ChainSpec("HS", 5, 30), None),  # 972 MB of spectra
-    (ChainSpec("PF", 7, 5), None),  # 2.50e8 units over its swap blocks; 2.94e9 over whole sectors
-    (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.25e9 units; 1.89e10 over whole sectors
-    (ChainSpec("PF", 7, 7), "over the ceiling"),  # 3.25e9 units
+    (ChainSpec("PF", 7, 5), None),  # 4.83e8 units over its swap blocks
+    (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.88e9 units
+    (ChainSpec("PF", 8, 5), "over the ceiling"),  # 2.45e10 units
+    (ChainSpec("HS", 15, 2), None),  # 9.64e9 units
+    (ChainSpec("PF", 7, 7), None),  # 4.68e9 units
+    (ChainSpec("HS", 7, 7), None),  # 1.30e10 units
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -203,7 +205,9 @@ def _oracle_prediction(calls):
     ChainSpec("HS", 7, 2), ChainSpec("FI", 5, 3, alpha=2), ChainSpec("HS", 4, 4),
 ])
 def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
-    # the work counts size**3 over the blocks built from the solved sectors' states
+    # the work counts size**3 for the Householder reduction and 2 x 18 steps x 7
+    # points x size**2 for the Sturm multisection, over the blocks built from the
+    # solved sectors' states
     h = _whole(spec)
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
@@ -214,12 +218,13 @@ def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
         sizes += [b.shape[0] for b in _symmetry_blocks(h[np.ix_(s, s)], group.places(s),
                                                         group.characters, group.real)]
     assert sum(sizes) == sum(s.size for s in solved.values())
-    assert calls[-1][2] == sum(size ** 3 for size in sizes)
+    assert calls[-1][2] == sum(size ** 3 + 252 * size ** 2 for size in sizes)
 
 
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     # HS N=9 and 10 m=2 and PF N=8 m=2: the solved blocks with the largest
-    # sector matrix or the largest stack of blocks with Jacobi's copies of it
+    # sector matrix or the solver's copy of the largest stack of blocks, its
+    # outer products and its lanes
     for spec in (ChainSpec("HS", 9, 2), ChainSpec("HS", 10, 2), ChainSpec("PF", 8, 2)):
         calls = _spy_on_the_gate(monkeypatch)
         tracemalloc.start()
@@ -325,7 +330,6 @@ def test_a_stack_with_one_bad_member_is_refused(entry, message):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 12])
 def test_jacobi_matches_eigvalsh(dim):
-    # odd dims run padded with one decoupled zero row
     a = np.random.default_rng(dim).normal(size=(dim, dim))
     sym = a + a.T
     assert np.abs(jacobi_eigenvalues(sym) - np.linalg.eigvalsh(sym)).max() < 1e-12
@@ -344,8 +348,8 @@ def test_jacobi_with_exact_zero_pivots():
 
 @pytest.mark.parametrize("pivot", [1e-300, 1e-10])
 def test_jacobi_takes_a_tiny_pivot_against_a_huge_gap_without_warning(pivot):
-    # at 1e-10 the off-norm is above JACOBI_OFF_TOL, so the pivot must be
-    # rotated away although (a_qq - a_pp) / (2 a_pq) overflows
+    # 1e-300 squares to 0 and splits the matrix into two rows; 1e-10 couples
+    # them, and the Sturm pivots divide 1e-20 by 2e300
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = jacobi_eigenvalues(np.array([[1e300, pivot], [pivot, -1e300]]))
@@ -362,11 +366,79 @@ def test_jacobi_rejects_non_finite_entries(entries):
         jacobi_eigenvalues(np.array(entries))
 
 
-def test_jacobi_counts_an_undecidable_convergence_test_as_not_converged(monkeypatch):
-    # every comparison with NaN is False, so only "not off < tol" fails closed
-    monkeypatch.setattr(hschain.hamiltonian, "JACOBI_OFF_TOL", math.nan)
-    with pytest.raises(ConvergenceError, match="exhausted"):
-        jacobi_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+def _agrees_with_eigvalsh(values, matrix):
+    reference = np.linalg.eigvalsh(matrix)
+    scale = np.abs(reference).max(initial=0.0)
+    return np.abs(values - reference).max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dim", [7, 33, 60])
+def test_random_blocks_agree_with_eigvalsh_singly_stacked_and_mixed(dim):
+    # within 1e-12 times the spectral norm, one block, a stack of four and a
+    # list that mixes the stack with blocks of every size up to 60
+    stack = _symmetric_stack(4, dim, seed=dim)
+    assert _agrees_with_eigvalsh(jacobi_eigenvalues(stack[0]), stack[0])
+    for member, row in zip(stack, jacobi_eigenvalues(stack)):
+        assert _agrees_with_eigvalsh(row, member)
+    mixed = [_symmetric_stack(1, n, seed=100 + n)[0] for n in range(1, 61, 7)] + list(stack)
+    spectra = jacobi_eigenvalues(mixed)
+    assert isinstance(spectra, list) and len(spectra) == len(mixed)
+    for block, values in zip(mixed, spectra):
+        assert values.shape == (len(block),)
+        assert _agrees_with_eigvalsh(values, block)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_huge_and_tiny_entries_neither_overflow_nor_vanish(scale):
+    # the squares of 1e200 would overflow and those of 1e-200 square to 0
+    coupled = np.array([[1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, -1.0]]) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = jacobi_eigenvalues(coupled)
+    assert np.abs(values / scale - np.linalg.eigvalsh(coupled / scale)).max() < 1e-14
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((1, 1)), np.zeros((5, 5)), np.zeros((3, 5, 5))])
+def test_all_zero_matrices_end_at_zero(matrix):
+    # a stop relative to each block's own scale would never end on these
+    assert np.array_equal(jacobi_eigenvalues(matrix), np.zeros(matrix.shape[:-1]))
+
+
+def test_zero_and_diagonal_blocks_in_a_mixed_list_end_bit_for_bit():
+    # every coupling of a zero or diagonal block is 0, so each of its rows is a
+    # run of one, its own eigenvalue
+    blocks = [np.zeros((1, 1)), np.array([[2.0, 1.0], [1.0, 2.0]]), np.zeros((4, 4)),
+              np.diag([5.0, -2.0, 0.0, 5.0])]
+    zero, pair, zeros, diagonal = jacobi_eigenvalues(blocks)
+    assert zero.tolist() == [0.0] and zeros.tolist() == [0.0] * 4
+    assert np.abs(pair - [1.0, 3.0]).max() < 1e-15
+    assert diagonal.tolist() == [-2.0, 0.0, 5.0, 5.0]
+
+
+@pytest.mark.parametrize("dim", [2, 6, 13])
+def test_exactly_repeated_eigenvalues(dim):
+    # all ones: dim once and 0 dim - 1 times; a rotated diagonal with every
+    # value repeated
+    ones = np.ones((dim, dim))
+    values = jacobi_eigenvalues(ones)
+    assert np.abs(values - np.r_[np.zeros(dim - 1), dim]).max() <= 1e-12 * dim
+    q, _ = np.linalg.qr(np.random.default_rng(dim).normal(size=(2 * dim, 2 * dim)))
+    rotated = q @ np.diag(np.repeat(np.arange(dim, dtype=float), 2)) @ q.T
+    rotated = (rotated + rotated.T) / 2
+    values = jacobi_eigenvalues(rotated)
+    assert _agrees_with_eigvalsh(values, rotated)
+    assert _multiplicity_pattern(values, 1e-9) == (2,) * dim
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([np.eye(2), np.zeros((2, 3))], "square"),
+    ([np.eye(2), np.zeros(3)], "square"),
+    ([np.array([[0.0, 1.0], [0.0, 0.0]])], "exactly symmetric"),
+    ((np.eye(2), np.array([[math.nan]])), "finite"),
+])
+def test_a_list_with_one_bad_block_is_refused(blocks, message):
+    with pytest.raises(ValidationError, match=message):
+        jacobi_eigenvalues(blocks)
 
 
 @pytest.mark.parametrize("spec, solved", [
@@ -413,36 +485,29 @@ def test_entry_outside_its_weight_sector_trips_the_check():
     for family in ("HS", "PF", "FI") for n, m in ((6, 2), (5, 3)) for epsilon in (1, -1)
 ])
 def test_solved_sectors_share_the_whole_matrix_off_norm_bound(spec, monkeypatch):
-    # each stack of equal-size blocks reaches JACOBI_OFF_TOL / k with k**2 >= the
-    # number of blocks, copies included, so the whole matrix, block-diagonal in the
-    # blocks' bases, stays below JACOBI_OFF_TOL; one stack a block size, and each
-    # block bitwise k times a block of its submatrix of the whole basis
+    # one solver call for the whole oracle run, whose floor is set by the largest
+    # Gershgorin bound of all its blocks, so every sector is solved to the whole
+    # matrix's accuracy; each block, unscaled, is bitwise a block of its
+    # submatrix of the whole basis
     sectors = _brute_sectors(spec)
     h = _whole(spec)
     seen = []
     solve = hschain.hamiltonian.jacobi_eigenvalues
     monkeypatch.setattr(hschain.hamiltonian, "jacobi_eigenvalues",
                         lambda a: seen.append(a) or solve(a))
-    _sector_eigenvalues(spec)
-    blocks, copies = [], 0
-    for counts, sector_copies, _ in _solved_sectors(spec):
+    values = _sector_eigenvalues(spec)
+    blocks = []
+    for counts, _, _ in _solved_sectors(spec):
         s = sectors[counts]
         group = _sector_group(spec, counts, s.size)
-        own = _symmetry_blocks(h[np.ix_(s, s)], group.places(s), group.characters, group.real)
-        blocks += own
-        copies += sector_copies * len(own)
+        blocks += _symmetry_blocks(h[np.ix_(s, s)], group.places(s), group.characters, group.real)
     assert len(sectors) == math.comb(spec.n_spins + spec.m - 1, spec.m - 1)
-    k = 1.0
-    while k * k < copies:
-        k *= 2
-    sizes = [a.shape[1] for a in seen]
-    assert all(a.ndim == 3 for a in seen) and len(set(sizes)) == len(sizes)
-    assert sorted(sizes) == sorted({b.shape[0] for b in blocks})
-    for a in seen:
-        members = [b for b in blocks if b.shape[0] == a.shape[1]]
-        assert len(a) == len(members)
-        for member, b in zip(a, members):
-            assert np.array_equal(member, k * b)
+    (given,) = seen
+    assert isinstance(given, list) and len(given) == len(blocks)
+    for member, b in zip(given, blocks):
+        assert np.array_equal(member, b)
+    reference = np.linalg.eigvalsh(h)
+    assert np.abs(values - reference).max() <= 1e-12 * np.abs(reference).max()
 
 
 def _check_the_blocks_hold_the_sector_spectrum(family, n, m):
@@ -503,8 +568,8 @@ def _momentum_block_sizes(spec, states):
 
 @pytest.mark.parametrize("spec", [ChainSpec("HS", 14, 2), ChainSpec("HS", 5, 30)])
 def test_the_gate_predicts_the_momentum_orbit_count_without_building_h(spec, monkeypatch):
-    # HS N=14 m=2 is the costliest admitted chain, whose sector matrices take
-    # minutes to solve; only the states are listed here
+    # HS N=14 m=2, whose sector matrices take seconds to solve; only the states
+    # are listed here
     monkeypatch.setattr(hschain.hamiltonian, "build_hamiltonian", None)
     for counts, _, sizes, _ in _check_oracle_cost(spec):
         assert sizes == _momentum_block_sizes(spec, _sector_states(spec, counts)), counts
