@@ -21,6 +21,7 @@ import os
 import sys
 from collections.abc import Callable
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -209,7 +210,7 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
     """Write the artifacts that --format asks for as <out>/<command>.<format>.
 
     Each keyword is a format the subcommand offers (``args.offered``, as
-    declared in :func:`build_parser`): ``csv`` is (column line, rows of
+    declared in ``_COMMANDS``): ``csv`` is (column line, rows of
     cells) or a function of the header lines that yields the file's text
     in pieces, each written as it comes; ``json`` and ``svg`` return the
     payload (the config is added to it) and the plot, and are called only
@@ -503,63 +504,98 @@ def _add_grid_options(parser) -> None:
     parser.add_argument("--t-points", type=int, default=241)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process: parsing leaves it as it
-    was, and each parse returns a fresh namespace, so every ``main`` call in
-    one process shares it."""
+def _add_backend_option(parser) -> None:
+    parser.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
+                        help="density backend")
+
+
+def _add_bin_options(parser) -> None:
+    parser.add_argument("--bins", type=int, default=40)
+    parser.add_argument("--s-max", type=float, default=4.0)
+
+
+def _add_crosscheck_options(parser) -> None:
+    parser.add_argument("--max-N", dest="max_n", type=int, default=12)
+
+
+class _Command(NamedTuple):
+    """One subcommand as both parsers declare it."""
+
+    name: str
+    help: str
+    handler: Callable
+    offered: str  # the formats it writes, comma-separated
+    default_format: str
+    options: tuple  # functions that add its own options to its parser
+
+
+_COMMANDS = {command.name: command for command in (
+    _Command("density", "exact level density", _cmd_density, "csv,json", "csv",
+             (_add_chain_options, _add_backend_option)),
+    _Command("moments", "closed-form mean and variance", _cmd_moments, "csv,json", "csv",
+             (_add_chain_options,)),
+    _Command("charfn", "characteristic function on a t grid", _cmd_charfn, "csv,svg", "csv",
+             (_add_chain_options, _add_grid_options)),
+    _Command("convergence", "sup-norm distance to the gaussian over N", _cmd_convergence,
+             "csv,svg", "csv,svg",
+             (functools.partial(_add_chain_options, sweep="16:1024:geometric"),
+              _add_grid_options)),
+    _Command("spacings", "unfolded spacing histogram", _cmd_spacings, "csv,svg", "csv,svg",
+             (_add_chain_options, _add_bin_options)),
+    _Command("kscan", "gaussian fit distance over an N sweep", _cmd_kscan, "csv,svg", "csv",
+             (functools.partial(_add_chain_options, sweep="16:128:geometric"),)),
+    _Command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle,
+             "json", "json", (_add_chain_options,)),
+    _Command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv", "csv",
+             (_add_crosscheck_options,)),
+)}
+
+
+def _parser(commands) -> argparse.ArgumentParser:
+    """The CLI's parser with the subcommands `commands`, in their order."""
     parser = _ArgumentParser(
         prog="hschain",
         description="Exact spectra and level statistics of spin chains of Haldane-Shastry type.",
     )
     parser.add_argument("--version", action="version", version=f"hschain {__version__}")
-    commands = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    def command(name, help_text, handler, offered, default_format):
-        sub = commands.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler, offered=offered.split(","))
+    subparsers = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for command in commands:
+        sub = subparsers.add_parser(command.name, help=command.help)
+        sub.set_defaults(handler=command.handler, offered=command.offered.split(","))
         sub.add_argument("--out", default="hschain-out", help="output directory")
-        sub.add_argument("--format", default=default_format,
-                         help=f"comma-separated output formats, out of {offered}")
-        return sub
-
-    sub = command("density", "exact level density", _cmd_density, "csv,json", "csv")
-    _add_chain_options(sub)
-    sub.add_argument("--backend", choices=("dp", "composition", "brute"), default="dp",
-                     help="density backend")
-
-    sub = command("moments", "closed-form mean and variance", _cmd_moments, "csv,json", "csv")
-    _add_chain_options(sub)
-
-    sub = command("charfn", "characteristic function on a t grid", _cmd_charfn, "csv,svg", "csv")
-    _add_chain_options(sub)
-    _add_grid_options(sub)
-
-    sub = command("convergence", "sup-norm distance to the gaussian over N", _cmd_convergence,
-                  "csv,svg", "csv,svg")
-    _add_chain_options(sub, "16:1024:geometric")
-    _add_grid_options(sub)
-
-    sub = command("spacings", "unfolded spacing histogram", _cmd_spacings, "csv,svg", "csv,svg")
-    _add_chain_options(sub)
-    sub.add_argument("--bins", type=int, default=40)
-    sub.add_argument("--s-max", type=float, default=4.0)
-
-    sub = command("kscan", "gaussian fit distance over an N sweep", _cmd_kscan, "csv,svg", "csv")
-    _add_chain_options(sub, "16:128:geometric")
-
-    sub = command("oracle", "dense-Hamiltonian check of the motif spectrum", _cmd_oracle,
-                  "json", "json")
-    _add_chain_options(sub)
-
-    sub = command("crosscheck", "full internal consistency suite", _cmd_crosscheck, "csv", "csv")
-    sub.add_argument("--max-N", dest="max_n", type=int, default=12)
-
+        sub.add_argument("--format", default=command.default_format,
+                         help=f"comma-separated output formats, out of {command.offered}")
+        for add_options in command.options:
+            add_options(sub)
     return parser
 
 
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser with every subcommand, built once per process:
+    parsing leaves it as it was, and each parse returns a fresh namespace,
+    so every ``main`` call in one process that needs it shares it."""
+    return _parser(_COMMANDS.values())
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The CLI's parser with the one subcommand `name`, built once per
+    process.  It parses that subcommand's arguments as :func:`build_parser`
+    does, with the same help and errors, and builds none of the other
+    subcommands' options."""
+    return _parser([_COMMANDS[name]])
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the subcommand that `argv` (``sys.argv[1:]`` when None) names.
+
+    When its first token names a subcommand, only that subcommand's parser
+    is built; ``--help``, ``--version`` and a missing or unknown subcommand
+    go through the full parser, for its listing and its errors.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _command_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
     args = parser.parse_args(argv)
     try:
         args.formats = _requested_formats(args)

@@ -58,7 +58,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -66,7 +66,8 @@ import numpy as np
 
 from .chains import FERRO, ChainSpec, dispersion, scaled_dispersion_total
 from .errors import ValidationError
-from .table import COMPOSITION_CEILING, DensityTable, check_grid_budget, format_rational
+from .table import (_PIECE_LEVELS, COMPOSITION_CEILING, DensityTable, check_grid_budget,
+                    format_rational)
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
 
@@ -105,12 +106,13 @@ class _Kind(NamedTuple):
 
 
 def _packed_kind(cells: int, slot_bits: int, combine: Callable, read: Callable,
-                 level: int) -> _Kind:
+                 level: int, piece: int = 0) -> _Kind:
     """Python ints of `slot_bits` bits per cell, 4 bytes per 30-bit digit.
 
     Next to the finished int, `read` holds a copy of its bytes, one byte
-    per cell (the unpacked bit, or the occupied-row mask) and, since any
-    cell may be a level, `level` bytes per cell.
+    per cell (the unpacked bit, or the occupied-row mask), since any cell
+    may be a level, `level` bytes per cell, and `piece` bytes whatever the
+    level count.
     """
 
     def add_shifted(plain, packed, w):
@@ -118,7 +120,7 @@ def _packed_kind(cells: int, slot_bits: int, combine: Callable, read: Callable,
 
     nbytes = 4 * -(-cells * slot_bits // 30)
     return _Kind(1, combine, add_shifted, None, read, nbytes,
-                 nbytes + (cells * slot_bits + 7) // 8 + cells * (1 + level))
+                 nbytes + (cells * slot_bits + 7) // 8 + cells * (1 + level) + piece)
 
 
 def _exact_kind(spec: ChainSpec, cells: int) -> _Kind:
@@ -127,9 +129,13 @@ def _exact_kind(spec: ChainSpec, cells: int) -> _Kind:
 
     A finished polynomial is read as a (cells, slot) byte array whose
     occupied rows become Python ints; callers pass it as a temporary, freed
-    once its bytes are copied.  Per level the read-out holds an int64 index,
-    a copy of the level's slot and a Python int of the slot's width (24
-    bytes and 4 per 30 bits) in a tuple.
+    once its bytes are copied.  The occupied rows are copied once and viewed
+    as one ``V{slot}`` item a row; ``_PIECE_LEVELS`` items at a time become
+    a list of bytes objects, which ``int.from_bytes`` reads with no Python
+    frame per level.  Per level the read-out holds an int64 index, a copy of
+    the level's slot and a Python int of the slot's width (24 bytes and 4
+    per 30 bits) in a tuple; one piece's bytes objects (33 bytes and the
+    slot) and their list come on top.
     """
     slot = _slot_bytes(spec)
 
@@ -137,13 +143,15 @@ def _exact_kind(spec: ChainSpec, cells: int) -> _Kind:
         rows = np.frombuffer(packed.to_bytes(cells * slot, "little"), np.uint8).reshape(cells, slot)
         del packed
         occupied = np.flatnonzero(rows.any(axis=1))
-        counts = rows[occupied].tobytes()
+        slots = rows[occupied].view(f"V{slot}").ravel()
         del rows
-        slots = (counts[i : i + slot] for i in range(0, len(counts), slot))
-        return occupied, tuple(map(int.from_bytes, slots, repeat("little")))
+        counts = (map(int.from_bytes, slots[start:start + _PIECE_LEVELS].tolist(), repeat("little"))
+                  for start in range(0, slots.size, _PIECE_LEVELS))
+        return occupied, tuple(chain.from_iterable(counts))
 
     return _packed_kind(cells, 8 * slot, operator.add, read,
-                        8 + slot + 8 + 24 + 4 * -(-8 * slot // 30))
+                        8 + slot + 8 + 24 + 4 * -(-8 * slot // 30),
+                        min(cells, _PIECE_LEVELS) * (33 + slot + 8))
 
 
 def _support_kind(cells: int) -> _Kind:

@@ -1,9 +1,12 @@
 """End-to-end runs of the command-line front end."""
 
+import argparse
 import json
+import shlex
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -600,7 +603,17 @@ def test_unreadable_spec_path_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_one_parser_serves_every_main_call_in_a_process(tmp_path):
+@pytest.fixture
+def parsers_used(monkeypatch):
+    """The parser of each parse_args call, in call order."""
+    used = []
+    parse_args = hschain.cli._ArgumentParser.parse_args
+    monkeypatch.setattr(hschain.cli._ArgumentParser, "parse_args",
+                        lambda self, *args: used.append(self) or parse_args(self, *args))
+    return used
+
+
+def test_one_parser_serves_every_main_call_in_a_process(tmp_path, parsers_used):
     assert hschain.cli.build_parser() is hschain.cli.build_parser()
     charfn = ["charfn", "--family", "hs", "--N", "64", "--m", "3", "--antiferro",
               "--format", "csv,svg"]
@@ -612,3 +625,60 @@ def test_one_parser_serves_every_main_call_in_a_process(tmp_path):
     assert main(charfn + ["--out", str(tmp_path / "again")]) == 0
     for name in ("charfn.csv", "charfn.svg"):
         assert (tmp_path / "again" / name).read_bytes() == (tmp_path / "first" / name).read_bytes()
+    # a repeated command parses with its cached parser, another with its own
+    first, between, again = parsers_used
+    assert first is again is hschain.cli._command_parser("charfn")
+    assert between is hschain.cli._command_parser("convergence") is not first
+
+
+def _help_text(parser, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", list(hschain.cli._COMMANDS))
+def test_a_command_parser_prints_the_full_parsers_help(name, capsys):
+    full = _help_text(hschain.cli.build_parser(), [name, "--help"], capsys)
+    assert full.startswith(f"usage: hschain {name} ")
+    assert _help_text(hschain.cli._command_parser(name), [name, "--help"], capsys) == full
+
+
+README_COMMANDS = [shlex.split(line)[1:] for line in
+                   (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+                   if line.startswith("hschain ")]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_commands_parse_alike_under_both_parsers(argv):
+    full = hschain.cli.build_parser().parse_args(argv)
+    assert hschain.cli._command_parser(argv[0]).parse_args(argv) == full
+
+
+def test_a_bad_option_value_reads_the_same_under_both_parsers(capsys):
+    argv = ["density", "--N", "x"]
+    errors = []
+    for parse in (hschain.cli.build_parser().parse_args,
+                  hschain.cli._command_parser("density").parse_args, main):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == 1
+        errors.append(capsys.readouterr().err)
+    assert errors == ["error: argument --N: invalid int value: 'x'\n"] * 3
+
+
+def test_main_without_argv_reads_the_command_from_sys_argv(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["hschain", "moments", "--family", "pf", "--N", "4",
+                                     "--m", "2", "--out", str(tmp_path)])
+    assert main() == 0
+    assert (tmp_path / "moments.csv").exists()
+    assert "mu = " in capsys.readouterr().out
+
+
+def test_the_oracle_parses_with_a_parser_of_one_subcommand(tmp_path, parsers_used):
+    assert run(tmp_path, "oracle", "--family", "hs", "--N", "3", "--m", "2") == 0
+    [parser] = parsers_used
+    [subparsers] = [action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == ["oracle"]

@@ -295,8 +295,24 @@ def _combine_every_source(spec, slot_bits, combine):
     return reduce(combine, state)
 
 
+def _read_slots(packed, cells, slot_bits):
+    """The exact read-out as a loop over the cells: the occupied cells and
+    their slots' values."""
+    values = [(packed >> (slot_bits * e)) % (1 << slot_bits) for e in range(cells)]
+    occupied = [e for e, value in enumerate(values) if value]
+    return occupied, tuple(values[e] for e in occupied)
+
+
+def _assert_exact_read(spec, cells, packed):
+    levels, degeneracies = _exact_kind(spec, cells).read(packed)
+    assert levels.dtype == np.int64
+    assert (levels.tolist(), degeneracies) == _read_slots(packed, cells, 8 * _slot_bytes(spec))
+    assert all(type(d) is int for d in degeneracies)
+
+
 @pytest.mark.parametrize("spec", [
     ChainSpec("HS", 11, 2), ChainSpec("PF", 9, 4), ChainSpec("HS", 10, 5),
+    ChainSpec("HS", 9, 1),  # m = 1: one level in the 8-byte minimum slot
 ])
 def test_bond_partials_equal_combining_every_source(spec):
     cells = dispersion(spec).scaled_total + 1
@@ -306,11 +322,25 @@ def test_bond_partials_equal_combining_every_source(spec):
         packed = _bond_dp(spec, kind)
         assert packed == _combine_every_source(spec, bits, combine), (spec, bits)
     counts = _combine_every_source(spec, slot_bits, operator.add)
+    _assert_exact_read(spec, cells, counts)
     masses = _bond_dp(spec, _mass_kind(spec.m, cells))
     exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) / spec.n_states
              for e in range(masses.size)]
     np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0)
     assert counts >> (slot_bits * masses.size) == 0
+
+
+@pytest.mark.parametrize("spec, cells, values", [
+    # a slot whose top byte is set, past any degeneracy of m**N states
+    (ChainSpec("PF", 2, 2), 5, {0: 1 << 56, 2: (1 << 64) - 1, 4: 1}),
+    # 13-byte slots and 4,097 levels, one past a piece of 4,096
+    (ChainSpec("PF", 95, 2), 3 * 4096 + 2,
+     {e: (e % 251 + 1) << (8 * (e % 13)) for e in range(0, 3 * 4096 + 2, 3)}),
+])
+def test_the_exact_read_out_reads_every_slot_whole(spec, cells, values):
+    slot_bits = 8 * _slot_bytes(spec)
+    assert max(values.values()).bit_length() <= slot_bits
+    _assert_exact_read(spec, cells, sum(v << (slot_bits * e) for e, v in values.items()))
 
 
 @pytest.mark.parametrize("spec", [
