@@ -29,8 +29,6 @@ from .density import (
     density_dp,
     level_masses,
     level_support,
-    partition_function_at,
-    spin_degeneracy,
 )
 from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import (
@@ -50,27 +48,17 @@ from .levelstats import (
     spacing_distribution,
     unfold,
 )
-from .moments import (
-    SpectrumStats,
-    closed_form_moments,
-    empirical_moments,
-    variance_identity_residual,
-)
+from .moments import SpectrumStats, closed_form_moments, empirical_moments
 from .motifs import brute_force_density
 from .table import DensityTable, format_rational
 from .transfer import (
     CharFnSeries,
     ConvergenceReport,
-    asymptotic_sweep,
-    bond_overlap_residual,
     charfn_asymptotic,
     charfn_exact,
     charfn_from_density,
     charfn_series,
-    column_sum_residual,
     convergence_report,
-    eigenvalues,
-    eigenvector_matrix,
 )
 
 __all__ = [
@@ -94,8 +82,6 @@ __all__ = [
     "SpectrumStats",
     "UnfoldedSpectrum",
     "ValidationError",
-    "asymptotic_sweep",
-    "bond_overlap_residual",
     "brute_force_density",
     "build_hamiltonian",
     "chain_sites",
@@ -104,13 +90,10 @@ __all__ = [
     "charfn_from_density",
     "charfn_series",
     "closed_form_moments",
-    "column_sum_residual",
     "composition_density",
     "convergence_report",
     "density_dp",
     "dispersion",
-    "eigenvalues",
-    "eigenvector_matrix",
     "empirical_moments",
     "format_rational",
     "jacobi_eigenvalues",
@@ -120,10 +103,7 @@ __all__ = [
     "normalized_dispersion",
     "normalized_spacings",
     "oracle_compare",
-    "partition_function_at",
     "run_crosscheck",
     "spacing_distribution",
-    "spin_degeneracy",
     "unfold",
-    "variance_identity_residual",
 ]

@@ -162,10 +162,10 @@ class DispersionTable:
     integer for every bond; ``scaled`` holds those integers as Python
     ints, and everything else is derived from them.  HS and PF dispersions
     are integral (D = 1); the FI dispersion has D = denominator(alpha),
-    and F(i) is exactly scaled[i] / D.  ``as_floats`` takes each
-    scaled[i] / D by Python's integer true division, which is correctly
-    rounded for integers of any size and so equals ``float`` of the exact
-    rational.  (Dividing the scaled integers as floats would equal it only
+    and F(i) is exactly scaled[i] / D.  The float weights ``_floats`` take
+    each scaled[i] / D by Python's integer true division, which is
+    correctly rounded for integers of any size and so equals ``float`` of
+    the exact rational.  (Dividing the scaled integers as floats would equal it only
     while they stay below 2**53; FI weights with a large alpha denominator
     pass that.)
     """
@@ -185,13 +185,10 @@ class DispersionTable:
     def scaled_total(self) -> int:
         return sum(self.scaled)
 
-    def as_floats(self) -> np.ndarray:
-        return self._floats.copy()
-
     @cached_property
     def _floats(self) -> np.ndarray:
         """The float weights, formed once per table; callers must not write
-        to them (:meth:`as_floats` hands out a copy)."""
+        to them."""
         return np.array([s / self.energy_scale for s in self.scaled])
 
     @cached_property
@@ -286,4 +283,3 @@ def normalized_dispersion(spec: ChainSpec, sigma: float) -> np.ndarray:
     if not sigma > 0:
         raise ValidationError(f"sigma must be positive, got {sigma}")
     return dispersion(spec)._floats / (spec.m * float(sigma))
-

@@ -88,9 +88,20 @@ def _parse_sweep(text: str) -> list:
 
 
 def _resolve_spec(args, n=None) -> ChainSpec:
-    """The chain named by --spec or by the chain options; the sweep
-    subcommands pass each swept N as `n` in place of --N."""
+    """The chain named by --spec or by the chain options, never both; the
+    sweep subcommands pass each swept N as `n` in place of --N.  Only a
+    given --ferro or --antiferro sets the sign, so that --spec can refuse
+    it; without either the sign is ferromagnetic."""
     if getattr(args, "spec", None):
+        given = [flag for flag, value in (
+            ("--family", args.family), ("--N", args.n_spins), ("--m", args.m),
+            ("--alpha", args.alpha)
+        ) if value is not None]
+        if args.epsilon is not None:
+            given.append("--ferro" if args.epsilon == FERRO else "--antiferro")
+        if given:
+            raise ValidationError(f"--spec names the whole chain and cannot be combined with "
+                                  f"{', '.join(given)}")
         text = args.spec
         if os.path.exists(text):
             try:
@@ -105,7 +116,8 @@ def _resolve_spec(args, n=None) -> ChainSpec:
     ) if value is None]
     if missing:
         raise ValidationError(f"missing required options: {', '.join(missing)} (or pass --spec)")
-    return ChainSpec(_FAMILY_BY_FLAG[args.family], n, args.m, args.epsilon, args.alpha)
+    epsilon = FERRO if args.epsilon is None else args.epsilon
+    return ChainSpec(_FAMILY_BY_FLAG[args.family], n, args.m, epsilon, args.alpha)
 
 
 def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
@@ -218,7 +230,10 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
     """
     header = [f"hschain {__version__} {command}"]
     header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
-    os.makedirs(args.out, exist_ok=True)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {args.out!r}: {exc}") from exc
     for fmt in args.formats:
         artifact = artifacts[fmt]
         if fmt == "csv" and callable(artifact):
@@ -231,8 +246,11 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
         else:
             pieces = ["<!--\n", "\n".join(header), "\n-->\n", artifact()]
         path = os.path.join(args.out, f"{command}.{fmt}")
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(pieces)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(pieces)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path!r}: {exc}") from exc
         del pieces  # a density artifact is megabytes; free it before rendering the next
         print(f"wrote {path}")
 
@@ -488,7 +506,6 @@ def _add_chain_options(parser, sweep=None) -> None:
                        help="ferromagnetic sign (default)")
     group.add_argument("--antiferro", dest="epsilon", action="store_const", const=ANTIFERRO,
                        help="antiferromagnetic sign")
-    parser.set_defaults(epsilon=FERRO)
     parser.add_argument("--alpha", default=None,
                         help="hyperbolic-chain parameter, integer or p/q")
     if sweep is None:

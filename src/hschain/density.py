@@ -65,9 +65,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chains import FERRO, ChainSpec, dispersion, scaled_dispersion_total
-from .errors import ValidationError
-from .table import (_PIECE_LEVELS, COMPOSITION_CEILING, DensityTable, check_grid_budget,
-                    format_rational)
+from .table import _PIECE_LEVELS, COMPOSITION_CEILING, DensityTable, check_grid_budget
 from .table import DEFAULT_MEMORY_BUDGET  # noqa: F401  (also read from this module)
 
 
@@ -389,7 +387,7 @@ def level_masses(spec: ChainSpec) -> LevelMasses:
     return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses)
 
 
-def spin_degeneracy(k: int, m: int, epsilon: int) -> int:
+def _spin_degeneracy(k: int, m: int, epsilon: int) -> int:
     """Number of spin states a block of k aligned sites can carry.
 
     binom(m+k-1, k) for epsilon=+1 (symmetric), binom(m, k) for epsilon=-1
@@ -457,7 +455,7 @@ def composition_density(spec: ChainSpec) -> DensityTable:
                       f"{kind.unpack} bytes to unpack", max(live * polynomial, kind.unpack),
                       byte_updates, COMPOSITION_CEILING)
     shifts = [8 * slot * w for w in dispersion(spec).scaled] + [0]  # the last part closes at 0
-    dfac = [0] + [spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
+    dfac = [0] + [_spin_degeneracy(k, m, spec.epsilon) for k in range(1, n + 1)]
     merged = [0] * (n + 1)  # row p: all prefixes with last cut at bond p
     merged[0] = 1
     for last_cut in range(n):
@@ -469,32 +467,3 @@ def composition_density(spec: ChainSpec) -> DensityTable:
             if p < stop:
                 running -= running << shifts[p - 1]
     return DensityTable(*kind.read(merged.pop()), dispersion(spec).energy_scale, spec.n_states)
-
-
-def partition_function_at(density: DensityTable, q: complex) -> complex:
-    """Evaluate Z(q) = sum of degeneracy * q**energy in floating point.
-
-    Horner evaluation over the dense scaled-integer grid, from the top
-    level down to energy zero; for tables with energy_scale D > 1 the
-    principal branch of q**(1/D) is used.  Degeneracies above 2**53 lose
-    precision in the float conversion.
-
-    Raises
-    ------
-    ValidationError
-        If the table has a negative level, which the grid from energy zero
-        up cannot hold.
-    """
-    q = complex(q)
-    w = q ** (1.0 / density.energy_scale) if density.energy_scale != 1 and q != 0 else q
-    levels = density.levels().tolist()
-    if levels and levels[0] < 0:
-        raise ValidationError(f"Z(q) needs levels from energy zero up, but the table has "
-                              f"{format_rational(density.energy(levels[0]))}")
-    grid = [0] * (levels[-1] + 1 if levels else 1)
-    for e, d in zip(levels, density.degeneracies):
-        grid[e] = d
-    result = 0j
-    for d in reversed(grid):
-        result = result * w + d
-    return result

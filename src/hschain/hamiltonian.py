@@ -400,9 +400,8 @@ def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> 
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
-    """Ascending eigenvalues of a real symmetric matrix, of each matrix of
-    a stack (B, n, n) of them (one row each), or of each square block of a
-    list or tuple of them of any sizes (one array each).
+    """Ascending eigenvalues of a real symmetric matrix, or of each square
+    block of a list or tuple of them of any sizes (one array each).
 
     Deliberately not a LAPACK call: the point of this module is an
     independent route.  Each stack of equal-size blocks is reduced to
@@ -412,27 +411,23 @@ def jacobi_eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
     solver that this route replaced: the oracle makes its one solve through
     this module attribute, which the benchmark's tracer wraps by name.
     """
-    if isinstance(matrix, (list, tuple)):
-        blocks = [_checked(block, (2,)) for block in matrix]
-        values = _eigenvalues(blocks)
-        ends = np.cumsum([len(block) for block in blocks]).tolist()
-        return [values[end - len(block):end] for block, end in zip(blocks, ends)]
-    matrix = _checked(matrix, (2, 3))
-    stack = matrix if matrix.ndim == 3 else matrix[None]
-    values = _eigenvalues(list(stack)).reshape(stack.shape[:2])
-    return values if matrix.ndim == 3 else values[0]
+    if not isinstance(matrix, (list, tuple)):
+        return _eigenvalues([_checked(matrix)])
+    blocks = [_checked(block) for block in matrix]
+    values = _eigenvalues(blocks)
+    ends = np.cumsum([len(block) for block in blocks]).tolist()
+    return [values[end - len(block):end] for block, end in zip(blocks, ends)]
 
 
-def _checked(matrix, ndims: tuple[int, ...]) -> np.ndarray:
-    """`matrix` as a float array of one of `ndims` dimensions, square,
-    finite and exactly symmetric in its last two axes, or refused."""
+def _checked(matrix) -> np.ndarray:
+    """`matrix` as a float array, square, finite and exactly symmetric, or
+    refused."""
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim not in ndims or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValidationError("jacobi_eigenvalues needs a square matrix, a stack of them "
-                              "or a list of them")
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValidationError("jacobi_eigenvalues needs a square matrix or a list of them")
     if not np.isfinite(matrix).all():
         raise ValidationError("jacobi_eigenvalues needs finite entries")
-    if not np.array_equal(matrix, matrix.swapaxes(-1, -2)):
+    if not np.array_equal(matrix, matrix.T):
         raise ValidationError("jacobi_eigenvalues needs an exactly symmetric matrix")
     return matrix
 

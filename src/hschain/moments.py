@@ -82,18 +82,3 @@ def empirical_moments(density: DensityTable) -> SpectrumStats:
     mu = Fraction(first, scale * total)
     sigma2 = Fraction(second, scale * scale * total) - mu * mu
     return SpectrumStats.from_exact(mu, sigma2)
-
-
-def variance_identity_residual(spec: ChainSpec) -> float:
-    """Deviation of the normalized squared bond weights from their limit.
-
-    The quantity (1/12) (m**2 - 1) * sum_j gamma_j**2 equals 1 up to a
-    correction that decays like 1/N.  In the bond sums of :func:`_bond_sums`
-    it is exactly S2 / (3 S2 - 2 C), so the absolute deviation from 1 is the
-    ratio of integers 2 |S2 - C| / (3 S2 - 2 C), converted to float once.
-    Raises ValidationError for m = 1, whose spectrum has zero width.
-    """
-    if spec.m == 1:
-        raise ValidationError("the variance identity needs m >= 2; at m = 1 sigma2 is 0")
-    _, square, cross, _ = _bond_sums(spec)
-    return 2 * abs(square - cross) / (3 * square - 2 * cross)

@@ -21,21 +21,19 @@ from hschain import (
     charfn_exact,
     charfn_from_density,
     closed_form_moments,
-    column_sum_residual,
     composition_density,
     convergence_report,
-    eigenvalues,
-    eigenvector_matrix,
     empirical_moments,
     ks_distance,
     normalized_spacings,
     oracle_compare,
-    partition_function_at,
     unfold,
 )
 from hschain.cli import main
 from hschain.density import density_dp
-from hschain.transfer import asymptotic_sweep, default_t_grid
+from hschain.transfer import default_t_grid
+from diagnostics import (asymptotic_sweep, column_sum_residual, eigenvalues, eigenvector_matrix,
+                         partition_function_at)
 
 FAMILY_GRID = [
     ("HS", None),

@@ -340,6 +340,9 @@ def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
     assert not any(tmp_path.iterdir())
 
 
+SPEC = '{"family": "HS", "N": 4, "m": 2}'
+
+
 @pytest.mark.parametrize("args, message", [
     (["kscan", "--n-sweep", "16:32"], "sweep must look like a:b:geometric or a:b:step"),
     (["kscan", "--n-sweep", "a:32:geometric"], "bad sweep bounds"),
@@ -358,9 +361,20 @@ def test_out_of_range_numbers_exit_one(tmp_path, capsys, args, message):
     # the kernels' phases overflow, and then linspace's own step
     (["charfn", "--N", "8", "--t-max", "8e307"], "not finite on a t grid"),
     (["convergence", "--n-sweep", "16:32:geometric", "--t-max", "1e308"], "not finite on a t grid"),
+    # a chain given by --spec takes none of the chain options
+    (["moments", "--spec", SPEC, "--N", "99"], "cannot be combined with --N"),
+    (["density", "--spec", SPEC, "--family", "pf"], "cannot be combined with --family"),
+    (["charfn", "--spec", SPEC, "--m", "3"], "cannot be combined with --m"),
+    (["spacings", "--spec", SPEC, "--alpha", "2"], "cannot be combined with --alpha"),
+    (["oracle", "--spec", SPEC, "--ferro"], "cannot be combined with --ferro"),
+    (["density", "--spec", SPEC, "--antiferro"], "cannot be combined with --antiferro"),
+    (["moments", "--spec", SPEC, "--family", "hs", "--m", "2", "--ferro"],
+     "cannot be combined with --family, --m, --ferro"),
 ])
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
-    assert run(tmp_path, *args[:1], "--family", "hs", "--m", "2", *args[1:]) == 1
+    # every row but those of --spec names the chain by its options
+    chain = () if "--spec" in args else ("--family", "hs", "--m", "2")
+    assert run(tmp_path, *args[:1], *chain, *args[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
@@ -601,6 +615,20 @@ def test_unreadable_spec_path_exits_one(tmp_path, capsys):
     folder.mkdir()
     assert run(tmp_path, "density", "--spec", str(folder)) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("taken", ["file", "artifact"])
+def test_unwritable_out_exits_one_with_one_error_line(tmp_path, capsys, taken):
+    # --out names a file, or a folder holding a folder where the artifact goes
+    out = tmp_path / "out"
+    if taken == "file":
+        out.write_text("")
+    else:
+        (out / "moments.csv").mkdir(parents=True)
+    assert main(["moments", "--family", "hs", "--N", "4", "--m", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
 
 
 @pytest.fixture

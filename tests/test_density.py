@@ -21,6 +21,7 @@ from hschain import (FERRO, CapacityError, ChainSpec, ValidationError,
                      closed_form_moments, dispersion, ks_distance)
 from hschain.density import (
     _bond_dp,
+    _spin_degeneracy,
     _exact_kind,
     _mass_kind,
     _slot_bytes,
@@ -29,10 +30,9 @@ from hschain.density import (
     density_dp,
     level_masses,
     level_support,
-    partition_function_at,
-    spin_degeneracy,
 )
 from hschain.motifs import brute_force_density, delta_bits
+from diagnostics import partition_function_at
 from small_tables import table_of
 
 FAMILY_GRID = [
@@ -149,10 +149,10 @@ def test_z_on_the_unit_circle_matches_direct_sum():
 
 
 def test_spin_degeneracy_factors():
-    assert [spin_degeneracy(k, 2, 1) for k in range(5)] == [1, 2, 3, 4, 5]
-    assert [spin_degeneracy(k, 2, -1) for k in range(5)] == [1, 2, 1, 0, 0]
-    assert spin_degeneracy(3, 4, 1) == 20
-    assert spin_degeneracy(5, 4, -1) == 0  # no antisymmetric state on a long block
+    assert [_spin_degeneracy(k, 2, 1) for k in range(5)] == [1, 2, 3, 4, 5]
+    assert [_spin_degeneracy(k, 2, -1) for k in range(5)] == [1, 2, 1, 0, 0]
+    assert _spin_degeneracy(3, 4, 1) == 20
+    assert _spin_degeneracy(5, 4, -1) == 0  # no antisymmetric state on a long block
 
 
 def test_composition_cap():

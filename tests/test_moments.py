@@ -13,9 +13,9 @@ from hschain import (
     closed_form_moments,
     dispersion,
     empirical_moments,
-    variance_identity_residual,
 )
 from hschain.density import density_dp
+from diagnostics import variance_identity_residual
 from small_tables import table_of
 
 FAMILY_GRID = [

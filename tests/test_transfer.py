@@ -18,10 +18,7 @@ from hschain import (
     charfn_from_density,
     charfn_series,
     closed_form_moments,
-    column_sum_residual,
     convergence_report,
-    eigenvalues,
-    eigenvector_matrix,
 )
 from hschain.chains import dispersion, normalized_dispersion
 from hschain.density import density_dp
@@ -30,10 +27,10 @@ from hschain.transfer import (
     _dirichlet_mean,
     _mirrored,
     _run_factors,
-    asymptotic_sweep,
-    bond_overlap_residual,
     default_t_grid,
 )
+from diagnostics import (asymptotic_sweep, bond_overlap_residual, column_sum_residual, eigenvalues,
+                         eigenvector_matrix)
 
 
 def test_unit_point_eigenvalues_pick_out_the_last():
