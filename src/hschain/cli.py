@@ -35,7 +35,7 @@ from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
 from .table import (_CHUNK_BYTES, _PIECE_LEVELS, MASS_CEILING, TRANSFER_CEILING,
-                    check_grid_budget, csv_text, format_cell, format_rational)
+                    check_grid_budget, csv_pieces, format_cell, format_rational)
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -202,31 +202,14 @@ def _requested_formats(args) -> list:
     return [fmt for fmt in _FORMATS if fmt in formats]
 
 
-def _csv_lines(rows):
-    """Yield each row of cells as one CSV line, each cell as
-    :func:`format_cell` writes it.  A row is written by one %-format whose
-    text, "%.17g" for a float cell and "%s" for any other (an int, a string
-    or a Fraction, as str writes them), is made once per tuple of cell types,
-    so no Python call is made per cell."""
-    formats = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
-        text = formats.get(kinds)
-        if text is None:
-            text = formats[kinds] = ",".join("%.17g" if issubclass(kind, float) else "%s"
-                                             for kind in kinds)
-        yield text % tuple(row)
-
-
 def _emit(args, command: str, config: dict, **artifacts) -> None:
     """Write the artifacts that --format asks for as <out>/<command>.<format>.
 
     Each keyword is a format the subcommand offers (``args.offered``, as
-    declared in ``_COMMANDS``): ``csv`` is (column line, rows of
-    cells) or a function of the header lines that yields the file's text
-    in pieces, each written as it comes; ``json`` and ``svg`` return the
-    payload (the config is added to it) and the plot, and are called only
-    when requested.
+    declared in ``_COMMANDS``): ``csv`` is (column line, columns of
+    cells), whose text :func:`csv_pieces` yields in pieces, each written
+    as it comes; ``json`` and ``svg`` return the payload (the config is
+    added to it) and the plot, and are called only when requested.
     """
     header = [f"hschain {__version__} {command}"]
     header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
@@ -236,11 +219,8 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
         raise ValidationError(f"cannot write {args.out!r}: {exc}") from exc
     for fmt in args.formats:
         artifact = artifacts[fmt]
-        if fmt == "csv" and callable(artifact):
-            pieces = artifact(header)
-        elif fmt == "csv":
-            columns, rows = artifact
-            pieces = [csv_text(header, columns, _csv_lines(rows))]
+        if fmt == "csv":
+            pieces = csv_pieces(header, *artifact)
         elif fmt == "json":
             pieces = chain(_json_text({"config": config, **artifact()}), ["\n"])
         else:
@@ -263,7 +243,8 @@ def _t_grid_from(args, m: int, text: int) -> np.ndarray:
     them, `text` bytes: charfn's csv and svg up to 397, counted as 440.  On
     top of that the kernels' chunks of ``_CHUNK_BYTES`` and their temporaries
     take up to 6.8 chunks more, whatever the grid (HS m = 5, N up to 4096, 101
-    points), counted as 8.
+    points), counted as 8.  Past half the float range linspace's span
+    overflows and the grid is NaN, so a grid that is not finite is refused.
     """
     if args.t_points < 2:
         raise ValidationError("--t-points must be at least 2")
@@ -273,7 +254,12 @@ def _t_grid_from(args, m: int, text: int) -> np.ndarray:
     nbytes = fixed + args.t_points * max(36 * m + 64, text)
     check_grid_budget(f"--t-points {args.t_points} needs {fixed} + {args.t_points} x "
                       f"max(36 x {m} + 64, {text}) = {nbytes} bytes", nbytes)
-    return default_t_grid(args.t_max, args.t_points)
+    grid = default_t_grid(args.t_max, args.t_points)
+    if not np.isfinite(grid).all():
+        raise ValidationError(f"the t values are not finite on a t grid of --t-max "
+                              f"{format_cell(args.t_max)} and --t-points {args.t_points}: "
+                              f"2 x --t-max passes the float range")
+    return grid
 
 
 def _spacing_bins_from(args) -> np.ndarray:
@@ -298,7 +284,8 @@ def _cmd_density(args) -> int:
     backends = {"dp": density_dp, "composition": composition_density, "brute": brute_force_density}
     density = backends[args.backend](spec)
     _emit(args, "density", _config(spec, backend=args.backend),
-          csv=density._csv_pieces, json=lambda: {"density": density.to_json_dict()})
+          csv=("energy,degeneracy", (density._energy_texts, density.degeneracies)),
+          json=lambda: {"density": density.to_json_dict()})
     print(f"levels = {len(density)}, states = {density.total}")
     return 0
 
@@ -310,7 +297,8 @@ def _cmd_moments(args) -> int:
     sigma2_text = format_rational(stats.sigma2)
     _emit(
         args, "moments", _config(spec),
-        csv=("quantity,value", [("mu", mu_text), ("sigma2", sigma2_text), ("sigma", stats.sigma)]),
+        csv=("quantity,value",
+             (("mu", "sigma2", "sigma"), (mu_text, sigma2_text, format_cell(stats.sigma)))),
         json=lambda: {"mu": mu_text, "sigma2": sigma2_text, "sigma": stats.sigma},
     )
     print(f"mu = {mu_text}, sigma2 = {sigma2_text}")
@@ -325,7 +313,7 @@ def _cmd_charfn(args) -> int:
     _emit(
         args, "charfn", _config(spec, t_max=args.t_max, t_points=args.t_points),
         csv=("t,re_exact,im_exact,re_asym,im_asym,gauss_ref",
-             zip(series.t_grid, exact.real, exact.imag, asym.real, asym.imag, series.gaussian_ref)),
+             (series.t_grid, exact.real, exact.imag, asym.real, asym.imag, series.gaussian_ref)),
         svg=lambda: line_plot(
             [
                 ("|charfn exact|", series.t_grid, np.abs(exact)),
@@ -371,7 +359,7 @@ def _cmd_convergence(args) -> int:
     _emit(
         args, "convergence", config,
         csv=("N,gauss_deviation,asym_deviation",
-             zip(report.n_values, report.gauss_deviation, report.asym_deviation)),
+             (report.n_values, report.gauss_deviation, report.asym_deviation)),
         svg=lambda: line_plot(
             [
                 ("sup distance to gaussian", report.n_values, report.gauss_deviation),
@@ -401,7 +389,7 @@ def _cmd_spacings(args) -> int:
     _emit(
         args, "spacings", _config(spec, bins=args.bins, s_max=args.s_max),
         csv=("bin_center,density,poisson_ref,wigner_ref",
-             zip(centers, histogram.density, histogram.poisson_ref, histogram.wigner_ref)),
+             (centers, histogram.density, histogram.poisson_ref, histogram.wigner_ref)),
         svg=lambda: histogram_plot(
             histogram.bin_edges,
             histogram.density,
@@ -447,7 +435,7 @@ def _cmd_kscan(args) -> int:
         distances.append(ks_distance(level_masses(spec), closed_form_moments(spec)))
     _emit(
         args, "kscan", _config(spec, sweep),
-        csv=("N,ks_distance", zip(sweep, distances)),
+        csv=("N,ks_distance", (sweep, distances)),
         svg=lambda: line_plot(
             [("ks distance", sweep, distances)],
             title=f"gaussian fit distance, {spec.family} m={spec.m}",
@@ -479,7 +467,7 @@ def _cmd_crosscheck(args) -> int:
         for result in report.results
     ]
     _emit(args, "crosscheck", {"max_N": args.max_n},
-          csv=("check,family,N,m,epsilon,alpha,deviation,passed", rows))
+          csv=("check,family,N,m,epsilon,alpha,deviation,passed", [*zip(*rows)]))
     print(f"checks = {len(report.results)}, failed = {len(report.failures)}")
     for result in report.failures[:10]:
         print(f"FAIL {result.name} {result.spec}", file=sys.stderr)

@@ -35,7 +35,8 @@ TRANSFER_CEILING = 10 ** 9
 # over N = 150..200 in steps of 2, 1.27e10, took 30.2 s.
 MASS_CEILING = 10 ** 10
 
-# Levels in one piece of the density CSV and JSON texts.
+# Rows in one piece of a CSV text, and levels in one piece of the density JSON
+# text.
 _PIECE_LEVELS = 4096
 # Bytes of one work array of the numpy kernels: the complex run steps of one
 # block of bonds in charfn_exact, the real Chebyshev factors of one chunk of t
@@ -72,11 +73,29 @@ def check_grid_budget(prediction: str, nbytes: int, work: int = 0, ceiling: int 
         raise CapacityError(f"{prediction}, over the {limit}")
 
 
-def csv_text(header_lines, columns: str, lines) -> str:
-    """CSV artifact text from header lines, the column line and
-    already formatted row lines.  The trailing "" ends the text with a
-    newline without copying it once more."""
-    return "\n".join([*(f"# {h}" for h in header_lines), columns, *lines, ""])
+def csv_pieces(header_lines, names: str, columns):
+    """Yield a CSV artifact in pieces: the header lines, each after "# ",
+    and the column line `names`, then the rows of the aligned `columns`,
+    `_PIECE_LEVELS` rows a piece, so no text of the whole file is built.
+
+    Each cell is written as :func:`format_cell` writes it: a column whose
+    first cell is a float with 17 significant digits, any other (ints,
+    strings, Fractions) as str writes it.  A piece is one %-format of its
+    cells, interleaved from the columns' slices, a numpy slice taken as
+    Python scalars."""
+    yield "".join([f"# {line}\n" for line in header_lines] + [names, "\n"])
+    rows, width = len(columns[0]), len(columns)
+    if not rows:
+        return
+    row = ",".join(["%.17g" if isinstance(column[0], float) else "%s"
+                    for column in columns]) + "\n"
+    for start in range(0, rows, _PIECE_LEVELS):
+        count = min(_PIECE_LEVELS, rows - start)
+        cells = [None] * (count * width)
+        for index, column in enumerate(columns):
+            piece = column[start:start + count]
+            cells[index::width] = piece.tolist() if isinstance(piece, np.ndarray) else piece
+        yield (row * count) % tuple(cells)
 
 
 class DensityTable:
@@ -125,9 +144,6 @@ class DensityTable:
         """Scaled integer energies in ascending order, a read-only int64 array."""
         return self.scaled
 
-    def energy(self, scaled: int) -> Fraction:
-        return Fraction(int(scaled), self.energy_scale)
-
     def items(self):
         """(scaled energy, degeneracy) pairs in ascending energy order."""
         return list(zip(self.scaled.tolist(), self.degeneracies))
@@ -150,19 +166,9 @@ class DensityTable:
 
     def to_csv(self, header_lines=()) -> str:
         """The density CSV as one text, joined from the pieces the CLI
-        writes one after another (:meth:`_csv_pieces`)."""
-        return "".join(self._csv_pieces(header_lines))
-
-    def _csv_pieces(self, header_lines):
-        """Yield the density CSV in pieces: the header and column text,
-        then the lines "energy,degeneracy", `_PIECE_LEVELS` levels a piece,
-        so no text of the whole file is built."""
-        yield csv_text(header_lines, "energy,degeneracy", ())
-        texts, degeneracies = self._energy_texts, self.degeneracies
-        for start in range(0, len(texts), _PIECE_LEVELS):
-            stop = start + _PIECE_LEVELS
-            yield "".join([f"{text},{count}\n"
-                           for text, count in zip(texts[start:stop], degeneracies[start:stop])])
+        writes one after another (:func:`csv_pieces`)."""
+        return "".join(csv_pieces(header_lines, "energy,degeneracy",
+                                  (self._energy_texts, self.degeneracies)))
 
     def to_json_dict(self) -> dict:
         """The density's JSON payload: its energy scale, its total and its

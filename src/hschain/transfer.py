@@ -101,7 +101,7 @@ def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
     fl(a - b) = -fl(b - a), so the grid keeps +-t_max, and a point moves by
     half of linspace's own asymmetry and one rounding: at most one unit in
     the last place of t_max at the default grid.  Past half the float range
-    linspace's step overflows, and the kernels refuse the grid it gives.
+    linspace's step overflows, and the grid it gives is NaN.
     """
     g = np.linspace(-t_max, t_max, points)
     return g / 2 - g[::-1] / 2

@@ -12,6 +12,8 @@ Chebyshev polynomial of the second kind, which is what
 :func:`hschain.transfer.charfn_asymptotic` multiplies.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 from hschain import FERRO, ChainSpec, DensityTable, SpectrumStats, ValidationError
@@ -148,7 +150,7 @@ def partition_function_at(density: DensityTable, q: complex) -> complex:
     levels = density.levels().tolist()
     if levels and levels[0] < 0:
         raise ValidationError(f"Z(q) needs levels from energy zero up, but the table has "
-                              f"{format_rational(density.energy(levels[0]))}")
+                              f"{format_rational(Fraction(levels[0], density.energy_scale))}")
     grid = [0] * (levels[-1] + 1 if levels else 1)
     for e, d in zip(levels, density.degeneracies):
         grid[e] = d

@@ -103,7 +103,7 @@ PUBLIC_MEMBERS = {
     "ConvergenceReport": [],
     "CrosscheckReport": ["failures"],
     "DenseOperator": ["dimension"],
-    "DensityTable": ["cdf_steps", "energy", "items", "levels", "to_csv", "to_json_dict"],
+    "DensityTable": ["cdf_steps", "items", "levels", "to_csv", "to_json_dict"],
     "DispersionTable": ["scaled_total", "total"],
     "LevelMasses": ["cdf_steps", "levels"],
     "LevelSupport": ["levels"],

@@ -13,11 +13,12 @@ import pytest
 
 import hschain.cli
 import hschain.table
-from hschain import ANTIFERRO, ChainSpec
-from hschain.cli import _csv_lines, _json_text, main
+from hschain import ANTIFERRO, ChainSpec, closed_form_moments
+from hschain.cli import _json_text, main
 from hschain.density import density_dp
 from hschain.levelstats import spacing_distribution
-from hschain.table import csv_text, format_cell, format_rational
+from hschain.table import csv_pieces, format_cell, format_rational
+from hschain.transfer import charfn_series, default_t_grid
 from small_tables import table_of
 
 
@@ -38,17 +39,18 @@ def test_density_brute_csv(tmp_path):
     assert body == ["energy,degeneracy", "0,4", "1,2", "2,2"]
 
 
-def test_csv_lines_write_each_cell_as_format_cell_does():
+@pytest.mark.parametrize("rows", [0, 1, 4095, 4096, 4097, 8193])
+def test_csv_pieces_write_each_cell_as_format_cell_does(rows):
+    assert hschain.table._PIECE_LEVELS == 4096
     floats = [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, 123456789.0, float("inf"),
               float("-inf"), float("nan"), 2.0 / 3.0]
-    rows = [
-        *zip(np.array(floats), floats, np.arange(10), range(-5, 5)),
-        ("mu", "1/3", Fraction(7, 2), Fraction(4)),
-        ("check", "", np.float64(0.25), True),
-        ("check", "", np.int64(3), np.float32(0.1)),
-        ("50%", "%s", 0.5, 1),
-    ]
-    assert list(_csv_lines(iter(rows))) == [",".join(map(format_cell, row)) for row in rows]
+    cycled = [floats[k % len(floats)] for k in range(rows)]
+    columns = (np.array(cycled), cycled, np.arange(rows), list(range(-5, rows - 5)),
+               [Fraction(k, 3) for k in range(rows)], [f"{k}%s%%" for k in range(rows)])
+    pieces = list(csv_pieces(["50% done", "%s"], "a,b,c,d,e,f", columns))
+    assert len(pieces) == 1 + -(-rows // 4096)
+    lines = [",".join(map(format_cell, row)) + "\n" for row in zip(*columns)]
+    assert "".join(pieces) == "".join(["# 50% done\n# %s\na,b,c,d,e,f\n", *lines])
 
 
 def test_density_json_and_fractional_energies(tmp_path):
@@ -277,6 +279,23 @@ def test_density_csv_write_peak(tmp_path, monkeypatch, name):
     assert peak <= 1.5 * 2 ** 20, peak
 
 
+def test_charfn_csv_write_peak(tmp_path, monkeypatch):
+    # measured: 6.3 MiB, 4.6 of it while the t grid is built; 52.3 MiB while
+    # the whole text was joined before it was written
+    spec = ChainSpec("HS", 5, 2)
+    series = charfn_series(spec, closed_form_moments(spec), default_t_grid(6.0, 200_001))
+    monkeypatch.setattr(hschain.cli, "charfn_series", lambda *_: series)
+    tracemalloc.start()
+    try:
+        rc = run(tmp_path, "charfn", "--family", "hs", "--N", "5", "--m", "2",
+                 "--t-points", "200001", "--format", "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak <= 8 * 2 ** 20, peak / 2 ** 20
+
+
 @pytest.mark.parametrize("levels", [0, 1, 4095, 4096, 4097, 8193])
 def test_density_artifacts_join_their_pieces_seamlessly(tmp_path, monkeypatch, levels):
     assert hschain.table._PIECE_LEVELS == 4096
@@ -288,7 +307,8 @@ def test_density_artifacts_join_their_pieces_seamlessly(tmp_path, monkeypatch, l
     header = [line[2:] for line in text.splitlines() if line.startswith("# ")]
     lines = [f"{format_rational(Fraction(int(e), 2))},{d}"
              for e, d in zip(table.levels(), table.degeneracies)]
-    assert text == csv_text(header, "energy,degeneracy", lines)
+    assert text == "".join([*(f"# {line}\n" for line in header), "energy,degeneracy\n",
+                            *(f"{line}\n" for line in lines)])
     text = (tmp_path / "density.json").read_text()
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
     assert json.loads(text)["density"]["levels"] == {
@@ -358,7 +378,7 @@ SPEC = '{"family": "HS", "N": 4, "m": 2}'
     (["charfn", "--family", "fi", "--alpha", "1e200", "--N", "4"], "sigma2 is past the float"),
     (["spacings", "--family", "fi", "--alpha", "1e200", "--N", "4"], "sigma2 is past the float"),
     (["convergence", "--family", "fi", "--alpha", "1e200"], "sigma2 is past the float"),
-    # the kernels' phases overflow, and then linspace's own step
+    # the kernels' phases overflow, and then linspace's own span
     (["charfn", "--N", "8", "--t-max", "8e307"], "not finite on a t grid"),
     (["convergence", "--n-sweep", "16:32:geometric", "--t-max", "1e308"], "not finite on a t grid"),
     # a chain given by --spec takes none of the chain options
@@ -370,6 +390,8 @@ SPEC = '{"family": "HS", "N": 4, "m": 2}'
     (["density", "--spec", SPEC, "--antiferro"], "cannot be combined with --antiferro"),
     (["moments", "--spec", SPEC, "--family", "hs", "--m", "2", "--ferro"],
      "cannot be combined with --family, --m, --ferro"),
+    # linspace's span overflows, so the grid itself is NaN
+    (["charfn", "--N", "5", "--t-max", "1e308"], "--t-max 1e+308 and --t-points 241"),
 ])
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
     # every row but those of --spec names the chain by its options

@@ -70,7 +70,7 @@ def test_brute_force_matches_direct_enumeration():
             energy = motif_energy(motif_of(spec.epsilon, config), disp)
             counts[energy] = counts.get(energy, 0) + 1
         table = brute_force_density(spec)
-        assert {table.energy(e): d for e, d in table.items()} == counts
+        assert {Fraction(e, table.energy_scale): d for e, d in table.items()} == counts
 
 
 def test_sign_flip_mirrors_the_table():
