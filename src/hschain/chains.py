@@ -133,6 +133,13 @@ class ChainSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ChainSpec":
+        """The chain of a spec object with the keys family, N and m, and
+        optionally epsilon and alpha; any other key is refused."""
+        known = ("family", "N", "m", "epsilon", "alpha")
+        unknown = [repr(key) for key in data if key not in known] if isinstance(data, dict) else []
+        if unknown:
+            raise ValidationError(f"unknown chain spec key{'s' * (len(unknown) > 1)} "
+                                  f"{', '.join(unknown)}; expected {', '.join(known)}")
         try:
             family = str(data["family"]).upper()
             n_spins = _integral(data["N"])

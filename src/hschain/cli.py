@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -34,8 +33,8 @@ from .levelstats import default_spacing_bins, ks_distance, spacing_distribution,
 from .moments import closed_form_moments
 from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
-from .table import (_CHUNK_BYTES, _PIECE_LEVELS, MASS_CEILING, TRANSFER_CEILING,
-                    check_grid_budget, csv_pieces, format_cell, format_rational)
+from .table import (_CHUNK_BYTES, MASS_CEILING, TRANSFER_CEILING, check_grid_budget,
+                    csv_pieces, format_cell, format_rational, json_pieces)
 from .transfer import charfn_series, convergence_report, default_t_grid
 from . import __version__
 
@@ -133,61 +132,6 @@ def _config(spec: ChainSpec, sweep=None, **extra) -> dict:
     return config
 
 
-def _json_text(payload, pad: str = ""):
-    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, byte
-    for byte, for payloads with string keys, nested `pad` deep, where a 1-d
-    float array is written as its list of floats.
-
-    An indent sends the whole payload through json's pure-Python encoder.
-    Here a value given as a function of its indent (the levels of
-    :meth:`DensityTable.to_json_dict`) yields its own pieces, and each other
-    dict or list without containers or such functions in it goes through
-    the C encoder in one call, with the newline and indent of its items as
-    the item separator; only containers of containers recurse in Python.
-    The pieces are yielded, not joined, so no text of the whole payload is
-    built: a flat list (an oracle's multiplicities) or float array (its
-    spectra) is encoded ``_PIECE_LEVELS`` items at a time, each text sliced
-    once to drop its brackets, an array's items taken as Python floats from
-    one slice at a time.
-    """
-    if callable(payload):
-        yield from payload(pad)
-        return
-    array = isinstance(payload, np.ndarray)
-    if not array and not isinstance(payload, (dict, list, tuple)):
-        yield json.dumps(payload)
-        return
-    opening, closing = "{}" if isinstance(payload, dict) else "[]"
-    if not len(payload):
-        yield opening + closing
-        return
-    inner = pad + "  "
-    values = payload.values() if isinstance(payload, dict) else payload
-    if array or not any(issubclass(kind, (dict, list, tuple, Callable))
-                        for kind in set(map(type, values))):
-        separators = (f",\n{inner}", ": ")
-        pieces = ([payload] if isinstance(payload, dict) else
-                  (payload[start:start + _PIECE_LEVELS]
-                   for start in range(0, len(payload), _PIECE_LEVELS)))
-        lead = f"{opening}\n{inner}"
-        for piece in pieces:
-            yield lead
-            yield json.dumps(piece.tolist() if array else piece, sort_keys=True,
-                             separators=separators)[1:-1]
-            lead = separators[0]
-    else:
-        if isinstance(payload, dict):
-            items = [(f"{json.dumps(key)}: ", value) for key, value in sorted(payload.items())]
-        else:
-            items = [("", value) for value in payload]
-        separator = f"{opening}\n{inner}"
-        for key, value in items:
-            yield separator + key
-            yield from _json_text(value, inner)
-            separator = f",\n{inner}"
-    yield f"\n{pad}{closing}"
-
-
 def _requested_formats(args) -> list:
     """The formats --format names, in artifact order, checked against
     those the subcommand offers before it computes anything."""
@@ -209,7 +153,8 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
     declared in ``_COMMANDS``): ``csv`` is (column line, columns of
     cells), whose text :func:`csv_pieces` yields in pieces, each written
     as it comes; ``json`` and ``svg`` return the payload (the config is
-    added to it) and the plot, and are called only when requested.
+    added to it, and :func:`json_pieces` yields its text in pieces) and the
+    plot, and are called only when requested.
     """
     header = [f"hschain {__version__} {command}"]
     header.extend(f"{key} = {format_cell(config[key])}" for key in sorted(config))
@@ -222,7 +167,7 @@ def _emit(args, command: str, config: dict, **artifacts) -> None:
         if fmt == "csv":
             pieces = csv_pieces(header, *artifact)
         elif fmt == "json":
-            pieces = chain(_json_text({"config": config, **artifact()}), ["\n"])
+            pieces = chain(json_pieces({"config": config, **artifact()}), ["\n"])
         else:
             pieces = ["<!--\n", "\n".join(header), "\n-->\n", artifact()]
         path = os.path.join(args.out, f"{command}.{fmt}")

@@ -215,8 +215,9 @@ def _sector_group(spec: ChainSpec, counts: tuple[int, ...], dim: int) -> _Group:
     that keep the sector, with the characters (-1)**(bits shared by s and g),
     the high bit of g the latest swap; only the identity keeps a state,
     since any other product moves a colour that the state holds.  Each swap
-    moves every state by its own shift of base-m digits, placed by one
-    searchsorted; the products are composed from those positions.
+    moves every state by its own shift of base-m digits, read from one
+    digit matrix of the sector and placed by one searchsorted; the products
+    are composed from those positions.
     """
     n, m = spec.n_spins, spec.m
     if spec.family == "HS":
@@ -244,9 +245,8 @@ def _sector_group(spec: ChainSpec, counts: tuple[int, ...], dim: int) -> _Group:
     weight = m ** np.arange(n - 1, -1, -1)
 
     def products(states: np.ndarray) -> np.ndarray:
-        places = [np.arange(states.size)]
+        places, digits = [np.arange(states.size)], states[:, None] // weight % m
         for a, b in swaps:
-            digits = states[:, None] // weight % m
             shift = ((digits == a) * weight - (digits == b) * weight).sum(axis=1) * (b - a)
             turn = np.searchsorted(states, states + shift)
             places += [turn[place] for place in places]

@@ -1,11 +1,13 @@
-"""Exact level-density tables and the cell and CSV text format of every
-artifact."""
+"""Exact level-density tables and the text of every artifact: the cell
+format, the CSV writer and the JSON encoder."""
 
 from __future__ import annotations
 
+import json
+from collections.abc import Callable
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -73,6 +75,18 @@ def check_grid_budget(prediction: str, nbytes: int, work: int = 0, ceiling: int 
         raise CapacityError(f"{prediction}, over the {limit}")
 
 
+def _interleaved(item: str, separator: str, columns) -> str:
+    """One piece of the aligned `columns`: `item`, a %-format of one cell
+    of each column, written for each row and joined by `separator`, as one
+    %-format over the columns' cells, interleaved (a numpy column taken as
+    Python scalars)."""
+    rows, width = len(columns[0]), len(columns)
+    cells = [None] * (rows * width)
+    for index, column in enumerate(columns):
+        cells[index::width] = column.tolist() if isinstance(column, np.ndarray) else column
+    return separator.join([item] * rows) % tuple(cells)
+
+
 def csv_pieces(header_lines, names: str, columns):
     """Yield a CSV artifact in pieces: the header lines, each after "# ",
     and the column line `names`, then the rows of the aligned `columns`,
@@ -80,22 +94,66 @@ def csv_pieces(header_lines, names: str, columns):
 
     Each cell is written as :func:`format_cell` writes it: a column whose
     first cell is a float with 17 significant digits, any other (ints,
-    strings, Fractions) as str writes it.  A piece is one %-format of its
-    cells, interleaved from the columns' slices, a numpy slice taken as
-    Python scalars."""
+    strings, Fractions) as str writes it."""
     yield "".join([f"# {line}\n" for line in header_lines] + [names, "\n"])
-    rows, width = len(columns[0]), len(columns)
+    rows = len(columns[0])
     if not rows:
         return
     row = ",".join(["%.17g" if isinstance(column[0], float) else "%s"
                     for column in columns]) + "\n"
     for start in range(0, rows, _PIECE_LEVELS):
-        count = min(_PIECE_LEVELS, rows - start)
-        cells = [None] * (count * width)
-        for index, column in enumerate(columns):
-            piece = column[start:start + count]
-            cells[index::width] = piece.tolist() if isinstance(piece, np.ndarray) else piece
-        yield (row * count) % tuple(cells)
+        yield _interleaved(row, "", [column[start:start + _PIECE_LEVELS] for column in columns])
+
+
+def json_pieces(payload, pad: str = ""):
+    """The pieces of ``json.dumps(payload, indent=2, sort_keys=True)``, byte
+    for byte, for payloads with string keys, nested `pad` deep, where a 1-d
+    float array is written as its list of floats.
+
+    An indent sends the whole payload through json's pure-Python encoder.
+    Here a value given as a function (the levels of
+    :meth:`DensityTable.to_json_dict`) is an object whose item texts it
+    yields, in pieces, each joined by the item separator it is given; this
+    encoder frames them as it frames any container it writes in pieces.
+    Each other dict or list without containers or such functions in it
+    goes through the C encoder in one call, with the newline and indent of
+    its items as the item separator; only containers of containers recurse
+    in Python.  The pieces are yielded, not joined, so no text of the whole
+    payload is built: a flat list (an oracle's multiplicities) or float
+    array (its spectra) is encoded ``_PIECE_LEVELS`` items at a time, each
+    text sliced once to drop its brackets, an array's items taken as
+    Python floats from one slice at a time.
+    """
+    array = isinstance(payload, np.ndarray)
+    if not (array or callable(payload) or isinstance(payload, (dict, list, tuple))):
+        yield json.dumps(payload)
+        return
+    mapping = isinstance(payload, dict) or callable(payload)
+    opening, closing = "{}" if mapping else "[]"
+    inner = pad + "  "
+    separator = f",\n{inner}"
+    if callable(payload):
+        items = ([text] for text in payload(separator))
+    elif array or not any(issubclass(kind, (dict, list, tuple, np.ndarray, Callable))
+                          for kind in set(map(type, payload.values() if mapping else payload))):
+        if mapping:
+            pieces = [payload] if payload else []
+        else:
+            pieces = (payload[start:start + _PIECE_LEVELS]
+                      for start in range(0, len(payload), _PIECE_LEVELS))
+        items = ([json.dumps(piece.tolist() if array else piece, sort_keys=True,
+                             separators=(separator, ": "))[1:-1]] for piece in pieces)
+    elif mapping:
+        items = (chain([f"{json.dumps(key)}: "], json_pieces(value, inner))
+                 for key, value in sorted(payload.items()))
+    else:
+        items = (json_pieces(value, inner) for value in payload)
+    lead = f"{opening}\n{inner}"
+    for item in items:
+        yield lead
+        yield from item
+        lead = separator
+    yield f"\n{pad}{closing}" if lead == separator else opening + closing
 
 
 class DensityTable:
@@ -172,43 +230,30 @@ class DensityTable:
 
     def to_json_dict(self) -> dict:
         """The density's JSON payload: its energy scale, its total and its
-        levels.  ``levels`` is a function of the indent of the levels object
-        that yields, in pieces, that object's text as
+        levels.  ``levels`` is a function of the item separator of the
+        levels object that yields, in pieces, that object's items as
         ``json.dumps(indent=2, sort_keys=True)`` writes the energy-text to
-        degeneracy dict; no such dict is built."""
+        degeneracy dict, for :func:`json_pieces` to frame; no such dict is
+        built."""
         return {
             "energy_scale": self.energy_scale,
             "total": self.total,
             "levels": self._json_levels,
         }
 
-    def _json_levels(self, pad: str):
-        """Yield the levels object `pad` deep, keys in sort_keys order.  An
-        energy text holds only digits, "-" and "/", which json writes
-        unescaped, and json writes an int as ``int.__repr__`` does, so each
-        item is written here directly, `_PIECE_LEVELS` items a piece.  The
-        key order is one int64 argsort of the texts as ASCII bytes, whose
-        order is the texts' own; each piece takes its indices from it as
-        Python ints.  The texts are distinct, so any sort gives that order;
-        the stable one runs about 4x faster on them than the default.  A
-        piece is one %-format of its texts and degeneracies, interleaved,
-        whose format text is made once for every full piece."""
+    def _json_levels(self, separator: str):
+        """Yield the levels object's items in sort_keys order, joined by
+        `separator`, `_PIECE_LEVELS` items a piece.  An energy text holds
+        only digits, "-" and "/", which json writes unescaped, and json
+        writes an int as ``int.__repr__`` does, so each item is written
+        here directly.  The key order is one int64 argsort of the texts as
+        ASCII bytes, whose order is the texts' own; each piece gathers its
+        texts and degeneracies through its indices from it as Python ints.
+        The texts are distinct, so any sort gives that order; the stable one
+        runs about 4x faster on them than the default."""
         texts, degeneracies = self._energy_texts, self.degeneracies
-        if not texts:
-            yield "{}"
-            return
         order = np.argsort(np.array(texts, dtype=np.bytes_), kind="stable")
-        separator = f",\n{pad}  "
-        lead = f"{{\n{pad}  "
-        item = '"%s": %s'
-        full = separator.join([item] * _PIECE_LEVELS)
         for start in range(0, len(order), _PIECE_LEVELS):
             index = order[start:start + _PIECE_LEVELS].tolist()
-            cells = [None] * (2 * len(index))
-            cells[::2] = [texts[i] for i in index]
-            cells[1::2] = [degeneracies[i] for i in index]
-            form = full if len(index) == _PIECE_LEVELS else separator.join([item] * len(index))
-            yield lead
-            yield form % tuple(cells)
-            lead = separator
-        yield f"\n{pad}}}"
+            yield _interleaved('"%s": %s', separator,
+                               ([texts[i] for i in index], [degeneracies[i] for i in index]))

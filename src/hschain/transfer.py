@@ -101,10 +101,12 @@ def default_t_grid(t_max: float = 6.0, points: int = 241) -> np.ndarray:
     fl(a - b) = -fl(b - a), so the grid keeps +-t_max, and a point moves by
     half of linspace's own asymmetry and one rounding: at most one unit in
     the last place of t_max at the default grid.  Past half the float range
-    linspace's step overflows, and the grid it gives is NaN.
+    linspace's step overflows, and the grid it gives is NaN.  The grid is
+    written over linspace's own array, so two arrays of its size are held.
     """
     g = np.linspace(-t_max, t_max, points)
-    return g / 2 - g[::-1] / 2
+    half = g / 2
+    return np.subtract(half, half[::-1], out=g)
 
 
 def _stats_and_grid(spec: ChainSpec, stats: SpectrumStats | None, t_grid):

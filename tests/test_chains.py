@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hschain.chains
-from hschain import (CapacityError, ChainSpec, ValidationError, dispersion,
+from hschain import (ANTIFERRO, CapacityError, ChainSpec, ValidationError, dispersion,
                      normalized_dispersion)
 from hschain.chains import _dispersion, scaled_dispersion_total
 
@@ -141,6 +141,17 @@ def test_json_round_trip():
 def test_json_accepts_lowercase_family():
     spec = ChainSpec.from_json_dict({"family": "pf", "N": 4, "m": 2, "epsilon": 1})
     assert spec.family == "PF"
+
+
+def test_json_refuses_unknown_keys():
+    # "eps" would otherwise leave epsilon at its ferromagnetic default
+    for key in ("eps", "n_spins", "Alpha", ""):
+        with pytest.raises(ValidationError, match=f"unknown chain spec key '{key}'"):
+            ChainSpec.from_json_dict({"family": "HS", "N": 8, "m": 2, key: -1})
+    assert ChainSpec.from_json('{"family": "HS", "N": 8, "m": 2, "epsilon": -1}') == ChainSpec(
+        "HS", 8, 2, ANTIFERRO)
+    with pytest.raises(ValidationError, match="malformed chain spec"):
+        ChainSpec.from_json('["family", "N", "m"]')
 
 
 def test_json_integers_are_not_truncated():

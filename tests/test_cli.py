@@ -14,10 +14,10 @@ import pytest
 import hschain.cli
 import hschain.table
 from hschain import ANTIFERRO, ChainSpec, closed_form_moments
-from hschain.cli import _json_text, main
+from hschain.cli import main
 from hschain.density import density_dp
 from hschain.levelstats import spacing_distribution
-from hschain.table import csv_pieces, format_cell, format_rational
+from hschain.table import csv_pieces, format_cell, format_rational, json_pieces
 from hschain.transfer import charfn_series, default_t_grid
 from small_tables import table_of
 
@@ -213,10 +213,11 @@ def test_repeated_runs_are_byte_identical(tmp_path):
     pytest.param(np.array([-0.0, 5e-324, 0.0, 2.5e-310]), id="floats-signed-zero-subnormal"),
     pytest.param({"eigenvalues": np.linspace(-1.0, 2.0, 4097), "multiplicities": [1, 2]},
                  id="floats-nested"),
+    pytest.param({"eigenvalues": np.array([0.5, -1.0])}, id="floats-only-value"),
 ])
 def test_json_text_equals_the_indented_sorted_encoder_byte_for_byte(payload):
-    assert "".join(_json_text(payload)) == json.dumps(payload, indent=2, sort_keys=True,
-                                                      default=np.ndarray.tolist)
+    assert "".join(json_pieces(payload)) == json.dumps(payload, indent=2, sort_keys=True,
+                                                       default=np.ndarray.tolist)
 
 
 @pytest.mark.parametrize("sign", ["ferro", "antiferro"])
@@ -280,8 +281,10 @@ def test_density_csv_write_peak(tmp_path, monkeypatch, name):
 
 
 def test_charfn_csv_write_peak(tmp_path, monkeypatch):
-    # measured: 6.3 MiB, 4.6 of it while the t grid is built; 52.3 MiB while
-    # the whole text was joined before it was written
+    # measured: 6.3 MiB, set after the write by the complex temporaries of the
+    # printed max |charfn - gaussian| (the write peaks at 3.3, building the t
+    # grid at 3.2); 52.3 MiB while the whole text was joined before it was
+    # written
     spec = ChainSpec("HS", 5, 2)
     series = charfn_series(spec, closed_form_moments(spec), default_t_grid(6.0, 200_001))
     monkeypatch.setattr(hschain.cli, "charfn_series", lambda *_: series)
@@ -392,6 +395,11 @@ SPEC = '{"family": "HS", "N": 4, "m": 2}'
      "cannot be combined with --family, --m, --ferro"),
     # linspace's span overflows, so the grid itself is NaN
     (["charfn", "--N", "5", "--t-max", "1e308"], "--t-max 1e+308 and --t-points 241"),
+    # a misspelt key would leave its field at the default
+    (["moments", "--spec", '{"family": "HS", "N": 8, "m": 2, "eps": -1}'],
+     "unknown chain spec key 'eps'"),
+    (["density", "--spec", '{"family": "FI", "N": 4, "m": 2, "Alpha": 2, "n": 5}'],
+     "unknown chain spec keys 'Alpha', 'n'"),
 ])
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
     # every row but those of --spec names the chain by its options

@@ -7,8 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import hschain.table
 from hschain import ChainSpec, DensityTable, ValidationError, format_rational
 from hschain.density import density_dp
+from hschain.table import json_pieces
 from small_tables import table_of
 
 
@@ -26,7 +28,7 @@ def test_artifact_text_equals_the_levelwise_rationals(spec):
     payload = table.to_json_dict()
     levels = dict(zip(texts, table.degeneracies))
     for pad in ("", "    "):
-        assert "".join(payload["levels"](pad)) == json.dumps(
+        assert "".join(json_pieces(payload["levels"], pad)) == json.dumps(
             levels, indent=2, sort_keys=True).replace("\n", "\n" + pad)
     assert (payload["energy_scale"], payload["total"]) == (table.energy_scale, table.total)
 
@@ -36,13 +38,29 @@ def test_both_artifacts_share_one_energy_text_pass(monkeypatch):
     calls = []
     gcd = np.gcd
     monkeypatch.setattr(np, "gcd", lambda *args: calls.append(args) or gcd(*args))
-    csv, levels = table.to_csv(), json.loads("".join(table.to_json_dict()["levels"]("")))
+    csv, levels = table.to_csv(), json.loads("".join(json_pieces(table.to_json_dict()["levels"])))
     assert len(calls) == 1
     assert {text: int(d) for text, d in (line.split(",") for line in csv.splitlines()[1:])} == levels
 
 
 def test_an_empty_table_writes_an_empty_levels_object():
-    assert "".join(table_of({}).to_json_dict()["levels"]("  ")) == json.dumps({}, indent=2)
+    levels = table_of({}).to_json_dict()["levels"]
+    assert list(levels(",\n    ")) == []
+    assert "".join(json_pieces(levels, "  ")) == json.dumps({}, indent=2)
+
+
+@pytest.mark.parametrize("pad", ["", "    "])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 8193])
+def test_both_artifacts_join_their_pieces_at_every_piece_boundary(count, pad):
+    assert hschain.table._PIECE_LEVELS == 4096
+    table = table_of({3 * k - count: 2 ** 70 + k for k in range(count)}, energy_scale=2)
+    texts = [format_rational(Fraction(e, 2)) for e in table.levels().tolist()]
+    assert table.to_csv(["head"]) == "".join(
+        ["# head\nenergy,degeneracy\n", *(f"{t},{d}\n" for t, d in zip(texts, table.degeneracies))])
+    levels = table.to_json_dict()["levels"]
+    assert len(list(levels(f",\n{pad}  "))) == -(-count // 4096)
+    assert "".join(json_pieces(levels, pad)) == json.dumps(
+        dict(zip(texts, table.degeneracies)), indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
 def test_layout_is_two_aligned_arrays():
