@@ -35,7 +35,7 @@ from .motifs import brute_force_density
 from .svgplot import histogram_plot, line_plot
 from .table import (_CHUNK_BYTES, MASS_CEILING, TRANSFER_CEILING, check_grid_budget,
                     csv_pieces, format_cell, format_rational, json_pieces)
-from .transfer import charfn_series, convergence_report, default_t_grid
+from .transfer import _sup_distance, charfn_series, convergence_report, default_t_grid
 from . import __version__
 
 _FAMILY_BY_FLAG = {"hs": "HS", "pf": "PF", "fi": "FI"}
@@ -270,19 +270,21 @@ def _cmd_charfn(args) -> int:
             y_label="modulus",
         ),
     )
-    gap = float(np.abs(exact - series.gaussian_ref).max())
+    gap = _sup_distance(exact, series.gaussian_ref)
     print(f"max |charfn - gaussian| = {format_cell(gap)}")
     return 0
 
 
 def _check_sweep_work(args, sweep, spec: ChainSpec, grid) -> None:
     """Refuse a convergence sweep whose transfer products would run too
-    long, before its first N.  Each chain runs its N - 1 bonds once per
+    long, before its first N.  Each chain runs its bonds once per
     distinct |t| (the upper half of the antisymmetric grid) in both
-    kernels.  Measured per bond, the time is a fixed cost for the numpy
-    calls, 1.7 to 2.8 us at m <= 8, plus 7 to 19 ns for each of the m
-    values at each |t|; the work is counted as bonds x (m x |t| + 256).
-    The first chain's own gates speak first."""
+    kernels: PF and FI all N - 1, HS only the first ceil((N - 1)/2).
+    Measured per bond, the time is a fixed cost for the numpy calls, 1.7
+    to 2.8 us at m <= 8, plus 7 to 19 ns for each of the m values at each
+    |t|; the work is counted as bonds x (m x |t| + 256) with all N - 1
+    bonds, as calibrated on PF, so for HS it errs safe by about 2x.  The
+    first chain's own gates speak first."""
     scaled_dispersion_total(spec)
     bonds, points = sum(sweep) - len(sweep), grid.size - grid.size // 2
     work = bonds * (spec.m * points + 256)
@@ -313,8 +315,7 @@ def _cmd_convergence(args) -> int:
             title=f"convergence, {spec.family} m={spec.m}",
             x_label="N",
             y_label="sup distance",
-            log_x=True,
-            log_y=True,
+            log=True,
         ),
     )
     print(
@@ -386,8 +387,7 @@ def _cmd_kscan(args) -> int:
             title=f"gaussian fit distance, {spec.family} m={spec.m}",
             x_label="N",
             y_label="ks distance",
-            log_x=True,
-            log_y=True,
+            log=True,
         ),
     )
     print(f"ks distance: first = {format_cell(distances[0])}, last = {format_cell(distances[-1])}")

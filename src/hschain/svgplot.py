@@ -28,151 +28,129 @@ def _coord(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _tick_label(x: float) -> str:
-    return f"{x:.4g}"
-
-
-class _Axis:
-    def __init__(self, lo: float, hi: float, log: bool):
-        if log and (lo <= 0 or hi <= 0):
-            raise ValidationError("log axis needs positive data")
-        if hi <= lo and log:
-            # a decade each way: a factor keeps both bounds positive
-            lo, hi = lo / 10.0, hi * 10.0
-        elif hi <= lo:
-            pad = abs(lo) * 0.5 + 1.0
-            lo, hi = lo - pad, hi + pad
-        self.lo, self.hi, self.log = lo, hi, log
-
-    def unit(self, x: float) -> float:
-        """Map a data value to [0, 1]."""
-        if self.log:
-            return (math.log(x) - math.log(self.lo)) / (math.log(self.hi) - math.log(self.lo))
-        return (x - self.lo) / (self.hi - self.lo)
-
-    def ticks(self, count: int = 5) -> list:
-        if self.log:
-            lo_dec = math.floor(math.log10(self.lo) - 1e-9)
-            hi_dec = math.ceil(math.log10(self.hi) + 1e-9)
-            marks = [10.0 ** d for d in range(int(lo_dec), int(hi_dec) + 1)]
-            return [x for x in marks if self.lo * 0.999 <= x <= self.hi * 1.001]
-        step = (self.hi - self.lo) / (count - 1)
-        return [self.lo + k * step for k in range(count)]
-
-
-def _axis_for(values, log: bool, pad_frac: float = 0.04) -> _Axis:
-    lo = min(values)
-    hi = max(values)
+def _axis(values, log: bool, pad: float = 0.04) -> tuple:
+    """The (lo, hi, log) range of an axis over `values`: a linear axis is
+    padded by `pad` of its width, and a zero-width axis is widened."""
+    if not values:
+        raise ValidationError("a plot axis needs at least one value")
+    lo, hi = min(values), max(values)
     if not log:
-        pad = (hi - lo) * pad_frac
+        pad = (hi - lo) * pad
         lo, hi = lo - pad, hi + pad
-    return _Axis(lo=lo, hi=hi, log=log)
+    if log and (lo <= 0 or hi <= 0):
+        raise ValidationError("log axis needs positive data")
+    if hi <= lo and log:
+        # a decade each way: a factor keeps both bounds positive
+        lo, hi = lo / 10.0, hi * 10.0
+    elif hi <= lo:
+        pad = abs(lo) * 0.5 + 1.0
+        lo, hi = lo - pad, hi + pad
+    return lo, hi, log
 
 
-class Figure:
-    """Accumulates SVG elements for one plot panel."""
+def _ticks(lo: float, hi: float, log: bool) -> list:
+    """The decades within a log axis, or five evenly spaced values."""
+    if log:
+        lo_dec = math.floor(math.log10(lo) - 1e-9)
+        hi_dec = math.ceil(math.log10(hi) + 1e-9)
+        marks = [10.0 ** d for d in range(lo_dec, hi_dec + 1)]
+        return [x for x in marks if lo * 0.999 <= x <= hi * 1.001]
+    step = (hi - lo) / 4
+    return [lo + k * step for k in range(5)]
 
-    def __init__(self, title: str, x_label: str, y_label: str, x_axis: _Axis, y_axis: _Axis):
-        self.title, self.x_label, self.y_label = title, x_label, y_label
-        self.x_axis, self.y_axis = x_axis, y_axis
-        self.parts, self.legend = [], []
 
-    def x_pix(self, x: float) -> float:
-        return MARGIN_LEFT + self.x_axis.unit(x) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
+def _unit(lo: float, hi: float, log: bool):
+    """The map of an axis's data values to [0, 1]."""
+    if log:
+        return lambda x: (math.log(x) - math.log(lo)) / (math.log(hi) - math.log(lo))
+    return lambda x: (x - lo) / (hi - lo)
 
-    def y_pix(self, y: float) -> float:
-        return HEIGHT - MARGIN_BOTTOM - self.y_axis.unit(y) * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
 
-    def add_polyline(self, xs, ys, color: str, label: str | None = None) -> None:
-        points = " ".join(
-            f"{_coord(self.x_pix(x))},{_coord(self.y_pix(y))}" for x, y in zip(xs, ys)
+def _render(title, x_label, y_label, x_axis, y_axis, series, bars=None) -> str:
+    """One plot panel as SVG text: frame, ticks, labels, the (edges,
+    heights) `bars`, one polyline per (label, xs, ys) of `series` and
+    their legend."""
+    x_unit, y_unit = _unit(*x_axis), _unit(*y_axis)
+
+    def x_pix(x: float) -> float:
+        return MARGIN_LEFT + x_unit(x) * (WIDTH - MARGIN_LEFT - MARGIN_RIGHT)
+
+    def y_pix(y: float) -> float:
+        return HEIGHT - MARGIN_BOTTOM - y_unit(y) * (HEIGHT - MARGIN_TOP - MARGIN_BOTTOM)
+
+    out = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" '
+        f'font-family="monospace" font-size="13">{title}</text>',
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
+        f'width="{WIDTH - MARGIN_LEFT - MARGIN_RIGHT}" '
+        f'height="{HEIGHT - MARGIN_TOP - MARGIN_BOTTOM}" '
+        f'fill="none" stroke="#000000" stroke-width="1"/>',
+    ]
+    for x in _ticks(*x_axis):
+        px = x_pix(x)
+        out.append(
+            f'<line x1="{_coord(px)}" y1="{HEIGHT - MARGIN_BOTTOM}" '
+            f'x2="{_coord(px)}" y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="#000000"/>'
         )
-        self.parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
+        out.append(
+            f'<text x="{_coord(px)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" '
+            f'text-anchor="middle" font-family="monospace" font-size="11">{x:.4g}</text>'
         )
-        if label is not None:
-            self.legend.append((label, color))
-
-    def add_bars(self, edges, heights) -> None:
-        base = self.y_pix(max(self.y_axis.lo, 0.0))
+    for y in _ticks(*y_axis):
+        py = y_pix(y)
+        out.append(
+            f'<line x1="{MARGIN_LEFT - 5}" y1="{_coord(py)}" '
+            f'x2="{MARGIN_LEFT}" y2="{_coord(py)}" stroke="#000000"/>'
+        )
+        out.append(
+            f'<text x="{MARGIN_LEFT - 8}" y="{_coord(py + 4)}" '
+            f'text-anchor="end" font-family="monospace" font-size="11">{y:.4g}</text>'
+        )
+    out.append(
+        f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
+        f'font-family="monospace" font-size="12">{x_label}</text>'
+    )
+    mid_y = (MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) // 2
+    out.append(
+        f'<text x="16" y="{mid_y}" text-anchor="middle" font-family="monospace" '
+        f'font-size="12" transform="rotate(-90 16 {mid_y})">{y_label}</text>'
+    )
+    if bars is not None:
+        edges, heights = bars
+        base = y_pix(max(y_axis[0], 0.0))
         for left, right, h in zip(edges[:-1], edges[1:], heights):
-            x0 = self.x_pix(left)
-            x1 = self.x_pix(right)
-            y1 = self.y_pix(h)
-            self.parts.append(
+            x0, x1, y1 = x_pix(left), x_pix(right), y_pix(h)
+            out.append(
                 f'<rect x="{_coord(x0)}" y="{_coord(min(y1, base))}" '
                 f'width="{_coord(x1 - x0)}" height="{_coord(abs(base - y1))}" '
                 f'fill="{BAR_FILL}" stroke="none"/>'
             )
-
-    def render(self) -> str:
-        out = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-            f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-            f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-            f'<text x="{WIDTH // 2}" y="18" text-anchor="middle" '
-            f'font-family="monospace" font-size="13">{self.title}</text>',
-        ]
-        frame = (
-            f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" '
-            f'width="{WIDTH - MARGIN_LEFT - MARGIN_RIGHT}" '
-            f'height="{HEIGHT - MARGIN_TOP - MARGIN_BOTTOM}" '
-            f'fill="none" stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(frame)
-        for x in self.x_axis.ticks():
-            px = self.x_pix(x)
-            out.append(
-                f'<line x1="{_coord(px)}" y1="{HEIGHT - MARGIN_BOTTOM}" '
-                f'x2="{_coord(px)}" y2="{HEIGHT - MARGIN_BOTTOM + 5}" stroke="#000000"/>'
-            )
-            out.append(
-                f'<text x="{_coord(px)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" '
-                f'text-anchor="middle" font-family="monospace" font-size="11">{_tick_label(x)}</text>'
-            )
-        for y in self.y_axis.ticks():
-            py = self.y_pix(y)
-            out.append(
-                f'<line x1="{MARGIN_LEFT - 5}" y1="{_coord(py)}" '
-                f'x2="{MARGIN_LEFT}" y2="{_coord(py)}" stroke="#000000"/>'
-            )
-            out.append(
-                f'<text x="{MARGIN_LEFT - 8}" y="{_coord(py + 4)}" '
-                f'text-anchor="end" font-family="monospace" font-size="11">{_tick_label(y)}</text>'
-            )
+    for rank, (_, xs, ys) in enumerate(series):
+        points = " ".join(f"{_coord(x_pix(x))},{_coord(y_pix(y))}" for x, y in zip(xs, ys))
         out.append(
-            f'<text x="{WIDTH // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-            f'font-family="monospace" font-size="12">{self.x_label}</text>'
+            f'<polyline fill="none" stroke="{PALETTE[rank % len(PALETTE)]}" '
+            f'stroke-width="1.5" points="{points}"/>'
         )
-        mid_y = (MARGIN_TOP + HEIGHT - MARGIN_BOTTOM) // 2
+    for rank, (label, _, _) in enumerate(series):
+        ly = MARGIN_TOP + 16 + 16 * rank
+        lx = WIDTH - MARGIN_RIGHT - 150
         out.append(
-            f'<text x="16" y="{mid_y}" text-anchor="middle" font-family="monospace" '
-            f'font-size="12" transform="rotate(-90 16 {mid_y})">{self.y_label}</text>'
+            f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
+            f'stroke="{PALETTE[rank % len(PALETTE)]}" stroke-width="1.5"/>'
         )
-        out.extend(self.parts)
-        for rank, (label, color) in enumerate(self.legend):
-            ly = MARGIN_TOP + 16 + 16 * rank
-            lx = WIDTH - MARGIN_RIGHT - 150
-            out.append(
-                f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
-            out.append(
-                f'<text x="{lx + 28}" y="{ly}" font-family="monospace" font-size="11">{label}</text>'
-            )
-        out.append("</svg>")
-        return "\n".join(out) + "\n"
+        out.append(
+            f'<text x="{lx + 28}" y="{ly}" font-family="monospace" font-size="11">{label}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"
 
 
-def line_plot(
-    series,
-    title: str,
-    x_label: str,
-    y_label: str,
-    log_x: bool = False,
-    log_y: bool = False,
-) -> str:
-    """Render labelled (xs, ys) series to an SVG string.
+def line_plot(series, title: str, x_label: str, y_label: str, log: bool = False) -> str:
+    """Render labelled (xs, ys) series to an SVG string, on log-log axes
+    if `log`.
 
     `series` is an iterable of (label, xs, ys); colors cycle through a
     fixed palette in input order.
@@ -180,18 +158,9 @@ def line_plot(
     series = list(series)
     if not series:
         raise ValidationError("line_plot needs at least one series")
-    all_x = [float(x) for _, xs, _ in series for x in xs]
-    all_y = [float(y) for _, _, ys in series for y in ys]
-    fig = Figure(
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        x_axis=_axis_for(all_x, log_x),
-        y_axis=_axis_for(all_y, log_y),
-    )
-    for rank, (label, xs, ys) in enumerate(series):
-        fig.add_polyline(xs, ys, PALETTE[rank % len(PALETTE)], label)
-    return fig.render()
+    x_axis = _axis([float(x) for _, xs, _ in series for x in xs], log)
+    y_axis = _axis([float(y) for _, _, ys in series for y in ys], log)
+    return _render(title, x_label, y_label, x_axis, y_axis, series)
 
 
 def histogram_plot(edges, heights, overlays, title: str, x_label: str, y_label: str) -> str:
@@ -200,14 +169,5 @@ def histogram_plot(edges, heights, overlays, title: str, x_label: str, y_label: 
     heights = [float(h) for h in heights]
     overlays = list(overlays)
     all_y = heights + [float(y) for _, _, ys in overlays for y in ys] + [0.0]
-    fig = Figure(
-        title=title,
-        x_label=x_label,
-        y_label=y_label,
-        x_axis=_axis_for(edges, log=False, pad_frac=0.0),
-        y_axis=_axis_for(all_y, log=False),
-    )
-    fig.add_bars(edges, heights)
-    for rank, (label, xs, ys) in enumerate(overlays):
-        fig.add_polyline(xs, ys, PALETTE[rank % len(PALETTE)], label)
-    return fig.render()
+    return _render(title, x_label, y_label, _axis(edges, False, pad=0.0), _axis(all_y, False),
+                   overlays, bars=(edges, heights))

@@ -30,7 +30,9 @@ COMPOSITION_CEILING = 10 ** 10
 ORACLE_CEILING = 2 * 10 ** 10
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
-# 9.95e8 on the default grid, took 22.7 s.
+# 9.95e8 on the default grid, took 22.7 s.  The count takes all N - 1 bonds;
+# an HS chain runs only the first ceil((N - 1)/2) of them, so for HS the
+# count errs safe by about 2x.
 TRANSFER_CEILING = 10 ** 9
 # Mass DPs of a kscan sweep: (N - 1) x cells x m summed over its N, 0.5 to
 # 2.6 ns each (PF m=2 the cheapest, HS m=16 the dearest).  About 25 s: HS m=3

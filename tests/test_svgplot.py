@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hschain.errors import ValidationError
 from hschain.svgplot import histogram_plot, line_plot
 
 # full SVG bytes of the three plots below, recorded from an earlier version
@@ -19,8 +20,7 @@ def _line():
         title="two curves",
         x_label="n",
         y_label="value",
-        log_x=True,
-        log_y=True,
+        log=True,
     )
 
 
@@ -40,7 +40,7 @@ def _histogram():
 
 def _one_point():
     return line_plot([("one", [16], [0.0135])], title="one point", x_label="N",
-                     y_label="distance", log_x=True, log_y=True)
+                     y_label="distance", log=True)
 
 
 PLOTS = {"line": _line, "histogram": _histogram, "one_point": _one_point}
@@ -71,6 +71,11 @@ def test_one_point_log_log_plot_stays_on_positive_axes():
     svg = _one_point()
     assert svg.count("<polyline") == 1
     assert ">10</text>" in svg and ">0.01</text>" in svg
+
+
+def test_an_empty_series_is_refused():
+    with pytest.raises(ValidationError, match="at least one value"):
+        line_plot([("a", [], [])], title="empty", x_label="x", y_label="y")
 
 
 @pytest.mark.parametrize("name", sorted(PLOTS))

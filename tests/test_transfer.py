@@ -176,6 +176,17 @@ def test_charfn_agrees_with_the_density_route(spec):
     assert np.abs(via_product - via_density).max() < 1e-12
 
 
+def test_charfn_from_density_keeps_the_shape_of_the_grid():
+    spec = ChainSpec("HS", 7, 2)
+    stats = closed_form_moments(spec)
+    density = density_dp(spec)
+    for t in (0.7, np.array([[-1.5, 0.0], [0.25, 3.0]])):
+        via_product = charfn_exact(spec, stats, t)
+        via_density = charfn_from_density(density, stats, t)
+        assert np.shape(via_density) == np.shape(via_product) == np.shape(t)
+        assert np.abs(via_product - via_density).max() < 1e-12
+
+
 def test_sign_flip_conjugates_the_charfn():
     spec = ChainSpec("PF", 8, 2)
     t = default_t_grid(5.0, 61)
