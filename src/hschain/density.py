@@ -25,9 +25,10 @@ three kinds of polynomial, each built with its read-out and its bytes:
 :func:`level_support` runs it with one bit per cell and ``|`` in place of
 ``+``: it finds which levels occur, not how often, on a grid at most a
 sixty-fourth the size, for consumers that collapse degeneracies anyway.
-:func:`level_masses` runs it over float64 arrays of the fractions of
-states, for the Kolmogorov-Smirnov distance.  One runner,
-:func:`_dp_levels`, serves all three.
+:func:`level_masses` runs it over float64 arrays that count the states,
+each cell written once per add and divided once, by the float of m**N,
+when the finished array is read, for the Kolmogorov-Smirnov distance.
+One runner, :func:`_dp_levels`, serves all three.
 
 The loop runs the ferromagnetic recursion for both signs: the
 antiferromagnetic bit of a configuration is one minus its ferromagnetic
@@ -97,7 +98,7 @@ class _Kind(NamedTuple):
     one: object  # one starting spin value: energy zero, reached once
     combine: Callable  # merges the polynomials that feed one destination
     add_shifted: Callable  # (plain, polynomial, F) -> plain and the polynomial times q**F
-    scale: Callable | None  # rescales the list of states in place before each bond
+    scale: Callable | None  # (states, bond index) -> rescales the states in place before that bond
     read: Callable  # finished polynomial -> ascending occupied cells (int64) and their values
     nbytes: int  # one polynomial over every energy cell
     unpack: int  # the finished polynomial and its read-out
@@ -167,45 +168,79 @@ def _support_kind(cells: int) -> _Kind:
 
 
 def _add_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The aligned sum of two mass arrays that both start at energy zero."""
+    """The aligned sum of two mass arrays that both start at energy zero,
+    each cell written once into one new array."""
     if a.size < b.size:
         a, b = b, a
-    total = a.copy()
-    total[: b.size] += b
+    total = np.empty(a.size)
+    np.add(a[: b.size], b, out=total[: b.size])
+    total[b.size:] = a[b.size:]
     return total
 
 
 def _add_shifted_masses(plain: np.ndarray, masses: np.ndarray, w: int) -> np.ndarray:
-    """`plain` plus `masses` moved up by `w` cells, written once into one
-    new array."""
+    """`plain` plus `masses` moved up by `w` cells, each cell written once
+    into one new array: `plain` below `w`, then zeros up to `w`, the sum
+    where the two overlap, and the longer one's cells past the overlap."""
     top = w + masses.size
-    total = np.zeros(max(top, plain.size))
-    total[w:top] = masses
-    total[: plain.size] += plain
+    end = max(w, min(plain.size, top))  # the overlap is [w, end)
+    total = np.empty(max(top, plain.size))
+    total[: min(w, plain.size)] = plain[:w]
+    total[plain.size:w] = 0
+    np.add(plain[w:end], masses[: end - w], out=total[w:end])
+    total[end:top] = masses[end - w:]
+    total[end:plain.size] = plain[end:]
     return total
 
 
-def _mass_kind(m: int, cells: int) -> _Kind:
-    """Fractions of the states: float64 arrays that grow by padding,
-    added where they overlap, and divided by m before every bond, so that
-    the m starting values of mass 1/m keep a total of 1 at any N.
+def _mass_shed(m: int, bond: int) -> int:
+    """The bits a mass DP has shed once bond `bond` (from 0) is added: the
+    least multiple of 64 that keeps its total, m**(bond + 2) over
+    2**shed, within about 2**960, far enough below the float64 range of
+    2**1024 that no partial sum of a bond overflows."""
+    return 64 * max(0, math.ceil(((bond + 2) * math.log2(m) - 960) / 64))
 
-    A state may hold one array for several spin values, so each distinct
-    array is divided once.  A finished array is read as its nonzero cells
-    and their masses: per cell, the read-out holds the finished array, a
-    byte and an int64 index, and the levels and masses it keeps.
+
+def _mass_kind(spec: ChainSpec, cells: int) -> _Kind:
+    """Counts of the states as float64 arrays that grow by padding and add
+    where they overlap, read as fractions of the m**N states.
+
+    Each starting value is 1, so after bond j the states count
+    m**(j + 2) / 2**shed, with the bits shed of :func:`_mass_shed`.  No
+    chain with N log2(m) <= 960 sheds any, and its kind has no ``scale``;
+    past that, before each bond
+    that would take the total past 2**960, the states shed 64 bits by an
+    exact multiplication with a power of two.  The bits shed depend on the
+    bond alone, so one kind serves any number of recursions.  A state may
+    hold one array for several spin values, so each distinct array is
+    scaled once.
+
+    A finished array is read as its nonzero cells, each divided once by
+    the float of the exact total m**N / 2**shed; a mass that this takes
+    below the smallest float64 drops out with its level.  Per cell, the
+    read-out holds the finished array, a byte and an int64 index, and the
+    levels and masses it keeps.
     """
+    m, shed = spec.m, _mass_shed(spec.m, spec.n_spins - 2)
 
-    def divide(state):
-        for masses in {id(masses): masses for masses in state}.values():
-            masses /= m
+    def scale(state, bond):
+        bits = _mass_shed(m, bond) - (bond and _mass_shed(m, bond - 1))
+        if bits:
+            for masses in {id(masses): masses for masses in state}.values():
+                masses *= 2.0 ** -bits
 
-    def read(masses):
-        levels = np.flatnonzero(masses).astype(np.int64, copy=False)
-        return levels, masses[levels]
+    def read(counts):
+        levels = np.flatnonzero(counts).astype(np.int64, copy=False)
+        masses = counts[levels]
+        # int / int is correctly rounded: the float of the exact total
+        masses /= m ** spec.n_spins / (1 << shed)
+        if not masses.all():
+            kept = np.flatnonzero(masses)
+            levels, masses = levels[kept], masses[kept]
+        return levels, masses
 
-    return _Kind(np.full(1, 1 / m), _add_masses, _add_shifted_masses, divide, read, 8 * cells,
-                 cells * (8 + 1 + 8 + 8 + 8))
+    return _Kind(np.ones(1), _add_masses, _add_shifted_masses, scale if shed else None, read,
+                 8 * cells, cells * (8 + 1 + 8 + 8 + 8))
 
 
 def _bond_dp(spec: ChainSpec, kind: _Kind):
@@ -218,8 +253,9 @@ def _bond_dp(spec: ChainSpec, kind: _Kind):
     accumulated scaled energy E.  `kind` says what a cell holds and how a
     polynomial is shifted by F(j) energy units and added to another: an
     exact count in a slot of a big integer and ``+``, one bit and ``|``,
-    or a float64 mass and an aligned add.  Returns the combined polynomial
-    over all final spin values.
+    or a float64 count and an aligned add.  A kind may rescale the states
+    in place before each bond, told the bond's index.  Returns the
+    combined polynomial over all final spin values.
 
     The ferromagnetic bit of a bond is set iff its left spin value is the
     smaller, so spin value 1 takes every source unshifted, and spin value
@@ -256,9 +292,9 @@ def _bond_dp(spec: ChainSpec, kind: _Kind):
     # energy zero reached once for every starting value; a copy, since a
     # kind's scale may rescale the states in place
     state = [copy.copy(kind.one)] * m
-    for w in dispersion(spec).scaled:
+    for bond, w in enumerate(dispersion(spec).scaled):
         if scale is not None:
-            scale(state)
+            scale(state, bond)
         # low[d - 1] combines sources 1..d, and its last entry all m of them
         # for spin value 1; high[d] combines sources d + 1..m
         low = [*accumulate(state, combine)]
@@ -355,7 +391,8 @@ def level_support(spec: ChainSpec) -> LevelSupport:
 @dataclass(frozen=True)
 class LevelMasses(LevelSupport):
     """The distinct levels of a chain with the fraction of the m**N states
-    at each, ``masses``, in float64."""
+    at each, ``masses``, in float64: the DP's float counts divided once by
+    the float of m**N."""
 
     masses: np.ndarray
 
@@ -367,12 +404,15 @@ class LevelMasses(LevelSupport):
 
 def level_masses(spec: ChainSpec) -> LevelMasses:
     """The levels and their fractions of the states, from the recursion of
-    :func:`density_dp` over float64 masses in place of exact counts.
+    :func:`density_dp` over float64 counts in place of exact ones.
 
-    Every mass is a fraction of the m**N states, at most 1 whatever N is:
-    each bond divides by m.  Rounding adds a relative error of a few units
-    in the last place per bond, far below what a Kolmogorov-Smirnov
-    distance resolves.  Underflow: a level's mass is at least m**-N, so
+    The counts are exact while they stay below 2**53; past that, rounding
+    adds a relative error of a few units in the last place per bond, far
+    below what a Kolmogorov-Smirnov distance resolves.  The read-out
+    divides each level's count once, by the float of m**N, so every mass
+    is a fraction of the states; past N * log2(m) = 960 the counts shed
+    exact powers of two on the way, so that none overflows (see
+    :func:`_mass_kind`).  Underflow: a level's mass is at least m**-N, so
     masses drop out only once N * log2(m) exceeds 1074; then masses below
     the smallest float64, 2**-1074, drop out with their levels, and the
     cumulative distribution, and so any distance taken from it, moves by
@@ -383,7 +423,7 @@ def level_masses(spec: ChainSpec) -> LevelMasses:
     CapacityError
         If the float grids and their unpacking would exceed the memory budget.
     """
-    disp, levels, masses = _dp_levels(spec, partial(_mass_kind, spec.m))
+    disp, levels, masses = _dp_levels(spec, partial(_mass_kind, spec))
     return LevelMasses(scaled=levels, energy_scale=disp.energy_scale, masses=masses)
 
 

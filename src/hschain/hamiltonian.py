@@ -29,9 +29,9 @@ Wilkinson, Numer. Math. 9 (1967) 386).
 Only small chains are in scope: the gate predicts every block size from
 the group's characters and the states each element keeps, both taken from
 the colour counts alone, and holds the blocks, the largest sector matrix,
-the solver's arrays and the m**N spectra to the memory budget and the
-solver's work on the solved blocks to ``ORACLE_CEILING``, while the site
-layout has no cap.
+the solver's arrays and the m**N spectra to the memory budget, and the
+work of building every solved sector's exchange pairs and of solving its
+blocks to ``ORACLE_CEILING``, while the site layout has no cap.
 """
 
 from __future__ import annotations
@@ -261,7 +261,8 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     list (and return) the solved sectors with the sizes of their blocks and
     their groups, and refuse a chain whose solved blocks, with the largest
     sector matrix and a copy of it or with the solver's own arrays, join
-    them over the budget, or whose solver work passes ``ORACLE_CEILING``.
+    them over the budget, or whose build and solver work passes
+    ``ORACLE_CEILING``.
 
     A block of :func:`_symmetry_blocks` holds the orbits on whose stabiliser
     its character chi is trivial, (1 / |G|) sum_g conj(chi(g)) Fix(g) of them
@@ -275,6 +276,12 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     block for the Householder reduction and 2 x ``_STURM_STEPS`` x
     (``_SECTIONS`` - 1) x size**2 for the multisection: a Sturm evaluation
     (one row of one lane at one point) took about twice a size**3 unit.
+
+    :func:`build_hamiltonian` makes a few numpy calls per exchange pair of
+    a sector, about 10 us whatever its size, and writes two cells of H a
+    state, 40 to 160 ns, dearer in larger sectors: counted as 4000 units
+    per pair and sector and 64 per pair and state (HS N=14 m=2, 6.1e7
+    units, built in 0.13 s).
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -304,14 +311,18 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     stack = max(count * size * size for size, count in blocks.items())
     held = sum(count * size * size for size, count in blocks.items())
     sturm = 2 * _STURM_STEPS * (_SECTIONS - 1)
-    work = sum(count * (size ** 3 + sturm * size * size) for size, count in blocks.items())
+    pairs = spec.n_spins * (spec.n_spins - 1) // 2
+    build = pairs * (4000 * len(sectors) + 64 * solved)
+    work = build + sum(count * (size ** 3 + sturm * size * size) for size, count in blocks.items())
     solver = 16 * stack + 128 * solved + 4 * _CHUNK_BYTES
     check_grid_budget(f"{text} plus 8 x {held} for the solved blocks and the larger of "
                       f"2 x 8 x {largest}**2 for the largest sector and {solver} for the solver "
                       f"(2 x 8 x {stack} for the largest stack of blocks and its outer products, "
                       f"128 x {solved} for its lanes and {4 * _CHUNK_BYTES} for one piece of "
-                      f"them), and {work} units of solver work, the sum over the solved blocks "
-                      f"of size**3 and {sturm} x size**2",
+                      f"them), and {work} units of work: to build, 4000 a sector and 64 a "
+                      f"state for each of {pairs} exchange pairs over {len(sectors)} sectors of "
+                      f"{solved} states; to solve, the sum over the solved blocks of size**3 "
+                      f"and {sturm} x size**2",
                       spectra_and_report + 8 * held + max(16 * largest * largest, solver),
                       work, ORACLE_CEILING)
     return sectors
@@ -648,8 +659,9 @@ def oracle_compare(spec: ChainSpec) -> OracleReport:
     normalization actually observed.  Multiplicity patterns must agree
     exactly, clustered at ``CLUSTER_TOL`` times the spectral spread.
     """
-    # the motif side first: its gate refuses chains (m = 1 at large N, say) that the oracle's
-    # admits but whose exchange pairs cost N**2; its m**N values wait for the oracle's gate
+    # the motif side first: its gate refuses chains (HS m = 1 at large N, say) before the
+    # oracle's lists their sectors, for HS an (N/2 + 1) x N table of characters (180 MB
+    # at N = 3000); its m**N values wait for the oracle's gate
     density = density_dp(spec)
     eig = _sector_eigenvalues(spec)
     motif_values = np.repeat(density.levels() / density.energy_scale, density.degeneracies)

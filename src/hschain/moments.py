@@ -16,11 +16,10 @@ density table, and the two must agree as rationals, not approximately.
 from __future__ import annotations
 
 import math
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chains import ChainSpec, dispersion
+from .chains import ChainSpec, scaled_dispersion_total
 from .errors import ValidationError
 from .table import DensityTable
 
@@ -43,12 +42,31 @@ class SpectrumStats(NamedTuple):
 
 def _bond_sums(spec: ChainSpec) -> tuple:
     """S1 = sum s, S2 = sum s**2, C = sum s(i-1) s(i) over the scaled
-    integers s = D*F of the dispersion, and the scale D."""
-    disp = dispersion(spec)
-    s = disp.scaled
-    square = sum(map(operator.mul, s, s))
-    cross = sum(map(operator.mul, s, s[1:]))
-    return sum(s), square, cross, disp.energy_scale
+    integers s = D*F of the dispersion, and the scale D.
+
+    Faulhaber's sums make each a polynomial in N, and for FI in p and q of
+    alpha = p/q, so no weight is built.  S1 is
+    :func:`~hschain.chains.scaled_dispersion_total`, which refuses a chain
+    whose weights :func:`~hschain.chains.dispersion` would refuse:
+
+        HS  S2 = S1 (N**2 + 1)/5,  C = S1 (N**2 - 4)/5
+        PF  S2 = S1 (2N - 1)/3,    C = 2 S1 (N - 2)/3
+        FI  S2 = N(N - 1) [6q**2 N**3 + (15p - 24q) q N**2
+                           + (10p**2 - 35pq + 26q**2) N - 5p**2 + 10pq - 4q**2]/30
+            C  = N(N - 1)(N - 2) [6q**2 N**2 + (15p - 27q) q N
+                                  + 10p**2 - 35pq + 27q**2]/30
+    """
+    n, first = spec.n_spins, scaled_dispersion_total(spec)
+    if spec.family == "HS":
+        return first, first * (n * n + 1) // 5, first * (n * n - 4) // 5, 1
+    if spec.family == "PF":
+        return first, first * (2 * n - 1) // 3, 2 * first * (n - 2) // 3, 1
+    p, q = spec.alpha.numerator, spec.alpha.denominator
+    square = (((6 * q * n + 15 * p - 24 * q) * q * n + 10 * p * p - 35 * p * q + 26 * q * q) * n
+              - 5 * p * p + 10 * p * q - 4 * q * q) * n * (n - 1) // 30
+    cross = (((6 * q * n + 15 * p - 27 * q) * q * n + 10 * p * p - 35 * p * q + 27 * q * q)
+             * n * (n - 1) * (n - 2) // 30)
+    return first, square, cross, q
 
 
 def closed_form_moments(spec: ChainSpec) -> SpectrumStats:

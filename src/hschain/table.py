@@ -24,9 +24,13 @@ ENUMERATION_CEILING = 10 ** 8
 # 1.08e10, took 9.0 s.
 COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 + 252 x size**2 summed over the blocks it solves (the
-# Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each.  About
-# a minute: HS N=7 m=7, 1.30e10, took 32.5 s and HS N=15 m=2, 9.64e9, 23.0 s;
-# PF N=8 m=5 makes 2.45e10 and PF N=14 m=2 5.13e10.
+# Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each, and
+# for each exchange pair that builds a solved sector 4000 units and 64 a state
+# (about 10 us a pair and sector, and 40 to 160 ns a pair and state).  About a
+# minute: HS N=7 m=7, 1.31e10, took 32.5 s and HS N=15 m=2, 9.75e9, 23.0 s;
+# PF N=8 m=5 makes 2.46e10 and PF N=14 m=2 5.14e10, and PF N=3500 m=1, 6.1 M
+# pairs of one state, 2.49e10 (its oracle ran for 72 s while the build was not
+# counted).
 ORACLE_CEILING = 2 * 10 ** 10
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
@@ -34,9 +38,10 @@ ORACLE_CEILING = 2 * 10 ** 10
 # an HS chain runs only the first ceil((N - 1)/2) of them, so for HS the
 # count errs safe by about 2x.
 TRANSFER_CEILING = 10 ** 9
-# Mass DPs of a kscan sweep: (N - 1) x cells x m summed over its N, 0.5 to
-# 2.6 ns each (PF m=2 the cheapest, HS m=16 the dearest).  About 25 s: HS m=3
-# over N = 150..200 in steps of 2, 1.27e10, took 30.2 s.
+# Mass DPs of a kscan sweep: (N - 1) x cells x m summed over its N, 0.16 to
+# 1.5 ns each in process (PF m=2 the cheapest, HS m=16 the dearest).  About
+# 10 s: HS m=3 over N = 150..200 in steps of 2, 1.27e10, took 8.5 s, and 14.4 s
+# while each bond divided the states by m.
 MASS_CEILING = 10 ** 10
 
 # Rows in one piece of a CSV text, and levels in one piece of the density JSON

@@ -258,10 +258,12 @@ def test_masses_are_the_dp_degeneracies_over_the_state_count(spec):
 
 
 def test_a_mass_kind_serves_more_than_one_recursion():
-    # the per-bond division works in place on the states, never on the
-    # kind's starting array
-    spec = ChainSpec("HS", 12, 3)
-    kind = _mass_kind(spec.m, dispersion(spec).scaled_total + 1)
+    # a rescale works in place on the states, never on the kind's starting
+    # array, and what it sheds follows from the bond index alone: PF N=330
+    # m=8 has 2**990 states and sheds 64 bits before its last bonds
+    spec = ChainSpec("PF", 330, 8)
+    assert hschain.density._mass_shed(spec.m, spec.n_spins - 2) == 64
+    kind = _mass_kind(spec, dispersion(spec).scaled_total + 1)
     start = kind.one.copy()
     first = _bond_dp(spec, kind)
     assert np.array_equal(kind.one, start)
@@ -269,15 +271,72 @@ def test_a_mass_kind_serves_more_than_one_recursion():
 
 
 def test_masses_stay_normalized_past_the_float_range_of_the_state_count():
-    # 8**360 = 2**1080 states overflow a float64; each bond divides by m,
-    # so the masses still sum to 1, and a level whose mass is below
-    # 2**-1074 drops out: here one extreme level of a few states
+    # 8**360 = 2**1080 states overflow a float64; the counts shed powers of
+    # two past 2**960, so the masses still sum to 1, and a level whose mass
+    # is below 2**-1074 drops out: here one extreme level of a few states
     spec = ChainSpec("PF", 360, 8, -1)
     masses, support = level_masses(spec), level_support(spec)
     assert abs(masses.masses.sum() - 1) <= 1e-12
     assert masses.masses.min() > 0
     assert 0 < len(support) - len(masses) <= 2
     assert np.isin(masses.levels(), support.levels()).all()
+
+
+def _pad_add(a, b):
+    if a.size < b.size:
+        a, b = b, a
+    total = a.copy()
+    total[: b.size] += b
+    return total
+
+
+def _masses_dividing_every_bond(spec):
+    """The ferro bond recursion over fractions of the states, each divided
+    by m before every bond so that they sum to 1 throughout, over every
+    cell of the ferro energies: the mass DP as it was before it counted
+    states."""
+    m = spec.m
+    state = [np.full(1, 1 / m)] * m
+    for w in dispersion(spec).scaled:
+        state = [masses / m for masses in state]
+        low = [*itertools.accumulate(state, _pad_add)]
+        high = [*itertools.accumulate(reversed(state[1:]), _pad_add)][::-1]
+        state = [low[-1]] + [_pad_add(high[d - 1], np.concatenate((np.zeros(w), low[d - 1])))
+                             for d in range(1, m)]
+    return reduce(_pad_add, state)
+
+
+def _assert_masses_near_dividing_every_bond(spec, rtol, floor=0.0):
+    """`level_masses` against :func:`_masses_dividing_every_bond` within
+    `rtol`, on the reference's levels whose mass passes `floor`."""
+    reference = _masses_dividing_every_bond(spec)
+    if spec.epsilon != FERRO:  # reflected through the top energy
+        top = dispersion(spec).scaled_total
+        reference = np.concatenate((reference, np.zeros(top + 1 - reference.size)))[::-1]
+    masses = level_masses(spec)
+    kept = np.flatnonzero(reference > floor)
+    assert np.isin(kept, masses.levels()).all(), spec
+    assert np.isin(masses.levels(), np.flatnonzero(reference)).all(), spec
+    near = np.searchsorted(masses.levels(), kept)
+    np.testing.assert_allclose(masses.masses[near], reference[kept], rtol=rtol, atol=0)
+
+
+@pytest.mark.parametrize("spec", [
+    ChainSpec(family, n, m, eps, alpha)
+    for family, alpha in (("HS", None), ("PF", None), ("FI", Fraction(3, 2)))
+    for m, n in ((2, 64), (3, 40), (4, 24))
+    for eps in (1, -1)
+])
+def test_counted_masses_equal_dividing_every_bond(spec):
+    _assert_masses_near_dividing_every_bond(spec, 1e-13)
+
+
+def test_rescaled_masses_equal_dividing_every_bond():
+    # N log2(m) = 1080: the counts shed 128 bits over the last bonds; the
+    # divided masses below 2**-1000 lose bits as subnormals, so only the
+    # levels above it are compared
+    assert hschain.density._mass_shed(8, 358) == 128
+    _assert_masses_near_dividing_every_bond(ChainSpec("PF", 360, 8, -1), 1e-12, 2.0 ** -1000)
 
 
 def _combine_every_source(spec, slot_bits, combine):
@@ -323,10 +382,11 @@ def test_bond_partials_equal_combining_every_source(spec):
         assert packed == _combine_every_source(spec, bits, combine), (spec, bits)
     counts = _combine_every_source(spec, slot_bits, operator.add)
     _assert_exact_read(spec, cells, counts)
-    masses = _bond_dp(spec, _mass_kind(spec.m, cells))
-    exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) / spec.n_states
-             for e in range(masses.size)]
-    np.testing.assert_allclose(masses, exact, rtol=1e-13, atol=0)
+    # every count is below 2**53 here, so the mass kind's float sums are exact
+    masses = _bond_dp(spec, _mass_kind(spec, cells))
+    exact = [(counts >> (slot_bits * e)) % (1 << slot_bits) for e in range(masses.size)]
+    assert max(exact) < 1 << 53
+    assert masses.tolist() == exact
     assert counts >> (slot_bits * masses.size) == 0
 
 

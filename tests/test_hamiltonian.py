@@ -1,6 +1,7 @@
 """Dense Hamiltonians, the Householder and Sturm eigensolver, and the spectrum oracle."""
 
 import math
+import time
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -143,9 +144,9 @@ def test_dense_cap():
 
 
 @pytest.mark.parametrize("spec, refusal", [
-    (ChainSpec("HS", 12, 2), None),  # 1.02e8 units of solver work over its momentum blocks
+    (ChainSpec("HS", 12, 2), None),  # 1.15e8 units of work, 1.02e8 to solve its momentum blocks
     (ChainSpec("FI", 7, 3, alpha=2), None),
-    (ChainSpec("PF", 14, 2), "over the ceiling"),  # 5.13e10 units
+    (ChainSpec("PF", 14, 2), "over the ceiling"),  # 5.14e10 units
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
     (ChainSpec("HS", 7, 4), None),  # its whole H would need 2 x 8 x 16384**2 bytes
     (ChainSpec("HS", 5, 8), None),  # its whole H would need 2 x 8 x 32768**2 bytes
@@ -153,17 +154,19 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 31), "over the budget"),
     # m**N has 4,516 digits, past the 4,300 that Python converts to text
     (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
-    (ChainSpec("HS", 13, 2), None),  # 3.63e8 units
-    (ChainSpec("HS", 14, 2), None),  # 2.26e9 units
+    (ChainSpec("HS", 13, 2), None),  # 3.85e8 units
+    (ChainSpec("HS", 14, 2), None),  # 2.32e9 units
     (ChainSpec("HS", 5, 24), None),  # 319 MB of spectra
     (ChainSpec("HS", 5, 25), None),  # 391 MB of spectra
     (ChainSpec("HS", 5, 30), None),  # 972 MB of spectra
-    (ChainSpec("PF", 7, 5), None),  # 4.83e8 units over its swap blocks
-    (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.88e9 units
-    (ChainSpec("PF", 8, 5), "over the ceiling"),  # 2.45e10 units
-    (ChainSpec("HS", 15, 2), None),  # 9.64e9 units
-    (ChainSpec("PF", 7, 7), None),  # 4.68e9 units
-    (ChainSpec("HS", 7, 7), None),  # 1.30e10 units
+    (ChainSpec("PF", 7, 5), None),  # 4.90e8 units, most to solve its swap blocks
+    (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.89e9 units
+    (ChainSpec("PF", 8, 5), "over the ceiling"),  # 2.46e10 units
+    (ChainSpec("HS", 15, 2), None),  # 9.75e9 units
+    (ChainSpec("PF", 7, 7), None),  # 4.70e9 units
+    (ChainSpec("HS", 7, 7), None),  # 1.31e10 units
+    (ChainSpec("PF", 3000, 1), None),  # 1.83e10 units, nearly all to build its 4.5 M pairs
+    (ChainSpec("PF", 3500, 1), "over the ceiling"),  # 2.49e10 units
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -205,9 +208,10 @@ def _oracle_prediction(calls):
     ChainSpec("HS", 7, 2), ChainSpec("FI", 5, 3, alpha=2), ChainSpec("HS", 4, 4),
 ])
 def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
-    # the work counts size**3 for the Householder reduction and 2 x 18 steps x 7
-    # points x size**2 for the Sturm multisection, over the blocks built from the
-    # solved sectors' states
+    # the work counts 4000 per sector and 64 per state for each exchange pair
+    # that builds the solved sectors, then size**3 for the Householder
+    # reduction and 2 x 18 steps x 7 points x size**2 for the Sturm
+    # multisection, over the blocks built from the solved sectors' states
     h = _whole(spec)
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
@@ -218,7 +222,9 @@ def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
         sizes += [b.shape[0] for b in _symmetry_blocks(h[np.ix_(s, s)], group.places(s),
                                                         group.characters, group.real)]
     assert sum(sizes) == sum(s.size for s in solved.values())
-    assert calls[-1][2] == sum(size ** 3 + 252 * size ** 2 for size in sizes)
+    pairs = spec.n_spins * (spec.n_spins - 1) // 2
+    build = pairs * (4000 * len(solved) + 64 * sum(sizes))
+    assert calls[-1][2] == build + sum(size ** 3 + 252 * size ** 2 for size in sizes)
 
 
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
@@ -265,8 +271,10 @@ def test_oracle_holds_sector_blocks_not_the_whole_matrix():
 
 
 def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
-    # m = 1 passes the oracle's gate (dim 1) at any N, but its N(N - 1)/2
-    # exchange pairs would take minutes at N = 3000: the motif side refuses first
+    # m = 1 has one state, and the oracle's gate counts its N(N - 1)/2
+    # exchange pairs at 4064 units each: 1.83e10 at N = 3000, inside the
+    # ceiling, about 45 s of building; the motif side refuses it first, for
+    # its N(N**2 - 1)/6 energy cells
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -275,6 +283,17 @@ def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_oracle_counts_the_exchange_pairs_of_a_single_valued_chain():
+    # PF N=3500 m=1: 6.1 M exchange pairs of one state, 2.49e10 units of build
+    # work, refused in about 0.15 s, most of it the motif side's density of
+    # 6.1 M cells; before the build was counted its gate admitted the chain,
+    # whose pairs then took over a minute to build
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="over the ceiling"):
+        oracle_compare(ChainSpec("PF", 3500, 1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_jacobi_solves_known_matrices():

@@ -15,6 +15,7 @@ from hschain import (
     empirical_moments,
 )
 from hschain.density import density_dp
+from hschain.moments import _bond_sums
 from diagnostics import variance_identity_residual
 from small_tables import table_of
 
@@ -174,3 +175,21 @@ def test_closed_form_equals_the_fraction_sums():
         mu, sigma2 = _fraction_moments(spec)
         assert (stats.mu, stats.sigma2) == (mu, sigma2), spec
         assert stats.sigma == math.sqrt(sigma2), spec
+
+
+def _tuple_bond_sums(spec):
+    """S1, S2 and C summed over the tuple of scaled weights, and the scale."""
+    disp = dispersion(spec)
+    s = disp.scaled
+    return (sum(s), sum(v * v for v in s), sum(a * b for a, b in zip(s, s[1:])),
+            disp.energy_scale)
+
+
+@pytest.mark.parametrize("family, alpha", [
+    ("HS", None), ("PF", None), ("FI", Fraction(3, 2)), ("FI", Fraction(5, 2)),
+    ("FI", Fraction(1, 7)), ("FI", Fraction(1, 10 ** 15 + 37)),
+])
+def test_closed_form_bond_sums_equal_the_tuple_sums(family, alpha):
+    for n in [*range(2, 201), 10 ** 5]:
+        spec = ChainSpec(family, n, 2, alpha=alpha)
+        assert _bond_sums(spec) == _tuple_bond_sums(spec), spec
