@@ -219,6 +219,22 @@ def _spacing_bins_from(args) -> np.ndarray:
     return default_spacing_bins(args.s_max, args.bins)
 
 
+def _sweep(args, units, ceiling: int, what: str) -> list:
+    """The chains of --n-sweep, each resolved once, or a refusal before its first N.  Each
+    chain's own gates speak before its work, ``units(spec, cells)`` with cells its top scaled
+    energy + 1, is added; a sum passes `ceiling` only if a prefix does, so it stops there."""
+    chains, work = [], 0
+    for n in _parse_sweep(args.n_sweep):
+        spec = _resolve_spec(args, n)
+        work += units(spec, scaled_dispersion_total(spec) + 1)
+        chains.append(spec)
+        if work > ceiling:
+            break
+    check_grid_budget(f"--n-sweep {args.n_sweep} runs {what} summed up to N = {n}: "
+                      f"{work} units of work", 0, work, ceiling)
+    return chains
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -275,33 +291,19 @@ def _cmd_charfn(args) -> int:
     return 0
 
 
-def _check_sweep_work(args, sweep, spec: ChainSpec, grid) -> None:
-    """Refuse a convergence sweep whose transfer products would run too
-    long, before its first N.  Each chain runs its bonds once per
-    distinct |t| (the upper half of the antisymmetric grid) in both
-    kernels: PF and FI all N - 1, HS only the first ceil((N - 1)/2).
-    Measured per bond, the time is a fixed cost for the numpy calls, 1.7
-    to 2.8 us at m <= 8, plus 7 to 19 ns for each of the m values at each
-    |t|; the work is counted as bonds x (m x |t| + 256) with all N - 1
-    bonds, as calibrated on PF, so for HS it errs safe by about 2x.  The
-    first chain's own gates speak first."""
-    scaled_dispersion_total(spec)
-    bonds, points = sum(sweep) - len(sweep), grid.size - grid.size // 2
-    work = bonds * (spec.m * points + 256)
-    check_grid_budget(f"--n-sweep {args.n_sweep} runs {bonds} bonds at {points} |t| values: "
-                      f"{bonds} x ({spec.m} x {points} + 256) = {work} units of work", 0,
-                      work, TRANSFER_CEILING)
-
-
 def _cmd_convergence(args) -> int:
-    sweep = _parse_sweep(args.n_sweep)
-    spec = _resolve_spec(args, sweep[0])
-    grid = _t_grid_from(args, spec.m, 0)
-    _check_sweep_work(args, sweep, spec, grid)
-    report = convergence_report(
-        spec.family, spec.m, spec.epsilon, n_values=sweep, t_grid=grid, alpha=spec.alpha
-    )
-    config = _config(spec, sweep, t_max=args.t_max, t_points=args.t_points,
+    grid = _t_grid_from(args, args.m, 0)
+    # Each chain runs its bonds once per distinct |t| (the upper half of the antisymmetric grid) in
+    # both kernels: PF and FI all N - 1, HS only the first ceil((N - 1)/2).  Measured per bond, the
+    # time is a fixed cost for the numpy calls, 1.7 to 2.8 us at m <= 8, plus 7 to 19 ns for each of
+    # the m values at each |t|; the work is counted as bonds x (m x |t| + 256) with all N - 1 bonds,
+    # as calibrated on PF, so for HS it errs safe by about 2x.
+    points = grid.size - grid.size // 2
+    chains = _sweep(args, lambda spec, cells: (spec.n_spins - 1) * (spec.m * points + 256),
+                    TRANSFER_CEILING,
+                    f"transfer products, (N - 1) x ({args.m} x {points} |t| + 256)")
+    spec, report = chains[0], convergence_report(chains, grid)
+    config = _config(spec, report.n_values, t_max=args.t_max, t_points=args.t_points,
                      gauss_slope=report.gauss_slope, asym_slope=report.asym_slope)
     _emit(
         args, "convergence", config,
@@ -354,31 +356,14 @@ def _cmd_spacings(args) -> int:
     return 0
 
 
-def _check_mass_sweep_work(args, sweep) -> None:
-    """Refuse a kscan sweep whose mass DPs would run too long, before its
-    first N.  Each N runs one mass DP over its N - 1 bonds, and a bond
-    updates polynomials of up to its chain's top energy + 1 cells for each
-    of the m spin values; the work is counted as the sum over the sweep of
-    (N - 1) x cells x m.  The sum stops at the first N that takes it past
-    ``MASS_CEILING``, so an absurd sweep is refused after a few values, and
-    each chain's own gates speak before its work is counted."""
-    work = 0
-    for n in sweep:
-        spec = _resolve_spec(args, n)
-        work += (n - 1) * (scaled_dispersion_total(spec) + 1) * spec.m
-        if work > MASS_CEILING:
-            break
-    check_grid_budget(f"--n-sweep {args.n_sweep} runs one mass DP per N, (N - 1) x cells x m "
-                      f"summed up to N = {n}: {work} units of work", 0, work, MASS_CEILING)
-
-
 def _cmd_kscan(args) -> int:
-    sweep = _parse_sweep(args.n_sweep)
-    _check_mass_sweep_work(args, sweep)
-    distances = []
-    for n in sweep:
-        spec = _resolve_spec(args, n)
-        distances.append(ks_distance(level_masses(spec), closed_form_moments(spec)))
+    # Each N runs one mass DP over its N - 1 bonds, and a bond updates polynomials of up to its
+    # chain's top energy + 1 cells for each of the m spin values; the work is counted as (N - 1) x
+    # cells x m.
+    chains = _sweep(args, lambda spec, cells: (spec.n_spins - 1) * cells * spec.m,
+                    MASS_CEILING, "one mass DP per N, (N - 1) x cells x m")
+    spec, sweep = chains[0], [chain.n_spins for chain in chains]
+    distances = [ks_distance(level_masses(chain), closed_form_moments(chain)) for chain in chains]
     _emit(
         args, "kscan", _config(spec, sweep),
         csv=("N,ks_distance", (sweep, distances)),

@@ -80,8 +80,9 @@ def _orthopoly_zeros(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray,
             scale = offdiag[k] if k < n - 1 else 1.0
             p_next = ((points - diag[k]) * p - (offdiag[k - 1] if k else 0.0) * p_prev) / scale
             d_next = (p + (points - diag[k]) * d - (offdiag[k - 1] if k else 0.0) * d_prev) / scale
-            p_prev, p = p, p_next
-            d_prev, d = d, d_next
+            # one power of two per point keeps them in range and p/p' exact
+            shift = -np.frexp(np.maximum(np.abs(p_next), np.abs(d_next)))[1]
+            p_prev, p, d_prev, d = (np.ldexp(a, shift) for a in (p, p_next, d, d_next))
         return p, d
 
     value, slope = recurrence(x)
@@ -122,7 +123,7 @@ def chain_sites(spec: ChainSpec) -> SiteLayout:
         diag = 2.0 * k + beta + 1.0
         offdiag = np.sqrt(np.arange(1, n) * (np.arange(1, n) + beta))
     zeros, residual = _orthopoly_zeros(diag, offdiag)
-    if residual > ZERO_RESIDUAL_TOL:
+    if not residual <= ZERO_RESIDUAL_TOL:  # a NaN residual is refused too
         raise ConvergenceError(
             f"orthogonal-polynomial zeros did not converge: residual {residual:.3e}"
         )

@@ -410,16 +410,11 @@ class ConvergenceReport(NamedTuple):
     asym_slope: float
 
 
-def convergence_report(
-    family: str,
-    m: int,
-    epsilon: int = FERRO,
-    n_values=(16, 32, 64, 128, 256, 512, 1024),
-    t_grid=None,
-    alpha=None,
-) -> ConvergenceReport:
+def convergence_report(chains, t_grid=None) -> ConvergenceReport:
     """Distance to the Gaussian and to the top-eigenvalue approximation,
-    for a sweep of chain sizes, with fitted log-log decay slopes.
+    for a sweep of chains (``ChainSpec``s that differ in N, in sweep order),
+    on the t values `t_grid` (:func:`default_t_grid` unless given), with
+    fitted log-log decay slopes.
 
     Raises
     ------
@@ -427,22 +422,21 @@ def convergence_report(
         If the sweep has fewer than two distinct N, through which no slope
         can be fitted.
     """
-    if len({int(n) for n in n_values}) < 2:
+    n_values = tuple(spec.n_spins for spec in chains)
+    if len(set(n_values)) < 2:
         raise ValidationError(
-            f"convergence sweep {tuple(n_values)} has one N; fitting a slope needs two distinct N"
+            f"convergence sweep {n_values} has one N; fitting a slope needs two distinct N"
         )
     d_gauss, d_asym = [], []
-    for n in n_values:
-        series = charfn_series(ChainSpec(family, int(n), m, epsilon, alpha), t_grid=t_grid)
+    for spec in chains:
+        series = charfn_series(spec, t_grid=t_grid)
         d_gauss.append(_sup_distance(series.exact_values, series.gaussian_ref))
         d_asym.append(_sup_distance(series.exact_values, series.asymptotic_values))
     logn = np.log(np.asarray(n_values, dtype=float))
-    gauss_slope = float(np.polyfit(logn, np.log(d_gauss), 1)[0])
-    asym_slope = float(np.polyfit(logn, np.log(d_asym), 1)[0])
     return ConvergenceReport(
-        n_values=tuple(int(n) for n in n_values),
+        n_values=n_values,
         gauss_deviation=np.asarray(d_gauss),
         asym_deviation=np.asarray(d_asym),
-        gauss_slope=gauss_slope,
-        asym_slope=asym_slope,
+        gauss_slope=float(np.polyfit(logn, np.log(d_gauss), 1)[0]),
+        asym_slope=float(np.polyfit(logn, np.log(d_asym), 1)[0]),
     )

@@ -166,7 +166,7 @@ def test_a06_level_density_approaches_the_gaussian():
     sweep = (16, 32, 64, 128, 256, 512, 1024)
     summary = []
     for family, alpha in (("HS", None), ("PF", None), ("FI", Fraction(3, 2))):
-        report = convergence_report(family, 2, 1, n_values=sweep, alpha=alpha)
+        report = convergence_report([ChainSpec(family, n, 2, 1, alpha) for n in sweep])
         d = report.gauss_deviation
         assert d[6] < d[2] < d[0], (family, list(d))
         assert report.asym_slope <= -0.4, (family, report.asym_slope)

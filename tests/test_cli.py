@@ -400,6 +400,10 @@ SPEC = '{"family": "HS", "N": 4, "m": 2}'
      "unknown chain spec key 'eps'"),
     (["density", "--spec", '{"family": "FI", "N": 4, "m": 2, "Alpha": 2, "n": 5}'],
      "unknown chain spec keys 'Alpha', 'n'"),
+    # m = 1 has one level, so its spectral width is 0
+    (["charfn", "--N", "8", "--m", "1"], "needs a positive spectral width"),
+    (["convergence", "--family", "pf", "--m", "1", "--n-sweep", "8:16:geometric"],
+     "needs a positive spectral width"),
 ])
 def test_bad_input_exits_one_with_one_error_line(tmp_path, capsys, args, message):
     # every row but those of --spec names the chain by its options
@@ -521,15 +525,17 @@ def test_the_sweep_work_gate_admits_the_sweeps_people_run(tmp_path, monkeypatch,
 def test_a_sweep_past_the_work_ceiling_exits_one_before_its_first_n(tmp_path, monkeypatch,
                                                                        capsys):
     # each N passes its own gates and the list the memory gate (149 MB
-    # predicted), but one transfer product per N would run practically forever
+    # predicted), but one transfer product per N would run practically forever;
+    # the sum passes the ceiling at N = 2005
     monkeypatch.setattr(hschain.cli, "convergence_report", _admit_no_sweep)
     start = time.perf_counter()
     rc = run(tmp_path, "convergence", "--family", "pf", "--m", "2", "--n-sweep", "2:1000000:1")
     elapsed = time.perf_counter() - start
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --n-sweep 2:1000000:1 runs 499999500000 bonds"), err
-    assert "over the ceiling" in err and len(err.splitlines()) == 1
+    assert err.startswith("error: --n-sweep 2:1000000:1 runs transfer products"), err
+    assert "summed up to N = 2005:" in err and "over the ceiling" in err
+    assert len(err.splitlines()) == 1
     assert elapsed < 1.0
     assert not any(tmp_path.iterdir())
 
@@ -569,6 +575,18 @@ def test_a_kscan_past_the_mass_ceiling_exits_one_before_its_first_n(tmp_path, mo
     assert len(err.splitlines()) == 1
     assert elapsed < 1.0
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, resolved", [
+    (["kscan", "--family", "pf", "--m", "2", "--n-sweep", "24:96:24"], 4),
+    (["convergence", "--family", "pf", "--m", "2", "--n-sweep", "16:64:geometric"], 3),
+])
+def test_a_sweep_resolves_each_chain_once(tmp_path, monkeypatch, args, resolved):
+    calls = []
+    resolve = hschain.cli._resolve_spec
+    monkeypatch.setattr(hschain.cli, "_resolve_spec", lambda *a: calls.append(a) or resolve(*a))
+    assert run(tmp_path, *args) == 0
+    assert len(calls) == resolved
 
 
 _ABSURD = ["--family", "pf", "--N", str(10 ** 9), "--m", "2"]

@@ -14,6 +14,7 @@ import hschain.hamiltonian
 from hschain import (
     CapacityError,
     ChainSpec,
+    ConvergenceError,
     ValidationError,
     build_hamiltonian,
     chain_sites,
@@ -76,9 +77,16 @@ def test_two_laguerre_sites():
     ChainSpec("PF", 8, 2),
     ChainSpec("FI", 8, 2, alpha=Fraction(3, 2)),
     ChainSpec("FI", 8, 2, alpha=Fraction(1, 2)),
+    # unscaled, the recurrence overflowed from N = 800 (PF) and 500 (FI alpha = 2)
+    ChainSpec("PF", 1000, 2),
+    ChainSpec("FI", 1000, 2, alpha=2),
 ])
 def test_zero_finding_residuals_stay_small(spec):
-    assert chain_sites(spec).residual < 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        layout = chain_sites(spec)
+    assert np.isfinite(layout.xi).all() and np.all(np.diff(layout.xi) > 0)
+    assert layout.residual < 1e-10
 
 
 def test_site_cap():
@@ -86,6 +94,13 @@ def test_site_cap():
     # chain under the dense cap, the zeros still converge
     for spec in (ChainSpec("PF", 12, 2), ChainSpec("FI", 12, 2, alpha=Fraction(3, 2))):
         assert chain_sites(spec).residual < 1e-10
+
+
+def test_a_nan_residual_is_refused(monkeypatch):
+    monkeypatch.setattr(hschain.hamiltonian, "_orthopoly_zeros",
+                        lambda diag, offdiag: (np.zeros(diag.size), math.nan))
+    with pytest.raises(ConvergenceError):
+        chain_sites(ChainSpec("PF", 8, 2))
 
 
 def test_exchange_strengths_are_positive_upper_triangle():

@@ -207,7 +207,7 @@ def test_series_bundles_the_three_curves():
 
 
 def test_deviations_shrink_with_chain_length():
-    report = convergence_report("HS", 2, n_values=(8, 16, 32, 64))
+    report = convergence_report([ChainSpec("HS", n, 2) for n in (8, 16, 32, 64)])
     assert report.gauss_deviation[-1] < report.gauss_deviation[0]
     assert report.asym_deviation[-1] < report.asym_deviation[0]
     assert report.gauss_slope < -0.4
@@ -217,7 +217,7 @@ def test_deviations_shrink_with_chain_length():
 def test_convergence_needs_two_distinct_sizes():
     for n_values in ((16,), (16, 16)):
         with pytest.raises(ValidationError):
-            convergence_report("HS", 2, n_values=n_values)
+            convergence_report([ChainSpec("HS", n, 2) for n in n_values])
 
 
 def test_bond_overlap_residual_decays():
