@@ -245,7 +245,7 @@ def _cmd_density(args) -> int:
     backends = {"dp": density_dp, "composition": composition_density, "brute": brute_force_density}
     density = backends[args.backend](spec)
     _emit(args, "density", _config(spec, backend=args.backend),
-          csv=("energy,degeneracy", (density._energy_texts, density.degeneracies)),
+          csv=density._csv_artifact,
           json=lambda: {"density": density.to_json_dict()})
     print(f"levels = {len(density)}, states = {density.total}")
     return 0

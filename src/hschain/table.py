@@ -20,8 +20,9 @@ DEFAULT_MEMORY_BUDGET = 1 << 30
 # Brute force: m**N states, about 30 ns per state and bond (80 s at N = 26).
 ENUMERATION_CEILING = 10 ** 8
 # Composition sum: byte-updates of its packed rows (row updates x cells x slot
-# bytes), 0.5 to 1.2 ns each.  About 10 s: PF N=200 m=2, just past it at
-# 1.08e10, took 9.0 s.
+# bytes), 0.5 to 1.2 ns each: PF N=190 m=2, 7.82e9, took 4.6 to 5.4 s.  About
+# 10 s: PF N=200 m=2, just past it at 10,000,252,500 (25-byte slots), took
+# 9.0 s at 1.08e10 while its slots held m**N and a spare byte.
 COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 + 252 x size**2 summed over the blocks it solves (the
 # Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each, and
@@ -94,20 +95,22 @@ def _interleaved(item: str, separator: str, columns) -> str:
     return separator.join([item] * rows) % tuple(cells)
 
 
-def csv_pieces(header_lines, names: str, columns):
+def csv_pieces(header_lines, names: str, columns, row: str | None = None):
     """Yield a CSV artifact in pieces: the header lines, each after "# ",
     and the column line `names`, then the rows of the aligned `columns`,
     `_PIECE_LEVELS` rows a piece, so no text of the whole file is built.
 
-    Each cell is written as :func:`format_cell` writes it: a column whose
-    first cell is a float with 17 significant digits, any other (ints,
-    strings, Fractions) as str writes it."""
+    `row` is the %-format of one row, cells and newline; by default each
+    cell is written as :func:`format_cell` writes it: a column whose first
+    cell is a float with 17 significant digits, any other (ints, strings,
+    Fractions) as str writes it."""
     yield "".join([f"# {line}\n" for line in header_lines] + [names, "\n"])
     rows = len(columns[0])
     if not rows:
         return
-    row = ",".join(["%.17g" if isinstance(column[0], float) else "%s"
-                    for column in columns]) + "\n"
+    if row is None:
+        row = ",".join(["%.17g" if isinstance(column[0], float) else "%s"
+                        for column in columns]) + "\n"
     for start in range(0, rows, _PIECE_LEVELS):
         yield _interleaved(row, "", [column[start:start + _PIECE_LEVELS] for column in columns])
 
@@ -221,19 +224,34 @@ class DensityTable:
                            dtype=float, count=len(self) + 1)
 
     @cached_property
-    def _energy_texts(self) -> list:
-        """Every level as :func:`format_rational` writes its energy, reduced
-        over the whole array at once, for both artifacts."""
+    def _energy_columns(self) -> tuple:
+        """Every level's energy as :func:`format_rational` writes it, made
+        once, over the whole array, for both artifacts: the reduced
+        numerators as int64 and one shared suffix object per level, "" or
+        "/q" for the reduced denominator q, in an object array, whose
+        %-format ``"%d%s"`` writes the energy, so no text is held per level;
+        and, for the JSON key order, each suffix's rank among the distinct
+        ones as text, in the smallest unsigned type."""
         common = np.gcd(self.scaled, self.energy_scale)
-        numerators = (self.scaled // common).tolist()
-        denominators = (self.energy_scale // common).tolist()
-        return [f"{p}/{q}" if q != 1 else str(p) for p, q in zip(numerators, denominators)]
+        denominators = self.energy_scale // common
+        distinct = np.unique(denominators)
+        texts = [f"/{q}" if q != 1 else "" for q in distinct.tolist()]
+        rank = {text: r for r, text in enumerate(sorted(texts))}
+        codes = np.searchsorted(distinct, denominators)
+        return (self.scaled // common, np.array(texts, dtype=object)[codes],
+                np.array([rank[text] for text in texts], np.min_scalar_type(len(texts)))[codes])
+
+    @property
+    def _csv_artifact(self) -> tuple:
+        """The density CSV's column line, columns and row format, for
+        :func:`csv_pieces`."""
+        numerators, suffixes, _ = self._energy_columns
+        return "energy,degeneracy", (numerators, suffixes, self.degeneracies), "%d%s,%s\n"
 
     def to_csv(self, header_lines=()) -> str:
         """The density CSV as one text, joined from the pieces the CLI
         writes one after another (:func:`csv_pieces`)."""
-        return "".join(csv_pieces(header_lines, "energy,degeneracy",
-                                  (self._energy_texts, self.degeneracies)))
+        return "".join(csv_pieces(header_lines, *self._csv_artifact))
 
     def to_json_dict(self) -> dict:
         """The density's JSON payload: its energy scale, its total and its
@@ -253,14 +271,44 @@ class DensityTable:
         `separator`, `_PIECE_LEVELS` items a piece.  An energy text holds
         only digits, "-" and "/", which json writes unescaped, and json
         writes an int as ``int.__repr__`` does, so each item is written
-        here directly.  The key order is one int64 argsort of the texts as
-        ASCII bytes, whose order is the texts' own; each piece gathers its
-        texts and degeneracies through its indices from it as Python ints.
-        The texts are distinct, so any sort gives that order; the stable one
-        runs about 4x faster on them than the default."""
-        texts, degeneracies = self._energy_texts, self.degeneracies
-        order = np.argsort(np.array(texts, dtype=np.bytes_), kind="stable")
-        for start in range(0, len(order), _PIECE_LEVELS):
-            index = order[start:start + _PIECE_LEVELS].tolist()
-            yield _interleaved('"%s": %s', separator,
-                               ([texts[i] for i in index], [degeneracies[i] for i in index]))
+        here directly, its key by ``"%d%s"`` from the energy columns.  The
+        key order is :func:`_text_order`; each piece gathers its numerators,
+        suffixes and degeneracies through its indices from it."""
+        numerators, suffixes, ranks = self._energy_columns
+        degeneracies = self.degeneracies
+        order = _text_order(numerators, ranks)
+        for start in range(0, order.size, _PIECE_LEVELS):
+            index = order[start:start + _PIECE_LEVELS]
+            yield _interleaved('"%d%s": %s', separator,
+                               (numerators[index], suffixes[index],
+                                [degeneracies[i] for i in index.tolist()]))
+
+
+# 10**k for k = 0..19 as uint64; 10**19 - 1 bounds every int64 magnitude
+_POWERS_OF_TEN = 10 ** np.arange(20, dtype=np.uint64)
+
+
+def _text_order(numerators: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """The indices that sort the energy texts, ``"%d%s"`` of the int64
+    `numerators` and their suffixes ("" or "/q"), as ASCII bytes, which is
+    how ``sort_keys`` orders them, from one :func:`numpy.lexsort` over
+    integer keys; `ranks` ranks each level's suffix among the distinct ones
+    as text.
+
+    "-" sorts before every digit, so the negative texts come first.  Within
+    a sign, two texts first differ at a digit, where the magnitudes' digits
+    left-aligned in 19 places differ; or one magnitude's digits are a
+    prefix of the other's, and the shorter sorts first, since its text goes
+    on with "/" or ends; or the magnitudes are equal, and the suffixes
+    decide.  The keys are filled `_PIECE_LEVELS` levels at a time, so no
+    temporary spans every level.
+    """
+    aligned = np.empty(numerators.size, np.uint64)
+    digits = np.empty(numerators.size, np.uint8)
+    for start in range(0, numerators.size, _PIECE_LEVELS):
+        piece = slice(start, start + _PIECE_LEVELS)
+        magnitude = np.abs(numerators[piece]).view(np.uint64)  # |-2**63| wraps to 2**63
+        count = np.searchsorted(_POWERS_OF_TEN[1:], magnitude, side="right") + 1
+        digits[piece] = count
+        np.multiply(magnitude, _POWERS_OF_TEN[19 - count], out=aligned[piece])
+    return np.lexsort((ranks, digits, aligned, numerators >= 0))

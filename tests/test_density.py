@@ -156,8 +156,8 @@ def test_spin_degeneracy_factors():
 
 
 def test_composition_cap():
-    # PF N=300 m=2 makes 7.9e10 byte-updates (45,150 row updates of 44,851
-    # cells x 39 bytes) against the ceiling of 1e10.  PF N=5000 m=2 needs
+    # PF N=300 m=2 makes 7.7e10 byte-updates (45,150 row updates of 44,851
+    # cells x 38 bytes) against the ceiling of 1e10.  PF N=5000 m=2 needs
     # 7.8e9 bytes for one row.  Neither allocates a row.
     for n, limit in ((300, "ceiling"), (5000, "budget")):
         tracemalloc.start()
@@ -394,7 +394,7 @@ def test_bond_partials_equal_combining_every_source(spec):
     # a slot whose top byte is set, past any degeneracy of m**N states
     (ChainSpec("PF", 2, 2), 5, {0: 1 << 56, 2: (1 << 64) - 1, 4: 1}),
     # 13-byte slots and 4,097 levels, one past a piece of 4,096
-    (ChainSpec("PF", 95, 2), 3 * 4096 + 2,
+    (ChainSpec("PF", 103, 2), 3 * 4096 + 2,
      {e: (e % 251 + 1) << (8 * (e % 13)) for e in range(0, 3 * 4096 + 2, 3)}),
 ])
 def test_the_exact_read_out_reads_every_slot_whole(spec, cells, values):
@@ -426,6 +426,28 @@ def test_measured_peaks_stay_within_the_prediction(spec, monkeypatch):
             tracemalloc.stop()
         _, predicted = checks[-1]
         assert peak <= predicted, (spec, backend.__name__, peak, predicted)
+
+
+@pytest.mark.parametrize("spec, exact, mass", [
+    (ChainSpec("HS", 96, 2), 2.10, 2.10),
+    (ChainSpec("HS", 48, 3), 4.20, 3.51),
+    (ChainSpec("FI", 40, 4, -1, Fraction(3, 2)), 6.00, 5.22),
+    (ChainSpec("PF", 60, 6), 10.28, 9.52),
+])
+def test_the_bond_loop_holds_about_2m_polynomials(spec, exact, mass):
+    # measured, in polynomials: 2.00, 4.00, 5.71 and 9.77 exact, 2.00, 3.34,
+    # 4.97 and 9.07 mass; 2.50, 4.66, 6.43 and 12.17 exact, 2.00, 4.00, 6.34
+    # and 12.33 mass while the loop held every prefix and suffix combine
+    cells = dispersion(spec).scaled_total + 1  # builds and caches it before tracing
+    for make, bound in ((_exact_kind, exact), (_mass_kind, mass)):
+        kind = make(spec, cells)
+        tracemalloc.start()
+        try:
+            _bond_dp(spec, kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * kind.nbytes, (make.__name__, peak / kind.nbytes)
 
 
 @pytest.mark.parametrize("spec", [
@@ -481,10 +503,15 @@ def test_a_grid_far_past_the_budget_is_refused_before_the_weights_are_built(back
 
 
 def test_slot_bytes_follow_the_bit_length_of_the_state_count():
-    for m in range(1, 40):
-        for n in (2, 3, 7, 64, 65, 300, 1001):
-            expected = max(8, ((m ** n).bit_length() + 7) // 8 + 1)
-            assert _slot_bytes(ChainSpec("PF", n, m)) == expected, (n, m)
+    # no cell of N >= 2 spins holds all m**N states, so a slot holds m**N - 1
+    # with no spare byte; past the 8-byte floor, the powers of two whose
+    # N log2(m) is a multiple of 8 fill every bit of their slots
+    grid = [(n, m) for m in range(1, 40) for n in (2, 3, 7, 64, 65, 300, 1001)]
+    filled = [(64, 2), (192, 2), (4000, 2), (32, 4), (64, 4), (8, 8), (64, 8), (32, 16),
+              (2, 256), (16, 256), (8, 1 << 10), (8, 1 << 20), (2, 1 << 64)]
+    for n, m in grid + filled:
+        expected = max(8, -(-(m ** n - 1).bit_length() // 8))
+        assert _slot_bytes(ChainSpec("PF", n, m)) == expected, (n, m)
 
 
 FAULT_PROBE = """

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import hschain.table
 from hschain import ChainSpec, DensityTable, ValidationError, format_rational
@@ -41,6 +43,30 @@ def test_both_artifacts_share_one_energy_text_pass(monkeypatch):
     csv, levels = table.to_csv(), json.loads("".join(json_pieces(table.to_json_dict()["levels"])))
     assert len(calls) == 1
     assert {text: int(d) for text, d in (line.split(",") for line in csv.splitlines()[1:])} == levels
+
+
+# 0 and the levels on each side of a change in the digit count, of either sign;
+# small levels share reduced numerators over different denominators
+EDGES = sorted({sign * (10 ** k + step) for k in range(19) for step in (-1, 0, 1)
+                for sign in (1, -1)} | {9, 99, -9, -99})
+tables = st.builds(
+    lambda pairs, scale: table_of(dict(pairs), energy_scale=scale),
+    st.lists(st.tuples(st.one_of(st.integers(-10 ** 18, 10 ** 18), st.sampled_from(EDGES),
+                                 st.integers(-60, 60)),
+                       st.integers(1, 2 ** 130)), max_size=80, unique_by=lambda pair: pair[0]),
+    st.integers(1, 12),  # suffixes such as /2, /3 and /6 mix
+)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(tables)
+@example(table_of({1: 1, 4: 2, 6: 3, -12: 4, -10: 5}, energy_scale=12))  # "/12" before "/2"
+def test_both_artifacts_equal_the_levelwise_text_of_any_table(table):
+    texts = [format_rational(Fraction(e, table.energy_scale)) for e in table.levels().tolist()]
+    assert table.to_csv() == "".join(
+        ["energy,degeneracy\n", *(f"{t},{d}\n" for t, d in zip(texts, table.degeneracies))])
+    assert "".join(json_pieces(table.to_json_dict()["levels"])) == json.dumps(
+        dict(zip(texts, table.degeneracies)), indent=2, sort_keys=True)
 
 
 def test_an_empty_table_writes_an_empty_levels_object():
