@@ -278,11 +278,14 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     (``_SECTIONS`` - 1) x size**2 for the multisection: a Sturm evaluation
     (one row of one lane at one point) took about twice a size**3 unit.
 
-    :func:`build_hamiltonian` makes a few numpy calls per exchange pair of
-    a sector, about 10 us whatever its size, and writes two cells of H a
-    state, 40 to 160 ns, dearer in larger sectors: counted as 4000 units
-    per pair and sector and 64 per pair and state (HS N=14 m=2, 6.1e7
-    units, built in 0.13 s).
+    :func:`build_hamiltonian` adds two terms a state for each exchange
+    pair of a sector, in chunks of pairs with one ``np.add.at`` each, 50 to
+    200 ns a pair and state (HS N=14 m=2, 6.1e7 units, built in 0.065 s;
+    PF N=3000 m=1, 4.5 M pairs of one state, in 0.24 s): counted as 64
+    units per pair and state.  The 4000 units per pair and sector stand
+    for work the build no longer does, a few numpy calls a pair and sector
+    (about 10 us) while it took one pair at a time; for m = 1 they stand in
+    for the N x N coupling arrays, which are not counted.
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -392,23 +395,31 @@ def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> 
     """Sum of h_ij (1 - epsilon * exchange of spins i, j), h_ij from `coef`,
     over ascending basis indices `states` that no exchange leaves (a weight
     sector, or all m**N): each pair adds one diagonal shift and one permutation
-    of base-m digits, placed by the positions of the exchanged states.  Exactly
-    symmetric; refused where H with a copy of it passes the memory budget."""
+    of base-m digits, placed by the positions of the exchanged states.  The
+    pairs are taken in chunks whose exchanged states fill ``_CHUNK_BYTES``,
+    and one ``np.add.at`` adds a chunk's terms pair after pair, each pair's
+    shift before its exchange, so every cell sums its terms in pair order.
+    Exactly symmetric; refused where H with a copy of it passes the memory
+    budget."""
     n, m, size = spec.n_spins, spec.m, states.size
     check_grid_budget(f"dense H of {size} states needs 2 x 8 x {size}**2 bytes", 16 * size * size)
     weight = m ** np.arange(n - 1, -1, -1)
-    digits = (states[:, None] // weight[None, :]) % m
-    rows = np.arange(size)
-    h = np.zeros((size, size))
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            swapped = states + (digits[:, j] - digits[:, i]) * (weight[i] - weight[j])
-            cols = np.searchsorted(states, swapped)
-            if not np.array_equal(states.take(cols, mode="clip"), swapped):
-                raise ValidationError(f"exchanging spins {i} and {j} leaves the given states")
-            h[rows, rows] += coef[i, j]
-            h[rows, cols] -= spec.epsilon * coef[i, j]
-    return DenseOperator(matrix=h)
+    digits = states // weight[:, None] % m
+    first, second = np.triu_indices(n, 1)
+    rows, h = np.arange(size), np.zeros(size * size)
+    step = max(1, _CHUNK_BYTES // (8 * max(size, 1)))
+    for start in range(0, first.size, step):
+        i, j = first[start:start + step], second[start:start + step]
+        swapped = states + (digits[j] - digits[i]) * (weight[i] - weight[j])[:, None]
+        cols = np.searchsorted(states, swapped)
+        taken = states.take(cols, mode="clip")
+        if not np.array_equal(taken, swapped):
+            bad = np.flatnonzero(taken != swapped)[0] // size
+            raise ValidationError(f"exchanging spins {i[bad]} and {j[bad]} leaves the given states")
+        cells = np.stack([np.broadcast_to(rows * (size + 1), cols.shape), rows * size + cols], axis=1)
+        terms = np.repeat(coef[i, j][:, None] * [1.0, -spec.epsilon], size, axis=1)
+        np.add.at(h, cells.ravel(), terms.ravel())
+    return DenseOperator(matrix=h.reshape(size, size))
 
 
 def jacobi_eigenvalues(matrix) -> np.ndarray | list[np.ndarray]:
@@ -592,20 +603,16 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     call of :func:`jacobi_eigenvalues`."""
     sectors = _check_oracle_cost(spec)
     coef = exchange_coefficients(spec)
-    blocks, owners = [], []
-    for index, (counts, _, _, group) in enumerate(sectors):
+    blocks, repeats = [], []
+    for counts, copies, _, group in sectors:
         states = _sector_states(spec, counts)
         h = build_hamiltonian(spec, states, coef).matrix
-        own = _symmetry_blocks(h, group.places(states), group.characters, group.real)
-        blocks += own
-        owners += [index] * len(own)
-        del h, own  # before the next sector's is built
-    spectra = [[] for _ in sectors]
-    for index, values in zip(owners, jacobi_eigenvalues(blocks)):
-        spectra[index].append(values)
+        blocks += _symmetry_blocks(h, group.places(states), group.characters, group.real)
+        repeats += [copies] * states.size
+        del h  # before the next sector's is built
+    values = np.concatenate(jacobi_eigenvalues(blocks))
     del blocks
-    return np.sort(np.concatenate([np.tile(np.concatenate(rows), copies)
-                                   for rows, (_, copies, _, _) in zip(spectra, sectors)]))
+    return np.sort(np.repeat(values, repeats))
 
 
 def _multiplicity_pattern(values: np.ndarray, tol: float) -> tuple[int, ...]:

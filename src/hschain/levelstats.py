@@ -123,9 +123,6 @@ class UnfoldedSpectrum:
         if not 0 <= self.split <= self.tail.size:
             raise ValidationError(f"split {self.split} is outside 0..{self.tail.size}")
 
-    def __len__(self) -> int:
-        return self.tail.size
-
     @property
     def eta(self) -> np.ndarray:
         """The cumulative density of every level, one float array."""

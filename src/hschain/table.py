@@ -26,12 +26,14 @@ ENUMERATION_CEILING = 10 ** 8
 COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 + 252 x size**2 summed over the blocks it solves (the
 # Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each, and
-# for each exchange pair that builds a solved sector 4000 units and 64 a state
-# (about 10 us a pair and sector, and 40 to 160 ns a pair and state).  About a
-# minute: HS N=7 m=7, 1.31e10, took 32.5 s and HS N=15 m=2, 9.75e9, 23.0 s;
-# PF N=8 m=5 makes 2.46e10 and PF N=14 m=2 5.14e10, and PF N=3500 m=1, 6.1 M
-# pairs of one state, 2.49e10 (its oracle ran for 72 s while the build was not
-# counted).
+# for each exchange pair that builds a solved sector 4000 units and 64 a state.
+# The build takes 50 to 200 ns a pair and state; the 4000 a pair and sector
+# stand for the 10 us a pair took when the pairs were built one at a time,
+# work it no longer does, and for m = 1 for the N x N coupling arrays, which
+# are not counted.  About a minute: HS N=7 m=7, 1.31e10, took 32.5 s and HS
+# N=15 m=2, 9.75e9, 23.0 s; PF N=8 m=5 makes 2.46e10 and PF N=14 m=2 5.14e10,
+# and PF N=3500 m=1, 6.1 M pairs of one state, 2.49e10 (its oracle ran for 72 s
+# while the build was not counted).
 ORACLE_CEILING = 2 * 10 ** 10
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,

@@ -113,6 +113,8 @@ def test_alpha_accepts_exact_forms_only():
     for bad in (1.5, True, (3.7, 2), (True, 2), (3, 0), ("a", 2)):
         with pytest.raises(ValidationError):
             ChainSpec("FI", 4, 2, alpha=bad)
+    with pytest.raises(ValidationError, match="alpha pair must have two entries"):
+        ChainSpec("FI", 4, 2, alpha=(3, 2, 1))
 
 
 def test_n_states():

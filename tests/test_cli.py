@@ -15,6 +15,7 @@ import hschain.cli
 import hschain.table
 from hschain import ANTIFERRO, ChainSpec, closed_form_moments
 from hschain.cli import main
+from hschain.crosscheck import CheckResult, CrosscheckReport
 from hschain.density import density_dp
 from hschain.levelstats import spacing_distribution
 from hschain.table import csv_pieces, format_cell, format_rational, json_pieces
@@ -184,6 +185,20 @@ def test_crosscheck_passes_and_writes_csv(tmp_path):
     body = [line for line in lines if not line.startswith("#")]
     assert body[0] == "check,family,N,m,epsilon,alpha,deviation,passed"
     assert all(row.endswith(",1") for row in body[1:])
+
+
+@pytest.mark.parametrize("failed, printed", [(3, 3), (12, 10)])
+def test_crosscheck_failures_exit_2_and_name_the_first_ten(tmp_path, capsys, monkeypatch,
+                                                           failed, printed):
+    results = [CheckResult(f"check{k}", ChainSpec("HS", k + 2, 2), float(k < failed), k >= failed)
+               for k in range(failed + 2)]
+    monkeypatch.setattr(hschain.cli, "run_crosscheck",
+                        lambda max_n: CrosscheckReport(results=tuple(results)))
+    assert run(tmp_path, "crosscheck", "--max-N", "4") == 2
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1] == f"checks = {failed + 2}, failed = {failed}"
+    assert err.splitlines() == [f"FAIL check{k} {ChainSpec('HS', k + 2, 2)}"
+                                for k in range(printed)]
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -288,8 +288,8 @@ def test_oracle_holds_sector_blocks_not_the_whole_matrix():
 def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
     # m = 1 has one state, and the oracle's gate counts its N(N - 1)/2
     # exchange pairs at 4064 units each: 1.83e10 at N = 3000, inside the
-    # ceiling, about 45 s of building; the motif side refuses it first, for
-    # its N(N**2 - 1)/6 energy cells
+    # ceiling, its pairs built in about 0.25 s; the motif side refuses it
+    # first, for its N(N**2 - 1)/6 energy cells
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -319,6 +319,10 @@ def test_jacobi_solves_known_matrices():
     a = rng.normal(size=(12, 12))
     sym = a + a.T
     assert np.allclose(jacobi_eigenvalues(sym), np.linalg.eigvalsh(sym), atol=1e-9)
+
+
+def test_jacobi_of_an_empty_list_is_an_empty_list():
+    assert jacobi_eigenvalues([]) == []
 
 
 def test_jacobi_rejects_bad_input():
@@ -513,6 +517,78 @@ def test_entry_outside_its_weight_sector_trips_the_check():
     spec = ChainSpec("HS", 4, 2)
     with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
         build_hamiltonian(spec, np.array([0, 1]), exchange_coefficients(spec))
+
+
+def _per_pair_hamiltonian(spec, states, coef):
+    """H on ascending `states` built one exchange pair at a time, in pair
+    order, each pair's diagonal shift before its exchange: the builder as it
+    was before it took the pairs in chunks."""
+    n, m, size = spec.n_spins, spec.m, states.size
+    weight = m ** np.arange(n - 1, -1, -1)
+    digits = (states[:, None] // weight[None, :]) % m
+    rows = np.arange(size)
+    h = np.zeros((size, size))
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            swapped = states + (digits[:, j] - digits[:, i]) * (weight[i] - weight[j])
+            cols = np.searchsorted(states, swapped)
+            if not np.array_equal(states.take(cols, mode="clip"), swapped):
+                raise ValidationError(f"exchanging spins {i} and {j} leaves the given states")
+            h[rows, rows] += coef[i, j]
+            h[rows, cols] -= spec.epsilon * coef[i, j]
+    return h
+
+
+@pytest.mark.parametrize("spec, whole, chunks", [
+    (ChainSpec("HS", 7, 2), True, (1, 3)),
+    (ChainSpec("HS", 13, 2), False, (1, 3)),  # sector (7, 6) has 1,716 states, 38 pairs a chunk
+    (ChainSpec("HS", 6, 3, -1), True, (1, 3)),
+    (ChainSpec("PF", 8, 2, -1), True, (1, 3)),
+    (ChainSpec("PF", 7, 4), False, (1, 3)),
+    (ChainSpec("FI", 5, 3, alpha=2), True, (1, 3)),
+    (ChainSpec("FI", 6, 2, -1, alpha="3/2"), True, (1, 3)),
+    # one state, the whole basis, and 319,600 pairs: 5 chunks of up to 65,536
+    # pairs, then 33 of up to 9,973 (a chunk a pair would take 20 s)
+    (ChainSpec("PF", 800, 1), False, (9973,)),
+])
+def test_the_build_equals_the_per_pair_loop_bit_for_bit(spec, whole, chunks, monkeypatch):
+    # every solved sector, and the whole basis where it is small, with the
+    # chunks as they are and then holding one pair and three pairs, so that
+    # chunk boundaries fall inside the pair list
+    coef = exchange_coefficients(spec)
+    bases = [_sector_states(spec, counts) for counts, _, _ in _solved_sectors(spec)]
+    if whole:
+        bases.append(np.arange(spec.n_states))
+    for states in bases:
+        reference = _per_pair_hamiltonian(spec, states, coef)
+        for pairs in (None, *chunks):
+            if pairs:
+                monkeypatch.setattr(hschain.hamiltonian, "_CHUNK_BYTES", 8 * pairs * states.size)
+            h = build_hamiltonian(spec, states, coef).matrix
+            assert h.shape == reference.shape and h.tobytes() == reference.tobytes(), (
+                spec, states.size, pairs)
+            monkeypatch.undo()
+
+
+@pytest.mark.parametrize("pairs", [None, 1, 3])
+def test_the_first_pair_to_leave_the_states_is_named_in_any_chunking(pairs, monkeypatch):
+    # exchanges (0, 1) and (0, 2) keep states 0 and 1, and (0, 3), the third
+    # pair, is the first to leave them: the third of one chunk of all six
+    # pairs, alone in the third chunk, or the last of the first of two
+    spec = ChainSpec("HS", 4, 2)
+    if pairs:
+        monkeypatch.setattr(hschain.hamiltonian, "_CHUNK_BYTES", 8 * pairs * 2)
+    with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
+        build_hamiltonian(spec, np.array([0, 1]), exchange_coefficients(spec))
+
+
+def test_a_long_single_valued_oracle_runs_in_seconds():
+    # PF N=800 m=1: one state and 319,600 exchange pairs, which took about
+    # 4 s to build one pair at a time
+    start = time.perf_counter()
+    report = oracle_compare(ChainSpec("PF", 800, 1))
+    assert time.perf_counter() - start < 2.0
+    assert report.eigenvalues.size == 1 and report.multiplicities_match
 
 
 @pytest.mark.parametrize("spec", [

@@ -223,6 +223,23 @@ def test_degenerate_unfolded_sequence_is_rejected():
         normalized_spacings(UnfoldedSpectrum(np.array([0.4]), split=1))
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_spacings_with_every_level_on_one_side_of_the_mean(side):
+    # a mean below every level leaves split 0, one above every level split n:
+    # every gap is then a difference within one tail, and the span is that
+    # tail's first level against its last
+    spec = ChainSpec("HS", 10, 2)
+    density = density_dp(spec)
+    levels = density.levels()
+    mu = int(levels[0]) - 1 if side == "below" else int(levels[-1]) + 1
+    unfolded = unfold(density, SpectrumStats.from_exact(Fraction(mu),
+                                                        closed_form_moments(spec).sigma2))
+    assert unfolded.split == (0 if side == "below" else levels.size)
+    s = normalized_spacings(unfolded)
+    assert s.size == levels.size - 1 and (s > 0).all()
+    assert abs(s.mean() - 1.0) < 1e-12
+
+
 def test_split_outside_the_levels_is_rejected():
     with pytest.raises(ValidationError, match="split"):
         UnfoldedSpectrum(np.array([0.3, 0.4]), split=3)
@@ -251,6 +268,13 @@ def test_bad_bin_edges_are_rejected(bins):
     unfolded = unfold(density_dp(spec), closed_form_moments(spec))
     with pytest.raises(ValidationError, match="bin edges"):
         spacing_distribution(unfolded, bins=bins)
+
+
+def test_bins_that_hold_no_spacing_are_refused():
+    spec = ChainSpec("HS", 12, 2)
+    unfolded = unfold(density_dp(spec), closed_form_moments(spec))
+    with pytest.raises(ValidationError, match="no spacings fall inside the requested bins"):
+        spacing_distribution(unfolded, bins=[100.0, 200.0])
 
 
 def test_histogram_carries_both_reference_curves():

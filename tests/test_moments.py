@@ -58,6 +58,11 @@ def test_empirical_moments_respect_the_energy_scale():
     assert empirical_moments(coarse).sigma2 == empirical_moments(fine).sigma2
 
 
+def test_an_empty_table_has_no_moments():
+    with pytest.raises(ValidationError, match="empty density table"):
+        empirical_moments(table_of({}))
+
+
 def test_single_atom_has_zero_width():
     stats = empirical_moments(table_of({0: 1}))
     assert (stats.mu, stats.sigma2, stats.sigma) == (0, 0, 0.0)

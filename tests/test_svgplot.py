@@ -1,5 +1,6 @@
 """The bespoke SVG renderer: structure, determinism and recorded bytes."""
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,26 @@ def test_one_point_log_log_plot_stays_on_positive_axes():
 def test_an_empty_series_is_refused():
     with pytest.raises(ValidationError, match="at least one value"):
         line_plot([("a", [], [])], title="empty", x_label="x", y_label="y")
+
+
+def test_line_plot_needs_a_series():
+    with pytest.raises(ValidationError, match="at least one series"):
+        line_plot([], title="none", x_label="x", y_label="y")
+
+
+def test_a_log_axis_refuses_a_zero_value():
+    with pytest.raises(ValidationError, match="log axis needs positive data"):
+        line_plot([("a", [1, 2], [0.0, 1.0])], title="zero", x_label="x", y_label="y", log=True)
+
+
+def test_a_constant_linear_series_widens_its_axis():
+    # y = 2 everywhere: the zero-width axis widens by |2| / 2 + 1 each way, to
+    # 0..4, and the line is drawn flat
+    svg = line_plot([("flat", [1, 2, 3], [2.0, 2.0, 2.0])], title="flat", x_label="x",
+                    y_label="y")
+    assert all(f">{tick}</text>" in svg for tick in range(5))
+    (points,) = re.findall(r'points="([^"]*)"', svg)
+    assert len({point.split(",")[1] for point in points.split()}) == 1
 
 
 @pytest.mark.parametrize("name", sorted(PLOTS))

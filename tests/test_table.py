@@ -110,6 +110,8 @@ def test_constructor_rejects_broken_layouts():
         DensityTable(np.array([0, 1]), (2, 0), 1, 2)  # zero degeneracy
     with pytest.raises(ValidationError):
         DensityTable(np.array([0, 1]), (1, 1), 1, 3)  # wrong total
+    with pytest.raises(ValidationError, match="energy_scale must be >= 1, got 0"):
+        DensityTable(np.array([0, 1]), (1, 1), energy_scale=0, total=2)
 
 
 def test_equality_compares_every_field_as_it_is():
