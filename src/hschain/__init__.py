@@ -34,7 +34,6 @@ from .errors import CapacityError, ConvergenceError, ValidationError
 from .hamiltonian import (
     DenseOperator,
     OracleReport,
-    SiteLayout,
     build_hamiltonian,
     chain_sites,
     jacobi_eigenvalues,
@@ -77,7 +76,6 @@ __all__ = [
     "LevelMasses",
     "LevelSupport",
     "OracleReport",
-    "SiteLayout",
     "SpacingHistogram",
     "SpectrumStats",
     "UnfoldedSpectrum",

@@ -29,9 +29,10 @@ Wilkinson, Numer. Math. 9 (1967) 386).
 Only small chains are in scope: the gate predicts every block size from
 the group's characters and the states each element keeps, both taken from
 the colour counts alone, and holds the blocks, the largest sector matrix,
-the solver's arrays and the m**N spectra to the memory budget, and the
-work of building every solved sector's exchange pairs and of solving its
-blocks to ``ORACLE_CEILING``, while the site layout has no cap.
+the solver's arrays, the coupling arrays and the m**N spectra to the
+memory budget, and the work of finding the sites, of building every solved
+sector's exchange pairs and of solving its blocks to ``ORACLE_CEILING``.
+``chain_sites`` and ``exchange_coefficients`` called directly stay ungated.
 """
 
 from __future__ import annotations
@@ -93,27 +94,18 @@ def _orthopoly_zeros(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray,
     return x, float(np.abs(value / safe).max())
 
 
-class SiteLayout(NamedTuple):
-    """Ordered site coordinates of one chain, with the zero-finding
-    residual (0 for the closed-form circle lattice)."""
-
-    xi: np.ndarray
-    residual: float
-
-
-def chain_sites(spec: ChainSpec) -> SiteLayout:
-    """Site coordinates for the chain geometry of `spec`.
+def chain_sites(spec: ChainSpec) -> np.ndarray:
+    """Ascending site coordinates for the chain geometry of `spec`.
 
     Uniform angles k*pi/N for the trigonometric chain; Hermite zeros for
     the rational one; half the log of the generalized-Laguerre zeros for
     the hyperbolic one.  Zeros come from the Jacobi-matrix eigenvalue
-    method with one Newton polish; a residual above the tolerance is an
-    error rather than a warning.
+    method with one Newton polish; a residual above ``ZERO_RESIDUAL_TOL``
+    is an error rather than a warning.
     """
     n = spec.n_spins
     if spec.family == "HS":
-        xi = np.arange(1, n + 1) * (math.pi / n)
-        return SiteLayout(xi=xi, residual=0.0)
+        return np.arange(1, n + 1) * (math.pi / n)
     if spec.family == "PF":
         diag = np.zeros(n)
         offdiag = np.sqrt(np.arange(1, n) / 2.0)
@@ -131,7 +123,7 @@ def chain_sites(spec: ChainSpec) -> SiteLayout:
         if zeros.min() <= 0.0:
             raise ValidationError("Laguerre zeros must be positive")
         zeros = 0.5 * np.log(zeros)
-    return SiteLayout(xi=zeros, residual=residual)
+    return zeros
 
 
 class DenseOperator(NamedTuple):
@@ -146,7 +138,7 @@ class DenseOperator(NamedTuple):
 
 def exchange_coefficients(spec: ChainSpec) -> np.ndarray:
     """Strictly-upper-triangular matrix of pair strengths h_ij."""
-    xi = chain_sites(spec).xi
+    xi = chain_sites(spec)
     gap = xi[:, None] - xi[None, :]
     coef = np.zeros_like(gap)
     upper = np.triu_indices(spec.n_spins, 1)
@@ -261,9 +253,9 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     with the report written from them, pass the memory budget; only then
     list (and return) the solved sectors with the sizes of their blocks and
     their groups, and refuse a chain whose solved blocks, with the largest
-    sector matrix and a copy of it or with the solver's own arrays, join
-    them over the budget, or whose build and solver work passes
-    ``ORACLE_CEILING``.
+    sector matrix and a copy of it or with the solver's own arrays, and with
+    the coupling arrays, join them over the budget, or whose site, build and
+    solver work passes ``ORACLE_CEILING``.
 
     A block of :func:`_symmetry_blocks` holds the orbits on whose stabiliser
     its character chi is trivial, (1 / |G|) sum_g conj(chi(g)) Fix(g) of them
@@ -282,10 +274,14 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     pair of a sector, in chunks of pairs with one ``np.add.at`` each, 50 to
     200 ns a pair and state (HS N=14 m=2, 6.1e7 units, built in 0.065 s;
     PF N=3000 m=1, 4.5 M pairs of one state, in 0.24 s): counted as 64
-    units per pair and state.  The 4000 units per pair and sector stand
-    for work the build no longer does, a few numpy calls a pair and sector
-    (about 10 us) while it took one pair at a time; for m = 1 they stand in
-    for the N x N coupling arrays, which are not counted.
+    units per pair and state.  Outside the sectors, :func:`chain_sites`
+    finds the PF and FI sites by one multisection of an N-row Jacobi run,
+    counted with the solver's term as 2 x ``_STURM_STEPS`` x (``_SECTIONS``
+    - 1) x N**2 (the HS sites are closed form): at PF N=3000 m=1 it took
+    4.8 of the oracle's 5.0 s.  :func:`exchange_coefficients` holds the
+    site gaps, the couplings, the indices of the upper triangle and two
+    temporaries of its pairs, a tracemalloc peak of 4 x 8 x N**2 bytes for
+    every family at N = 1000 to 3000, counted in the memory sum.
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -314,20 +310,23 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     solved = sum(count * size for size, count in blocks.items())
     stack = max(count * size * size for size, count in blocks.items())
     held = sum(count * size * size for size, count in blocks.items())
+    n = spec.n_spins
     sturm = 2 * _STURM_STEPS * (_SECTIONS - 1)
-    pairs = spec.n_spins * (spec.n_spins - 1) // 2
-    build = pairs * (4000 * len(sectors) + 64 * solved)
-    work = build + sum(count * (size ** 3 + sturm * size * size) for size, count in blocks.items())
+    sites = 0 if spec.family == "HS" else sturm * n * n
+    pairs = n * (n - 1) // 2
+    work = sites + 64 * pairs * solved + sum(count * (size ** 3 + sturm * size * size)
+                                             for size, count in blocks.items())
     solver = 16 * stack + 128 * solved + 4 * _CHUNK_BYTES
-    check_grid_budget(f"{text} plus 8 x {held} for the solved blocks and the larger of "
-                      f"2 x 8 x {largest}**2 for the largest sector and {solver} for the solver "
-                      f"(2 x 8 x {stack} for the largest stack of blocks and its outer products, "
-                      f"128 x {solved} for its lanes and {4 * _CHUNK_BYTES} for one piece of "
-                      f"them), and {work} units of work: to build, 4000 a sector and 64 a "
-                      f"state for each of {pairs} exchange pairs over {len(sectors)} sectors of "
-                      f"{solved} states; to solve, the sum over the solved blocks of size**3 "
-                      f"and {sturm} x size**2",
-                      spectra_and_report + 8 * held + max(16 * largest * largest, solver),
+    check_grid_budget(f"{text} plus 4 x 8 x {n}**2 for the couplings, 8 x {held} for the solved "
+                      f"blocks and the larger of 2 x 8 x {largest}**2 for the largest sector and "
+                      f"{solver} for the solver (2 x 8 x {stack} for the largest stack of blocks "
+                      f"and its outer products, 128 x {solved} for its lanes and "
+                      f"{4 * _CHUNK_BYTES} for one piece of them), and {work} units of work: "
+                      f"{sites} to find the sites; to build, 64 a state for each of {pairs} "
+                      f"exchange pairs over {solved} states; to solve, the sum over the solved "
+                      f"blocks of size**3 and {sturm} x size**2",
+                      spectra_and_report + 32 * n * n + 8 * held
+                      + max(16 * largest * largest, solver),
                       work, ORACLE_CEILING)
     return sectors
 
@@ -642,18 +641,8 @@ class OracleReport(NamedTuple):
         """The report's JSON payload.  The spectra are the float arrays
         themselves, which the CLI's JSON writer encodes a slice at a time,
         so no list of their floats is built."""
-        return {
-            "spec": self.spec.to_json_dict(),
-            "eigenvalues": self.eigenvalues,
-            "motif_values": self.motif_values,
-            "direct_deviation": self.direct_deviation,
-            "affine_scale": self.affine_scale,
-            "affine_offset": self.affine_offset,
-            "affine_deviation": self.affine_deviation,
-            "eigen_multiplicities": list(self.eigen_multiplicities),
-            "motif_multiplicities": list(self.motif_multiplicities),
-            "multiplicities_match": self.multiplicities_match,
-        }
+        return {**self._asdict(), "spec": self.spec.to_json_dict(),
+                "multiplicities_match": self.multiplicities_match}
 
 
 def oracle_compare(spec: ChainSpec) -> OracleReport:

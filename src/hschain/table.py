@@ -25,15 +25,13 @@ ENUMERATION_CEILING = 10 ** 8
 # 9.0 s at 1.08e10 while its slots held m**N and a spare byte.
 COMPOSITION_CEILING = 10 ** 10
 # Dense oracle: size**3 + 252 x size**2 summed over the blocks it solves (the
-# Householder reduction and the Sturm multisection), 1.7 to 2.9 ns each, and
-# for each exchange pair that builds a solved sector 4000 units and 64 a state.
-# The build takes 50 to 200 ns a pair and state; the 4000 a pair and sector
-# stand for the 10 us a pair took when the pairs were built one at a time,
-# work it no longer does, and for m = 1 for the N x N coupling arrays, which
-# are not counted.  About a minute: HS N=7 m=7, 1.31e10, took 32.5 s and HS
-# N=15 m=2, 9.75e9, 23.0 s; PF N=8 m=5 makes 2.46e10 and PF N=14 m=2 5.14e10,
-# and PF N=3500 m=1, 6.1 M pairs of one state, 2.49e10 (its oracle ran for 72 s
-# while the build was not counted).
+# Householder reduction and the Sturm multisection), 64 a state for each
+# exchange pair that builds a solved sector, and 252 x N**2 for the
+# multisection that finds the PF and FI sites; 1.7 to 2.4 ns each in process
+# (best of five runs: HS N=13 and 14 m=2, PF N=1000 to 3500 m=1).  About a
+# minute: HS N=7 m=7, 1.31e10, took 32.5 s and HS N=15 m=2, 9.75e9, 23.0 s;
+# PF N=8 m=5 makes 2.46e10 and PF N=14 m=2 5.14e10.  PF N=5262 m=1, the
+# longest single-valued chain the motif side admits, makes 7.86e9.
 ORACLE_CEILING = 2 * 10 ** 10
 # Transfer products of a convergence sweep: bonds x (m x |t| values + 256),
 # 7 to 50 ns each.  About 25 s: PF m=2 over N = 16..2000 in steps of 1,
@@ -179,7 +177,7 @@ class DensityTable:
     always sum to it exactly.
     """
 
-    def __init__(self, scaled, degeneracies, energy_scale: int = 1, total: int = 0):
+    def __init__(self, scaled, degeneracies, energy_scale: int, total: int):
         if energy_scale < 1:
             raise ValidationError(f"energy_scale must be >= 1, got {energy_scale}")
         self.energy_scale, self.total = energy_scale, total

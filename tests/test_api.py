@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "LevelMasses",
     "LevelSupport",
     "OracleReport",
-    "SiteLayout",
     "SpacingHistogram",
     "SpectrumStats",
     "UnfoldedSpectrum",
@@ -108,7 +107,6 @@ PUBLIC_MEMBERS = {
     "LevelMasses": ["cdf_steps", "levels"],
     "LevelSupport": ["levels"],
     "OracleReport": ["multiplicities_match", "to_json_dict"],
-    "SiteLayout": [],
     "SpacingHistogram": ["bin_centers"],
     "SpectrumStats": ["from_exact"],
     "UnfoldedSpectrum": ["eta", "underflow"],
@@ -145,8 +143,7 @@ DATACLASSES = ["ChainSpec", "DispersionTable", "LevelMasses", "LevelSupport", "U
 
 # The immutable result records, as NamedTuples.
 NAMED_TUPLES = ["CharFnSeries", "CheckResult", "ConvergenceReport", "CrosscheckReport",
-                "DenseOperator", "OracleReport", "SiteLayout", "SpacingHistogram",
-                "SpectrumStats"]
+                "DenseOperator", "OracleReport", "SpacingHistogram", "SpectrumStats"]
 
 
 def _package_classes():

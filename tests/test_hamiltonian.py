@@ -50,27 +50,26 @@ def _brute_sectors(spec):
 
 
 def test_circle_sites_are_uniform_angles():
-    layout = chain_sites(ChainSpec("HS", 4, 2))
-    assert np.allclose(layout.xi, [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
-    assert layout.residual == 0.0
+    sites = chain_sites(ChainSpec("HS", 4, 2))
+    assert np.allclose(sites, [math.pi / 4, math.pi / 2, 3 * math.pi / 4, math.pi])
 
 
 def test_two_hermite_zeros():
-    layout = chain_sites(ChainSpec("PF", 2, 2))
+    sites = chain_sites(ChainSpec("PF", 2, 2))
     root = 1 / math.sqrt(2)
-    assert np.allclose(layout.xi, [-root, root], atol=1e-14)
+    assert np.allclose(sites, [-root, root], atol=1e-14)
 
 
 def test_hermite_zeros_are_symmetric():
-    xi = chain_sites(ChainSpec("PF", 7, 2)).xi
+    xi = chain_sites(ChainSpec("PF", 7, 2))
     assert np.allclose(xi, -xi[::-1], atol=1e-13)
     assert np.all(np.diff(xi) > 0)
 
 
 def test_two_laguerre_sites():
-    layout = chain_sites(ChainSpec("FI", 2, 2, alpha=1))
+    sites = chain_sites(ChainSpec("FI", 2, 2, alpha=1))
     expected = [0.5 * math.log(2 - math.sqrt(2)), 0.5 * math.log(2 + math.sqrt(2))]
-    assert np.allclose(layout.xi, expected, atol=1e-13)
+    assert np.allclose(sites, expected, atol=1e-13)
 
 
 @pytest.mark.parametrize("spec", [
@@ -82,18 +81,20 @@ def test_two_laguerre_sites():
     ChainSpec("FI", 1000, 2, alpha=2),
 ])
 def test_zero_finding_residuals_stay_small(spec):
+    # chain_sites refuses a residual above ZERO_RESIDUAL_TOL = 1e-10
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        layout = chain_sites(spec)
-    assert np.isfinite(layout.xi).all() and np.all(np.diff(layout.xi) > 0)
-    assert layout.residual < 1e-10
+        sites = chain_sites(spec)
+    assert np.isfinite(sites).all() and np.all(np.diff(sites) > 0)
 
 
 def test_site_cap():
-    # the layout has no size cap of its own; at N = 12, the largest m = 2
-    # chain under the dense cap, the zeros still converge
+    # the sites have no size cap of their own; at N = 12, the largest m = 2
+    # chain under the dense cap, the zeros still converge: chain_sites
+    # refuses a residual above ZERO_RESIDUAL_TOL = 1e-10
     for spec in (ChainSpec("PF", 12, 2), ChainSpec("FI", 12, 2, alpha=Fraction(3, 2))):
-        assert chain_sites(spec).residual < 1e-10
+        sites = chain_sites(spec)
+        assert np.isfinite(sites).all() and np.all(np.diff(sites) > 0)
 
 
 def test_a_nan_residual_is_refused(monkeypatch):
@@ -159,7 +160,7 @@ def test_dense_cap():
 
 
 @pytest.mark.parametrize("spec, refusal", [
-    (ChainSpec("HS", 12, 2), None),  # 1.15e8 units of work, 1.02e8 to solve its momentum blocks
+    (ChainSpec("HS", 12, 2), None),  # 1.13e8 units of work, 1.02e8 to solve its momentum blocks
     (ChainSpec("FI", 7, 3, alpha=2), None),
     (ChainSpec("PF", 14, 2), "over the ceiling"),  # 5.14e10 units
     (ChainSpec("HS", 5, 40), "over the budget"),  # 5 x 8 x 40**5 bytes: 4.1 GB of spectra
@@ -169,19 +170,20 @@ def test_dense_cap():
     (ChainSpec("HS", 5, 31), "over the budget"),
     # m**N has 4,516 digits, past the 4,300 that Python converts to text
     (ChainSpec("HS", 15000, 2), r"m\*\*N = 2\*\*15000 states .* over the budget"),
-    (ChainSpec("HS", 13, 2), None),  # 3.85e8 units
+    (ChainSpec("HS", 13, 2), None),  # 3.83e8 units
     (ChainSpec("HS", 14, 2), None),  # 2.32e9 units
     (ChainSpec("HS", 5, 24), None),  # 319 MB of spectra
     (ChainSpec("HS", 5, 25), None),  # 391 MB of spectra
     (ChainSpec("HS", 5, 30), None),  # 972 MB of spectra
-    (ChainSpec("PF", 7, 5), None),  # 4.90e8 units, most to solve its swap blocks
+    (ChainSpec("PF", 7, 5), None),  # 4.89e8 units, most to solve its swap blocks
     (ChainSpec("FI", 7, 6, alpha=2), None),  # 1.89e9 units
     (ChainSpec("PF", 8, 5), "over the ceiling"),  # 2.46e10 units
     (ChainSpec("HS", 15, 2), None),  # 9.75e9 units
     (ChainSpec("PF", 7, 7), None),  # 4.70e9 units
     (ChainSpec("HS", 7, 7), None),  # 1.31e10 units
-    (ChainSpec("PF", 3000, 1), None),  # 1.83e10 units, nearly all to build its 4.5 M pairs
-    (ChainSpec("PF", 3500, 1), "over the ceiling"),  # 2.49e10 units
+    # 2.56e9 units, 2.27e9 of them to find its 3,000 sites, and 288 MB of couplings
+    (ChainSpec("PF", 3000, 1), None),
+    (ChainSpec("PF", 3500, 1), None),  # 3.48e9 units and 392 MB of couplings
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -221,12 +223,14 @@ def _oracle_prediction(calls):
 
 @pytest.mark.parametrize("spec", [
     ChainSpec("HS", 7, 2), ChainSpec("FI", 5, 3, alpha=2), ChainSpec("HS", 4, 4),
+    ChainSpec("PF", 6, 2),
 ])
 def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
-    # the work counts 4000 per sector and 64 per state for each exchange pair
-    # that builds the solved sectors, then size**3 for the Householder
-    # reduction and 2 x 18 steps x 7 points x size**2 for the Sturm
-    # multisection, over the blocks built from the solved sectors' states
+    # the work counts 2 x 18 steps x 7 points x N**2 for the multisection
+    # that finds the PF and FI sites (the HS sites are closed form), 64 per
+    # state for each exchange pair that builds the solved sectors, then
+    # size**3 for the Householder reduction and 2 x 18 x 7 x size**2 for the
+    # Sturm multisection, over the blocks built from the solved sectors' states
     h = _whole(spec)
     calls = _spy_on_the_gate(monkeypatch)
     _check_oracle_cost(spec)
@@ -237,16 +241,19 @@ def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
         sizes += [b.shape[0] for b in _symmetry_blocks(h[np.ix_(s, s)], group.places(s),
                                                         group.characters, group.real)]
     assert sum(sizes) == sum(s.size for s in solved.values())
-    pairs = spec.n_spins * (spec.n_spins - 1) // 2
-    build = pairs * (4000 * len(solved) + 64 * sum(sizes))
-    assert calls[-1][2] == build + sum(size ** 3 + 252 * size ** 2 for size in sizes)
+    n = spec.n_spins
+    sites = 0 if spec.family == "HS" else 252 * n * n
+    build = 64 * n * (n - 1) // 2 * sum(sizes)
+    assert calls[-1][2] == sites + build + sum(size ** 3 + 252 * size ** 2 for size in sizes)
 
 
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     # HS N=9 and 10 m=2 and PF N=8 m=2: the solved blocks with the largest
     # sector matrix or the solver's copy of the largest stack of blocks, its
-    # outer products and its lanes
-    for spec in (ChainSpec("HS", 9, 2), ChainSpec("HS", 10, 2), ChainSpec("PF", 8, 2)):
+    # outer products and its lanes; PF N=1000 m=1: the 4 x 8 x N**2 bytes,
+    # 32.0 MB, of exchange_coefficients
+    for spec in (ChainSpec("HS", 9, 2), ChainSpec("HS", 10, 2), ChainSpec("PF", 8, 2),
+                 ChainSpec("PF", 1000, 1)):
         calls = _spy_on_the_gate(monkeypatch)
         tracemalloc.start()
         try:
@@ -286,10 +293,11 @@ def test_oracle_holds_sector_blocks_not_the_whole_matrix():
 
 
 def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
-    # m = 1 has one state, and the oracle's gate counts its N(N - 1)/2
-    # exchange pairs at 4064 units each: 1.83e10 at N = 3000, inside the
-    # ceiling, its pairs built in about 0.25 s; the motif side refuses it
-    # first, for its N(N**2 - 1)/6 energy cells
+    # m = 1 has one state: the oracle's gate counts HS N=3000 m=1 at 64
+    # units for each of its N(N - 1)/2 exchange pairs, 2.88e8, and none for
+    # its closed-form sites, with 4 x 8 x N**2 bytes, 288 MB, of couplings,
+    # inside both limits; the motif side refuses it first, for its
+    # N(N**2 - 1)/6 energy cells
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -301,13 +309,12 @@ def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
 
 
 def test_oracle_counts_the_exchange_pairs_of_a_single_valued_chain():
-    # PF N=3500 m=1: 6.1 M exchange pairs of one state, 2.49e10 units of build
-    # work, refused in about 0.15 s, most of it the motif side's density of
-    # 6.1 M cells; before the build was counted its gate admitted the chain,
-    # whose pairs then took over a minute to build
+    # PF N=6000 m=1: one state, but 18 M exchange pairs whose coupling
+    # arrays take 4 x 8 x N**2 bytes, 1.15 GB, over the budget; refused
+    # before a site is found
     start = time.perf_counter()
-    with pytest.raises(CapacityError, match="over the ceiling"):
-        oracle_compare(ChainSpec("PF", 3500, 1))
+    with pytest.raises(CapacityError, match="over the budget"):
+        _check_oracle_cost(ChainSpec("PF", 6000, 1))
     assert time.perf_counter() - start < 1.0
 
 
