@@ -219,6 +219,19 @@ def _spacing_bins_from(args) -> np.ndarray:
     return default_spacing_bins(args.s_max, args.bins)
 
 
+def _transfer_units(spec: ChainSpec, points: int) -> int:
+    """The transfer work of one chain at `points` distinct |t| values, (N - 1)
+    x (m x |t| + 256), checked against ``TRANSFER_CEILING``.
+
+    A chain runs its bonds once per distinct |t| (the upper half of the
+    antisymmetric grid) in both kernels: PF and FI all N - 1, HS only the
+    first ceil((N - 1)/2).  Measured per bond, the time is a fixed cost for
+    the numpy calls, 1.7 to 2.8 us at m <= 8, plus 7 to 19 ns for each of
+    the m values at each |t|; the work is counted with all N - 1 bonds, as
+    calibrated on PF, so for HS it errs safe by about 2x."""
+    return (spec.n_spins - 1) * (spec.m * points + 256)
+
+
 def _sweep(args, units, ceiling: int, what: str) -> list:
     """The chains of --n-sweep, each resolved once, or a refusal before its first N.  Each
     chain's own gates speak before its work, ``units(spec, cells)`` with cells its top scaled
@@ -269,7 +282,13 @@ def _cmd_moments(args) -> int:
 def _cmd_charfn(args) -> int:
     spec = _resolve_spec(args)
     grid = _t_grid_from(args, spec.m, 440)
-    series = charfn_series(spec, closed_form_moments(spec), grid)
+    stats = closed_form_moments(spec)
+    points = grid.size - grid.size // 2
+    work = _transfer_units(spec, points)
+    check_grid_budget(f"charfn of N = {spec.n_spins} runs transfer products, (N - 1) x "
+                      f"({spec.m} x {points} |t| + 256): {work} units of work",
+                      0, work, TRANSFER_CEILING)
+    series = charfn_series(spec, stats, grid)
     exact, asym = series.exact_values, series.asymptotic_values
     _emit(
         args, "charfn", _config(spec, t_max=args.t_max, t_points=args.t_points),
@@ -293,14 +312,8 @@ def _cmd_charfn(args) -> int:
 
 def _cmd_convergence(args) -> int:
     grid = _t_grid_from(args, args.m, 0)
-    # Each chain runs its bonds once per distinct |t| (the upper half of the antisymmetric grid) in
-    # both kernels: PF and FI all N - 1, HS only the first ceil((N - 1)/2).  Measured per bond, the
-    # time is a fixed cost for the numpy calls, 1.7 to 2.8 us at m <= 8, plus 7 to 19 ns for each of
-    # the m values at each |t|; the work is counted as bonds x (m x |t| + 256) with all N - 1 bonds,
-    # as calibrated on PF, so for HS it errs safe by about 2x.
     points = grid.size - grid.size // 2
-    chains = _sweep(args, lambda spec, cells: (spec.n_spins - 1) * (spec.m * points + 256),
-                    TRANSFER_CEILING,
+    chains = _sweep(args, lambda spec, cells: _transfer_units(spec, points), TRANSFER_CEILING,
                     f"transfer products, (N - 1) x ({args.m} x {points} |t| + 256)")
     spec, report = chains[0], convergence_report(chains, grid)
     config = _config(spec, report.n_values, t_max=args.t_max, t_points=args.t_points,

@@ -29,10 +29,11 @@ Wilkinson, Numer. Math. 9 (1967) 386).
 Only small chains are in scope: the gate predicts every block size from
 the group's characters and the states each element keeps, both taken from
 the colour counts alone, and holds the blocks, the largest sector matrix,
-the solver's arrays, the coupling arrays and the m**N spectra to the
+the solver's arrays, the build's pair arrays and the m**N spectra to the
 memory budget, and the work of finding the sites, of building every solved
 sector's exchange pairs and of solving its blocks to ``ORACLE_CEILING``.
-``chain_sites`` and ``exchange_coefficients`` called directly stay ungated.
+``chain_sites`` called directly stays ungated, and ``build_hamiltonian``
+gates only its matrix.
 """
 
 from __future__ import annotations
@@ -136,19 +137,15 @@ class DenseOperator(NamedTuple):
         return self.matrix.shape[0]
 
 
-def exchange_coefficients(spec: ChainSpec) -> np.ndarray:
-    """Strictly-upper-triangular matrix of pair strengths h_ij."""
-    xi = chain_sites(spec)
-    gap = xi[:, None] - xi[None, :]
-    coef = np.zeros_like(gap)
-    upper = np.triu_indices(spec.n_spins, 1)
+def _pair_strengths(spec: ChainSpec, gap: np.ndarray) -> np.ndarray:
+    """The exchange strengths h_ij of pairs whose sites are `gap` =
+    xi_i - xi_j apart: 1 / (2 sin**2) on the circle lattice, 1 / gap**2 at
+    the Hermite zeros and 1 / (2 sinh**2) at the Laguerre sites."""
     if spec.family == "HS":
-        coef[upper] = 0.5 / np.sin(gap[upper]) ** 2
-    elif spec.family == "PF":
-        coef[upper] = 1.0 / gap[upper] ** 2
-    else:
-        coef[upper] = 0.5 / np.sinh(gap[upper]) ** 2
-    return coef
+        return 0.5 / np.sin(gap) ** 2
+    if spec.family == "PF":
+        return 1.0 / gap ** 2
+    return 0.5 / np.sinh(gap) ** 2
 
 
 def _solved_sectors(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, int]]:
@@ -254,7 +251,7 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     list (and return) the solved sectors with the sizes of their blocks and
     their groups, and refuse a chain whose solved blocks, with the largest
     sector matrix and a copy of it or with the solver's own arrays, and with
-    the coupling arrays, join them over the budget, or whose site, build and
+    the build's arrays, join them over the budget, or whose site, build and
     solver work passes ``ORACLE_CEILING``.
 
     A block of :func:`_symmetry_blocks` holds the orbits on whose stabiliser
@@ -278,10 +275,14 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     finds the PF and FI sites by one multisection of an N-row Jacobi run,
     counted with the solver's term as 2 x ``_STURM_STEPS`` x (``_SECTIONS``
     - 1) x N**2 (the HS sites are closed form): at PF N=3000 m=1 it took
-    4.8 of the oracle's 5.0 s.  :func:`exchange_coefficients` holds the
-    site gaps, the couplings, the indices of the upper triangle and two
-    temporaries of its pairs, a tracemalloc peak of 4 x 8 x N**2 bytes for
-    every family at N = 1000 to 3000, counted in the memory sum.
+    4.8 of the oracle's 5.0 s.  The build holds the exchange pairs, two
+    index arrays of 8 x N(N - 1) bytes in all that ``np.triu_indices``
+    makes through an N**2 boolean mask (a tracemalloc peak of 8 x N(N - 1) + 1.01
+    x N**2 bytes at N = 1000 and 3000), and the temporaries of one chunk of
+    pairs, the sector's digits among them: up to 11.9 times the chunk's 8
+    bytes a pair and state (PF N=30 m=2), which fill at most
+    ``_CHUNK_BYTES``, counted as 16 times.  No coupling matrix is made: each
+    chunk's strengths come from its site gaps.
 
     The report's JSON is written from the spectra themselves, one piece of
     ``_PIECE_LEVELS`` values at a time: the slice's Python floats, a pointer
@@ -317,15 +318,19 @@ def _check_oracle_cost(spec: ChainSpec) -> list[tuple[tuple[int, ...], int, list
     work = sites + 64 * pairs * solved + sum(count * (size ** 3 + sturm * size * size)
                                              for size, count in blocks.items())
     solver = 16 * stack + 128 * solved + 4 * _CHUNK_BYTES
-    check_grid_budget(f"{text} plus 4 x 8 x {n}**2 for the couplings, 8 x {held} for the solved "
-                      f"blocks and the larger of 2 x 8 x {largest}**2 for the largest sector and "
-                      f"{solver} for the solver (2 x 8 x {stack} for the largest stack of blocks "
-                      f"and its outer products, 128 x {solved} for its lanes and "
+    chunk = min(_CHUNK_BYTES, 8 * pairs * largest)
+    build = 8 * n * (n - 1) + n * n + 16 * chunk
+    check_grid_budget(f"{text} plus {build} for the build (8 x {n} x {n - 1} for the exchange "
+                      f"pairs, {n}**2 for their mask and 16 x {chunk} for one chunk of them), "
+                      f"8 x {held} for the solved blocks and the larger of 2 x 8 x {largest}**2 "
+                      f"for the largest sector and {solver} for the solver (2 x 8 x {stack} for "
+                      f"the largest stack of blocks and its outer products, 128 x {solved} for "
+                      f"its lanes and "
                       f"{4 * _CHUNK_BYTES} for one piece of them), and {work} units of work: "
                       f"{sites} to find the sites; to build, 64 a state for each of {pairs} "
                       f"exchange pairs over {solved} states; to solve, the sum over the solved "
                       f"blocks of size**3 and {sturm} x size**2",
-                      spectra_and_report + 32 * n * n + 8 * held
+                      spectra_and_report + build + 8 * held
                       + max(16 * largest * largest, solver),
                       work, ORACLE_CEILING)
     return sectors
@@ -390,12 +395,14 @@ def _symmetry_blocks(h: np.ndarray, places: np.ndarray, characters: np.ndarray,
     return blocks
 
 
-def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> DenseOperator:
-    """Sum of h_ij (1 - epsilon * exchange of spins i, j), h_ij from `coef`,
-    over ascending basis indices `states` that no exchange leaves (a weight
-    sector, or all m**N): each pair adds one diagonal shift and one permutation
-    of base-m digits, placed by the positions of the exchanged states.  The
-    pairs are taken in chunks whose exchanged states fill ``_CHUNK_BYTES``,
+def build_hamiltonian(spec: ChainSpec, states: np.ndarray, sites: np.ndarray) -> DenseOperator:
+    """Sum of h_ij (1 - epsilon * exchange of spins i, j) over ascending
+    basis indices `states` that no exchange leaves (a weight sector, or all
+    m**N), h_ij the strength of the gap between the pair's `sites`
+    (:func:`chain_sites`): each pair adds one diagonal shift and one
+    permutation of base-m digits, placed by the positions of the exchanged
+    states.  The pairs are taken in chunks whose exchanged states fill
+    ``_CHUNK_BYTES``, each chunk's strengths made from its own site gaps,
     and one ``np.add.at`` adds a chunk's terms pair after pair, each pair's
     shift before its exchange, so every cell sums its terms in pair order.
     Exactly symmetric; refused where H with a copy of it passes the memory
@@ -416,7 +423,8 @@ def build_hamiltonian(spec: ChainSpec, states: np.ndarray, coef: np.ndarray) -> 
             bad = np.flatnonzero(taken != swapped)[0] // size
             raise ValidationError(f"exchanging spins {i[bad]} and {j[bad]} leaves the given states")
         cells = np.stack([np.broadcast_to(rows * (size + 1), cols.shape), rows * size + cols], axis=1)
-        terms = np.repeat(coef[i, j][:, None] * [1.0, -spec.epsilon], size, axis=1)
+        strengths = _pair_strengths(spec, sites[i] - sites[j])
+        terms = np.repeat(strengths[:, None] * [1.0, -spec.epsilon], size, axis=1)
         np.add.at(h, cells.ravel(), terms.ravel())
     return DenseOperator(matrix=h.reshape(size, size))
 
@@ -601,11 +609,11 @@ def _sector_eigenvalues(spec: ChainSpec) -> np.ndarray:
     split into its blocks, and the blocks of all sectors are solved in one
     call of :func:`jacobi_eigenvalues`."""
     sectors = _check_oracle_cost(spec)
-    coef = exchange_coefficients(spec)
+    sites = chain_sites(spec)
     blocks, repeats = [], []
     for counts, copies, _, group in sectors:
         states = _sector_states(spec, counts)
-        h = build_hamiltonian(spec, states, coef).matrix
+        h = build_hamiltonian(spec, states, sites).matrix
         blocks += _symmetry_blocks(h, group.places(states), group.characters, group.real)
         repeats += [copies] * states.size
         del h  # before the next sector's is built

@@ -456,7 +456,8 @@ def test_grid_peaks_stay_within_the_prediction(tmp_path, monkeypatch, capsys, ar
 def _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, capsys, *args):
     """Run the CLI under tracemalloc: it succeeds, and its peak stays within
     the bytes of its one t or bin grid prediction, which are returned.  The
-    prediction of an --n-sweep list, a few hundred bytes here, is not it."""
+    predictions of an --n-sweep list, a few hundred bytes here, and of the
+    transfer work, no bytes, are not it."""
     checks = []
     check = hschain.cli.check_grid_budget
     monkeypatch.setattr(hschain.cli, "check_grid_budget",
@@ -468,7 +469,7 @@ def _assert_the_run_stays_within_its_grid_prediction(tmp_path, monkeypatch, caps
     finally:
         tracemalloc.stop()
     assert rc == 0, capsys.readouterr().err
-    (prediction, nbytes), = [c for c in checks if not c[0].startswith("--n-sweep")]
+    (prediction, nbytes), = [c for c in checks if c[0].startswith(("--t-points", "--bins"))]
     assert peak <= nbytes, (prediction, peak)
     return nbytes
 
@@ -550,6 +551,39 @@ def test_a_sweep_past_the_work_ceiling_exits_one_before_its_first_n(tmp_path, mo
     err = capsys.readouterr().err
     assert err.startswith("error: --n-sweep 2:1000000:1 runs transfer products"), err
     assert "summed up to N = 2005:" in err and "over the ceiling" in err
+    assert len(err.splitlines()) == 1
+    assert elapsed < 1.0
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    # the README's, the benchmark's and the CI's chains, and the longest PF m=2
+    # chain on the default grid: (N - 1) x (2 x 121 |t| + 256) = 999,999,936 units
+    ["--family", "hs", "--N", "16384", "--m", "3"],
+    ["--family", "hs", "--N", "16384", "--m", "3", "--antiferro"],
+    ["--family", "fi", "--alpha", "3/2", "--N", "12", "--m", "2", "--t-max", "8"],
+    ["--family", "pf", "--N", "2008033", "--m", "2"],
+])
+def test_the_charfn_work_gate_admits_the_chains_people_run(tmp_path, monkeypatch, args):
+    monkeypatch.setattr(hschain.cli, "charfn_series", _admit_no_sweep)
+    with pytest.raises(_SweepAdmitted):
+        run(tmp_path, "charfn", *args)
+
+
+@pytest.mark.parametrize("n", [2008034, 10 ** 7])
+def test_a_charfn_past_the_work_ceiling_exits_one_before_its_products(tmp_path, monkeypatch,
+                                                                       capsys, n):
+    # PF N=10**7 m=2 passes its grid and dispersion gates, but its transfer
+    # products, 4.98e9 units, ran 48 to 59 s at 872 MB; the ceiling refuses PF m=2
+    # from N = 2,008,034 on the default grid
+    monkeypatch.setattr(hschain.cli, "charfn_series", _admit_no_sweep)
+    start = time.perf_counter()
+    rc = run(tmp_path, "charfn", "--family", "pf", "--N", str(n), "--m", "2")
+    elapsed = time.perf_counter() - start
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: charfn of N = {n} runs transfer products"), err
+    assert "over the ceiling" in err
     assert len(err.splitlines()) == 1
     assert elapsed < 1.0
     assert not any(tmp_path.iterdir())

@@ -29,14 +29,31 @@ from hschain.hamiltonian import (
     _sector_group,
     _sector_states,
     _solved_sectors,
+    _pair_strengths,
     _symmetry_blocks,
-    exchange_coefficients,
 )
+
+
+def _coupling_matrix(spec):
+    """Strictly-upper-triangular matrix of pair strengths h_ij, from the
+    site gaps of the whole N x N grid: the reference that the build's
+    strengths, formed chunk by chunk, must equal byte for byte."""
+    xi = chain_sites(spec)
+    gap = xi[:, None] - xi[None, :]
+    coef = np.zeros_like(gap)
+    upper = np.triu_indices(spec.n_spins, 1)
+    if spec.family == "HS":
+        coef[upper] = 0.5 / np.sin(gap[upper]) ** 2
+    elif spec.family == "PF":
+        coef[upper] = 1.0 / gap[upper] ** 2
+    else:
+        coef[upper] = 0.5 / np.sinh(gap[upper]) ** 2
+    return coef
 
 
 def _whole(spec):
     """The Hamiltonian on the whole m**N basis."""
-    return build_hamiltonian(spec, np.arange(spec.n_states), exchange_coefficients(spec)).matrix
+    return build_hamiltonian(spec, np.arange(spec.n_states), chain_sites(spec)).matrix
 
 
 def _brute_sectors(spec):
@@ -105,10 +122,17 @@ def test_a_nan_residual_is_refused(monkeypatch):
 
 
 def test_exchange_strengths_are_positive_upper_triangle():
-    coef = exchange_coefficients(ChainSpec("FI", 5, 2, alpha=2))
-    upper = np.triu_indices(5, 1)
-    assert np.all(coef[upper] > 0)
-    assert np.all(coef[np.tril_indices(5)] == 0)
+    # the strengths of every pair, in np.triu_indices order, are the upper
+    # triangle of the reference coupling matrix byte for byte
+    for spec in (ChainSpec("HS", 7, 2), ChainSpec("PF", 8, 2), ChainSpec("FI", 5, 2, alpha=2),
+                 ChainSpec("FI", 6, 2, alpha=Fraction(3, 2))):
+        first, second = np.triu_indices(spec.n_spins, 1)
+        sites = chain_sites(spec)
+        strengths = _pair_strengths(spec, sites[first] - sites[second])
+        coef = _coupling_matrix(spec)
+        assert strengths.tobytes() == coef[first, second].tobytes(), spec
+        assert np.all(strengths > 0)
+        assert np.all(coef[np.tril_indices(spec.n_spins)] == 0)
 
 
 def test_two_spin_chain_by_hand():
@@ -139,7 +163,7 @@ def test_aligned_states_are_annihilated():
 
 def test_both_signs_sum_to_a_constant():
     spec = ChainSpec("HS", 3, 2)
-    total = 2.0 * exchange_coefficients(spec).sum()
+    total = 2.0 * _coupling_matrix(spec).sum()
     h = _whole(spec) + _whole(replace(spec, epsilon=-1))
     assert np.allclose(h, total * np.eye(spec.n_states), atol=1e-12)
 
@@ -147,7 +171,7 @@ def test_both_signs_sum_to_a_constant():
 def test_trace_counts_misaligned_pairs():
     spec = ChainSpec("PF", 4, 2)
     h = _whole(spec)
-    weight = exchange_coefficients(spec).sum()
+    weight = _coupling_matrix(spec).sum()
     dim = spec.n_states
     assert np.trace(h) == pytest.approx(weight * (dim - dim // 2), rel=1e-12)
 
@@ -156,7 +180,7 @@ def test_dense_cap():
     # 2**14 states: H with a copy of it would take 2 x 8 x 16384**2 bytes, 4 GiB
     spec = ChainSpec("HS", 14, 2)
     with pytest.raises(CapacityError, match=r"dense H of 16384 states .* over the budget"):
-        build_hamiltonian(spec, np.arange(spec.n_states), exchange_coefficients(spec))
+        build_hamiltonian(spec, np.arange(spec.n_states), chain_sites(spec))
 
 
 @pytest.mark.parametrize("spec, refusal", [
@@ -181,9 +205,10 @@ def test_dense_cap():
     (ChainSpec("HS", 15, 2), None),  # 9.75e9 units
     (ChainSpec("PF", 7, 7), None),  # 4.70e9 units
     (ChainSpec("HS", 7, 7), None),  # 1.31e10 units
-    # 2.56e9 units, 2.27e9 of them to find its 3,000 sites, and 288 MB of couplings
+    # 2.56e9 units, 2.27e9 of them to find its 3,000 sites, and 89 MB for the build: 72 MB of
+    # exchange pairs, a 9 MB mask and 8 MiB for one chunk of pairs
     (ChainSpec("PF", 3000, 1), None),
-    (ChainSpec("PF", 3500, 1), None),  # 3.48e9 units and 392 MB of couplings
+    (ChainSpec("PF", 3500, 1), None),  # 3.48e9 units and 119 MB for the build
 ])
 def test_oracle_cost_prediction(spec, refusal):
     if refusal is None:
@@ -250,8 +275,9 @@ def test_oracle_work_sums_the_solved_sectors(spec, monkeypatch):
 def test_oracle_peak_stays_within_its_prediction(monkeypatch):
     # HS N=9 and 10 m=2 and PF N=8 m=2: the solved blocks with the largest
     # sector matrix or the solver's copy of the largest stack of blocks, its
-    # outer products and its lanes; PF N=1000 m=1: the 4 x 8 x N**2 bytes,
-    # 32.0 MB, of exchange_coefficients
+    # outer products and its lanes; PF N=1000 m=1: the build's 8 x N(N - 1)
+    # bytes of exchange pairs, their N**2 mask and one chunk of pairs, which
+    # a 4 x 8 x N**2 coupling matrix, 32.0 MB, would pass
     for spec in (ChainSpec("HS", 9, 2), ChainSpec("HS", 10, 2), ChainSpec("PF", 8, 2),
                  ChainSpec("PF", 1000, 1)):
         calls = _spy_on_the_gate(monkeypatch)
@@ -295,9 +321,9 @@ def test_oracle_holds_sector_blocks_not_the_whole_matrix():
 def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
     # m = 1 has one state: the oracle's gate counts HS N=3000 m=1 at 64
     # units for each of its N(N - 1)/2 exchange pairs, 2.88e8, and none for
-    # its closed-form sites, with 4 x 8 x N**2 bytes, 288 MB, of couplings,
-    # inside both limits; the motif side refuses it first, for its
-    # N(N**2 - 1)/6 energy cells
+    # its closed-form sites, with 89 MB for the build (8 x N(N - 1) bytes of
+    # exchange pairs, their N**2 mask and one chunk), inside both limits;
+    # the motif side refuses it first, for its N(N**2 - 1)/6 energy cells
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError):
@@ -309,12 +335,13 @@ def test_oracle_refuses_a_long_single_valued_chain_before_building_it():
 
 
 def test_oracle_counts_the_exchange_pairs_of_a_single_valued_chain():
-    # PF N=6000 m=1: one state, but 18 M exchange pairs whose coupling
-    # arrays take 4 x 8 x N**2 bytes, 1.15 GB, over the budget; refused
-    # before a site is found
+    # PF N=12000 m=1: one state, but 72 M exchange pairs whose two index
+    # arrays take 8 x N(N - 1) bytes, 1.15 GB, over the budget; refused
+    # before a site is found.  The gate alone admits PF m=1 up to N = 8391,
+    # where the work of its sites and pairs reaches the ceiling
     start = time.perf_counter()
     with pytest.raises(CapacityError, match="over the budget"):
-        _check_oracle_cost(ChainSpec("PF", 6000, 1))
+        _check_oracle_cost(ChainSpec("PF", 12000, 1))
     assert time.perf_counter() - start < 1.0
 
 
@@ -523,7 +550,7 @@ def test_entry_outside_its_weight_sector_trips_the_check():
     # sectors: exchanging the first and last spins takes state 1 to state 8
     spec = ChainSpec("HS", 4, 2)
     with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
-        build_hamiltonian(spec, np.array([0, 1]), exchange_coefficients(spec))
+        build_hamiltonian(spec, np.array([0, 1]), chain_sites(spec))
 
 
 def _per_pair_hamiltonian(spec, states, coef):
@@ -562,7 +589,7 @@ def test_the_build_equals_the_per_pair_loop_bit_for_bit(spec, whole, chunks, mon
     # every solved sector, and the whole basis where it is small, with the
     # chunks as they are and then holding one pair and three pairs, so that
     # chunk boundaries fall inside the pair list
-    coef = exchange_coefficients(spec)
+    coef, sites = _coupling_matrix(spec), chain_sites(spec)
     bases = [_sector_states(spec, counts) for counts, _, _ in _solved_sectors(spec)]
     if whole:
         bases.append(np.arange(spec.n_states))
@@ -571,7 +598,7 @@ def test_the_build_equals_the_per_pair_loop_bit_for_bit(spec, whole, chunks, mon
         for pairs in (None, *chunks):
             if pairs:
                 monkeypatch.setattr(hschain.hamiltonian, "_CHUNK_BYTES", 8 * pairs * states.size)
-            h = build_hamiltonian(spec, states, coef).matrix
+            h = build_hamiltonian(spec, states, sites).matrix
             assert h.shape == reference.shape and h.tobytes() == reference.tobytes(), (
                 spec, states.size, pairs)
             monkeypatch.undo()
@@ -586,7 +613,7 @@ def test_the_first_pair_to_leave_the_states_is_named_in_any_chunking(pairs, monk
     if pairs:
         monkeypatch.setattr(hschain.hamiltonian, "_CHUNK_BYTES", 8 * pairs * 2)
     with pytest.raises(ValidationError, match="exchanging spins 0 and 3 leaves the given states"):
-        build_hamiltonian(spec, np.array([0, 1]), exchange_coefficients(spec))
+        build_hamiltonian(spec, np.array([0, 1]), chain_sites(spec))
 
 
 def test_a_long_single_valued_oracle_runs_in_seconds():
@@ -636,9 +663,9 @@ def _check_the_blocks_hold_the_sector_spectrum(family, n, m):
     # sector's
     for epsilon in (1, -1):
         spec = ChainSpec(family, n, m, epsilon, alpha=2 if family == "FI" else None)
-        coef = exchange_coefficients(spec)
+        sites = chain_sites(spec)
         for counts, states in _brute_sectors(spec).items():
-            h = build_hamiltonian(spec, states, coef).matrix
+            h = build_hamiltonian(spec, states, sites).matrix
             group = _sector_group(spec, counts, states.size)
             blocks = _symmetry_blocks(h, group.places(states), group.characters, group.real)
             assert all(np.array_equal(b, b.T) for b in blocks)
@@ -660,10 +687,10 @@ def test_momentum_blocks_hold_the_sector_spectrum(n, m):
                          # colours past the spins, and one colour whose sector every rotation keeps
                          + [ChainSpec("HS", 5, 16), ChainSpec("HS", 30, 1)])
 def test_the_gate_predicts_the_block_sizes_built(spec):
-    coef = exchange_coefficients(spec)
+    sites = chain_sites(spec)
     for counts, _, sizes, group in _check_oracle_cost(spec):
         states = _sector_states(spec, counts)
-        blocks = _symmetry_blocks(build_hamiltonian(spec, states, coef).matrix,
+        blocks = _symmetry_blocks(build_hamiltonian(spec, states, sites).matrix,
                                   group.places(states), group.characters, group.real)
         assert [b.shape[0] for b in blocks] == sizes
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hschain import (
+    CapacityError,
     ChainSpec,
     ValidationError,
     charfn_asymptotic,
@@ -29,6 +30,7 @@ from hschain.transfer import (
     _run_factors,
     default_t_grid,
 )
+from small_tables import table_of
 from diagnostics import (asymptotic_sweep, bond_overlap_residual, column_sum_residual, eigenvalues,
                          eigenvector_matrix)
 
@@ -185,6 +187,22 @@ def test_charfn_from_density_keeps_the_shape_of_the_grid():
         via_density = charfn_from_density(density, stats, t)
         assert np.shape(via_density) == np.shape(via_product) == np.shape(t)
         assert np.abs(via_product - via_density).max() < 1e-12
+
+
+def test_charfn_from_density_refuses_an_outer_product_over_the_budget():
+    # 4,096 levels on 10,001 t values: 32 x 10,001 x 4,098 bytes, 1.31 GB, of
+    # phases; refused before the energies or phases are made
+    density = table_of({e: 1 + e % 3 for e in range(4096)})
+    stats = closed_form_moments(ChainSpec("HS", 8, 2))
+    t = default_t_grid(8.0, 10_001)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"10001 t values and 4096 levels .* budget"):
+            charfn_from_density(density, stats, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16, peak
 
 
 def test_sign_flip_conjugates_the_charfn():
